@@ -15,12 +15,10 @@ import os
 import secrets
 import sys
 
-import numpy as np
-
 from . import analytic
 from .estimator import (
     bootstrap_epsilon,
-    covariance_records,
+    covariance_hat,
     perr_hat,
     snr_hat,
     write_records_csv,
@@ -199,6 +197,13 @@ _CONVENIENCE_FLAGS = {
 }
 
 
+# Values of the shared flags when given neither before nor after the
+# subcommand.  The flags default to SUPPRESS, so a subcommand parser never
+# writes a default over a value parsed before the subcommand.
+_FLAG_DEFAULTS = {"config": None, "seed": None, "out": "qisim-out", "threads": 1, "target": None}
+_FLAG_DEFAULTS.update({f"cfg_{flag}": None for flag in _CONVENIENCE_FLAGS})
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     """Shared flags, accepted both before and after the subcommand."""
     parser.add_argument(
@@ -250,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         parents=[common],
     )
-    defaults = {"config": None, "seed": None, "out": "qisim-out", "threads": 1, "target": None}
-    defaults.update({f"cfg_{flag}": None for flag in _CONVENIENCE_FLAGS})
-    parser.set_defaults(**defaults)
     sub = parser.add_subparsers(dest="command", required=True)
     p_analytic = sub.add_parser(
         "analytic",
@@ -356,34 +358,32 @@ def cmd_simulate(config: dict, args: argparse.Namespace, seed: SeedSpec) -> int:
     scenario = build_scenario(config)
     ipd = config["scenario"]["images_per_decision"]
     os.makedirs(args.out, exist_ok=True)
-    in_frames, out_frames = generate_image_set(
+    in_counts, out_counts = generate_image_set(
         scenario, seed, config["sampler"]["read_noise_sigma"]
     )
     frames_path = os.path.join(args.out, "frames.csv")
-    write_frames_csv(frames_path, in_frames, out_frames)
-    in_records = covariance_records(in_frames, "in")
-    out_records = covariance_records(out_frames, "out")
+    write_frames_csv(frames_path, in_counts, out_counts)
+    in_deltas = covariance_hat(*in_counts)
+    out_deltas = covariance_hat(*out_counts)
     records_path = os.path.join(args.out, "records.csv")
-    write_records_csv(records_path, in_records + out_records)
+    write_records_csv(records_path, in_deltas, out_deltas)
 
     lines = [f"seed = {seed.master_seed}", f"frames_per_hypothesis = {scenario.images}"]
     try:
-        eps, eps_sigma = bootstrap_epsilon(in_frames, rng=seed.rng(STREAM_BOOTSTRAP, 0))
+        eps, eps_sigma = bootstrap_epsilon(*in_counts, seed.rng(STREAM_BOOTSTRAP, 0))
         lines.append(f"epsilon_hat = {_fmt(eps)}")
         lines.append(f"epsilon_sigma = {_fmt(eps_sigma)}")
     except (DegenerateStatisticError, InsufficientDataError) as exc:
         lines.append(f"epsilon_hat = nan  # {type(exc).__name__}")
-    mean_in = float(np.mean([r.delta12 for r in in_records]))
-    mean_out = float(np.mean([r.delta12 for r in out_records]))
-    lines.append(f"covariance_in = {_fmt(mean_in)}")
-    lines.append(f"covariance_out = {_fmt(mean_out)}")
+    lines.append(f"covariance_in = {_fmt(in_deltas.mean())}")
+    lines.append(f"covariance_out = {_fmt(out_deltas.mean())}")
     try:
         k = scenario.pixel_pairs
-        lines.append(f"snr_per_sqrt_pair = {_fmt(snr_hat(in_records, out_records) / math.sqrt(k))}")
+        lines.append(f"snr_per_sqrt_pair = {_fmt(snr_hat(in_deltas, out_deltas) / math.sqrt(k))}")
     except (DegenerateStatisticError, InsufficientDataError) as exc:
         lines.append(f"snr_per_sqrt_pair = nan  # {type(exc).__name__}")
     try:
-        est = perr_hat(in_records, out_records, ipd)
+        est = perr_hat(in_deltas, out_deltas, ipd)
         lines.append(f"perr_hat = {_fmt(est.p_err)}")
         lines.append(f"perr_threshold = {_fmt(est.threshold)}")
         lines.append(f"perr_batches = {est.batches_in}")
@@ -478,6 +478,8 @@ def main(argv=None) -> int:
         args, leftovers = parser.parse_known_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for key, value in _FLAG_DEFAULTS.items():
+        vars(args).setdefault(key, value)
     try:
         config = _apply_cli_config(args, leftovers)
         build_scenario(config)

@@ -11,11 +11,15 @@ Reproducibility: every frame draws from its own child stream derived from
 (master_seed, hypothesis, frame_index), and pixels of a frame are drawn
 in one fixed vectorized sequence, so output is bit-identical no matter
 how frames are distributed over workers or in which order they run.
+
+`sample_counts` fills one hypothesis's counts into two preallocated
+(images, K) int64 arrays n1 and n2, row i holding frame i; the
+estimators take those arrays directly.
 """
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -142,38 +146,41 @@ def generate_frame(
     return Frame(n1=n1, n2=n2, target_present=target_present, frame_index=frame_index)
 
 
+def sample_counts(
+    scenario: Scenario, target_present: bool, seed: SeedSpec, read_noise_sigma: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n1, n2) of `scenario.images` frames, each of shape (images, K);
+    row i is `generate_frame(..., frame_index=i)`."""
+    scenario = scenario.with_target(target_present)  # once, not in every generate_frame
+    n1 = np.empty((scenario.images, scenario.pixel_pairs), dtype=np.int64)
+    n2 = np.empty_like(n1)
+    for i in range(scenario.images):
+        frame = generate_frame(scenario, target_present, seed, i, read_noise_sigma)
+        n1[i], n2[i] = frame.n1, frame.n2
+    return n1, n2
+
+
 def generate_image_set(
-    scenario: Scenario,
-    seed: SeedSpec,
-    read_noise_sigma: float = 0.0,
-) -> tuple[list[Frame], list[Frame]]:
-    """N_img frames per hypothesis: ("in" = scenario as configured,
-    "out" = target removed), on disjoint seed streams."""
-    in_seed = seed.derive(1)
-    out_seed = seed.derive(0)
-    in_frames = [
-        generate_frame(scenario, scenario.channel.target_present, in_seed, i, read_noise_sigma)
-        for i in range(scenario.images)
-    ]
-    out_frames = [
-        generate_frame(scenario, False, out_seed, i, read_noise_sigma)
-        for i in range(scenario.images)
-    ]
-    return in_frames, out_frames
+    scenario: Scenario, seed: SeedSpec, read_noise_sigma: float = 0.0
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(n1, n2) counts of N_img frames per hypothesis: ("in" = scenario as
+    configured, "out" = target removed), on disjoint seed streams."""
+    in_counts = sample_counts(
+        scenario, scenario.channel.target_present, seed.derive(1), read_noise_sigma
+    )
+    out_counts = sample_counts(scenario, False, seed.derive(0), read_noise_sigma)
+    return in_counts, out_counts
 
 
-def write_frames_csv(
-    path: str,
-    in_frames: Sequence[Frame],
-    out_frames: Sequence[Frame],
-) -> None:
-    """Dump one image set: columns frame,pixel,n1,n2,hypothesis."""
+def write_frames_csv(path: str, in_counts, out_counts) -> None:
+    """Dump one image set of (n1, n2) count arrays: columns
+    frame,pixel,n1,n2,hypothesis."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["frame", "pixel", "n1", "n2", "hypothesis"])
-        for label, frames in (("in", in_frames), ("out", out_frames)):
-            for frame in frames:
-                for pixel in range(frame.pixel_pairs):
-                    writer.writerow(
-                        [frame.frame_index, pixel, int(frame.n1[pixel]), int(frame.n2[pixel]), label]
-                    )
+        for label, (n1, n2) in (("in", in_counts), ("out", out_counts)):
+            pixels = range(n1.shape[1])
+            for frame in range(n1.shape[0]):
+                writer.writerows(
+                    zip(repeat(frame), pixels, n1[frame].tolist(), n2[frame].tolist(), repeat(label))
+                )

@@ -12,17 +12,15 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import analytic
 from .estimator import (
+    bootstrap,
     bootstrap_epsilon,
-    covariance_records,
+    covariance_hat,
     perr_hat,
     snr_hat,
-    _values,
 )
-from .sampler import generate_frame
+from .sampler import sample_counts
 from .types import (
     DegenerateStatisticError,
     InsufficientDataError,
@@ -78,6 +76,10 @@ class SweepSpec:
             raise ParameterError("sources must be non-empty")
         if self.images_per_decision < 1:
             raise ParameterError("images_per_decision must be >= 1")
+        if self.parameter is SweepParameter.IMAGES_PER_DECISION and not all(
+            float(v).is_integer() for v in self.values
+        ):
+            raise ParameterError(f"images_per_decision values must be integers (got {self.values})")
 
 
 @dataclass(frozen=True)
@@ -144,21 +146,11 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
     scn, ipd = _scenario_at(spec, kind, value)
     point_seed = spec.seed.derive(source_index, value_index)
 
-    needs_out = any(o in spec.outputs for o in ("snr", "perr", "covariance"))
-    in_seed = point_seed.derive(1)
-    in_frames = [
-        generate_frame(scn, scn.channel.target_present, in_seed, i, spec.read_noise_sigma)
-        for i in range(scn.images)
-    ]
-    out_frames = []
-    if needs_out:
-        out_seed = point_seed.derive(0)
-        out_frames = [
-            generate_frame(scn, False, out_seed, i, spec.read_noise_sigma)
-            for i in range(scn.images)
-        ]
-    in_records = covariance_records(in_frames, "in")
-    out_records = covariance_records(out_frames, "out") if needs_out else []
+    sigma = spec.read_noise_sigma
+    in_counts = sample_counts(scn, scn.channel.target_present, point_seed.derive(1), sigma)
+    out_counts = None
+    if any(o in spec.outputs for o in ("snr", "perr", "covariance")):
+        out_counts = sample_counts(scn, False, point_seed.derive(0), sigma)
 
     rows: list[SweepRow] = []
 
@@ -189,59 +181,34 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
             )
         )
 
-    def mc_epsilon(rng):
-        return bootstrap_epsilon(in_frames, rng=rng)
+    def mc(stat, *counts):
+        """(stat, bootstrap sigma) over the per-frame covariances of `counts`."""
 
-    def mc_cov(records):
         def compute(rng):
-            data = _values(records)
-            if data.size < 2:
-                raise InsufficientDataError("need at least 2 records")
-            means = np.empty(200)
-            for i in range(200):
-                means[i] = data[rng.integers(0, data.size, data.size)].mean()
-            return float(data.mean()), float(np.std(means, ddof=1))
+            deltas = [covariance_hat(*c) for c in counts]
+            return stat(*deltas), bootstrap(stat, deltas, rng)
 
         return compute
 
-    def mc_snr(rng):
-        k = scn.pixel_pairs
-        point = snr_hat(in_records, out_records) / math.sqrt(k)
-        a = _values(in_records)
-        b = _values(out_records)
-        draws = []
-        for _ in range(200):
-            ra = a[rng.integers(0, a.size, a.size)]
-            rb = b[rng.integers(0, b.size, b.size)]
-            try:
-                draws.append(snr_hat(ra, rb) / math.sqrt(k))
-            except DegenerateStatisticError:
-                continue
-        if len(draws) < 2:
-            raise DegenerateStatisticError("bootstrap resamples all degenerate")
-        return point, float(np.std(draws, ddof=1))
+    def mean(deltas):
+        return float(deltas.mean())
 
-    def mc_perr(rng):
-        point = perr_hat(in_records, out_records, ipd)
-        a = _values(in_records)
-        b = _values(out_records)
-        draws = np.empty(200)
-        for i in range(200):
-            ra = a[rng.integers(0, a.size, a.size)]
-            rb = b[rng.integers(0, b.size, b.size)]
-            draws[i] = perr_hat(ra, rb, ipd).p_err
-        return float(point.p_err), float(np.std(draws, ddof=1))
+    def snr(a, b):
+        return snr_hat(a, b) / math.sqrt(scn.pixel_pairs)
+
+    def perr(a, b):
+        return perr_hat(a, b, ipd).p_err
 
     for output in spec.outputs:
         if output == "epsilon":
-            emit("epsilon", 0, mc_epsilon)
+            emit("epsilon", 0, lambda rng: bootstrap_epsilon(*in_counts, rng))
         elif output == "covariance":
-            emit("covariance_in", 1, mc_cov(in_records))
-            emit("covariance_out", 2, mc_cov(out_records))
+            emit("covariance_in", 1, mc(mean, in_counts))
+            emit("covariance_out", 2, mc(mean, out_counts))
         elif output == "snr":
-            emit("snr", 3, mc_snr)
+            emit("snr", 3, mc(snr, in_counts, out_counts))
         elif output == "perr":
-            emit("perr", 4, mc_perr)
+            emit("perr", 4, mc(perr, in_counts, out_counts))
     return rows
 
 

@@ -178,9 +178,6 @@ class Scenario:
     def with_mu(self, mu: float) -> "Scenario":
         return dataclasses.replace(self, source=dataclasses.replace(self.source, mu=mu))
 
-    def with_images(self, images: int) -> "Scenario":
-        return dataclasses.replace(self, images=images)
-
     def with_source_kind(self, kind: SourceKind) -> "Scenario":
         return dataclasses.replace(self, source=dataclasses.replace(self.source, kind=kind))
 

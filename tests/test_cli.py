@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, validation, determinism."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from qisim.cli import load_config_file, main
@@ -97,6 +98,23 @@ def test_simulate_deterministic_outputs(capsys, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     frames_header = (tmp_path / "a" / "frames.csv").read_text().splitlines()[0]
     assert frames_header == "frame,pixel,n1,n2,hypothesis"
+
+
+def test_flags_before_subcommand_are_kept(capsys, tmp_path):
+    flags = ["--seed", "5", "--frames", "30", "--pixel-pairs", "8"]
+    code_a, _, _ = run_cli(capsys, *flags, "simulate", "--out", str(tmp_path / "a"))
+    code_b, _, _ = run_cli(capsys, "simulate", *flags, "--out", str(tmp_path / "b"))
+    assert code_a == 0 and code_b == 0
+    for name in ("frames.csv", "records.csv", "summary.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_simulate_counts_that_would_wrap_exit_2(capsys, tmp_path, monkeypatch):
+    huge = np.full((4, 8), 2**31, dtype=np.int64)
+    monkeypatch.setattr("qisim.cli.generate_image_set", lambda *args: ((huge, huge), (huge, huge)))
+    code, _, err = run_cli(capsys, "simulate", "--seed", "1", "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "overflow" in err
 
 
 def test_simulate_absent_target_zero_background(capsys, tmp_path):

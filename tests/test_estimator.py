@@ -2,19 +2,18 @@
 agreement with the closed forms on simulated data."""
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
 from conftest import make_scenario
 from qisim import analytic
 from qisim.estimator import (
-    CovarianceRecord,
+    bootstrap,
     bootstrap_epsilon,
-    bootstrap_statistic,
     covariance_hat,
-    covariance_records,
     epsilon_hat,
-    load_records_csv,
     perr_hat,
     snr_hat,
     write_records_csv,
@@ -22,7 +21,6 @@ from qisim.estimator import (
 from qisim.sampler import generate_frame, generate_image_set
 from qisim.types import (
     DegenerateStatisticError,
-    Frame,
     InsufficientDataError,
     SeedSpec,
     SourceKind,
@@ -30,8 +28,9 @@ from qisim.types import (
 )
 
 
-def frame_of(n1, n2, index=0) -> Frame:
-    return Frame(n1=np.asarray(n1), n2=np.asarray(n2), target_present=True, frame_index=index)
+def frame_of(n1, n2) -> tuple[np.ndarray, np.ndarray]:
+    """(n1, n2) count arrays holding one frame."""
+    return np.asarray([n1]), np.asarray([n2])
 
 
 # ---------------------------------------------------------------------------
@@ -39,16 +38,16 @@ def frame_of(n1, n2, index=0) -> Frame:
 # ---------------------------------------------------------------------------
 def test_covariance_hand_example():
     # E[N1 N2] = 7, E[N1] = 2, E[N2] = 3 -> 1
-    assert covariance_hat(frame_of([1, 3], [2, 4])) == 1.0
+    assert covariance_hat(*frame_of([1, 3], [2, 4]))[0] == 1.0
 
 
 def test_covariance_constant_arm_is_zero():
-    assert covariance_hat(frame_of([1, 5, 2, 9], [4, 4, 4, 4])) == 0.0
+    assert covariance_hat(*frame_of([1, 5, 2, 9], [4, 4, 4, 4]))[0] == 0.0
 
 
 def test_covariance_rejects_single_pixel():
     with pytest.raises(InsufficientDataError):
-        covariance_hat(frame_of([1], [2]))
+        covariance_hat(*frame_of([1], [2]))
 
 
 def test_covariance_permutation_invariant():
@@ -56,24 +55,24 @@ def test_covariance_permutation_invariant():
     n1 = rng.integers(0, 50, 40)
     n2 = rng.integers(0, 50, 40)
     perm = rng.permutation(40)
-    assert covariance_hat(frame_of(n1, n2)) == covariance_hat(frame_of(n1[perm], n2[perm]))
+    assert covariance_hat(*frame_of(n1, n2)) == covariance_hat(*frame_of(n1[perm], n2[perm]))
 
 
 def test_covariance_shift_invariant():
     rng = np.random.default_rng(6)
     n1 = rng.integers(0, 50, 40)
     n2 = rng.integers(0, 50, 40)
-    base = covariance_hat(frame_of(n1, n2))
-    assert covariance_hat(frame_of(n1 + 13, n2)) == base
-    assert covariance_hat(frame_of(n1, n2 + 7)) == base
+    base = covariance_hat(*frame_of(n1, n2))
+    assert covariance_hat(*frame_of(n1 + 13, n2)) == base
+    assert covariance_hat(*frame_of(n1, n2 + 7)) == base
 
 
 def test_covariance_statistics_match_moments():
     # mean of per-frame estimates within 3 SE of cov; their spread within
     # 10% of sqrt(var(dN1 dN2)/K)
     scn = make_scenario(background_mean=3000.0, images=2000)
-    in_frames, _ = generate_image_set(scn, SeedSpec(404))
-    deltas = np.array([covariance_hat(f) for f in in_frames])
+    in_counts, _ = generate_image_set(scn, SeedSpec(404))
+    deltas = covariance_hat(*in_counts)
     m = analytic.moments(scn)
     se = deltas.std(ddof=1) / np.sqrt(deltas.size)
     assert abs(deltas.mean() - m.cov) <= 3.0 * se
@@ -86,30 +85,30 @@ def test_covariance_statistics_match_moments():
 # ---------------------------------------------------------------------------
 def test_epsilon_hat_twin_beam_reaches_ideal():
     scn = make_scenario(images=2000)
-    in_frames, _ = generate_image_set(scn, SeedSpec(2001))
-    eps, sigma = bootstrap_epsilon(in_frames, rng=SeedSpec(2001).rng(STREAM_BOOTSTRAP))
+    in_counts, _ = generate_image_set(scn, SeedSpec(2001))
+    eps, sigma = bootstrap_epsilon(*in_counts, rng=SeedSpec(2001).rng(STREAM_BOOTSTRAP))
     assert abs(eps - 14.333333333333334) <= 3.0 * sigma
 
 
 def test_epsilon_hat_split_thermal_is_classical():
     scn = make_scenario(kind=SourceKind.SPLIT_THERMAL, images=2000)
-    in_frames, _ = generate_image_set(scn, SeedSpec(2002))
-    eps, sigma = bootstrap_epsilon(in_frames, rng=SeedSpec(2002).rng(STREAM_BOOTSTRAP))
+    in_counts, _ = generate_image_set(scn, SeedSpec(2002))
+    eps, sigma = bootstrap_epsilon(*in_counts, rng=SeedSpec(2002).rng(STREAM_BOOTSTRAP))
     assert abs(eps - 1.0) <= 3.0 * sigma
 
 
 def test_epsilon_hat_crosses_classical_bound_with_background():
     scn = make_scenario(background_mean=60000.0, images=400)
-    in_frames, _ = generate_image_set(scn, SeedSpec(2003))
-    assert epsilon_hat(in_frames) < 1.0
+    in_counts, _ = generate_image_set(scn, SeedSpec(2003))
+    assert epsilon_hat(*in_counts) < 1.0
 
 
 def test_epsilon_hat_degenerate_raises():
-    frames = [frame_of([0, 0, 0], [0, 0, 0], i) for i in range(4)]
+    n1 = n2 = np.zeros((4, 3), dtype=np.int64)
     with pytest.raises(DegenerateStatisticError):
-        epsilon_hat(frames)
+        epsilon_hat(n1, n2)
     with pytest.raises(InsufficientDataError):
-        epsilon_hat(frames[:1])
+        epsilon_hat(n1[:1], n2[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +132,8 @@ def test_snr_hat_needs_two_records():
 
 
 def test_snr_hat_accepts_records():
-    recs_in = [CovarianceRecord(v, i, "in") for i, v in enumerate((5.0, 6.0, 7.0))]
-    recs_out = [CovarianceRecord(v, i, "out") for i, v in enumerate((0.0, 1.0, -1.0))]
+    recs_in = np.array([5.0, 6.0, 7.0])
+    recs_out = np.array([0.0, 1.0, -1.0])
     assert snr_hat(recs_in, recs_out) == pytest.approx(6.0 / np.sqrt(2.0))
 
 
@@ -186,10 +185,10 @@ def test_snr_hat_tracks_analytic_curve():
     for vi, nb in enumerate((1000.0, 5000.0, 30000.0)):
         scn = make_scenario(background_mean=nb, images=2000)
         seed = SeedSpec(606).derive(vi)
-        in_frames, out_frames = generate_image_set(scn, seed)
+        in_counts, out_counts = generate_image_set(scn, seed)
         f_hat = snr_hat(
-            [covariance_hat(f) for f in in_frames],
-            [covariance_hat(f) for f in out_frames],
+            covariance_hat(*in_counts),
+            covariance_hat(*out_counts),
         ) / np.sqrt(scn.pixel_pairs)
         f_ref = analytic.snr(scn)
         assert abs(f_hat - f_ref) / f_ref < 0.15
@@ -212,8 +211,8 @@ def test_snr_ratio_stable_under_doubled_background():
             for hyp_tag, target in ((1, True), (0, False)):
                 s = seed.derive(kind_tag, hyp_tag)
                 recs[target] = [
-                    covariance_hat(generate_frame(scen(kind, nb), target, s, i))
-                    for i in range(1500)
+                    covariance_hat(*frame_of(frame.n1, frame.n2))[0]
+                    for frame in (generate_frame(scen(kind, nb), target, s, i) for i in range(1500))
                 ]
             out.append(snr_hat(recs[True], recs[False]))
         return out[0] / out[1]
@@ -233,7 +232,7 @@ def test_snr_ratio_stable_under_doubled_background():
 def test_bootstrap_sigma_scales_like_standard_error():
     rng = np.random.default_rng(21)
     data = rng.normal(0.0, 2.0, 500)
-    point, sigma = bootstrap_statistic(data, np.mean, rng=np.random.default_rng(0))
+    point, sigma = np.mean(data), bootstrap(np.mean, [data], np.random.default_rng(0))
     assert point == pytest.approx(data.mean())
     se = data.std(ddof=1) / np.sqrt(data.size)
     assert 0.5 * se < sigma < 2.0 * se
@@ -241,11 +240,17 @@ def test_bootstrap_sigma_scales_like_standard_error():
 
 def test_records_csv_roundtrip(tmp_path):
     scn = make_scenario(images=4, pixel_pairs=8)
-    in_frames, out_frames = generate_image_set(scn, SeedSpec(3))
-    records = covariance_records(in_frames, "in") + covariance_records(out_frames, "out")
+    in_counts, out_counts = generate_image_set(scn, SeedSpec(3))
+    in_deltas, out_deltas = covariance_hat(*in_counts), covariance_hat(*out_counts)
+    records = [(i, "in", d) for i, d in enumerate(in_deltas)]
+    records += [(i, "out", d) for i, d in enumerate(out_deltas)]
     path = tmp_path / "records.csv"
-    write_records_csv(str(path), records)
-    loaded = load_records_csv(str(path))
+    write_records_csv(str(path), in_deltas, out_deltas)
+    with open(path, newline="") as handle:
+        loaded = [
+            (int(row["frame"]), row["hypothesis"], float(row["delta12"]))
+            for row in csv.DictReader(handle)
+        ]
     assert loaded == records
     header = path.read_text().splitlines()[0]
     assert header == "frame,hypothesis,delta12"

@@ -2,6 +2,7 @@
 error flagging, and output formats."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from conftest import make_scenario
@@ -52,6 +53,24 @@ def test_sweep_spec_validation():
         sweep_spec(sources=())
 
 
+def test_images_per_decision_values_must_be_integers():
+    with pytest.raises(ParameterError):
+        sweep_spec(parameter=SweepParameter.IMAGES_PER_DECISION, values=(1.0, 2.5))
+    sweep_spec(parameter=SweepParameter.IMAGES_PER_DECISION, values=(1.0, 3.0))
+
+
+def test_counts_that_would_wrap_flag_the_row(monkeypatch):
+    def huge_counts(scn, target_present, seed, read_noise_sigma=0.0):
+        return np.full((scn.images, scn.pixel_pairs), 2**31, dtype=np.int64), np.ones(
+            (scn.images, scn.pixel_pairs), dtype=np.int64
+        )
+
+    monkeypatch.setattr("qisim.scenario.sample_counts", huge_counts)
+    spec = sweep_spec(values=(100.0,), outputs=("epsilon", "snr", "covariance", "perr"))
+    rows = run_sweep(spec).rows
+    assert rows and all(r.flag == "error:ParameterError" and r.estimate is None for r in rows)
+
+
 def test_single_value_sweep_equals_direct_call():
     spec = sweep_spec(values=(500.0,), sources=(SourceKind.TWIN_BEAM,))
     row = run_sweep(spec).rows[0]
@@ -62,7 +81,9 @@ def test_single_value_sweep_equals_direct_call():
     frames = [
         generate_frame(scn, True, in_seed, i) for i in range(scn.images)
     ]
-    eps, sigma = bootstrap_epsilon(frames, rng=point_seed.rng(STREAM_BOOTSTRAP, 0))
+    n1 = np.array([f.n1 for f in frames])
+    n2 = np.array([f.n2 for f in frames])
+    eps, sigma = bootstrap_epsilon(n1, n2, rng=point_seed.rng(STREAM_BOOTSTRAP, 0))
     assert row.estimate == eps
     assert row.uncertainty == sigma
 
