@@ -1,10 +1,17 @@
 """Command-line entry point: config parsing, subcommands, seeds, outputs.
 
 Configuration is flat key-value text with one section per module
-(INI syntax); every key can be overridden on the command line with
-``--section.key value``.  All randomness flows from a single ``--seed``;
-when absent a fresh seed is drawn and printed so the run stays
-reproducible after the fact.
+(INI syntax), described by ``CONFIG_SCHEMA``.  A run resolves one
+configuration in layers: the defaults or ``--config FILE``, then, for
+``reproduce``, the keys of the figure preset's series, then every key
+given on the command line (``--section.key value``, the shortcut flags,
+``--seed`` and ``--target``), so explicit flags win over presets.
+
+Every sweep writes its CSV and, next to it, a sidecar: the resolved
+configuration rendered from the schema, seed included.  ``qisim sweep
+--config SIDECAR`` replays the CSV byte for byte.  All randomness flows
+from the single seed ``run.seed``; when absent a fresh seed is drawn and
+printed so the run stays reproducible after the fact.
 """
 from __future__ import annotations
 
@@ -28,7 +35,6 @@ from .scenario import (
     SweepParameter,
     SweepSpec,
     run_sweep,
-    write_sidecar,
     write_sweep_csv,
 )
 from .types import (
@@ -91,9 +97,19 @@ CONFIG_SCHEMA = {
     },
     "sweep": {
         "parameter": (str, "background_mean", "swept axis: background_mean, images_per_decision or mu"),
-        "values": (str, "100,316,1000,3162,10000,31623,100000", "comma-separated increasing values"),
-        "sources": (str, "twin_beam,split_thermal", "comma-separated source kinds to compare"),
-        "outputs": (str, "epsilon", "comma-separated metrics: epsilon,snr,covariance,perr"),
+        "values": (
+            _parse_float_list,
+            (100.0, 316.0, 1000.0, 3162.0, 10000.0, 31623.0, 100000.0),
+            "comma-separated increasing values",
+        ),
+        "sources": (
+            _parse_str_list,
+            ("twin_beam", "split_thermal"),
+            "comma-separated source kinds to compare",
+        ),
+        "outputs": (
+            _parse_str_list, ("epsilon",), "comma-separated metrics: epsilon,snr,covariance,perr"
+        ),
         "emit_analytic": (_parse_bool, True, "also emit closed-form curve values"),
     },
     "run": {
@@ -119,6 +135,16 @@ def _set_key(config: dict, section: str, key: str, raw: str) -> None:
         raise ParameterError(f"{section}.{key}: {exc}") from exc
 
 
+def _apply(config: dict, *layers) -> dict:
+    """A copy of `config` with each layer of (section, key, raw) triples
+    applied in order, so a later layer wins."""
+    config = {section: dict(keys) for section, keys in config.items()}
+    for layer in layers:
+        for section, key, raw in layer:
+            _set_key(config, section, key, raw)
+    return config
+
+
 def load_config_file(path: str) -> dict:
     config = default_config()
     ini = configparser.ConfigParser(interpolation=None)
@@ -130,6 +156,29 @@ def load_config_file(path: str) -> dict:
         for key, raw in ini.items(section):
             _set_key(config, section, key, raw)
     return config
+
+
+def _render(value) -> str:
+    """A config value in the text form its schema parser reads back."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(_render(item) for item in value)
+    return str(value)
+
+
+def sidecar_text(config: dict) -> str:
+    """A resolved configuration in the format `load_config_file` reads."""
+    lines = [
+        "# resolved sweep configuration; feed back via --config to reproduce",
+        "# background mean_total is the detected per-pixel mean",
+    ]
+    for section, keys in CONFIG_SCHEMA.items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {_render(config[section][key])}" for key in keys)
+    return "\n".join(lines) + "\n"
 
 
 def build_scenario(config: dict) -> Scenario:
@@ -163,9 +212,9 @@ def build_sweep_spec(config: dict, seed: SeedSpec) -> SweepSpec:
     return SweepSpec(
         base=build_scenario(config),
         parameter=SweepParameter.parse(config["sweep"]["parameter"]),
-        values=_parse_float_list(config["sweep"]["values"]),
-        sources=tuple(SourceKind.parse(k) for k in _parse_str_list(config["sweep"]["sources"])),
-        outputs=_parse_str_list(config["sweep"]["outputs"]),
+        values=config["sweep"]["values"],
+        sources=tuple(SourceKind.parse(k) for k in config["sweep"]["sources"]),
+        outputs=config["sweep"]["outputs"],
         seed=seed,
         emit_analytic=config["sweep"]["emit_analytic"],
         images_per_decision=config["scenario"]["images_per_decision"],
@@ -173,70 +222,82 @@ def build_sweep_spec(config: dict, seed: SeedSpec) -> SweepSpec:
     )
 
 
+def _write_sweep(config: dict, csv_path: str) -> None:
+    """Run the sweep `config` describes on the seed `run.seed` as it
+    stands; write the CSV and, next to it, the sidecar that replays it."""
+    spec = build_sweep_spec(config, SeedSpec(config["run"]["seed"]))
+    write_sweep_csv(run_sweep(spec), csv_path)
+    with open(csv_path + ".meta.txt", "w") as handle:
+        handle.write(sidecar_text(config))
+    print(f"wrote {csv_path}")
+
+
 def _config_help() -> str:
     lines = ["configuration keys (file sections or --section.key overrides):"]
     for section, keys in CONFIG_SCHEMA.items():
         for key, (_, default, text) in keys.items():
-            lines.append(f"  {section}.{key:<22} {text} [default: {default}]")
+            lines.append(f"  {section}.{key:<22} {text} [default: {_render(default)}]")
     return "\n".join(lines)
 
 
-_CONVENIENCE_FLAGS = {
-    "mu": ("source", "mu"),
-    "modes": ("source", "modes"),
-    "eta1": ("channel", "eta1"),
-    "eta2": ("channel", "eta2"),
-    "reflectivity": ("channel", "reflectivity"),
-    "mode_match": ("channel", "mode_match"),
-    "background": ("background", "mean_total"),
-    "modes_b": ("background", "modes_b"),
-    "pixel_pairs": ("scenario", "pixel_pairs"),
-    "frames": ("scenario", "images"),
-    "images_per_decision": ("scenario", "images_per_decision"),
-    "read_noise": ("sampler", "read_noise_sigma"),
+# shortcut flag -> the config key it sets
+_SHORTCUTS = {
+    "mu": "source.mu",
+    "modes": "source.modes",
+    "eta1": "channel.eta1",
+    "eta2": "channel.eta2",
+    "reflectivity": "channel.reflectivity",
+    "mode-match": "channel.mode_match",
+    "background": "background.mean_total",
+    "modes-b": "background.modes_b",
+    "pixel-pairs": "scenario.pixel_pairs",
+    "frames": "scenario.images",
+    "images-per-decision": "scenario.images_per_decision",
+    "read-noise": "sampler.read_noise_sigma",
 }
 
 
 # Values of the shared flags when given neither before nor after the
 # subcommand.  The flags default to SUPPRESS, so a subcommand parser never
 # writes a default over a value parsed before the subcommand.
-_FLAG_DEFAULTS = {"config": None, "seed": None, "out": "qisim-out", "threads": 1, "target": None}
-_FLAG_DEFAULTS.update({f"cfg_{flag}": None for flag in _CONVENIENCE_FLAGS})
+_FLAG_DEFAULTS = {"config": None, "out": "qisim-out"}
+
+
+def _target(text: str) -> str:
+    if text not in ("present", "absent"):
+        raise argparse.ArgumentTypeError(f"expected present or absent, got {text!r}")
+    return str(text == "present")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    """Shared flags, accepted both before and after the subcommand."""
+    """Shared flags, accepted both before and after the subcommand.  A flag
+    that sets a config key stores its raw text under the key's name."""
     parser.add_argument(
         "--config", metavar="PATH", default=argparse.SUPPRESS, help="key-value config file"
     )
     parser.add_argument(
         "--seed",
-        type=int,
+        dest="run.seed",
         metavar="U64",
         default=argparse.SUPPRESS,
-        help="master seed (default: drawn and printed)",
+        help="master seed, shortcut for --run.seed (default: drawn and printed)",
     )
     parser.add_argument(
         "--out", metavar="DIR", default=argparse.SUPPRESS, help="output directory"
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        default=argparse.SUPPRESS,
-        help="sweep worker threads",
-    )
-    for flag, (section, key) in _CONVENIENCE_FLAGS.items():
+    for flag, name in _SHORTCUTS.items():
         parser.add_argument(
-            f"--{flag.replace('_', '-')}",
-            dest=f"cfg_{flag}",
+            f"--{flag}",
+            dest=name,
             metavar="V",
             default=argparse.SUPPRESS,
-            help=f"shortcut for --{section}.{key}",
+            help=f"shortcut for --{name}",
         )
     parser.add_argument(
         "--target",
-        choices=["present", "absent"],
+        dest="channel.target_present",
+        type=_target,
+        metavar="{present,absent}",
         default=argparse.SUPPRESS,
         help="shortcut for --channel.target_present",
     )
@@ -267,51 +328,37 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="generate one image set, run all estimators, write records",
     )
+    sub.add_parser(
+        "sweep",
+        parents=[common],
+        help="run the configured sweep; write sweep.csv and its sidecar",
+    )
     p_rep = sub.add_parser("reproduce", parents=[common], help="run a named figure sweep preset")
-    p_rep.add_argument("figure", choices=["fig2", "fig3", "fig4", "fig5"])
+    p_rep.add_argument("figure", choices=list(PRESETS))
     return parser
 
 
-def _apply_cli_config(args: argparse.Namespace, leftovers: list) -> dict:
-    config = load_config_file(args.config) if args.config else default_config()
-    index = 0
-    while index < len(leftovers):
-        token = leftovers[index]
+def _overrides(args: argparse.Namespace, leftovers: list) -> list:
+    """Every config key given on the command line, as (section, key, raw):
+    the --section.key overrides in order, then the flags that set a key."""
+    triples = []
+    tokens = iter(leftovers)
+    for token in tokens:
         if not token.startswith("--"):
             raise ParameterError(f"unrecognized argument: {token}")
-        name, eq, inline = token[2:].partition("=")
-        if eq:
-            value = inline
-        else:
-            index += 1
-            if index >= len(leftovers):
-                raise ParameterError(f"missing value for {token}")
-            value = leftovers[index]
-        plain = name.replace("-", "_")
-        if "." in name:
-            section, _, key = name.partition(".")
-            _set_key(config, section, key, value)
-        elif plain in _CONVENIENCE_FLAGS:
-            section, key = _CONVENIENCE_FLAGS[plain]
-            _set_key(config, section, key, value)
-        elif plain == "target":
-            config["channel"]["target_present"] = _parse_target(value)
-        else:
+        name, eq, raw = token[2:].partition("=")
+        section, dot, key = name.partition(".")
+        if not dot:
             raise ParameterError(f"unknown config key: {name}")
-        index += 1
-    for flag, (section, key) in _CONVENIENCE_FLAGS.items():
-        raw = getattr(args, f"cfg_{flag}")
-        if raw is not None:
-            _set_key(config, section, key, raw)
-    if args.target is not None:
-        config["channel"]["target_present"] = _parse_target(args.target)
-    return config
-
-
-def _parse_target(value: str) -> bool:
-    if value not in ("present", "absent"):
-        raise ParameterError(f"target must be 'present' or 'absent' (got {value!r})")
-    return value == "present"
+        if not eq:
+            raw = next(tokens, None)
+            if raw is None:
+                raise ParameterError(f"missing value for {token}")
+        triples.append((section, key, raw))
+    triples.extend(
+        (*name.split(".", 1), raw) for name, raw in vars(args).items() if "." in name
+    )
+    return triples
 
 
 def _fmt(value: float) -> str:
@@ -354,19 +401,17 @@ def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(config: dict, args: argparse.Namespace, seed: SeedSpec) -> int:
+def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     scenario = build_scenario(config)
+    seed = SeedSpec(config["run"]["seed"])
     ipd = config["scenario"]["images_per_decision"]
-    os.makedirs(args.out, exist_ok=True)
     in_counts, out_counts = generate_image_set(
         scenario, seed, config["sampler"]["read_noise_sigma"]
     )
-    frames_path = os.path.join(args.out, "frames.csv")
-    write_frames_csv(frames_path, in_counts, out_counts)
+    # every estimator runs before the first output is opened, so a run that
+    # exits with an error leaves no partial output behind
     in_deltas = covariance_hat(*in_counts)
     out_deltas = covariance_hat(*out_counts)
-    records_path = os.path.join(args.out, "records.csv")
-    write_records_csv(records_path, in_deltas, out_deltas)
 
     lines = [f"seed = {seed.master_seed}", f"frames_per_hypothesis = {scenario.images}"]
     try:
@@ -390,6 +435,12 @@ def cmd_simulate(config: dict, args: argparse.Namespace, seed: SeedSpec) -> int:
     except (DegenerateStatisticError, InsufficientDataError) as exc:
         lines.append(f"perr_hat = nan  # {type(exc).__name__}")
     summary = "\n".join(lines) + "\n"
+
+    os.makedirs(args.out, exist_ok=True)
+    frames_path = os.path.join(args.out, "frames.csv")
+    write_frames_csv(frames_path, in_counts, out_counts)
+    records_path = os.path.join(args.out, "records.csv")
+    write_records_csv(records_path, in_deltas, out_deltas)
     with open(os.path.join(args.out, "summary.txt"), "w") as handle:
         handle.write(summary)
     print(summary, end="")
@@ -398,77 +449,70 @@ def cmd_simulate(config: dict, args: argparse.Namespace, seed: SeedSpec) -> int:
     return 0
 
 
-_DECADES = (100.0, 316.0, 1000.0, 3162.0, 10000.0, 31623.0, 100000.0)
-
-
-def _figure_series(figure: str) -> list:
-    """(file stem, sources, outputs, modes_b, default frames, values, ipd)."""
-    twin = (SourceKind.TWIN_BEAM,)
-    split = (SourceKind.SPLIT_THERMAL,)
-    both = (SourceKind.TWIN_BEAM, SourceKind.SPLIT_THERMAL)
-    eps_values = (0.0,) + _DECADES
-    if figure == "fig2":
-        return [
-            ("fig2_mb57", both, ("epsilon",), 57, 2000, eps_values, 10),
-            ("fig2_mb1300", both, ("epsilon",), 1300, 2000, eps_values, 10),
-        ]
-    if figure == "fig3":
-        return [
-            ("fig3_twin_mb1300", twin, ("snr",), 1300, 2000, _DECADES, 10),
-            ("fig3_twin_mb57", twin, ("snr",), 57, 4000, _DECADES, 10),
-            ("fig3_split_mb1300", split, ("snr",), 1300, 6000, _DECADES, 10),
-        ]
-    if figure == "fig4":
-        return [
-            ("fig4_twin_mb1300", twin, ("covariance",), 1300, 2000, _DECADES, 10),
-            ("fig4_split_mb1300", split, ("covariance",), 1300, 6000, _DECADES, 10),
-            ("fig4_twin_mb57", twin, ("covariance",), 57, 4000, _DECADES, 10),
-        ]
-    if figure == "fig5":
-        series = []
-        for ipd, tag in ((10, ""), (100, "_inset")):
-            series.extend(
-                [
-                    (f"fig5{tag}_twin_mb57", twin, ("perr",), 57, 2000, _DECADES, ipd),
-                    (f"fig5{tag}_twin_mb1300", twin, ("perr",), 1300, 2000, _DECADES, ipd),
-                    (f"fig5{tag}_split_mb1300", split, ("perr",), 1300, 2000, _DECADES, ipd),
-                ]
-            )
-        return series
-    raise ParameterError(f"unknown figure: {figure}")
-
-
-def cmd_reproduce(config: dict, args: argparse.Namespace, seed: SeedSpec) -> int:
+def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
-    # --frames overrides every series budget; presets otherwise carry
-    # their own per-series acquisition counts
-    frames_override = config["scenario"]["images"] if args.cfg_frames is not None else None
-    for series_index, (stem, sources, outputs, modes_b, frames, values, ipd) in enumerate(
-        _figure_series(args.figure)
-    ):
-        series_config = {sec: dict(keys) for sec, keys in config.items()}
-        series_config["background"]["modes_b"] = modes_b
-        series_config["scenario"]["images"] = (
-            frames_override if frames_override is not None else frames
-        )
-        series_config["scenario"]["images_per_decision"] = ipd
-        base = build_scenario(series_config)
-        spec = SweepSpec(
-            base=base,
-            parameter=SweepParameter.BACKGROUND_MEAN,
-            values=values,
-            sources=sources,
-            outputs=outputs,
-            seed=seed.derive(series_index),
-            emit_analytic=series_config["sweep"]["emit_analytic"],
-            images_per_decision=ipd,
-            read_noise_sigma=series_config["sampler"]["read_noise_sigma"],
-        )
-        result = run_sweep(spec, threads=args.threads)
-        csv_path = os.path.join(args.out, f"{stem}.csv")
-        write_sweep_csv(result, csv_path)
-        write_sidecar(spec, csv_path + ".meta.txt")
-        print(f"wrote {csv_path}")
+    _write_sweep(config, os.path.join(args.out, "sweep.csv"))
+    return 0
+
+
+_DECADES = "100,316,1000,3162,10000,31623,100000"
+
+# Keys every preset series sets; the series' own table adds to them.
+_PRESET_BASE = {
+    "sweep.parameter": "background_mean",
+    "sweep.values": _DECADES,
+    "scenario.images": "2000",
+    "scenario.images_per_decision": "10",
+}
+
+# The (source, M_b) pairs of the fig3..fig5 series, named as in their file
+# stems, and the frames per hypothesis each gets in fig3 and fig4.
+_SERIES = {
+    "twin_mb57": {"sweep.sources": "twin_beam", "background.modes_b": "57"},
+    "twin_mb1300": {"sweep.sources": "twin_beam", "background.modes_b": "1300"},
+    "split_mb1300": {"sweep.sources": "split_thermal", "background.modes_b": "1300"},
+}
+_FRAMES = {"twin_mb57": "4000", "twin_mb1300": "2000", "split_mb1300": "6000"}
+
+# Figure presets: per series, its output file stem and its config keys.
+PRESETS = {
+    "fig2": {
+        f"fig2_mb{mb}": {
+            "sweep.outputs": "epsilon",
+            "sweep.sources": "twin_beam,split_thermal",
+            "sweep.values": "0," + _DECADES,
+            "background.modes_b": mb,
+        }
+        for mb in ("57", "1300")
+    },
+    "fig3": {
+        f"fig3_{name}": {**_SERIES[name], "sweep.outputs": "snr", "scenario.images": _FRAMES[name]}
+        for name in ("twin_mb1300", "twin_mb57", "split_mb1300")
+    },
+    "fig4": {
+        f"fig4_{name}": {
+            **_SERIES[name], "sweep.outputs": "covariance", "scenario.images": _FRAMES[name]
+        }
+        for name in ("twin_mb1300", "split_mb1300", "twin_mb57")
+    },
+    "fig5": {
+        f"fig5{tag}_{name}": {**keys, "sweep.outputs": "perr", "scenario.images_per_decision": ipd}
+        for tag, ipd in (("", "10"), ("_inset", "100"))
+        for name, keys in _SERIES.items()
+    },
+}
+
+
+def cmd_reproduce(base: dict, overrides: list, seed: SeedSpec, args: argparse.Namespace) -> int:
+    """One sweep per series of the preset, configured by `base`, then the
+    series' keys, then the command-line `overrides`; series i runs on the
+    seed derived from the master seed with tag i."""
+    os.makedirs(args.out, exist_ok=True)
+    for index, (stem, table) in enumerate(PRESETS[args.figure].items()):
+        keys = {**_PRESET_BASE, **table}
+        config = _apply(base, [(*name.split(".", 1), raw) for name, raw in keys.items()], overrides)
+        config["run"]["seed"] = seed.derive(index).master_seed
+        _write_sweep(config, os.path.join(args.out, f"{stem}.csv"))
     return 0
 
 
@@ -481,21 +525,21 @@ def main(argv=None) -> int:
     for key, value in _FLAG_DEFAULTS.items():
         vars(args).setdefault(key, value)
     try:
-        config = _apply_cli_config(args, leftovers)
+        overrides = _overrides(args, leftovers)
+        base = load_config_file(args.config) if args.config else default_config()
+        config = _apply(base, overrides)
         build_scenario(config)
         if args.command == "analytic":
             return cmd_analytic(config, args)
-        master = args.seed if args.seed is not None else config["run"]["seed"]
-        announced = master is not None
-        if master is None:
-            master = secrets.randbits(64)
-        seed = SeedSpec(master)
-        if not announced:
-            print(f"seed = {master}")
+        if config["run"]["seed"] is None:
+            config["run"]["seed"] = secrets.randbits(64)
+            print(f"seed = {config['run']['seed']}")
         if args.command == "simulate":
-            return cmd_simulate(config, args, seed)
-        return cmd_reproduce(config, args, seed)
-    except ParameterError as exc:
+            return cmd_simulate(config, args)
+        if args.command == "sweep":
+            return cmd_sweep(config, args)
+        return cmd_reproduce(base, overrides, SeedSpec(config["run"]["seed"]), args)
+    except (ParameterError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

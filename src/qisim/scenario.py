@@ -1,15 +1,14 @@
 """Declarative parameter sweeps with Monte Carlo and closed-form columns.
 
 A sweep runs one (source kind, swept value) job per grid point, each on
-its own derived seed, so results are byte-identical no matter how many
-workers execute the grid.  Estimator failures flag the affected row and
-never abort the sweep.
+its own derived seed, so a point's rows do not depend on which other
+points run.  Estimator failures flag the affected row and never abort the
+sweep.
 """
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import analytic
@@ -168,6 +167,9 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
                 reference = _analytic_value(metric, scn, ipd)
             except _ESTIMATOR_ERRORS as exc:
                 flags.append(f"analytic_error:{type(exc).__name__}")
+        if reference is not None and spec.read_noise_sigma > 0:
+            # the closed forms have no read-noise term
+            flags.append("analytic_ignores_read_noise")
         rows.append(
             SweepRow(
                 source=kind.value,
@@ -212,23 +214,13 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
     return rows
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Run every (source, value) job; deterministic under `spec.seed`
-    regardless of `threads`, since jobs own disjoint derived streams and
-    rows are assembled in grid order, not completion order."""
-    jobs = [
-        (si, vi)
-        for si in range(len(spec.sources))
-        for vi in range(len(spec.values))
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: _point_rows(spec, *job), jobs))
-    else:
-        results = [_point_rows(spec, *job) for job in jobs]
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Run every (source, value) job in grid order; deterministic under
+    `spec.seed`, since jobs own disjoint derived streams."""
     rows: list[SweepRow] = []
-    for point in results:
-        rows.extend(point)
+    for si in range(len(spec.sources)):
+        for vi in range(len(spec.values)):
+            rows.extend(_point_rows(spec, si, vi))
     return SweepResult(rows=tuple(rows))
 
 
@@ -236,46 +228,3 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(result.to_csv_text())
 
-
-def sidecar_text(spec: SweepSpec) -> str:
-    """Resolved configuration of a sweep, in the same key-value format the
-    CLI accepts, so any output can be regenerated from its sidecar."""
-    base = spec.base
-    lines = [
-        "# resolved sweep configuration; feed back via --config to reproduce",
-        "# background mean_total is the detected per-pixel mean",
-        "[source]",
-        f"kind = {base.source.kind.value}",
-        f"mu = {base.source.mu!r}",
-        f"modes = {base.source.modes}",
-        f"split_ratio = {base.source.split_ratio!r}",
-        "[channel]",
-        f"eta1 = {base.channel.eta1!r}",
-        f"eta2 = {base.channel.eta2!r}",
-        f"reflectivity = {base.channel.reflectivity!r}",
-        f"target_present = {'true' if base.channel.target_present else 'false'}",
-        f"mode_match = {base.channel.mode_match!r}",
-        "[background]",
-        f"modes_b = {base.background.modes_b}",
-        f"mean_total = {base.background.mean_total!r}",
-        "[scenario]",
-        f"pixel_pairs = {base.pixel_pairs}",
-        f"images = {base.images}",
-        f"images_per_decision = {spec.images_per_decision}",
-        "[sampler]",
-        f"read_noise_sigma = {spec.read_noise_sigma!r}",
-        "[sweep]",
-        f"parameter = {spec.parameter.value}",
-        "values = " + ",".join(repr(float(v)) for v in spec.values),
-        "sources = " + ",".join(k.value for k in spec.sources),
-        "outputs = " + ",".join(spec.outputs),
-        f"emit_analytic = {'true' if spec.emit_analytic else 'false'}",
-        "[run]",
-        f"seed = {spec.seed.master_seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def write_sidecar(spec: SweepSpec, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(sidecar_text(spec))

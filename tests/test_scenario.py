@@ -8,11 +8,11 @@ import pytest
 from conftest import make_scenario
 from qisim.estimator import bootstrap_epsilon
 from qisim.sampler import generate_frame
+from qisim.cli import default_config, load_config_file, sidecar_text
 from qisim.scenario import (
     SweepParameter,
     SweepSpec,
     run_sweep,
-    sidecar_text,
     write_sweep_csv,
 )
 from qisim.types import ParameterError, SeedSpec, SourceKind, STREAM_BOOTSTRAP
@@ -88,12 +88,9 @@ def test_single_value_sweep_equals_direct_call():
     assert row.uncertainty == sigma
 
 
-def test_rerun_is_byte_identical_and_thread_independent():
+def test_rerun_is_byte_identical():
     spec = sweep_spec(outputs=("epsilon", "covariance"))
-    text_a = run_sweep(spec, threads=1).to_csv_text()
-    text_b = run_sweep(spec, threads=1).to_csv_text()
-    text_c = run_sweep(spec, threads=4).to_csv_text()
-    assert text_a == text_b == text_c
+    assert run_sweep(spec).to_csv_text() == run_sweep(spec).to_csv_text()
 
 
 def test_analytic_columns_do_not_depend_on_seed():
@@ -137,13 +134,35 @@ def test_csv_schema_and_content(tmp_path):
         float(fields[2])
 
 
-def test_sidecar_records_resolved_config():
-    spec = sweep_spec()
-    text = sidecar_text(spec)
+def test_sidecar_records_resolved_config(tmp_path):
+    config = default_config()
+    config["source"]["mu"] = 0.3
+    config["run"]["seed"] = 42
+    text = sidecar_text(config)
     assert "seed = 42" in text
     assert "parameter = background_mean" in text
     assert "mu = 0.3" in text
-    assert sidecar_text(spec) == text
+    assert "values = 100.0,316.0,1000.0,3162.0,10000.0,31623.0,100000.0" in text
+    assert "target_present = true" in text
+    path = tmp_path / "sweep.csv.meta.txt"
+    path.write_text(text)
+    assert load_config_file(str(path)) == config
+
+
+def test_read_noise_flags_every_analytic_row():
+    def rows(**overrides):
+        outputs = ("epsilon", "snr", "covariance", "perr")
+        return run_sweep(sweep_spec(values=(100.0,), outputs=outputs, **overrides)).rows
+
+    quiet = rows(images_per_decision=2)
+    assert quiet and all(r.flag == "" for r in quiet)
+    noisy = rows(images_per_decision=2, read_noise_sigma=2.0)
+    assert [r.metric for r in noisy] == [r.metric for r in quiet]
+    assert all(r.analytic is not None for r in noisy)
+    assert all(r.flag == "analytic_ignores_read_noise" for r in noisy)
+    # 60 frames give too few batches of 10: the flags join
+    assert rows(read_noise_sigma=2.0)[-1].flag == "error:InsufficientDataError;analytic_ignores_read_noise"
+    assert all(r.flag == "" for r in rows(images_per_decision=2, read_noise_sigma=2.0, emit_analytic=False))
 
 
 def test_images_per_decision_sweep():
