@@ -10,7 +10,6 @@ from .types import (
     BackgroundSpec,
     ChannelSpec,
     DegenerateStatisticError,
-    Frame,
     InfeasibleInstanceError,
     InsufficientDataError,
     MomentSet,
@@ -27,7 +26,6 @@ __all__ = [
     "BackgroundSpec",
     "ChannelSpec",
     "DegenerateStatisticError",
-    "Frame",
     "InfeasibleInstanceError",
     "InsufficientDataError",
     "MomentSet",

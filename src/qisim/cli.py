@@ -30,7 +30,7 @@ from .estimator import (
     snr_hat,
     write_records_csv,
 )
-from .sampler import generate_image_set, write_frames_csv
+from .sampler import STREAM_FORMAT, generate_image_set, write_frames_csv
 from .scenario import (
     SweepParameter,
     SweepSpec,
@@ -71,7 +71,11 @@ def _parse_str_list(text: str) -> tuple:
 # section -> key -> (parser, default, help text with symbol and units)
 CONFIG_SCHEMA = {
     "source": {
-        "kind": (str, "twin_beam", "source type: twin_beam or split_thermal"),
+        "kind": (
+            str,
+            "twin_beam",
+            "source type: twin_beam or split_thermal; analytic and simulate only, sweeps use sweep.sources",
+        ),
         "mu": (float, 0.075, "mean photons per mode, symbol mu (dimensionless)"),
         "modes": (int, 90000, "spatiotemporal modes per pixel pair, symbol M"),
         "split_ratio": (float, 0.5, "classical splitter transmittance, symbol t, in (0,1)"),
@@ -93,7 +97,7 @@ CONFIG_SCHEMA = {
         "images_per_decision": (int, 10, "frames averaged per detection decision"),
     },
     "sampler": {
-        "read_noise_sigma": (float, 0.0, "additive detector read noise sigma, electrons"),
+        "read_noise_sigma": (float, 0.0, "additive detector read noise sigma, electrons, >= 0"),
     },
     "sweep": {
         "parameter": (str, "background_mean", "swept axis: background_mean, images_per_decision or mu"),
@@ -174,6 +178,7 @@ def sidecar_text(config: dict) -> str:
     lines = [
         "# resolved sweep configuration; feed back via --config to reproduce",
         "# background mean_total is the detected per-pixel mean",
+        f"# {STREAM_FORMAT}",
     ]
     for section, keys in CONFIG_SCHEMA.items():
         lines.append(f"[{section}]")

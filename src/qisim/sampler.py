@@ -7,10 +7,12 @@ independent thermal modes stay negative binomial; thinning a thermal beam
 keeps it thermal) and removes any per-mode loop, which is what makes
 full-experiment mode counts (~1e5 modes per pixel) affordable.
 
-Reproducibility: every frame draws from its own child stream derived from
-(master_seed, hypothesis, frame_index), and pixels of a frame are drawn
-in one fixed vectorized sequence, so output is bit-identical no matter
-how frames are distributed over workers or in which order they run.
+Stream format: pixel pairs are i.i.d. across pixels and frames, so frames
+are drawn in blocks of `_BLOCK_FRAMES`.  Block b holds frames 256*b to
+256*b + 255 (the last block may be shorter) and draws from its own child
+stream keyed by (master_seed, hypothesis, b), in one fixed vectorized
+sequence, so a block's counts do not depend on how many frames follow it
+or on which block is drawn first.
 
 `sample_counts` fills one hypothesis's counts into two preallocated
 (images, K) int64 arrays n1 and n2, row i holding frame i; the
@@ -19,14 +21,13 @@ estimators take those arrays directly.
 from __future__ import annotations
 
 import csv
+import math
 from itertools import repeat
 
 import numpy as np
 
 from .types import (
-    BackgroundSpec,
     ChannelSpec,
-    Frame,
     ParameterError,
     Scenario,
     SeedSpec,
@@ -37,6 +38,12 @@ from .types import (
 # Above this many expected photons per pixel, int64 sums of squared
 # counts in the estimators stop being safe.
 _MEAN_PHOTON_LIMIT = 1e6
+
+# Frames per random stream.  Part of the stream format: changing it
+# changes every sampled value.
+_BLOCK_FRAMES = 256
+# Named in every sweep sidecar, so an output can be traced to its format.
+STREAM_FORMAT = f"stream format 2: one stream per {_BLOCK_FRAMES} frames"
 
 
 def _negbin(
@@ -103,60 +110,33 @@ def _sample_pair_counts(
     return n1, n2
 
 
-def sample_pixel_pair(
-    source: SourceSpec, channel: ChannelSpec, rng: np.random.Generator
-) -> tuple[int, int]:
-    """One (n1, n2_correlated) draw from the given stream."""
-    n1, n2 = _sample_pair_counts(source, channel, rng, size=1)
-    return int(n1[0]), int(n2[0])
-
-
-def _sample_background_counts(
-    background: BackgroundSpec, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    return _negbin(rng, background.modes_b, background.mean_total, size)
-
-
-def sample_background(background: BackgroundSpec, rng: np.random.Generator) -> int:
-    """One multithermal background draw (detected units)."""
-    return int(_sample_background_counts(background, rng, size=1)[0])
-
-
-def generate_frame(
-    scenario: Scenario,
-    target_present: bool,
-    seed: SeedSpec,
-    frame_index: int,
-    read_noise_sigma: float = 0.0,
-) -> Frame:
-    """One frame of K independent pixel pairs; deterministic in
-    (scenario, target_present, seed, frame_index)."""
-    rng = seed.frame_rng(target_present, frame_index)
-    k = scenario.pixel_pairs
-    channel = scenario.channel
-    if channel.target_present != target_present:
-        scenario = scenario.with_target(target_present)
-        channel = scenario.channel
-    n1, n2 = _sample_pair_counts(scenario.source, channel, rng, k)
-    if scenario.background.mean_total > 0.0:
-        n2 = n2 + _sample_background_counts(scenario.background, rng, k)
-    if read_noise_sigma > 0.0:
-        n1 = np.maximum(n1 + np.rint(rng.normal(0.0, read_noise_sigma, k)).astype(np.int64), 0)
-        n2 = np.maximum(n2 + np.rint(rng.normal(0.0, read_noise_sigma, k)).astype(np.int64), 0)
-    return Frame(n1=n1, n2=n2, target_present=target_present, frame_index=frame_index)
-
-
 def sample_counts(
     scenario: Scenario, target_present: bool, seed: SeedSpec, read_noise_sigma: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(n1, n2) of `scenario.images` frames, each of shape (images, K);
-    row i is `generate_frame(..., frame_index=i)`."""
-    scenario = scenario.with_target(target_present)  # once, not in every generate_frame
-    n1 = np.empty((scenario.images, scenario.pixel_pairs), dtype=np.int64)
+    """(n1, n2) of `scenario.images` frames, each of shape (images, K).
+
+    Block b of `_BLOCK_FRAMES` rows draws from `seed.frame_rng(target_present, b)`:
+    the pixel pairs, then the background on arm 2, then read noise on
+    arm 1 and on arm 2, each as one call over the whole block."""
+    if not (math.isfinite(read_noise_sigma) and read_noise_sigma >= 0.0):
+        raise ParameterError(f"read_noise_sigma must be finite and >= 0 (got {read_noise_sigma!r})")
+    scenario = scenario.with_target(target_present)
+    background = scenario.background
+    k = scenario.pixel_pairs
+    n1 = np.empty((scenario.images, k), dtype=np.int64)
     n2 = np.empty_like(n1)
-    for i in range(scenario.images):
-        frame = generate_frame(scenario, target_present, seed, i, read_noise_sigma)
-        n1[i], n2[i] = frame.n1, frame.n2
+    for block, start in enumerate(range(0, scenario.images, _BLOCK_FRAMES)):
+        rows = slice(start, start + _BLOCK_FRAMES)
+        size = n1[rows].size
+        rng = seed.frame_rng(target_present, block)
+        a1, a2 = _sample_pair_counts(scenario.source, scenario.channel, rng, size)
+        if background.mean_total > 0.0:
+            a2 = a2 + _negbin(rng, background.modes_b, background.mean_total, size)
+        if read_noise_sigma > 0.0:
+            a1 = np.maximum(a1 + np.rint(rng.normal(0.0, read_noise_sigma, size)).astype(np.int64), 0)
+            a2 = np.maximum(a2 + np.rint(rng.normal(0.0, read_noise_sigma, size)).astype(np.int64), 0)
+        n1[rows] = a1.reshape(-1, k)
+        n2[rows] = a2.reshape(-1, k)
     return n1, n2
 
 

@@ -2,7 +2,7 @@
 
 All value types are frozen dataclasses validated at construction, so any
 function receiving one can trust the physical ranges.  Everything here is
-immutable and safe to share across threads.
+immutable; the same objects may be read from several threads at once.
 """
 from __future__ import annotations
 
@@ -221,30 +221,6 @@ class MomentSet:
             raise AssertionError(f"m22 below cov^2 in {self}")
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One acquired image: K pixel-pair count records."""
-
-    n1: np.ndarray
-    n2: np.ndarray
-    target_present: bool
-    frame_index: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n1", np.asarray(self.n1, dtype=np.int64))
-        object.__setattr__(self, "n2", np.asarray(self.n2, dtype=np.int64))
-        if self.n1.shape != self.n2.shape or self.n1.ndim != 1:
-            raise ParameterError("n1 and n2 must be 1-d arrays of equal length")
-        if self.n1.size < 1:
-            raise ParameterError("frame must contain at least one pixel pair")
-        if (self.n1 < 0).any() or (self.n2 < 0).any():
-            raise ParameterError("counts must be non-negative")
-
-    @property
-    def pixel_pairs(self) -> int:
-        return int(self.n1.size)
-
-
 # Stream domains hashed into every child seed, so that "in" and "out"
 # hypothesis frames can never collide on the same random stream.
 STREAM_OUT = 0
@@ -257,8 +233,9 @@ class SeedSpec:
     """Root of all randomness.
 
     Child streams are derived by hashing (master_seed, *tags) through
-    numpy's SeedSequence, so generation is reproducible bit-for-bit no
-    matter in which order or on how many workers frames are produced.
+    numpy's SeedSequence.  Frames are drawn from one stream per block of
+    frames (see `frame_rng`), so generation is reproducible bit-for-bit
+    no matter in which order blocks or hypotheses are produced.
     """
 
     master_seed: int
@@ -280,6 +257,8 @@ class SeedSpec:
         child = int(self.child_sequence(*tags).generate_state(1, np.uint64)[0])
         return SeedSpec(child)
 
-    def frame_rng(self, target_present: bool, frame_index: int) -> np.random.Generator:
+    def frame_rng(self, target_present: bool, block: int) -> np.random.Generator:
+        """The stream of frame block `block` of one hypothesis; the sampler
+        sets how many frames a block holds."""
         domain = STREAM_IN if target_present else STREAM_OUT
-        return self.rng(domain, frame_index)
+        return self.rng(domain, block)

@@ -6,6 +6,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the report lines.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import make_scenario, rel_err
 from qisim import analytic, oracle
 from qisim.cli import main as cli_main
 from qisim.estimator import bootstrap_epsilon, covariance_hat, perr_hat, snr_hat
-from qisim.sampler import generate_frame, generate_image_set
+from qisim.sampler import generate_image_set, sample_counts
 from qisim.types import SeedSpec, SourceKind, STREAM_BOOTSTRAP
 
 MOMENT_FIELDS = ("mean1", "mean2", "var1", "var2", "cov", "m22")
@@ -40,8 +41,7 @@ def reference_scenario(**overrides):
 
 
 def records_for(scn, target, seed, count):
-    frames = (generate_frame(scn, target, seed, i) for i in range(count))
-    return np.array([covariance_hat([f.n1], [f.n2])[0] for f in frames])
+    return covariance_hat(*sample_counts(dataclasses.replace(scn, images=count), target, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +295,10 @@ def test_criterion_7_sampler_laws():
             scn = make_scenario(
                 kind=kind, reflectivity=1.0, pixel_pairs=100000, images=1,
             )
-            frame = generate_frame(scn, True, SeedSpec(2024), 0)
+            n1, n2 = sample_counts(scn, True, SeedSpec(2024))
             m = analytic.moments(scn)
-            assert_mean_var(frame.n1.astype(float), m.mean1, m.var1)
-            assert_mean_var(frame.n2.astype(float), m.mean2, m.var2)
+            assert_mean_var(n1[0].astype(float), m.mean1, m.var1)
+            assert_mean_var(n2[0].astype(float), m.mean2, m.var2)
             checked.append(f"{kind.value} arms")
 
         for modes_b, mean_total in ((1, 5.0), (1300, 100.0)):
@@ -306,9 +306,9 @@ def test_criterion_7_sampler_laws():
                 target_present=False, modes_b=modes_b, background_mean=mean_total,
                 pixel_pairs=100000, images=1,
             )
-            frame = generate_frame(scn, False, SeedSpec(7), 0)
+            _, n2 = sample_counts(scn, False, SeedSpec(7))
             assert_mean_var(
-                frame.n2.astype(float),
+                n2[0].astype(float),
                 mean_total,
                 analytic.variance_law(mean_total, modes_b),
             )

@@ -128,6 +128,19 @@ def test_simulate_single_pixel_pair_exit_2(capsys, tmp_path):
     assert not (tmp_path / "run" / "frames.csv").exists()
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_invalid_read_noise_exit_2(capsys, tmp_path, sigma):
+    for command, output in (("simulate", "frames.csv"), ("sweep", "sweep.csv")):
+        out = tmp_path / command
+        code, _, err = run_cli(
+            capsys, command, "--seed", "1", "--frames", "20", "--read-noise", sigma, "--out", str(out)
+        )
+        assert code == 2, command
+        assert "read_noise_sigma must be finite and >= 0" in err
+        assert not (out / output).exists()
+        assert not (out / f"{output}.meta.txt").exists()
+
+
 def test_underscore_shortcut_spelling_rejected(capsys):
     code, _, err = run_cli(capsys, "analytic", "--pixel_pairs", "8")
     assert code == 2

@@ -18,7 +18,7 @@ from qisim.estimator import (
     snr_hat,
     write_records_csv,
 )
-from qisim.sampler import generate_frame, generate_image_set
+from qisim.sampler import generate_image_set, sample_counts
 from qisim.types import (
     DegenerateStatisticError,
     InsufficientDataError,
@@ -200,7 +200,7 @@ def test_snr_ratio_stable_under_doubled_background():
     def scen(kind, nb):
         return make_scenario(
             kind=kind, mu=0.075, modes=20, eta1=1.0, eta2=1.0, reflectivity=1.0,
-            modes_b=1000, background_mean=nb, pixel_pairs=3000, images=1,
+            modes_b=1000, background_mean=nb, pixel_pairs=3000, images=1500,
         )
 
     def ratio(nb, tag):
@@ -210,10 +210,7 @@ def test_snr_ratio_stable_under_doubled_background():
             recs = {}
             for hyp_tag, target in ((1, True), (0, False)):
                 s = seed.derive(kind_tag, hyp_tag)
-                recs[target] = [
-                    covariance_hat(*frame_of(frame.n1, frame.n2))[0]
-                    for frame in (generate_frame(scen(kind, nb), target, s, i) for i in range(1500))
-                ]
+                recs[target] = covariance_hat(*sample_counts(scen(kind, nb), target, s))
             out.append(snr_hat(recs[True], recs[False]))
         return out[0] / out[1]
 

@@ -1,6 +1,7 @@
 """Sampling laws, determinism, and stream-disjointness contracts."""
 from __future__ import annotations
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,20 +11,8 @@ from scipy import stats
 from conftest import make_scenario
 from qisim import analytic
 from qisim.estimator import covariance_hat
-from qisim.sampler import (
-    generate_frame,
-    generate_image_set,
-    sample_background,
-    sample_pixel_pair,
-)
-from qisim.types import (
-    BackgroundSpec,
-    ChannelSpec,
-    ParameterError,
-    SeedSpec,
-    SourceKind,
-    SourceSpec,
-)
+from qisim.sampler import generate_image_set, sample_counts
+from qisim.types import ParameterError, SeedSpec, SourceKind
 
 
 def two_sample_chisquare_pvalue(a: np.ndarray, b: np.ndarray) -> float:
@@ -56,36 +45,36 @@ def two_sample_chisquare_pvalue(a: np.ndarray, b: np.ndarray) -> float:
 # trivial limits
 # ---------------------------------------------------------------------------
 def test_vacuum_source_yields_zero():
-    source = SourceSpec(SourceKind.TWIN_BEAM, mu=0.0, modes=5)
-    channel = ChannelSpec(eta1=0.8, eta2=0.8)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        assert sample_pixel_pair(source, channel, rng) == (0, 0)
+    scn = make_scenario(mu=0.0, modes=5, eta1=0.8, eta2=0.8, pixel_pairs=1, images=20)
+    n1, n2 = sample_counts(scn, True, SeedSpec(3))
+    assert not n1.any() and not n2.any()
 
 
 def test_opaque_detector_yields_zero_arm1():
-    source = SourceSpec(SourceKind.TWIN_BEAM, mu=0.5, modes=5)
-    channel = ChannelSpec(eta1=0.0, eta2=0.8)
-    rng = np.random.default_rng(3)
-    assert all(sample_pixel_pair(source, channel, rng)[0] == 0 for _ in range(50))
+    scn = make_scenario(mu=0.5, modes=5, eta1=0.0, eta2=0.8, pixel_pairs=1, images=50)
+    n1, n2 = sample_counts(scn, True, SeedSpec(3))
+    assert not n1.any() and n2.any()
 
 
 def test_zero_background_draws_zero():
-    rng = np.random.default_rng(3)
-    assert all(sample_background(BackgroundSpec(), rng) == 0 for _ in range(20))
+    # no source light reaches arm 2 without the target, so arm 2 holds
+    # the background draws alone
+    scn = make_scenario(target_present=False, background_mean=0.0, pixel_pairs=1, images=20)
+    _, n2 = sample_counts(scn, False, SeedSpec(3))
+    assert not n2.any()
 
 
 def test_target_absent_no_background_gives_empty_arm2():
     scn = make_scenario(target_present=False, pixel_pairs=64)
-    frame = generate_frame(scn, False, SeedSpec(5), 0)
-    assert not frame.n2.any()
-    assert frame.n1.any()
+    n1, n2 = sample_counts(scn, False, SeedSpec(5))
+    assert not n2.any()
+    assert n1.any()
 
 
 def test_overflow_guard():
     scn = make_scenario(mu=1e8, modes=90000, pixel_pairs=4)
     with pytest.raises(ParameterError):
-        generate_frame(scn, True, SeedSpec(1), 0)
+        sample_counts(scn, True, SeedSpec(1))
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +83,54 @@ def test_overflow_guard():
 def test_frame_generation_is_deterministic():
     scn = make_scenario(background_mean=100.0, pixel_pairs=32)
     seed = SeedSpec(123)
-    a = generate_frame(scn, True, seed, 7)
-    b = generate_frame(scn, True, seed, 7)
-    assert np.array_equal(a.n1, b.n1) and np.array_equal(a.n2, b.n2)
+    a = sample_counts(scn, True, seed)
+    b = sample_counts(scn, True, seed)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_frames_identical_across_order_and_threads():
-    scn = make_scenario(background_mean=50.0, pixel_pairs=16)
-    seed = SeedSpec(11)
-    sequential = [generate_frame(scn, True, seed, i) for i in range(24)]
-    shuffled_order = [generate_frame(scn, True, seed, i) for i in reversed(range(24))][::-1]
+    # a (seed, hypothesis) stream is the unit of work: computed one after
+    # another, in reverse order or on a thread pool, it gives the same arrays
+    scn = make_scenario(background_mean=50.0, pixel_pairs=16, images=600)
+    jobs = [(SeedSpec(11 + s), target) for s in range(3) for target in (True, False)]
+
+    def draw(job):
+        seed, target = job
+        return sample_counts(scn, target, seed)
+
+    sequential = [draw(job) for job in jobs]
+    reversed_order = [draw(job) for job in reversed(jobs)][::-1]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda i: generate_frame(scn, True, seed, i), range(24)))
-    for a, b, c in zip(sequential, shuffled_order, threaded):
-        assert np.array_equal(a.n1, b.n1) and np.array_equal(a.n2, b.n2)
-        assert np.array_equal(a.n1, c.n1) and np.array_equal(a.n2, c.n2)
+        threaded = list(pool.map(draw, jobs))
+    for a, b, c in zip(sequential, reversed_order, threaded):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1])
+
+
+def test_first_block_does_not_depend_on_total():
+    def counts(images):
+        scn = make_scenario(background_mean=50.0, pixel_pairs=8, images=images)
+        return sample_counts(scn, True, SeedSpec(21))
+
+    short, long = counts(256), counts(600)
+    assert np.array_equal(short[0], long[0][:256]) and np.array_equal(short[1], long[1][:256])
+    assert not np.array_equal(long[0][:256], long[0][256:512])
+
+
+# sha256 of n1 then n2 (little-endian int64) from `sample_counts` on the
+# scenario below: two blocks, the second partial, with every draw of the
+# stream format taking part (mode mismatch, background, read noise).
+STREAM_FORMAT_SHA256 = "f8a95454e6ad7643e3740dc037a966cf4baf384a0c24d2458697d86411c4f4da"
+
+
+def test_stream_format_is_pinned():
+    scn = make_scenario(mode_match=0.9, background_mean=100.0, pixel_pairs=4, images=300)
+    n1, n2 = sample_counts(scn, True, SeedSpec(2013), read_noise_sigma=2.0)
+    digest = hashlib.sha256(n1.astype("<i8").tobytes() + n2.astype("<i8").tobytes()).hexdigest()
+    assert digest == STREAM_FORMAT_SHA256, (
+        f"sampled counts changed under numpy {np.__version__}: either the stream format "
+        "(block size, draw order, stream keys) changed, or this numpy draws differently"
+    )
 
 
 def test_image_set_hypotheses_use_disjoint_streams():
@@ -135,21 +157,21 @@ def _assert_mean_var(samples: np.ndarray, mean_th: float, var_th: float) -> None
 
 @pytest.mark.parametrize("kind", [SourceKind.TWIN_BEAM, SourceKind.SPLIT_THERMAL])
 def test_sampled_arms_match_multithermal_law(kind):
-    scn = make_scenario(kind=kind, reflectivity=1.0, pixel_pairs=100000)
-    frame = generate_frame(scn, True, SeedSpec(2024), 0)
+    scn = make_scenario(kind=kind, reflectivity=1.0, pixel_pairs=100000, images=1)
+    n1, n2 = sample_counts(scn, True, SeedSpec(2024))
     m = analytic.moments(scn)
-    _assert_mean_var(frame.n1.astype(float), m.mean1, m.var1)
-    _assert_mean_var(frame.n2.astype(float), m.mean2, m.var2)
+    _assert_mean_var(n1[0].astype(float), m.mean1, m.var1)
+    _assert_mean_var(n2[0].astype(float), m.mean2, m.var2)
     # detected rate: <N> = M eta mu = 4185
     assert abs(m.mean1 - 4185.0) < 1e-6
 
 
 def test_sampled_covariance_matches_mode_mismatch_model():
-    scn = make_scenario(mode_match=0.7, reflectivity=1.0, pixel_pairs=100000)
-    frame = generate_frame(scn, True, SeedSpec(31), 0)
+    scn = make_scenario(mode_match=0.7, reflectivity=1.0, pixel_pairs=100000, images=1)
+    n1, n2 = sample_counts(scn, True, SeedSpec(31))
     m = analytic.moments(scn)
-    x = frame.n1.astype(float)
-    y = frame.n2.astype(float)
+    x = n1[0].astype(float)
+    y = n2[0].astype(float)
     prod = (x - x.mean()) * (y - y.mean())
     se = prod.std(ddof=1) / np.sqrt(prod.size)
     assert abs(prod.mean() - m.cov) <= 3.0 * se
@@ -160,14 +182,15 @@ def test_sampled_covariance_matches_mode_mismatch_model():
     [(1, 5.0, 30.0), (1300, 100.0, 100.0 * (1.0 + 100.0 / 1300.0))],
 )
 def test_sampled_background_matches_variance_law(modes_b, mean_total, var_expected):
-    background = BackgroundSpec(modes_b=modes_b, mean_total=mean_total)
-    rng = SeedSpec(99).rng(4)
-    samples = np.array([sample_background(background, rng) for _ in range(10000)], float)
-    # refine with a big vectorized draw through the public frame path
+    # one pixel pair in each of 10000 frames, drawn across 40 blocks
     scn = make_scenario(target_present=False, modes_b=modes_b,
-                        background_mean=mean_total, pixel_pairs=100000)
-    frame = generate_frame(scn, False, SeedSpec(7), 0)
-    _assert_mean_var(frame.n2.astype(float), mean_total, var_expected)
+                        background_mean=mean_total, pixel_pairs=1, images=10000)
+    samples = sample_counts(scn, False, SeedSpec(99))[1].astype(float)
+    # refine with one big frame
+    scn = make_scenario(target_present=False, modes_b=modes_b,
+                        background_mean=mean_total, pixel_pairs=100000, images=1)
+    _, n2 = sample_counts(scn, False, SeedSpec(7))
+    _assert_mean_var(n2[0].astype(float), mean_total, var_expected)
     _assert_mean_var(samples, mean_total, var_expected)
 
 
@@ -191,11 +214,11 @@ def test_frame_covariances_uncorrelated_between_frames():
 
 
 def test_read_noise_keeps_counts_nonnegative_and_default_off():
-    scn = make_scenario(pixel_pairs=256)
+    scn = make_scenario(pixel_pairs=256, images=1)
     seed = SeedSpec(8)
-    clean = generate_frame(scn, True, seed, 0)
-    noisy = generate_frame(scn, True, seed, 0, read_noise_sigma=4.0)
-    again = generate_frame(scn, True, seed, 0)
-    assert np.array_equal(clean.n1, again.n1)
-    assert (noisy.n1 >= 0).all() and (noisy.n2 >= 0).all()
-    assert not np.array_equal(clean.n1, noisy.n1)
+    clean = sample_counts(scn, True, seed)
+    noisy = sample_counts(scn, True, seed, read_noise_sigma=4.0)
+    again = sample_counts(scn, True, seed)
+    assert np.array_equal(clean[0], again[0])
+    assert (noisy[0] >= 0).all() and (noisy[1] >= 0).all()
+    assert not np.array_equal(clean[0], noisy[0])

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_scenario
 from qisim.estimator import bootstrap_epsilon
-from qisim.sampler import generate_frame
+from qisim.sampler import sample_counts
 from qisim.cli import default_config, load_config_file, sidecar_text
 from qisim.scenario import (
     SweepParameter,
@@ -78,11 +78,7 @@ def test_single_value_sweep_equals_direct_call():
     scn = spec.base.with_source_kind(SourceKind.TWIN_BEAM).with_background_mean(500.0)
     point_seed = spec.seed.derive(0, 0)
     in_seed = point_seed.derive(1)
-    frames = [
-        generate_frame(scn, True, in_seed, i) for i in range(scn.images)
-    ]
-    n1 = np.array([f.n1 for f in frames])
-    n2 = np.array([f.n2 for f in frames])
+    n1, n2 = sample_counts(scn, True, in_seed)
     eps, sigma = bootstrap_epsilon(n1, n2, rng=point_seed.rng(STREAM_BOOTSTRAP, 0))
     assert row.estimate == eps
     assert row.uncertainty == sigma
@@ -144,6 +140,7 @@ def test_sidecar_records_resolved_config(tmp_path):
     assert "mu = 0.3" in text
     assert "values = 100.0,316.0,1000.0,3162.0,10000.0,31623.0,100000.0" in text
     assert "target_present = true" in text
+    assert "\n# stream format 2: one stream per 256 frames\n" in text
     path = tmp_path / "sweep.csv.meta.txt"
     path.write_text(text)
     assert load_config_file(str(path)) == config
