@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
+from scipy.special import ndtr
 
 from .types import (
     DegenerateStatisticError,
@@ -235,9 +235,9 @@ def _min_error_two_gaussians(
     if s0 == 0.0 and s1 == 0.0:
         return 0.0, 0.5 * (m0 + m1)
     if s0 == 0.0:
-        return 0.5 * stats.norm.cdf((m0 - m1) / s1), m0
+        return 0.5 * ndtr((m0 - m1) / s1), m0
     if s1 == 0.0:
-        return 0.5 * stats.norm.sf((m1 - m0) / s0), m1
+        return 0.5 * ndtr(-((m1 - m0) / s0)), m1
 
     a = 1.0 / s1**2 - 1.0 / s0**2
     b = -2.0 * (m1 / s1**2 - m0 / s0**2)
@@ -254,7 +254,7 @@ def _min_error_two_gaussians(
 
     best_p, best_tau = 0.5, m1
     for tau in candidates:
-        p = 0.5 * (stats.norm.sf((tau - m0) / s0) + stats.norm.cdf((tau - m1) / s1))
+        p = 0.5 * (ndtr(-((tau - m0) / s0)) + ndtr((tau - m1) / s1))
         if p < best_p:
             best_p, best_tau = float(p), float(tau)
     return best_p, best_tau

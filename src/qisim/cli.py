@@ -97,7 +97,7 @@ CONFIG_SCHEMA = {
         "images_per_decision": (int, 10, "frames averaged per detection decision"),
     },
     "sampler": {
-        "read_noise_sigma": (float, 0.0, "additive detector read noise sigma, electrons, >= 0"),
+        "read_noise_sigma": (float, 0.0, "additive detector read noise sigma, electrons, 0 to 1e6"),
     },
     "sweep": {
         "parameter": (str, "background_mean", "swept axis: background_mean, images_per_decision or mu"),

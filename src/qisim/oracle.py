@@ -7,6 +7,13 @@ distribution of the source, then convolving in uncorrelated components
 sums over the table.  Nothing here shares code or algebra with the
 closed-form `analytic` module, which is the point: the two must agree.
 
+The mixture is a direct sum over every photon number n, written as
+matrix products over one binomial table B[n, k] = P(k of n survive) per
+thinning probability: the twin-beam table is (w B1)^T B2, the split-beam
+table sums over the photons that miss arm 1, and a thinned component is
+w B.  The convolutions are direct shift-and-add sums.  Every
+intermediate is at most (size, size); no (n, a, b) cube is built.
+
 Instances are small by contract; full-experiment mode counts are rejected by
 the state budget guard.
 """
@@ -15,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 from scipy import stats
 
 from .types import (
@@ -27,8 +33,11 @@ from .types import (
     SourceSpec,
 )
 
-# Cap on the n-loop work of the conditional mixture (sum of (n+1)^2 terms).
+# Cap on the terms of the conditional mixture (sum over n of (n+1)^2).
 _MIX_COST_LIMIT = 2 * 10**8
+# Mode counts and photon probabilities below this change no table entry
+# by more than 1e-290; they are taken as 0.
+_NEGLIGIBLE = 1e-300
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,7 @@ def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> np.ndarra
     """pmf of an `modes`-mode thermal beam with the given total mean,
     truncated where the upper tail falls below `cutoff` (plus margin so
     that fourth moments are unaffected by the truncation)."""
-    if total_mean == 0.0:
+    if total_mean == 0.0 or modes < _NEGLIGIBLE:
         return np.ones(1)
     mean_per_mode = total_mean / modes
     p = 1.0 / (1.0 + mean_per_mode)
@@ -66,17 +75,25 @@ def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> np.ndarra
     return stats.nbinom.pmf(np.arange(n_hi + 1), modes, p)
 
 
+def _binom_pmf(k, n, p: float) -> np.ndarray:
+    """stats.binom.pmf, with a negligible p taken as 0 (scipy's kernel
+    overflows near the smallest normal double)."""
+    return stats.binom.pmf(k, n, 0.0 if p < _NEGLIGIBLE else p)
+
+
+def _binomial_table(size: int, p: float) -> np.ndarray:
+    """B[n, k] = P(k of n photons survive), each with probability p, for
+    0 <= n, k < size; zero above the diagonal (k > n)."""
+    k = np.arange(size)
+    return _binom_pmf(k[None, :], k[:, None], p)
+
+
 def _pair_table_twin(weights: np.ndarray, e1: float, e2: float) -> np.ndarray:
     """Joint table for a shared-photon-number pair: both arms see the same
-    n photons, each independently thinned."""
-    n_max = weights.size - 1
-    table = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        k = np.arange(n + 1)
-        table[: n + 1, : n + 1] += weights[n] * np.outer(
-            stats.binom.pmf(k, n, e1), stats.binom.pmf(k, n, e2)
-        )
-    return table
+    n photons, each independently thinned.  Summed over n as a matrix
+    product: table[a, b] = sum_n w[n] B1[n, a] B2[n, b]."""
+    size = weights.size
+    return (weights[:, None] * _binomial_table(size, e1)).T @ _binomial_table(size, e2)
 
 
 def _pair_table_split(
@@ -84,18 +101,18 @@ def _pair_table_split(
 ) -> np.ndarray:
     """Joint table for a split beam: each of the n photons is routed to
     arm 1 with probability t*e1, to arm 2 with probability (1-t)*e2,
-    otherwise lost (exact per-photon trinomial)."""
+    otherwise lost (exact per-photon trinomial).  Grouped by the m = n - a
+    photons not detected on arm 1: A[a, m] = w[a+m] P(a of a+m on arm 1),
+    and each of those m reaches arm 2 with probability p2 / (1 - p1)."""
     p1 = t * e1
     p2 = (1.0 - t) * e2
     p2_given_not1 = p2 / (1.0 - p1)
-    n_max = weights.size - 1
-    table = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        a = np.arange(n + 1)
-        pa = stats.binom.pmf(a, n, p1)
-        pb = stats.binom.pmf(a[None, :], (n - a)[:, None], p2_given_not1)
-        table[: n + 1, : n + 1] += weights[n] * (pa[:, None] * pb)
-    return table
+    size = weights.size
+    a = np.arange(size)[:, None]
+    m = np.arange(size)[None, :]
+    padded = np.concatenate([weights, np.zeros(size)])
+    routed = padded[a + m] * _binom_pmf(a, a + m, p1)
+    return routed @ _binomial_table(size, p2_given_not1)
 
 
 def _thinned_component(
@@ -104,19 +121,20 @@ def _thinned_component(
     """pmf of detected counts from `modes` thermal modes after binomial
     thinning, computed by explicit mixing (no thinning-closure shortcut)."""
     weights = _negbin_weights(modes, modes * pre_detection_mean_per_mode, cutoff)
-    n_max = weights.size - 1
-    pmf = np.zeros(n_max + 1)
-    k = np.arange(n_max + 1)
-    for n in range(n_max + 1):
-        pmf[: n + 1] += weights[n] * stats.binom.pmf(k[: n + 1], n, efficiency)
-    return pmf
+    return weights @ _binomial_table(weights.size, efficiency)
 
 
 def _convolve_axis(table: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    if kernel.size == 1:
-        return table * kernel[0]
-    shape = (kernel.size, 1) if axis == 0 else (1, kernel.size)
-    return signal.convolve(table, kernel.reshape(shape), method="direct")
+    """Direct (full) convolution of every line of `table` along `axis`
+    with `kernel`, summed tap by tap."""
+    shape = list(table.shape)
+    shape[axis] += kernel.size - 1
+    out = np.zeros(shape)
+    window = [slice(None), slice(None)]
+    for shift, tap in enumerate(kernel):
+        window[axis] = slice(shift, shift + table.shape[axis])
+        out[tuple(window)] += tap * table
+    return out
 
 
 def joint_distribution(

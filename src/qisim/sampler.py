@@ -35,8 +35,8 @@ from .types import (
     SourceSpec,
 )
 
-# Above this many expected photons per pixel, int64 sums of squared
-# counts in the estimators stop being safe.
+# Above this many expected photons per pixel, or this read-noise sigma,
+# int64 sums of squared counts in the estimators stop being safe.
 _MEAN_PHOTON_LIMIT = 1e6
 
 # Frames per random stream.  Part of the stream format: changing it
@@ -118,8 +118,11 @@ def sample_counts(
     Block b of `_BLOCK_FRAMES` rows draws from `seed.frame_rng(target_present, b)`:
     the pixel pairs, then the background on arm 2, then read noise on
     arm 1 and on arm 2, each as one call over the whole block."""
-    if not (math.isfinite(read_noise_sigma) and read_noise_sigma >= 0.0):
-        raise ParameterError(f"read_noise_sigma must be finite and >= 0 (got {read_noise_sigma!r})")
+    if not (math.isfinite(read_noise_sigma) and 0.0 <= read_noise_sigma <= _MEAN_PHOTON_LIMIT):
+        raise ParameterError(
+            f"read_noise_sigma must be finite and >= 0, and at most {_MEAN_PHOTON_LIMIT:g}"
+            f" (got {read_noise_sigma!r})"
+        )
     scenario = scenario.with_target(target_present)
     background = scenario.background
     k = scenario.pixel_pairs

@@ -2,7 +2,12 @@
 and against hand-checkable limits."""
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import make_scenario, rel_err
 from qisim import analytic, oracle
@@ -121,6 +126,10 @@ def test_moments_agree_with_oracle(case):
         background_mean=mean_b,
         pixel_pairs=2,
     )
+    assert_moments_agree_with_oracle(scn)
+
+
+def assert_moments_agree_with_oracle(scn):
     m = analytic.moments(scn)
     ref = oracle.enumerate_moments(scn.source, scn.channel, scn.background)
     # hybrid tolerance: structural zeros (absent target) carry only
@@ -130,6 +139,49 @@ def test_moments_agree_with_oracle(case):
         a, b = getattr(m, field), getattr(ref, field)
         assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)) + 1e-12 * scale, field
     m.check_consistency()
+    ref.check_consistency()
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(SourceKind),
+    modes=st.integers(1, 5),
+    mu=_unit,
+    split_ratio=st.floats(0.25, 0.75),
+    eta1=_unit,
+    eta2=_unit,
+    reflectivity=_unit,
+    mode_match=_unit,
+    target=st.booleans(),
+    modes_b=st.integers(1, 5),
+    background_mean=st.floats(0.0, 3.0),
+)
+# scipy's binomial pmf overflows at p near the smallest normal double,
+# and its negative binomial pmf is nan for a subnormal mode count
+@example(SourceKind.TWIN_BEAM, 1, 1.0, 0.5, 0.0, 1.0, 2.2250738585072014e-308, 0.0, True, 1, 0.0)
+@example(SourceKind.TWIN_BEAM, 1, 1.0, 0.5, 0.0, 0.0, 0.0, 5e-324, False, 1, 0.0)
+def test_moments_agree_with_oracle_over_parameter_box(
+    kind, modes, mu, split_ratio, eta1, eta2, reflectivity, mode_match, target, modes_b,
+    background_mean,
+):
+    scn = make_scenario(
+        kind=kind,
+        mu=mu,
+        modes=modes,
+        split_ratio=split_ratio,
+        eta1=eta1,
+        eta2=eta2,
+        reflectivity=reflectivity,
+        mode_match=mode_match,
+        target_present=target,
+        modes_b=modes_b,
+        background_mean=background_mean,
+        pixel_pairs=2,
+    )
+    assert_moments_agree_with_oracle(scn)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +324,75 @@ def test_error_probability_bounded():
 def test_error_probability_rejects_bad_images():
     with pytest.raises(ParameterError):
         analytic.error_probability(make_scenario(), 0)
+
+
+def reference_min_error_two_gaussians(m0, s0, m1, s1):
+    """The threshold test evaluated through the scipy.stats normal law."""
+    if m1 <= m0:
+        return 0.5, m0
+    if s0 == 0.0 and s1 == 0.0:
+        return 0.0, 0.5 * (m0 + m1)
+    if s0 == 0.0:
+        return 0.5 * stats.norm.cdf((m0 - m1) / s1), m0
+    if s1 == 0.0:
+        return 0.5 * stats.norm.sf((m1 - m0) / s0), m1
+    a = 1.0 / s1**2 - 1.0 / s0**2
+    b = -2.0 * (m1 / s1**2 - m0 / s0**2)
+    c = m1**2 / s1**2 - m0**2 / s0**2 - 2.0 * math.log(s0 / s1)
+    if abs(a) < 1e-300:
+        candidates = [-c / b]
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            candidates = [0.5 * (m0 + m1)]
+        else:
+            root = math.sqrt(disc)
+            candidates = [(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)]
+    best_p, best_tau = 0.5, m1
+    for tau in candidates:
+        p = 0.5 * (stats.norm.sf((tau - m0) / s0) + stats.norm.cdf((tau - m1) / s1))
+        if p < best_p:
+            best_p, best_tau = float(p), float(tau)
+    return best_p, best_tau
+
+
+@pytest.mark.parametrize(
+    "m0, s0, m1, s1",
+    [
+        (0.0, 0.0, 1.0, 0.5),  # s0 == 0
+        (0.0, 0.0, 40.0, 1.0),  # s0 == 0, far tail
+        (0.0, 0.5, 1.0, 0.0),  # s1 == 0
+        (0.0, 0.0, 1.0, 0.0),  # both zero
+        (1.0, 0.3, 0.5, 2.0),  # m1 <= m0
+        (0.0, 1.0, 1.5, 3e-9),  # b^2 - 4ac rounds below zero
+        (0.0, 1.0, 2.0, 1.0),  # equal widths: one root
+        (0.0, 1.0, 2.0, 1.5),  # two roots
+        (0.0, 2e-3, 1e-3, 1e-3),  # two roots, overlapping
+    ],
+)
+def test_min_error_two_gaussians_bit_identical_to_stats_norm(m0, s0, m1, s1):
+    assert analytic._min_error_two_gaussians(m0, s0, m1, s1) == (
+        reference_min_error_two_gaussians(m0, s0, m1, s1)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m1=st.floats(-1.0, 10.0),
+    s0=st.floats(0.0, 5.0),
+    s1=st.floats(0.0, 5.0),
+)
+def test_min_error_two_gaussians_bit_identical_over_box(m1, s0, s1):
+    def outcome(function):
+        # a subnormal width squares to zero: both versions then raise
+        try:
+            return function(0.0, s0, m1, s1)
+        except ZeroDivisionError as error:
+            return type(error)
+
+    assert outcome(analytic._min_error_two_gaussians) == outcome(
+        reference_min_error_two_gaussians
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, overrides, validation, determinism."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+import qisim
 from qisim.cli import load_config_file, main
 
 
@@ -128,15 +134,19 @@ def test_simulate_single_pixel_pair_exit_2(capsys, tmp_path):
     assert not (tmp_path / "run" / "frames.csv").exists()
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "1e20"])
 def test_invalid_read_noise_exit_2(capsys, tmp_path, sigma):
     for command, output in (("simulate", "frames.csv"), ("sweep", "sweep.csv")):
         out = tmp_path / command
-        code, _, err = run_cli(
-            capsys, command, "--seed", "1", "--frames", "20", "--read-noise", sigma, "--out", str(out)
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(
+                capsys, command, "--seed", "1", "--frames", "20", "--read-noise", sigma, "--out", str(out)
+            )
         assert code == 2, command
         assert "read_noise_sigma must be finite and >= 0" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
         assert not (out / output).exists()
         assert not (out / f"{output}.meta.txt").exists()
 
@@ -268,3 +278,17 @@ def test_reproduce_flags_override_preset(capsys, tmp_path):
         assert config["background"]["modes_b"] == 100
         assert config["scenario"]["images_per_decision"] == 5
         assert config["scenario"]["images"] == 30
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [("qisim.cli", ("scipy.stats", "scipy.signal")), ("qisim.oracle", ("scipy.signal",))],
+)
+def test_import_leaves_scipy_front_ends_out(module, absent):
+    # scipy.stats alone costs about a second of every CLI start
+    code = f"import sys, {module}; print(sorted(m for m in {absent!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qisim.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,9 +1,17 @@
-"""Exhaustive-enumeration reference: self-consistency and hand-checkable cases."""
+"""Exhaustive-enumeration reference: self-consistency and hand-checkable cases.
+
+The table builders are also checked against brute-force references: a
+Python loop over every photon number n for the mixtures, on the same
+binomial pmf, and scipy's direct convolution for the uncorrelated
+components.
+"""
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal, stats
 
 from conftest import rel_err
 from qisim import oracle
@@ -113,3 +121,101 @@ def test_support_guard_rejects_full_scale():
         oracle.enumerate_moments(
             *specs(SourceKind.TWIN_BEAM, mu=0.075, modes=90000, e1=0.62, e2=0.62)
         )
+
+
+# ---------------------------------------------------------------------------
+# table builders against per-n loops and scipy's direct convolution
+# ---------------------------------------------------------------------------
+def loop_pair_table_twin(weights, e1, e2):
+    n_max = weights.size - 1
+    table = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        k = np.arange(n + 1)
+        table[: n + 1, : n + 1] += weights[n] * np.outer(
+            oracle._binom_pmf(k, n, e1), oracle._binom_pmf(k, n, e2)
+        )
+    return table
+
+
+def loop_pair_table_split(weights, t, e1, e2):
+    p1 = t * e1
+    p2_given_not1 = (1.0 - t) * e2 / (1.0 - p1)
+    n_max = weights.size - 1
+    table = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        a = np.arange(n + 1)
+        pa = oracle._binom_pmf(a, n, p1)
+        pb = oracle._binom_pmf(a[None, :], (n - a)[:, None], p2_given_not1)
+        table[: n + 1, : n + 1] += weights[n] * (pa[:, None] * pb)
+    return table
+
+
+def loop_thinned(weights, efficiency):
+    n_max = weights.size - 1
+    pmf = np.zeros(n_max + 1)
+    k = np.arange(n_max + 1)
+    for n in range(n_max + 1):
+        pmf[: n + 1] += weights[n] * oracle._binom_pmf(k[: n + 1], n, efficiency)
+    return pmf
+
+
+def direct_convolve(table, kernel, axis):
+    shape = (kernel.size, 1) if axis == 0 else (1, kernel.size)
+    return signal.convolve(table, kernel.reshape(shape), method="direct")
+
+
+# entries are probabilities; only the summation order differs
+TABLE_ATOL = 1e-15
+TABLE_SETTINGS = settings(max_examples=100, deadline=None)
+_probabilities = st.floats(0.0, 1.0)
+_weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).map(
+    lambda w: np.asarray(w) / max(sum(w), 1.0)
+)
+
+
+@TABLE_SETTINGS
+@given(weights=_weights, e1=_probabilities, e2=_probabilities)
+def test_twin_table_equals_per_n_loop(weights, e1, e2):
+    table = oracle._pair_table_twin(weights, e1, e2)
+    np.testing.assert_allclose(table, loop_pair_table_twin(weights, e1, e2), rtol=0, atol=TABLE_ATOL)
+
+
+@TABLE_SETTINGS
+@given(
+    weights=_weights,
+    t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    e1=_probabilities,
+    e2=_probabilities,
+)
+def test_split_table_equals_per_n_loop(weights, t, e1, e2):
+    table = oracle._pair_table_split(weights, t, e1, e2)
+    np.testing.assert_allclose(
+        table, loop_pair_table_split(weights, t, e1, e2), rtol=0, atol=TABLE_ATOL
+    )
+
+
+@TABLE_SETTINGS
+@given(
+    modes=st.floats(0.1, 20.0),
+    mean_per_mode=st.floats(0.0, 1.0),
+    efficiency=_probabilities,
+)
+def test_thinned_component_equals_per_n_loop(modes, mean_per_mode, efficiency):
+    pmf = oracle._thinned_component(modes, mean_per_mode, efficiency, 1e-12)
+    weights = oracle._negbin_weights(modes, modes * mean_per_mode, 1e-12)
+    np.testing.assert_allclose(pmf, loop_thinned(weights, efficiency), rtol=0, atol=TABLE_ATOL)
+
+
+@TABLE_SETTINGS
+@given(
+    rows=st.integers(1, 60),
+    cols=st.integers(1, 60),
+    kernel=_weights,
+    axis=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_convolve_axis_equals_direct_convolution(rows, cols, kernel, axis, seed):
+    table = np.random.default_rng(seed).dirichlet(np.ones(rows * cols)).reshape(rows, cols)
+    out = oracle._convolve_axis(table, kernel, axis)
+    np.testing.assert_allclose(out, direct_convolve(table, kernel, axis), rtol=0, atol=TABLE_ATOL)
+
