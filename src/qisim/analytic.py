@@ -234,9 +234,10 @@ def _min_error_two_gaussians(
         return 0.5, m0
     if s0 == 0.0 and s1 == 0.0:
         return 0.0, 0.5 * (m0 + m1)
-    if s0 == 0.0:
+    # a width whose square underflows is taken as 0 (an exact-zero s1 goes below)
+    if s0**2 == 0.0 and s1 != 0.0:
         return 0.5 * ndtr((m0 - m1) / s1), m0
-    if s1 == 0.0:
+    if s1**2 == 0.0:
         return 0.5 * ndtr(-((m1 - m0) / s0)), m1
 
     a = 1.0 / s1**2 - 1.0 / s0**2

@@ -210,6 +210,7 @@ def build_scenario(config: dict) -> Scenario:
         background=background,
         pixel_pairs=config["scenario"]["pixel_pairs"],
         images=config["scenario"]["images"],
+        read_noise_sigma=config["sampler"]["read_noise_sigma"],
     )
 
 
@@ -223,15 +224,15 @@ def build_sweep_spec(config: dict, seed: SeedSpec) -> SweepSpec:
         seed=seed,
         emit_analytic=config["sweep"]["emit_analytic"],
         images_per_decision=config["scenario"]["images_per_decision"],
-        read_noise_sigma=config["sampler"]["read_noise_sigma"],
     )
 
 
 def _write_sweep(config: dict, csv_path: str) -> None:
-    """Run the sweep `config` describes on the seed `run.seed` as it
-    stands; write the CSV and, next to it, the sidecar that replays it."""
+    """Run the sweep `config` describes on the seed `run.seed`; write the CSV
+    and the sidecar that replays it, with source.kind = sweep.sources[0]."""
     spec = build_sweep_spec(config, SeedSpec(config["run"]["seed"]))
     write_sweep_csv(run_sweep(spec), csv_path)
+    config = _apply(config, [("source", "kind", config["sweep"]["sources"][0])])
     with open(csv_path + ".meta.txt", "w") as handle:
         handle.write(sidecar_text(config))
     print(f"wrote {csv_path}")
@@ -410,9 +411,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     scenario = build_scenario(config)
     seed = SeedSpec(config["run"]["seed"])
     ipd = config["scenario"]["images_per_decision"]
-    in_counts, out_counts = generate_image_set(
-        scenario, seed, config["sampler"]["read_noise_sigma"]
-    )
+    in_counts, out_counts = generate_image_set(scenario, seed)
     # every estimator runs before the first output is opened, so a run that
     # exits with an error leaves no partial output behind
     in_deltas = covariance_hat(*in_counts)

@@ -173,7 +173,7 @@ def perr_hat(in_values, out_values, images_per_decision: int) -> PerrEstimate:
     to the smallest threshold.  The batch counts are reported alongside.
     """
     if images_per_decision < 1:
-        raise InsufficientDataError("images_per_decision must be >= 1")
+        raise ParameterError(f"images_per_decision must be >= 1 (got {images_per_decision})")
     a = np.asarray(in_values, dtype=float)
     b = np.asarray(out_values, dtype=float)
     batches_in = a.size // images_per_decision

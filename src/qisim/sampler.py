@@ -14,19 +14,20 @@ stream keyed by (master_seed, hypothesis, b), in one fixed vectorized
 sequence, so a block's counts do not depend on how many frames follow it
 or on which block is drawn first.
 
-`sample_counts` fills one hypothesis's counts into two preallocated
+`sample_counts` fills the counts of the hypothesis its `Scenario` names
+(`channel.target_present`), read noise included, into two preallocated
 (images, K) int64 arrays n1 and n2, row i holding frame i; the
 estimators take those arrays directly.
 """
 from __future__ import annotations
 
 import csv
-import math
 from itertools import repeat
 
 import numpy as np
 
 from .types import (
+    _MEAN_PHOTON_LIMIT,
     ChannelSpec,
     ParameterError,
     Scenario,
@@ -34,10 +35,6 @@ from .types import (
     SourceKind,
     SourceSpec,
 )
-
-# Above this many expected photons per pixel, or this read-noise sigma,
-# int64 sums of squared counts in the estimators stop being safe.
-_MEAN_PHOTON_LIMIT = 1e6
 
 # Frames per random stream.  Part of the stream format: changing it
 # changes every sampled value.
@@ -110,20 +107,14 @@ def _sample_pair_counts(
     return n1, n2
 
 
-def sample_counts(
-    scenario: Scenario, target_present: bool, seed: SeedSpec, read_noise_sigma: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n1, n2) of `scenario.images` frames, each of shape (images, K).
+def sample_counts(scenario: Scenario, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(n1, n2) of `scenario.images` frames, each of shape (images, K),
+    under the hypothesis `scenario.channel.target_present`.
 
     Block b of `_BLOCK_FRAMES` rows draws from `seed.frame_rng(target_present, b)`:
     the pixel pairs, then the background on arm 2, then read noise on
     arm 1 and on arm 2, each as one call over the whole block."""
-    if not (math.isfinite(read_noise_sigma) and 0.0 <= read_noise_sigma <= _MEAN_PHOTON_LIMIT):
-        raise ParameterError(
-            f"read_noise_sigma must be finite and >= 0, and at most {_MEAN_PHOTON_LIMIT:g}"
-            f" (got {read_noise_sigma!r})"
-        )
-    scenario = scenario.with_target(target_present)
+    sigma = scenario.read_noise_sigma
     background = scenario.background
     k = scenario.pixel_pairs
     n1 = np.empty((scenario.images, k), dtype=np.int64)
@@ -131,27 +122,25 @@ def sample_counts(
     for block, start in enumerate(range(0, scenario.images, _BLOCK_FRAMES)):
         rows = slice(start, start + _BLOCK_FRAMES)
         size = n1[rows].size
-        rng = seed.frame_rng(target_present, block)
+        rng = seed.frame_rng(scenario.channel.target_present, block)
         a1, a2 = _sample_pair_counts(scenario.source, scenario.channel, rng, size)
         if background.mean_total > 0.0:
             a2 = a2 + _negbin(rng, background.modes_b, background.mean_total, size)
-        if read_noise_sigma > 0.0:
-            a1 = np.maximum(a1 + np.rint(rng.normal(0.0, read_noise_sigma, size)).astype(np.int64), 0)
-            a2 = np.maximum(a2 + np.rint(rng.normal(0.0, read_noise_sigma, size)).astype(np.int64), 0)
+        if sigma > 0.0:
+            a1 = np.maximum(a1 + np.rint(rng.normal(0.0, sigma, size)).astype(np.int64), 0)
+            a2 = np.maximum(a2 + np.rint(rng.normal(0.0, sigma, size)).astype(np.int64), 0)
         n1[rows] = a1.reshape(-1, k)
         n2[rows] = a2.reshape(-1, k)
     return n1, n2
 
 
 def generate_image_set(
-    scenario: Scenario, seed: SeedSpec, read_noise_sigma: float = 0.0
+    scenario: Scenario, seed: SeedSpec
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """(n1, n2) counts of N_img frames per hypothesis: ("in" = scenario as
     configured, "out" = target removed), on disjoint seed streams."""
-    in_counts = sample_counts(
-        scenario, scenario.channel.target_present, seed.derive(1), read_noise_sigma
-    )
-    out_counts = sample_counts(scenario, False, seed.derive(0), read_noise_sigma)
+    in_counts = sample_counts(scenario, seed.derive(1))
+    out_counts = sample_counts(scenario.with_target(False), seed.derive(0))
     return in_counts, out_counts
 
 

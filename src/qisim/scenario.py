@@ -61,7 +61,6 @@ class SweepSpec:
     seed: SeedSpec
     emit_analytic: bool = True
     images_per_decision: int = 10
-    read_noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.values) == 0:
@@ -76,9 +75,9 @@ class SweepSpec:
         if self.images_per_decision < 1:
             raise ParameterError("images_per_decision must be >= 1")
         if self.parameter is SweepParameter.IMAGES_PER_DECISION and not all(
-            float(v).is_integer() for v in self.values
+            float(v).is_integer() and v >= 1 for v in self.values
         ):
-            raise ParameterError(f"images_per_decision values must be integers (got {self.values})")
+            raise ParameterError(f"images_per_decision values must be integers >= 1 (got {self.values})")
 
 
 @dataclass(frozen=True)
@@ -145,11 +144,10 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
     scn, ipd = _scenario_at(spec, kind, value)
     point_seed = spec.seed.derive(source_index, value_index)
 
-    sigma = spec.read_noise_sigma
-    in_counts = sample_counts(scn, scn.channel.target_present, point_seed.derive(1), sigma)
+    in_counts = sample_counts(scn, point_seed.derive(1))
     out_counts = None
     if any(o in spec.outputs for o in ("snr", "perr", "covariance")):
-        out_counts = sample_counts(scn, False, point_seed.derive(0), sigma)
+        out_counts = sample_counts(scn.with_target(False), point_seed.derive(0))
 
     rows: list[SweepRow] = []
 
@@ -167,7 +165,7 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
                 reference = _analytic_value(metric, scn, ipd)
             except _ESTIMATOR_ERRORS as exc:
                 flags.append(f"analytic_error:{type(exc).__name__}")
-        if reference is not None and spec.read_noise_sigma > 0:
+        if reference is not None and scn.read_noise_sigma > 0:
             # the closed forms have no read-noise term
             flags.append("analytic_ignores_read_noise")
         rows.append(

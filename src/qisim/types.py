@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Above this many expected photons per pixel, or this read-noise sigma,
+# int64 sums of squared counts in the estimators stop being safe.
+_MEAN_PHOTON_LIMIT = 1e6
+
+
 class ParameterError(ValueError):
     """A field of a domain type is out of its physical range."""
 
@@ -145,14 +150,16 @@ class BackgroundSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete experiment configuration: source, channel, background,
-    number of pixel pairs per frame (K) and frames per hypothesis."""
+    """A complete experiment configuration: source, channel (which sets the
+    hypothesis), background, number of pixel pairs per frame (K), frames
+    per hypothesis and the detector read-noise sigma in electrons."""
 
     source: SourceSpec
     channel: ChannelSpec
     background: BackgroundSpec
     pixel_pairs: int
     images: int
+    read_noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         _require(
@@ -162,6 +169,12 @@ class Scenario:
         _require(
             isinstance(self.images, (int, np.integer)) and self.images >= 1,
             f"images must be a positive integer (got {self.images})",
+        )
+        sigma = self.read_noise_sigma
+        _require(
+            math.isfinite(sigma) and 0.0 <= sigma <= _MEAN_PHOTON_LIMIT,
+            f"read_noise_sigma must be finite and >= 0, and at most {_MEAN_PHOTON_LIMIT:g}"
+            f" (got {sigma!r})",
         )
 
     def with_target(self, present: bool) -> "Scenario":

@@ -24,6 +24,7 @@ def make_scenario(
     background_mean: float = 0.0,
     pixel_pairs: int = 80,
     images: int = 10,
+    read_noise_sigma: float = 0.0,
 ) -> Scenario:
     return Scenario(
         source=SourceSpec(kind=kind, mu=mu, modes=modes, split_ratio=split_ratio),
@@ -37,6 +38,7 @@ def make_scenario(
         background=BackgroundSpec(modes_b=modes_b, mean_total=background_mean),
         pixel_pairs=pixel_pairs,
         images=images,
+        read_noise_sigma=read_noise_sigma,
     )
 
 

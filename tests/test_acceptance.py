@@ -41,7 +41,8 @@ def reference_scenario(**overrides):
 
 
 def records_for(scn, target, seed, count):
-    return covariance_hat(*sample_counts(dataclasses.replace(scn, images=count), target, seed))
+    scn = dataclasses.replace(scn, images=count).with_target(target)
+    return covariance_hat(*sample_counts(scn, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,7 @@ def test_criterion_7_sampler_laws():
             scn = make_scenario(
                 kind=kind, reflectivity=1.0, pixel_pairs=100000, images=1,
             )
-            n1, n2 = sample_counts(scn, True, SeedSpec(2024))
+            n1, n2 = sample_counts(scn.with_target(True), SeedSpec(2024))
             m = analytic.moments(scn)
             assert_mean_var(n1[0].astype(float), m.mean1, m.var1)
             assert_mean_var(n2[0].astype(float), m.mean2, m.var2)
@@ -306,7 +307,7 @@ def test_criterion_7_sampler_laws():
                 target_present=False, modes_b=modes_b, background_mean=mean_total,
                 pixel_pairs=100000, images=1,
             )
-            _, n2 = sample_counts(scn, False, SeedSpec(7))
+            _, n2 = sample_counts(scn.with_target(False), SeedSpec(7))
             assert_mean_var(
                 n2[0].astype(float),
                 mean_total,

@@ -8,9 +8,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qisim
-from qisim.cli import load_config_file, main
+from qisim.cli import (
+    CONFIG_SCHEMA,
+    build_scenario,
+    load_config_file,
+    main,
+    sidecar_text,
+)
+from qisim.scenario import KNOWN_OUTPUTS
 
 
 def run_cli(capsys, *argv):
@@ -69,8 +78,6 @@ def test_unknown_figure_rejected(capsys):
 
 
 def test_help_enumerates_every_config_key(capsys):
-    from qisim.cli import CONFIG_SCHEMA
-
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     for section, keys in CONFIG_SCHEMA.items():
@@ -84,6 +91,66 @@ def test_config_file_roundtrip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "analytic", "--config", str(config_path))
     assert code == 0
     assert summary_value(out, "mu") == "0.2"
+
+
+@st.composite
+def resolved_configs(draw) -> dict:
+    """A configuration as a sweep resolves it: every schema key set within
+    its valid range, the seed included."""
+    kinds = ("twin_beam", "split_thermal")
+    unit = st.floats(0.0, 1.0)
+    parameter = draw(st.sampled_from(("background_mean", "images_per_decision", "mu")))
+    if parameter == "images_per_decision":
+        values = st.lists(st.integers(1, 10**4).map(float), min_size=1, max_size=8, unique=True)
+    else:
+        values = st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8, unique=True)
+    drawn = {
+        "source": {
+            "kind": st.sampled_from(kinds),
+            "mu": st.floats(0.0, 1e3),
+            "modes": st.integers(1, 10**6),
+            "split_ratio": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        },
+        "channel": {
+            "eta1": unit,
+            "eta2": unit,
+            "reflectivity": unit,
+            "target_present": st.booleans(),
+            "mode_match": unit,
+        },
+        "background": {"modes_b": st.integers(1, 10**6), "mean_total": st.floats(0.0, 1e6)},
+        "scenario": {
+            "pixel_pairs": st.integers(1, 10**4),
+            "images": st.integers(1, 10**6),
+            "images_per_decision": st.integers(1, 10**4),
+        },
+        "sampler": {"read_noise_sigma": st.floats(0.0, 1e6)},
+        "sweep": {
+            "parameter": st.just(parameter),
+            "values": values.map(sorted).map(tuple),
+            "sources": st.lists(st.sampled_from(kinds), min_size=1, unique=True).map(tuple),
+            "outputs": st.lists(st.sampled_from(KNOWN_OUTPUTS), min_size=1, unique=True).map(tuple),
+            "emit_analytic": st.booleans(),
+        },
+        "run": {"seed": st.integers(0, 2**64 - 1)},
+    }
+    return {s: {k: draw(strategy) for k, strategy in keys.items()} for s, keys in drawn.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=resolved_configs())
+def test_sidecar_roundtrip_over_config_space(tmp_path_factory, config):
+    # sidecar_text reads every schema key, and load_config_file starts from
+    # all of them, so equality below also means the draw covers the schema
+    path = tmp_path_factory.mktemp("sidecar") / "sweep.csv.meta.txt"
+    text = sidecar_text(config)
+    path.write_text(text)
+    loaded = load_config_file(str(path))
+    assert loaded == config
+    assert sidecar_text(loaded) == text
+    scenario = build_scenario(loaded)
+    assert scenario == build_scenario(config)
+    assert scenario.read_noise_sigma == config["sampler"]["read_noise_sigma"]
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -136,19 +203,46 @@ def test_simulate_single_pixel_pair_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "1e20"])
 def test_invalid_read_noise_exit_2(capsys, tmp_path, sigma):
-    for command, output in (("simulate", "frames.csv"), ("sweep", "sweep.csv")):
+    analytic_csv = tmp_path / "analytic.csv"
+    for command, extra, output in (
+        ("analytic", ["--csv", str(analytic_csv)], analytic_csv),
+        ("simulate", [], tmp_path / "simulate" / "frames.csv"),
+        ("sweep", [], tmp_path / "sweep" / "sweep.csv"),
+    ):
         out = tmp_path / command
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run_cli(
-                capsys, command, "--seed", "1", "--frames", "20", "--read-noise", sigma, "--out", str(out)
+                capsys, command, *extra, "--seed", "1", "--frames", "20", "--read-noise", sigma,
+                "--out", str(out),
             )
         assert code == 2, command
         assert "read_noise_sigma must be finite and >= 0" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
-        assert not (out / output).exists()
-        assert not (out / f"{output}.meta.txt").exists()
+        assert not output.exists()
+        assert not output.with_name(f"{output.name}.meta.txt").exists()
+
+
+@pytest.mark.parametrize("ipd", ["0", "-3"])
+def test_simulate_images_per_decision_below_one_exit_2(capsys, tmp_path, ipd):
+    code, _, err = run_cli(
+        capsys, "simulate", "--seed", "1", "--frames", "20", "--images-per-decision", ipd,
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "images_per_decision must be >= 1" in err
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+def test_sweep_images_per_decision_below_one_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "sweep", "--seed", "1", "--frames", "20", "--sweep.parameter", "images_per_decision",
+        "--sweep.values", "0,5", "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "images_per_decision values must be integers >= 1" in err
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
 def test_underscore_shortcut_spelling_rejected(capsys):
@@ -247,6 +341,9 @@ def test_every_sidecar_replays_its_csv(capsys, tmp_path, figure):
     sidecars = sorted(figs.glob("*.csv.meta.txt"))
     assert sidecars
     for sidecar in sidecars:
+        # the sidecar names the source the sweep ran first, not an unused default
+        config = load_config_file(str(sidecar))
+        assert config["source"]["kind"] == config["sweep"]["sources"][0]
         replay = tmp_path / sidecar.name
         code, _, _ = run_cli(capsys, "sweep", "--config", str(sidecar), "--out", str(replay))
         assert code == 0

@@ -22,6 +22,7 @@ from qisim.sampler import generate_image_set, sample_counts
 from qisim.types import (
     DegenerateStatisticError,
     InsufficientDataError,
+    ParameterError,
     SeedSpec,
     SourceKind,
     STREAM_BOOTSTRAP,
@@ -180,6 +181,12 @@ def test_perr_requires_ten_batches():
         perr_hat(list(range(18)), list(range(18)), 2)
 
 
+@pytest.mark.parametrize("images_per_decision", [0, -3])
+def test_perr_rejects_images_per_decision_below_one(images_per_decision):
+    with pytest.raises(ParameterError, match="images_per_decision must be >= 1"):
+        perr_hat(list(range(40)), list(range(40)), images_per_decision)
+
+
 def test_snr_hat_tracks_analytic_curve():
     # per-frame SNR over sqrt(K) against the closed form, pointwise
     for vi, nb in enumerate((1000.0, 5000.0, 30000.0)):
@@ -210,7 +217,7 @@ def test_snr_ratio_stable_under_doubled_background():
             recs = {}
             for hyp_tag, target in ((1, True), (0, False)):
                 s = seed.derive(kind_tag, hyp_tag)
-                recs[target] = covariance_hat(*sample_counts(scen(kind, nb), target, s))
+                recs[target] = covariance_hat(*sample_counts(scen(kind, nb).with_target(target), s))
             out.append(snr_hat(recs[True], recs[False]))
         return out[0] / out[1]
 

@@ -1,6 +1,7 @@
 """Sampling laws, determinism, and stream-disjointness contracts."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -46,13 +47,13 @@ def two_sample_chisquare_pvalue(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 def test_vacuum_source_yields_zero():
     scn = make_scenario(mu=0.0, modes=5, eta1=0.8, eta2=0.8, pixel_pairs=1, images=20)
-    n1, n2 = sample_counts(scn, True, SeedSpec(3))
+    n1, n2 = sample_counts(scn.with_target(True), SeedSpec(3))
     assert not n1.any() and not n2.any()
 
 
 def test_opaque_detector_yields_zero_arm1():
     scn = make_scenario(mu=0.5, modes=5, eta1=0.0, eta2=0.8, pixel_pairs=1, images=50)
-    n1, n2 = sample_counts(scn, True, SeedSpec(3))
+    n1, n2 = sample_counts(scn.with_target(True), SeedSpec(3))
     assert not n1.any() and n2.any()
 
 
@@ -60,13 +61,13 @@ def test_zero_background_draws_zero():
     # no source light reaches arm 2 without the target, so arm 2 holds
     # the background draws alone
     scn = make_scenario(target_present=False, background_mean=0.0, pixel_pairs=1, images=20)
-    _, n2 = sample_counts(scn, False, SeedSpec(3))
+    _, n2 = sample_counts(scn.with_target(False), SeedSpec(3))
     assert not n2.any()
 
 
 def test_target_absent_no_background_gives_empty_arm2():
     scn = make_scenario(target_present=False, pixel_pairs=64)
-    n1, n2 = sample_counts(scn, False, SeedSpec(5))
+    n1, n2 = sample_counts(scn.with_target(False), SeedSpec(5))
     assert not n2.any()
     assert n1.any()
 
@@ -74,7 +75,7 @@ def test_target_absent_no_background_gives_empty_arm2():
 def test_overflow_guard():
     scn = make_scenario(mu=1e8, modes=90000, pixel_pairs=4)
     with pytest.raises(ParameterError):
-        sample_counts(scn, True, SeedSpec(1))
+        sample_counts(scn.with_target(True), SeedSpec(1))
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +84,8 @@ def test_overflow_guard():
 def test_frame_generation_is_deterministic():
     scn = make_scenario(background_mean=100.0, pixel_pairs=32)
     seed = SeedSpec(123)
-    a = sample_counts(scn, True, seed)
-    b = sample_counts(scn, True, seed)
+    a = sample_counts(scn.with_target(True), seed)
+    b = sample_counts(scn.with_target(True), seed)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -96,7 +97,7 @@ def test_frames_identical_across_order_and_threads():
 
     def draw(job):
         seed, target = job
-        return sample_counts(scn, target, seed)
+        return sample_counts(scn.with_target(target), seed)
 
     sequential = [draw(job) for job in jobs]
     reversed_order = [draw(job) for job in reversed(jobs)][::-1]
@@ -110,7 +111,7 @@ def test_frames_identical_across_order_and_threads():
 def test_first_block_does_not_depend_on_total():
     def counts(images):
         scn = make_scenario(background_mean=50.0, pixel_pairs=8, images=images)
-        return sample_counts(scn, True, SeedSpec(21))
+        return sample_counts(scn.with_target(True), SeedSpec(21))
 
     short, long = counts(256), counts(600)
     assert np.array_equal(short[0], long[0][:256]) and np.array_equal(short[1], long[1][:256])
@@ -124,8 +125,10 @@ STREAM_FORMAT_SHA256 = "f8a95454e6ad7643e3740dc037a966cf4baf384a0c24d2458697d864
 
 
 def test_stream_format_is_pinned():
-    scn = make_scenario(mode_match=0.9, background_mean=100.0, pixel_pairs=4, images=300)
-    n1, n2 = sample_counts(scn, True, SeedSpec(2013), read_noise_sigma=2.0)
+    scn = make_scenario(
+        mode_match=0.9, background_mean=100.0, pixel_pairs=4, images=300, read_noise_sigma=2.0
+    )
+    n1, n2 = sample_counts(scn.with_target(True), SeedSpec(2013))
     digest = hashlib.sha256(n1.astype("<i8").tobytes() + n2.astype("<i8").tobytes()).hexdigest()
     assert digest == STREAM_FORMAT_SHA256, (
         f"sampled counts changed under numpy {np.__version__}: either the stream format "
@@ -139,6 +142,16 @@ def test_image_set_hypotheses_use_disjoint_streams():
     in_rows = {tuple(row) for row in in_n1}
     out_rows = {tuple(row) for row in out_n1}
     assert not in_rows & out_rows
+
+
+def test_hypothesis_from_scenario_keys_its_own_stream():
+    # the same seed gives the two hypotheses different streams, so even
+    # arm 1, which the target does not touch, differs between them
+    scn = make_scenario(images=20, pixel_pairs=16)
+    seed = SeedSpec(78)
+    in_n1, _ = sample_counts(scn.with_target(True), seed)
+    out_n1, _ = sample_counts(scn.with_target(False), seed)
+    assert not np.array_equal(in_n1, out_n1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +171,7 @@ def _assert_mean_var(samples: np.ndarray, mean_th: float, var_th: float) -> None
 @pytest.mark.parametrize("kind", [SourceKind.TWIN_BEAM, SourceKind.SPLIT_THERMAL])
 def test_sampled_arms_match_multithermal_law(kind):
     scn = make_scenario(kind=kind, reflectivity=1.0, pixel_pairs=100000, images=1)
-    n1, n2 = sample_counts(scn, True, SeedSpec(2024))
+    n1, n2 = sample_counts(scn.with_target(True), SeedSpec(2024))
     m = analytic.moments(scn)
     _assert_mean_var(n1[0].astype(float), m.mean1, m.var1)
     _assert_mean_var(n2[0].astype(float), m.mean2, m.var2)
@@ -168,7 +181,7 @@ def test_sampled_arms_match_multithermal_law(kind):
 
 def test_sampled_covariance_matches_mode_mismatch_model():
     scn = make_scenario(mode_match=0.7, reflectivity=1.0, pixel_pairs=100000, images=1)
-    n1, n2 = sample_counts(scn, True, SeedSpec(31))
+    n1, n2 = sample_counts(scn.with_target(True), SeedSpec(31))
     m = analytic.moments(scn)
     x = n1[0].astype(float)
     y = n2[0].astype(float)
@@ -185,11 +198,11 @@ def test_sampled_background_matches_variance_law(modes_b, mean_total, var_expect
     # one pixel pair in each of 10000 frames, drawn across 40 blocks
     scn = make_scenario(target_present=False, modes_b=modes_b,
                         background_mean=mean_total, pixel_pairs=1, images=10000)
-    samples = sample_counts(scn, False, SeedSpec(99))[1].astype(float)
+    samples = sample_counts(scn.with_target(False), SeedSpec(99))[1].astype(float)
     # refine with one big frame
     scn = make_scenario(target_present=False, modes_b=modes_b,
                         background_mean=mean_total, pixel_pairs=100000, images=1)
-    _, n2 = sample_counts(scn, False, SeedSpec(7))
+    _, n2 = sample_counts(scn.with_target(False), SeedSpec(7))
     _assert_mean_var(n2[0].astype(float), mean_total, var_expected)
     _assert_mean_var(samples, mean_total, var_expected)
 
@@ -216,9 +229,9 @@ def test_frame_covariances_uncorrelated_between_frames():
 def test_read_noise_keeps_counts_nonnegative_and_default_off():
     scn = make_scenario(pixel_pairs=256, images=1)
     seed = SeedSpec(8)
-    clean = sample_counts(scn, True, seed)
-    noisy = sample_counts(scn, True, seed, read_noise_sigma=4.0)
-    again = sample_counts(scn, True, seed)
+    clean = sample_counts(scn.with_target(True), seed)
+    noisy = sample_counts(dataclasses.replace(scn, read_noise_sigma=4.0).with_target(True), seed)
+    again = sample_counts(scn.with_target(True), seed)
     assert np.array_equal(clean[0], again[0])
     assert (noisy[0] >= 0).all() and (noisy[1] >= 0).all()
     assert not np.array_equal(clean[0], noisy[0])

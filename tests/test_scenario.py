@@ -56,11 +56,14 @@ def test_sweep_spec_validation():
 def test_images_per_decision_values_must_be_integers():
     with pytest.raises(ParameterError):
         sweep_spec(parameter=SweepParameter.IMAGES_PER_DECISION, values=(1.0, 2.5))
+    for values in ((0.0, 5.0), (-3.0, 5.0)):
+        with pytest.raises(ParameterError, match="integers >= 1"):
+            sweep_spec(parameter=SweepParameter.IMAGES_PER_DECISION, values=values)
     sweep_spec(parameter=SweepParameter.IMAGES_PER_DECISION, values=(1.0, 3.0))
 
 
 def test_counts_that_would_wrap_flag_the_row(monkeypatch):
-    def huge_counts(scn, target_present, seed, read_noise_sigma=0.0):
+    def huge_counts(scn, seed):
         return np.full((scn.images, scn.pixel_pairs), 2**31, dtype=np.int64), np.ones(
             (scn.images, scn.pixel_pairs), dtype=np.int64
         )
@@ -78,7 +81,7 @@ def test_single_value_sweep_equals_direct_call():
     scn = spec.base.with_source_kind(SourceKind.TWIN_BEAM).with_background_mean(500.0)
     point_seed = spec.seed.derive(0, 0)
     in_seed = point_seed.derive(1)
-    n1, n2 = sample_counts(scn, True, in_seed)
+    n1, n2 = sample_counts(scn.with_target(True), in_seed)
     eps, sigma = bootstrap_epsilon(n1, n2, rng=point_seed.rng(STREAM_BOOTSTRAP, 0))
     assert row.estimate == eps
     assert row.uncertainty == sigma
@@ -153,13 +156,14 @@ def test_read_noise_flags_every_analytic_row():
 
     quiet = rows(images_per_decision=2)
     assert quiet and all(r.flag == "" for r in quiet)
-    noisy = rows(images_per_decision=2, read_noise_sigma=2.0)
+    noisy_base = desk_scenario(read_noise_sigma=2.0)
+    noisy = rows(images_per_decision=2, base=noisy_base)
     assert [r.metric for r in noisy] == [r.metric for r in quiet]
     assert all(r.analytic is not None for r in noisy)
     assert all(r.flag == "analytic_ignores_read_noise" for r in noisy)
     # 60 frames give too few batches of 10: the flags join
-    assert rows(read_noise_sigma=2.0)[-1].flag == "error:InsufficientDataError;analytic_ignores_read_noise"
-    assert all(r.flag == "" for r in rows(images_per_decision=2, read_noise_sigma=2.0, emit_analytic=False))
+    assert rows(base=noisy_base)[-1].flag == "error:InsufficientDataError;analytic_ignores_read_noise"
+    assert all(r.flag == "" for r in rows(images_per_decision=2, base=noisy_base, emit_analytic=False))
 
 
 def test_images_per_decision_sweep():
