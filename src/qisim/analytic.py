@@ -53,34 +53,37 @@ def _thermal_factorial_product(mu: float, a: int, b: int) -> float:
 
 def _pair_raw_moments(source: SourceSpec, e1: float, e2: float) -> dict:
     """Per-mode raw joint moments E[n1^i n2^j], i, j <= 2, of one
-    correlated mode pair after detection."""
-    raw = {}
+    correlated mode pair after detection, from its factorial moments
+    E[(n1)_a (n2)_b] through x^i = sum_a S(i,a) (x)_a.
+
+    Given n photons, a twin pair thins the same n independently on each
+    arm, so E[(n1)_a (n2)_b] = e1^a e2^b E[(n)_a (n)_b]; a split beam
+    routes each photon to arm 1 with probability p1, to arm 2 with p2 or
+    to neither, so E[(n1)_a (n2)_b] = p1^a p2^b E[(n)_{a+b}].
+    """
     if source.kind is SourceKind.TWIN_BEAM:
-        mu = source.mu
-        for i, j in _ORDERS:
-            total = 0.0
-            for a in range(i + 1):
-                for b in range(j + 1):
-                    s = _STIRLING2.get((i, a), 0.0) * _STIRLING2.get((j, b), 0.0)
-                    if s == 0.0:
-                        continue
-                    total += s * e1**a * e2**b * _thermal_factorial_product(mu, a, b)
-            raw[(i, j)] = total
+
+        def factorial_moment(a: int, b: int) -> float:
+            return e1**a * e2**b * _thermal_factorial_product(source.mu, a, b)
+
     else:
-        t = source.split_ratio
+        p1 = source.split_ratio * e1
+        p2 = (1.0 - source.split_ratio) * e2
         nu = source.pre_split_mean
-        p1 = t * e1
-        p2 = (1.0 - t) * e2
-        for i, j in _ORDERS:
-            total = 0.0
-            for a in range(i + 1):
-                for b in range(j + 1):
-                    s = _STIRLING2.get((i, a), 0.0) * _STIRLING2.get((j, b), 0.0)
-                    if s == 0.0:
-                        continue
-                    order = a + b
-                    total += s * p1**a * p2**b * math.factorial(order) * nu**order
-            raw[(i, j)] = total
+
+        def factorial_moment(a: int, b: int) -> float:
+            return p1**a * p2**b * math.factorial(a + b) * nu ** (a + b)
+
+    raw = {}
+    for i, j in _ORDERS:
+        total = 0.0
+        for a in range(i + 1):
+            for b in range(j + 1):
+                s = _STIRLING2.get((i, a), 0.0) * _STIRLING2.get((j, b), 0.0)
+                if s == 0.0:
+                    continue
+                total += s * factorial_moment(a, b)
+        raw[(i, j)] = total
     return raw
 
 
@@ -126,49 +129,31 @@ def variance_law(mean_total: float, modes: int) -> float:
     return mean_total * (1.0 + mean_total / modes)
 
 
-def _per_mode_arm_means(scenario: Scenario) -> tuple[float, float]:
-    """Detected per-mode means of each arm (arm 2 excluding background)."""
-    source = scenario.source
-    channel = scenario.channel
-    e2 = channel.arm2_efficiency if channel.target_present else 0.0
-    m1 = channel.eta1 * source.mu
-    if source.kind is SourceKind.TWIN_BEAM:
-        m2 = e2 * source.mu
-    else:
-        m2 = e2 * (1.0 - source.split_ratio) * source.pre_split_mean
-    return m1, m2
-
-
 def moments(scenario: Scenario) -> MomentSet:
     """Exact detected-count moments of one pixel pair.
 
-    Composition: matched mode pairs contribute the full bivariate pair
-    cumulants; mode-mismatched light replaces the correlated partner with
-    statistically identical but independent thermal light on each arm;
-    the background adds independently to arm 2.  Cumulants add across
-    all of these, and the fourth-order central moment is reconstructed
-    from them at the end.
+    Composition: every source mode contributes the pair cumulants of one
+    mode pair to each arm's own cumulants (k10, k01, k20, k02), because
+    mode-mismatched light has the local statistics of matched light; only
+    the mode_match fraction of modes stays correlated across the arms and
+    contributes the joint cumulants k11 and k22.  The background adds
+    independently to arm 2, and the target hypothesis enters through
+    `ChannelSpec.arm2_efficiency` alone.  Cumulants add across all of
+    these, and the fourth-order central moment is reconstructed from
+    them at the end.
     """
     source = scenario.source
     channel = scenario.channel
     background = scenario.background
-    e1 = channel.eta1
-    e2 = channel.arm2_efficiency if channel.target_present else 0.0
-
+    pair = _pair_cumulants(source, channel.eta1, channel.arm2_efficiency)
     matched = channel.mode_match * source.modes
-    unmatched = source.modes - matched
-    pair = _pair_cumulants(source, e1, e2)
-    m1_pm, m2_pm = _per_mode_arm_means(scenario)
 
-    k10 = matched * pair["k10"] + unmatched * m1_pm
-    k01 = matched * pair["k01"] + unmatched * m2_pm
-    k20 = matched * pair["k20"] + unmatched * m1_pm * (1.0 + m1_pm)
-    k02 = matched * pair["k02"] + unmatched * m2_pm * (1.0 + m2_pm)
+    k10 = source.modes * pair["k10"]
+    k01 = source.modes * pair["k01"] + background.mean_total
+    k20 = source.modes * pair["k20"]
+    k02 = source.modes * pair["k02"] + variance_law(background.mean_total, background.modes_b)
     k11 = matched * pair["k11"]
     k22 = matched * pair["k22"]
-
-    k01 += background.mean_total
-    k02 += variance_law(background.mean_total, background.modes_b)
 
     return MomentSet(
         mean1=k10,
@@ -244,9 +229,14 @@ def _min_error_two_gaussians(
     b = -2.0 * (m1 / s1**2 - m0 / s0**2)
     c = m1**2 / s1**2 - m0**2 / s0**2 - 2.0 * math.log(s0 / s1)
     if abs(a) < 1e-300:
-        candidates = [-c / b]
+        # equal widths: one crossing, none once b underflows (means a subnormal apart)
+        candidates = [-c / b] if b != 0.0 else []
     else:
         disc = b * b - 4.0 * a * c
+        if not math.isfinite(disc):
+            # b*b or 4ac overflows: the narrower width is negligible, take it as 0
+            narrow0 = s0 < s1
+            return _min_error_two_gaussians(m0, 0.0 if narrow0 else s0, m1, s1 if narrow0 else 0.0)
         if disc < 0.0:
             candidates = [0.5 * (m0 + m1)]
         else:

@@ -227,15 +227,20 @@ def build_sweep_spec(config: dict, seed: SeedSpec) -> SweepSpec:
     )
 
 
-def _write_sweep(config: dict, csv_path: str) -> None:
-    """Run the sweep `config` describes on the seed `run.seed`; write the CSV
-    and the sidecar that replays it, with source.kind = sweep.sources[0]."""
-    spec = build_sweep_spec(config, SeedSpec(config["run"]["seed"]))
-    write_sweep_csv(run_sweep(spec), csv_path)
-    config = _apply(config, [("source", "kind", config["sweep"]["sources"][0])])
-    with open(csv_path + ".meta.txt", "w") as handle:
-        handle.write(sidecar_text(config))
-    print(f"wrote {csv_path}")
+def _write_sweeps(out: str, configs: dict) -> int:
+    """Run the sweep each config describes on its seed `run.seed`; write
+    `out`/<stem>.csv and the sidecar that replays it, with source.kind =
+    sweep.sources[0].  Every sweep is validated before `out` is made."""
+    specs = {stem: build_sweep_spec(c, SeedSpec(c["run"]["seed"])) for stem, c in configs.items()}
+    os.makedirs(out, exist_ok=True)
+    for stem, config in configs.items():
+        csv_path = os.path.join(out, f"{stem}.csv")
+        write_sweep_csv(run_sweep(specs[stem]), csv_path)
+        config = _apply(config, [("source", "kind", config["sweep"]["sources"][0])])
+        with open(csv_path + ".meta.txt", "w") as handle:
+            handle.write(sidecar_text(config))
+        print(f"wrote {csv_path}")
+    return 0
 
 
 def _config_help() -> str:
@@ -454,9 +459,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    _write_sweep(config, os.path.join(args.out, "sweep.csv"))
-    return 0
+    return _write_sweeps(args.out, {"sweep": config})
 
 
 _DECADES = "100,316,1000,3162,10000,31623,100000"
@@ -511,13 +514,13 @@ def cmd_reproduce(base: dict, overrides: list, seed: SeedSpec, args: argparse.Na
     """One sweep per series of the preset, configured by `base`, then the
     series' keys, then the command-line `overrides`; series i runs on the
     seed derived from the master seed with tag i."""
-    os.makedirs(args.out, exist_ok=True)
+    configs = {}
     for index, (stem, table) in enumerate(PRESETS[args.figure].items()):
         keys = {**_PRESET_BASE, **table}
         config = _apply(base, [(*name.split(".", 1), raw) for name, raw in keys.items()], overrides)
         config["run"]["seed"] = seed.derive(index).master_seed
-        _write_sweep(config, os.path.join(args.out, f"{stem}.csv"))
-    return 0
+        configs[stem] = config
+    return _write_sweeps(args.out, configs)
 
 
 def main(argv=None) -> int:

@@ -35,6 +35,10 @@ from .types import (
 
 # Cap on the terms of the conditional mixture (sum over n of (n+1)^2).
 _MIX_COST_LIMIT = 2 * 10**8
+# Cap on the cells of the joint table.
+_MAX_STATES = 10**7
+# Upper-tail mass of each enumerated photon-number law left out of it.
+_CUTOFF_TAIL = 1e-12
 # Mode counts and photon probabilities below this change no table entry
 # by more than 1e-290; they are taken as 0.
 _NEGLIGIBLE = 1e-300
@@ -96,16 +100,12 @@ def _pair_table_twin(weights: np.ndarray, e1: float, e2: float) -> np.ndarray:
     return (weights[:, None] * _binomial_table(size, e1)).T @ _binomial_table(size, e2)
 
 
-def _pair_table_split(
-    weights: np.ndarray, t: float, e1: float, e2: float
-) -> np.ndarray:
-    """Joint table for a split beam: each of the n photons is routed to
-    arm 1 with probability t*e1, to arm 2 with probability (1-t)*e2,
-    otherwise lost (exact per-photon trinomial).  Grouped by the m = n - a
-    photons not detected on arm 1: A[a, m] = w[a+m] P(a of a+m on arm 1),
-    and each of those m reaches arm 2 with probability p2 / (1 - p1)."""
-    p1 = t * e1
-    p2 = (1.0 - t) * e2
+def _pair_table_split(weights: np.ndarray, p1: float, p2: float) -> np.ndarray:
+    """Joint table for a split beam: each of the n photons is detected on
+    arm 1 with probability p1, on arm 2 with probability p2, otherwise
+    lost (exact per-photon trinomial).  Grouped by the m = n - a photons
+    not detected on arm 1: A[a, m] = w[a+m] P(a of a+m on arm 1), and each
+    of those m reaches arm 2 with probability p2 / (1 - p1)."""
     p2_given_not1 = p2 / (1.0 - p1)
     size = weights.size
     a = np.arange(size)[:, None]
@@ -138,26 +138,25 @@ def _convolve_axis(table: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarr
 
 
 def joint_distribution(
-    source: SourceSpec,
-    channel: ChannelSpec,
-    background: BackgroundSpec,
-    cutoff_tail: float = 1e-12,
-    max_states: int = 10**7,
+    source: SourceSpec, channel: ChannelSpec, background: BackgroundSpec
 ) -> JointDistribution:
-    """Enumerate the exact joint distribution of the detected pair."""
+    """Enumerate the exact joint distribution of the detected pair.
+
+    p1 and p2 are the chances that one source photon is detected on arm 1
+    and on arm 2; the hypothesis enters through `arm2_efficiency` alone."""
     e1 = channel.eta1
-    e2 = channel.arm2_efficiency if channel.target_present else 0.0
+    e2 = channel.arm2_efficiency
     matched = channel.mode_match * source.modes
     unmatched = (1.0 - channel.mode_match) * source.modes
 
     if source.kind is SourceKind.TWIN_BEAM:
-        pre_mean = source.mu
-        arm2_detected_per_mode = e2 * source.mu
+        pre_mean, p1, p2, pair_table = source.mu, e1, e2, _pair_table_twin
     else:
-        pre_mean = source.pre_split_mean
-        arm2_detected_per_mode = e2 * (1.0 - source.split_ratio) * pre_mean
+        t = source.split_ratio
+        pre_mean, p1, p2 = source.pre_split_mean, t * e1, (1.0 - t) * e2
+        pair_table = _pair_table_split
 
-    shared_weights = _negbin_weights(matched, matched * pre_mean, cutoff_tail)
+    shared_weights = _negbin_weights(matched, matched * pre_mean, _CUTOFF_TAIL)
     mix_cost = int(np.sum((np.arange(shared_weights.size) + 1.0) ** 2))
     if mix_cost > _MIX_COST_LIMIT:
         raise InfeasibleInstanceError(
@@ -167,38 +166,22 @@ def joint_distribution(
     kernels_axis0 = []
     kernels_axis1 = []
     if unmatched > 0.0 and source.mu > 0.0:
-        if source.kind is SourceKind.TWIN_BEAM:
-            kernels_axis0.append(_thinned_component(unmatched, source.mu, e1, cutoff_tail))
-        else:
-            kernels_axis0.append(
-                _thinned_component(unmatched, pre_mean, source.split_ratio * e1, cutoff_tail)
-            )
+        kernels_axis0.append(_thinned_component(unmatched, pre_mean, p1, _CUTOFF_TAIL))
         if e2 > 0.0:
-            if source.kind is SourceKind.TWIN_BEAM:
-                kernels_axis1.append(_thinned_component(unmatched, source.mu, e2, cutoff_tail))
-            else:
-                kernels_axis1.append(
-                    _thinned_component(
-                        unmatched, pre_mean, (1.0 - source.split_ratio) * e2, cutoff_tail
-                    )
-                )
+            kernels_axis1.append(_thinned_component(unmatched, pre_mean, p2, _CUTOFF_TAIL))
     if background.mean_total > 0.0:
         kernels_axis1.append(
-            _negbin_weights(background.modes_b, background.mean_total, cutoff_tail)
+            _negbin_weights(background.modes_b, background.mean_total, _CUTOFF_TAIL)
         )
 
     size1 = shared_weights.size + sum(k.size - 1 for k in kernels_axis0)
     size2 = shared_weights.size + sum(k.size - 1 for k in kernels_axis1)
-    if size1 * size2 > max_states:
+    if size1 * size2 > _MAX_STATES:
         raise InfeasibleInstanceError(
-            f"joint support {size1}x{size2} exceeds {max_states} states"
+            f"joint support {size1}x{size2} exceeds {_MAX_STATES} states"
         )
 
-    if source.kind is SourceKind.TWIN_BEAM:
-        table = _pair_table_twin(shared_weights, e1, e2)
-    else:
-        table = _pair_table_split(shared_weights, source.split_ratio, e1, e2)
-
+    table = pair_table(shared_weights, p1, p2)
     for kernel in kernels_axis0:
         table = _convolve_axis(table, kernel, axis=0)
     for kernel in kernels_axis1:
@@ -209,14 +192,10 @@ def joint_distribution(
 
 
 def enumerate_moments(
-    source: SourceSpec,
-    channel: ChannelSpec,
-    background: BackgroundSpec,
-    cutoff_tail: float = 1e-12,
-    max_states: int = 10**7,
+    source: SourceSpec, channel: ChannelSpec, background: BackgroundSpec
 ) -> MomentSet:
     """Exact MomentSet by direct summation over the enumerated joint."""
-    joint = joint_distribution(source, channel, background, cutoff_tail, max_states)
+    joint = joint_distribution(source, channel, background)
     probs = joint.probs
     mass = probs.sum()
     n1 = np.arange(probs.shape[0], dtype=float)[:, None]

@@ -67,43 +67,34 @@ def _sample_pair_counts(
 
     Draw order is fixed: shared component, arm-1 thinning, arm-2 thinning,
     then the mode-mismatched replacements. Changing it changes every
-    downstream stream, so treat it as part of the wire format.
+    downstream stream, so treat it as part of the wire format.  With the
+    target absent, `arm2_efficiency` is 0 and the arm-2 draws take
+    nothing from the stream (numpy's binomial draws nothing at p = 0).
     """
     e1 = channel.eta1
     e2 = channel.arm2_efficiency
-    target = channel.target_present
     matched = channel.mode_match * source.modes
     unmatched = source.modes - matched
+    twin = source.kind is SourceKind.TWIN_BEAM
+    nu = source.mu if twin else source.pre_split_mean
+    shared = (
+        _negbin(rng, matched, matched * nu, size) if matched > 0 else np.zeros(size, np.int64)
+    )
 
-    if source.kind is SourceKind.TWIN_BEAM:
-        shared = (
-            _negbin(rng, matched, matched * source.mu, size)
-            if matched > 0
-            else np.zeros(size, np.int64)
-        )
+    if twin:
         n1 = rng.binomial(shared, e1).astype(np.int64)
-        n2 = rng.binomial(shared, e2).astype(np.int64) if target else np.zeros(size, np.int64)
-        arm2_per_mode = e2 * source.mu
+        n2 = rng.binomial(shared, e2).astype(np.int64)
+        arm2_per_mode = e2 * nu
     else:
-        nu = source.pre_split_mean
         t = source.split_ratio
-        shared = (
-            _negbin(rng, matched, matched * nu, size)
-            if matched > 0
-            else np.zeros(size, np.int64)
-        )
         to_arm1 = rng.binomial(shared, t).astype(np.int64)
         n1 = rng.binomial(to_arm1, e1).astype(np.int64)
-        if target:
-            n2 = rng.binomial(shared - to_arm1, e2).astype(np.int64)
-        else:
-            n2 = np.zeros(size, np.int64)
+        n2 = rng.binomial(shared - to_arm1, e2).astype(np.int64)
         arm2_per_mode = e2 * (1.0 - t) * nu
 
     if unmatched > 0.0:
-        n1 = n1 + _negbin(rng, unmatched, unmatched * channel.eta1 * source.mu, size)
-        if target:
-            n2 = n2 + _negbin(rng, unmatched, unmatched * arm2_per_mode, size)
+        n1 = n1 + _negbin(rng, unmatched, unmatched * e1 * source.mu, size)
+        n2 = n2 + _negbin(rng, unmatched, unmatched * arm2_per_mode, size)
     return n1, n2
 
 

@@ -17,6 +17,8 @@ import numpy as np
 # Above this many expected photons per pixel, or this read-noise sigma,
 # int64 sums of squared counts in the estimators stop being safe.
 _MEAN_PHOTON_LIMIT = 1e6
+# Relative roundoff `MomentSet.check_consistency` forgives.
+_CONSISTENCY_RTOL = 1e-9
 
 
 class ParameterError(ValueError):
@@ -100,13 +102,13 @@ class SourceSpec:
 class ChannelSpec:
     """Detection efficiencies and target model.
 
-    When the target is present, the probe arm is attenuated by
-    eta2 * reflectivity; mode_match is the fraction of probe modes that
-    remain pairwise correlated with the pixel on the reference arm (the
-    remainder is replaced by statistically identical but uncorrelated
-    light, which lowers the measured cross correlation without touching
-    the local statistics).  When the target is absent nothing correlated
-    reaches arm 2 at all.
+    The hypothesis enters every route through `arm2_efficiency` alone:
+    eta2 * reflectivity with the target present, 0 with it absent.
+    mode_match is the fraction of probe modes that remain pairwise
+    correlated with the pixel on the reference arm (the remainder is
+    replaced by statistically identical but uncorrelated light, which
+    lowers the measured cross correlation without touching the local
+    statistics).
     """
 
     eta1: float
@@ -123,8 +125,9 @@ class ChannelSpec:
 
     @property
     def arm2_efficiency(self) -> float:
-        """Detected fraction of probe-arm light when the target is present."""
-        return self.eta2 * self.reflectivity
+        """Detected fraction of probe-arm light: exactly 0 when the target
+        is absent, since then no source light reaches arm 2 at all."""
+        return self.eta2 * self.reflectivity if self.target_present else 0.0
 
 
 @dataclass(frozen=True)
@@ -223,8 +226,9 @@ class MomentSet:
     def delta_product_variance(self) -> float:
         return self.m22 - self.cov**2
 
-    def check_consistency(self, rtol: float = 1e-9) -> None:
+    def check_consistency(self) -> None:
         """Assert the defining inequalities, tolerating float roundoff."""
+        rtol = _CONSISTENCY_RTOL
         scale = max(abs(self.var1), abs(self.var2), 1.0)
         if self.var1 < -rtol * scale or self.var2 < -rtol * scale:
             raise AssertionError(f"negative variance in {self}")

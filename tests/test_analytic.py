@@ -2,9 +2,12 @@
 and against hand-checkable limits."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -184,6 +187,53 @@ def test_moments_agree_with_oracle_over_parameter_box(
     assert_moments_agree_with_oracle(scn)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(SourceKind),
+    modes=st.integers(1, 5),
+    mu=_unit,
+    split_ratio=st.floats(0.25, 0.75),
+    eta1=_unit,
+    eta2=_unit,
+    reflectivity=_unit,
+    mode_match=_unit,
+    target=st.booleans(),
+    modes_b=st.integers(1, 5),
+    background_mean=st.floats(0.0, 3.0),
+)
+@example(SourceKind.TWIN_BEAM, 5, 5e-324, 0.5, 1.0, 1.0, 1.0, 0.3, True, 1, 0.0)
+def test_mode_match_moves_only_the_cross_moments(
+    kind, modes, mu, split_ratio, eta1, eta2, reflectivity, mode_match, target, modes_b,
+    background_mean,
+):
+    # README: mode_match rescales the cross correlation without touching
+    # the local statistics
+    scn = make_scenario(
+        kind=kind,
+        mu=mu,
+        modes=modes,
+        split_ratio=split_ratio,
+        eta1=eta1,
+        eta2=eta2,
+        reflectivity=reflectivity,
+        mode_match=mode_match,
+        target_present=target,
+        modes_b=modes_b,
+        background_mean=background_mean,
+    )
+    matched = dataclasses.replace(
+        scn, channel=dataclasses.replace(scn.channel, mode_match=1.0)
+    )
+    m, m1 = analytic.moments(scn), analytic.moments(matched)
+    for field in ("mean1", "var1", "mean2", "var2"):
+        assert getattr(m, field) == getattr(m1, field), field
+    # plus an absolute floor: a subnormal cov carries no relative precision
+    # plus an absolute floor: a subnormal cov carries no relative precision
+    assert abs(m.cov - mode_match * m1.cov) <= 1e-12 * abs(mode_match * m1.cov) + 1e-300
+    if not target:
+        assert scn.channel.arm2_efficiency == 0.0
+
+
 # ---------------------------------------------------------------------------
 # epsilon
 # ---------------------------------------------------------------------------
@@ -343,6 +393,8 @@ def reference_min_error_two_gaussians(m0, s0, m1, s1):
         candidates = [-c / b]
     else:
         disc = b * b - 4.0 * a * c
+        if not math.isfinite(disc):
+            raise OverflowError("b*b - 4ac overflows")
         if disc < 0.0:
             candidates = [0.5 * (m0 + m1)]
         else:
@@ -385,6 +437,9 @@ def test_min_error_two_gaussians_bit_identical_to_stats_norm(m0, s0, m1, s1):
 @example(m1=1.0, s0=1.0, s1=2.2e-313)
 @example(m1=1.0, s0=2.2e-313, s1=1.0)
 @example(m1=1.0, s0=2.2e-313, s1=2.2e-313)
+@example(m1=1.0, s0=1.0, s1=1e-100)
+@example(m1=1.0, s0=1e-160, s1=1.0)
+@example(m1=5e-324, s0=2.0, s1=2.0)
 def test_min_error_two_gaussians_bit_identical_over_box(m1, s0, s1):
     got = analytic._min_error_two_gaussians(0.0, s0, m1, s1)
     try:
@@ -394,7 +449,33 @@ def test_min_error_two_gaussians_bit_identical_over_box(m1, s0, s1):
         # divides by that square
         assert math.isfinite(got[0]) and 0.0 <= got[0] <= 0.5
         return
+    except OverflowError:
+        # b*b - 4ac overflows: the narrower width is taken as 0
+        narrow0 = s0 < s1
+        expected = reference_min_error_two_gaussians(
+            0.0, 0.0 if narrow0 else s0, m1, s1 if narrow0 else 0.0
+        )
     assert got == expected
+
+
+# 0.5 * Phi(-1): one width 0, the other 1, means 1 apart
+ZERO_WIDTH_LIMIT = 0.07932762696572854
+
+
+@pytest.mark.parametrize(
+    "m0, s0, m1, s1",
+    [(0.0, 1.0, 1.0, 1e-78), (0.0, 1.0, 1.0, 1e-100), (0.0, 1.0, 1.0, 1e-160), (0.0, 1e-160, 1.0, 1.0)],
+)
+def test_min_error_two_gaussians_tiny_width_takes_zero_width_limit(m0, s0, m1, s1):
+    # 1/s^2 is finite or inf, but b*b - 4ac overflows
+    assert analytic._min_error_two_gaussians(m0, s0, m1, s1)[0] == ZERO_WIDTH_LIMIT
+
+
+@pytest.mark.parametrize("background_mean", [1e-308, 1e-315])
+def test_error_probability_at_tiny_background_equals_zero_background(background_mean):
+    at_zero = analytic.error_probability(make_scenario(background_mean=0.0), 10)
+    tiny = analytic.error_probability(make_scenario(background_mean=background_mean), 10)
+    assert tiny == at_zero
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +500,46 @@ def test_covariance_effective_efficiency_forms():
             e1, e2 = 0.7, 0.5 * r * mm
             assert rel_err(analytic.moments(twin).cov, modes * e1 * e2 * mu * (1 + mu)) < 1e-12
             assert rel_err(analytic.moments(split).cov, modes * e1 * e2 * mu**2) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# closed-form pin over the figure presets
+# ---------------------------------------------------------------------------
+_PRESET_BACKGROUNDS = (0.0, 100.0, 316.0, 1000.0, 3162.0, 10000.0, 31623.0, 100000.0)
+
+# sha256 of `closed_form_lines()` joined by newlines.
+CLOSED_FORM_SHA256 = "aab2eaaf45a5d0e82b02b4c059d41a8b6580e73449f777df39cdf06cb4193993"
+
+
+def closed_form_lines() -> list:
+    """repr of every closed-form number the fig2..fig5 presets print, at
+    mode_match = 1: moments of both hypotheses, epsilon (or the name of
+    its exception), snr, and error_probability at 10 and 100 images per
+    decision, for both source kinds, M_b 57 and 1300 and each background."""
+    lines = []
+    for kind in SourceKind:
+        for modes_b in (57, 1300):
+            for background_mean in _PRESET_BACKGROUNDS:
+                scn = make_scenario(
+                    kind=kind, modes_b=modes_b, background_mean=background_mean, mode_match=1.0
+                )
+                for hypothesis in (scn, scn.with_target(False)):
+                    m = analytic.moments(hypothesis)
+                    lines.append(repr([getattr(m, field) for field in MOMENT_FIELDS]))
+                try:
+                    lines.append(repr(float(analytic.epsilon(scn))))
+                except DegenerateStatisticError as exc:
+                    lines.append(type(exc).__name__)
+                lines.append(repr(float(analytic.snr(scn))))
+                for ipd in (10, 100):
+                    lines.append(repr(float(analytic.error_probability(scn, ipd))))
+    return lines
+
+
+def test_closed_forms_are_pinned():
+    digest = hashlib.sha256("\n".join(closed_form_lines()).encode()).hexdigest()
+    assert digest == CLOSED_FORM_SHA256, (
+        f"closed-form values changed under scipy {scipy.__version__} (special.ndtr is "
+        "the only library kernel they use): either the closed forms changed, or this "
+        "scipy's ndtr rounds differently"
+    )

@@ -243,6 +243,17 @@ def test_sweep_images_per_decision_below_one_exit_2(capsys, tmp_path):
     assert code == 2
     assert "images_per_decision values must be integers >= 1" in err
     assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert not (tmp_path / "run").exists()
+
+
+def test_reproduce_images_per_decision_below_one_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "reproduce", "fig2", "--seed", "1", "--frames", "20",
+        "--images-per-decision", "0", "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "images_per_decision must be >= 1" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_underscore_shortcut_spelling_rejected(capsys):

@@ -188,7 +188,7 @@ def test_twin_table_equals_per_n_loop(weights, e1, e2):
     e2=_probabilities,
 )
 def test_split_table_equals_per_n_loop(weights, t, e1, e2):
-    table = oracle._pair_table_split(weights, t, e1, e2)
+    table = oracle._pair_table_split(weights, t * e1, (1.0 - t) * e2)
     np.testing.assert_allclose(
         table, loop_pair_table_split(weights, t, e1, e2), rtol=0, atol=TABLE_ATOL
     )

@@ -119,21 +119,37 @@ def test_first_block_does_not_depend_on_total():
 
 
 # sha256 of n1 then n2 (little-endian int64) from `sample_counts` on the
-# scenario below: two blocks, the second partial, with every draw of the
-# stream format taking part (mode mismatch, background, read noise).
-STREAM_FORMAT_SHA256 = "f8a95454e6ad7643e3740dc037a966cf4baf384a0c24d2458697d86411c4f4da"
+# scenario below, per (source kind, target present): two blocks, the
+# second partial, with every draw of the stream format taking part (mode
+# mismatch, background, read noise).
+STREAM_FORMAT_SHA256 = {
+    (SourceKind.TWIN_BEAM, True): "f8a95454e6ad7643e3740dc037a966cf4baf384a0c24d2458697d86411c4f4da",
+    (SourceKind.TWIN_BEAM, False): "f217c8327a0b94757a02f45a025813b7b408085007f9a3812ee2c2c555a0bf6a",
+    (SourceKind.SPLIT_THERMAL, True): "5324981a1d9d3c7494e3dbcac8789f09168822a9c066990cf301adc0d9d419dc",
+    (SourceKind.SPLIT_THERMAL, False): "4a39409d135994be343f9ce2f551ff1bf8515a840b4bdfa8f1d1d83ad6e13e49",
+}
+
+
+def stream_digest(kind: SourceKind, target: bool) -> str:
+    scn = make_scenario(
+        kind=kind,
+        mode_match=0.9,
+        background_mean=100.0,
+        pixel_pairs=4,
+        images=300,
+        read_noise_sigma=2.0,
+    )
+    n1, n2 = sample_counts(scn.with_target(target), SeedSpec(2013))
+    return hashlib.sha256(n1.astype("<i8").tobytes() + n2.astype("<i8").tobytes()).hexdigest()
 
 
 def test_stream_format_is_pinned():
-    scn = make_scenario(
-        mode_match=0.9, background_mean=100.0, pixel_pairs=4, images=300, read_noise_sigma=2.0
-    )
-    n1, n2 = sample_counts(scn.with_target(True), SeedSpec(2013))
-    digest = hashlib.sha256(n1.astype("<i8").tobytes() + n2.astype("<i8").tobytes()).hexdigest()
-    assert digest == STREAM_FORMAT_SHA256, (
-        f"sampled counts changed under numpy {np.__version__}: either the stream format "
-        "(block size, draw order, stream keys) changed, or this numpy draws differently"
-    )
+    for (kind, target), expected in STREAM_FORMAT_SHA256.items():
+        assert stream_digest(kind, target) == expected, (
+            f"{kind.value} counts with target_present={target} changed under numpy "
+            f"{np.__version__}: either the stream format (block size, draw order, stream "
+            "keys) changed, or this numpy draws differently"
+        )
 
 
 def test_image_set_hypotheses_use_disjoint_streams():
