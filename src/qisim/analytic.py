@@ -10,10 +10,25 @@ hand-expanded anywhere: raw -> central -> cumulants -> scaled -> central
 is done by the generic conversions below, and the `oracle` module checks
 the result by exhaustive enumeration.
 
+The per-mode pair cumulants are cached: `_pair_cumulants` is an
+`lru_cache` keyed on the plain scalars it reads (source kind, mu, split
+ratio, and the two arm efficiencies, the second of which carries the
+hypothesis).  Along a background sweep only the background changes, so
+each (source, hypothesis) pays for the raw -> central -> cumulant chain
+once.  The mode count, `mode_match` and the background stay outside the
+key, because `moments` applies them to the cached cumulants afterwards.
+A hit returns the tuple a cold call with the same key built, so results
+do not depend on the call history as long as equal keys compute equal
+bits.  The key is `typed`: `np.float64(0.5)` and `0.5` compare equal but
+give results of different types, so they get separate entries.  0.0 and
+-0.0 share an entry, which is safe because every raw and central moment
+below is a sum started from 0.0, which turns a signed zero into +0.0.
+
 All functions are pure and operate on immutable specs.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 from scipy.special import ndtr
@@ -24,12 +39,13 @@ from .types import (
     ParameterError,
     Scenario,
     SourceKind,
-    SourceSpec,
 )
 
 # Stirling numbers of the second kind for orders 0..2: x^i = sum_a S(i,a) (x)_a.
 _STIRLING2 = {(0, 0): 1.0, (1, 1): 1.0, (2, 1): 1.0, (2, 2): 1.0}
 _ORDERS = [(i, j) for i in range(3) for j in range(3)]
+# Distinct (source, hypothesis) pair cumulants kept by `_pair_cumulants`.
+_PAIR_CACHE_SIZE = 256
 
 
 def _thermal_factorial_product(mu: float, a: int, b: int) -> float:
@@ -51,7 +67,9 @@ def _thermal_factorial_product(mu: float, a: int, b: int) -> float:
     return total
 
 
-def _pair_raw_moments(source: SourceSpec, e1: float, e2: float) -> dict:
+def _pair_raw_moments(
+    kind: SourceKind, mu: float, split_ratio: float, e1: float, e2: float
+) -> dict:
     """Per-mode raw joint moments E[n1^i n2^j], i, j <= 2, of one
     correlated mode pair after detection, from its factorial moments
     E[(n1)_a (n2)_b] through x^i = sum_a S(i,a) (x)_a.
@@ -61,15 +79,15 @@ def _pair_raw_moments(source: SourceSpec, e1: float, e2: float) -> dict:
     routes each photon to arm 1 with probability p1, to arm 2 with p2 or
     to neither, so E[(n1)_a (n2)_b] = p1^a p2^b E[(n)_{a+b}].
     """
-    if source.kind is SourceKind.TWIN_BEAM:
+    if kind is SourceKind.TWIN_BEAM:
 
         def factorial_moment(a: int, b: int) -> float:
-            return e1**a * e2**b * _thermal_factorial_product(source.mu, a, b)
+            return e1**a * e2**b * _thermal_factorial_product(mu, a, b)
 
     else:
-        p1 = source.split_ratio * e1
-        p2 = (1.0 - source.split_ratio) * e2
-        nu = source.pre_split_mean
+        p1 = split_ratio * e1
+        p2 = (1.0 - split_ratio) * e2
+        nu = mu / split_ratio  # the pre-split mean, as in SourceSpec
 
         def factorial_moment(a: int, b: int) -> float:
             return p1**a * p2**b * math.factorial(a + b) * nu ** (a + b)
@@ -106,18 +124,21 @@ def _raw_to_central(raw: dict) -> dict:
     return central
 
 
-def _pair_cumulants(source: SourceSpec, e1: float, e2: float) -> dict:
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE, typed=True)
+def _pair_cumulants(
+    kind: SourceKind, mu: float, split_ratio: float, e1: float, e2: float
+) -> tuple:
     """Per-mode bivariate cumulants (k10, k01, k20, k02, k11, k22)."""
-    raw = _pair_raw_moments(source, e1, e2)
+    raw = _pair_raw_moments(kind, mu, split_ratio, e1, e2)
     c = _raw_to_central(raw)
-    return {
-        "k10": raw[(1, 0)],
-        "k01": raw[(0, 1)],
-        "k20": c[(2, 0)],
-        "k02": c[(0, 2)],
-        "k11": c[(1, 1)],
-        "k22": c[(2, 2)] - c[(2, 0)] * c[(0, 2)] - 2.0 * c[(1, 1)] ** 2,
-    }
+    return (
+        raw[(1, 0)],
+        raw[(0, 1)],
+        c[(2, 0)],
+        c[(0, 2)],
+        c[(1, 1)],
+        c[(2, 2)] - c[(2, 0)] * c[(0, 2)] - 2.0 * c[(1, 1)] ** 2,
+    )
 
 
 def variance_law(mean_total: float, modes: int) -> float:
@@ -145,15 +166,17 @@ def moments(scenario: Scenario) -> MomentSet:
     source = scenario.source
     channel = scenario.channel
     background = scenario.background
-    pair = _pair_cumulants(source, channel.eta1, channel.arm2_efficiency)
+    p10, p01, p20, p02, p11, p22 = _pair_cumulants(
+        source.kind, source.mu, source.split_ratio, channel.eta1, channel.arm2_efficiency
+    )
     matched = channel.mode_match * source.modes
 
-    k10 = source.modes * pair["k10"]
-    k01 = source.modes * pair["k01"] + background.mean_total
-    k20 = source.modes * pair["k20"]
-    k02 = source.modes * pair["k02"] + variance_law(background.mean_total, background.modes_b)
-    k11 = matched * pair["k11"]
-    k22 = matched * pair["k22"]
+    k10 = source.modes * p10
+    k01 = source.modes * p01 + background.mean_total
+    k20 = source.modes * p20
+    k02 = source.modes * p02 + variance_law(background.mean_total, background.modes_b)
+    k11 = matched * p11
+    k22 = matched * p22
 
     return MomentSet(
         mean1=k10,

@@ -394,8 +394,11 @@ def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
         fields.append(("epsilon", _fmt(analytic.epsilon(scenario))))
     except DegenerateStatisticError:
         fields.append(("epsilon", "nan"))
-    fields.append(("epsilon_ideal", _fmt(analytic.enhancement(scenario.source.mu))))
-    fields.append(("enhancement", _fmt(analytic.enhancement(scenario.source.mu))))
+    # the source's own lossless epsilon; a split beam reaches only 1
+    enhancement = analytic.enhancement(scenario.source.mu)
+    twin = scenario.source.kind is SourceKind.TWIN_BEAM
+    fields.append(("epsilon_ideal", _fmt(enhancement if twin else 1.0)))
+    fields.append(("enhancement", _fmt(enhancement)))
     fields.append(("snr", _fmt(analytic.snr(scenario))))
     try:
         fields.append(("snr_dominant_background", _fmt(analytic.snr_dominant_background(scenario))))

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 import scipy
 from hypothesis import example, given, settings
@@ -232,6 +233,114 @@ def test_mode_match_moves_only_the_cross_moments(
     assert abs(m.cov - mode_match * m1.cov) <= 1e-12 * abs(mode_match * m1.cov) + 1e-300
     if not target:
         assert scn.channel.arm2_efficiency == 0.0
+
+
+# ---------------------------------------------------------------------------
+# pair-cumulant cache
+# ---------------------------------------------------------------------------
+def closed_form_reprs(scn) -> list:
+    """repr, type included, of the moments, epsilon (or the name of its
+    exception), snr and error_probability at 10 and 100 images per decision."""
+    m = analytic.moments(scn)
+    reprs = [repr(getattr(m, field)) for field in MOMENT_FIELDS]
+    try:
+        reprs.append(repr(analytic.epsilon(scn)))
+    except DegenerateStatisticError as exc:
+        reprs.append(type(exc).__name__)
+    reprs.append(repr(analytic.snr(scn)))
+    reprs.extend(repr(analytic.error_probability(scn, ipd)) for ipd in (10, 100))
+    return reprs
+
+
+# Ways to spell one value of mu, eta1, eta2 and reflectivity that compare
+# equal and hash alike, but may not compute alike.
+_SPELLINGS = {
+    "float": float,
+    "np.float64": np.float64,
+    "-0.0": lambda x: -0.0 if x == 0.0 else float(x),
+}
+_PLAIN = ("float",) * 4
+
+
+def _history_example(**overrides):
+    case = dict(
+        kind=SourceKind.TWIN_BEAM, modes=2, mu=0.5, split_ratio=0.5, eta1=0.7, eta2=0.6,
+        reflectivity=0.5, mode_match=1.0, target=True, modes_b=1, background_mean=1.0,
+        warm=_PLAIN, spelling=_PLAIN,
+    )
+    return example(**{**case, **overrides})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(SourceKind),
+    modes=st.integers(1, 5),
+    mu=_unit,
+    split_ratio=st.floats(0.25, 0.75),
+    eta1=_unit,
+    eta2=_unit,
+    reflectivity=_unit,
+    mode_match=_unit,
+    target=st.booleans(),
+    modes_b=st.integers(1, 5),
+    background_mean=st.floats(0.0, 3.0),
+    warm=st.tuples(*[st.sampled_from(sorted(_SPELLINGS))] * 4),
+    spelling=st.tuples(*[st.sampled_from(sorted(_SPELLINGS))] * 4),
+)
+# np.float64 and float, in both orders: for mu, for the efficiencies
+@_history_example(warm=("np.float64", "float", "float", "float"))
+@_history_example(spelling=("np.float64", "float", "float", "float"))
+@_history_example(kind=SourceKind.SPLIT_THERMAL, warm=("float", "np.float64", "np.float64", "float"))
+@_history_example(kind=SourceKind.SPLIT_THERMAL, spelling=("float", "np.float64", "np.float64", "float"))
+@_history_example(warm=("float", "float", "float", "np.float64"))
+# 0.0 and -0.0, in both orders: for mu, for the efficiencies
+@_history_example(mu=0.0, spelling=("-0.0", "float", "float", "float"))
+@_history_example(mu=0.0, warm=("-0.0", "float", "float", "float"))
+@_history_example(eta1=0.0, eta2=0.0, spelling=("float", "-0.0", "-0.0", "float"))
+@_history_example(
+    kind=SourceKind.SPLIT_THERMAL, eta1=0.0, eta2=0.0, warm=("float", "-0.0", "-0.0", "float")
+)
+@_history_example(reflectivity=0.0, warm=("float", "float", "float", "-0.0"))
+def test_closed_forms_do_not_depend_on_call_history(
+    kind, modes, mu, split_ratio, eta1, eta2, reflectivity, mode_match, target, modes_b,
+    background_mean, warm, spelling,
+):
+    def spelled(spellings):
+        values = (mu, eta1, eta2, reflectivity)
+        mu_, eta1_, eta2_, reflectivity_ = (
+            _SPELLINGS[name](value) for name, value in zip(spellings, values)
+        )
+        return make_scenario(
+            kind=kind,
+            mu=mu_,
+            modes=modes,
+            split_ratio=split_ratio,
+            eta1=eta1_,
+            eta2=eta2_,
+            reflectivity=reflectivity_,
+            mode_match=mode_match,
+            target_present=target,
+            modes_b=modes_b,
+            background_mean=background_mean,
+        )
+
+    scn = spelled(spelling)
+    analytic._pair_cumulants.cache_clear()
+    closed_form_reprs(spelled(warm))
+    warm_reprs = closed_form_reprs(scn)
+    analytic._pair_cumulants.cache_clear()
+    assert warm_reprs == closed_form_reprs(scn)
+
+
+def test_pair_cumulants_built_once_per_source_kind_and_hypothesis():
+    analytic._pair_cumulants.cache_clear()
+    for kind in SourceKind:
+        for background_mean in np.geomspace(10.0, 1e5, 400):
+            scn = make_scenario(kind=kind, background_mean=float(background_mean))
+            analytic.moments(scn)
+            analytic.snr(scn)
+            analytic.error_probability(scn, 10)
+    assert analytic._pair_cumulants.cache_info().misses == 2 * len(SourceKind)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,16 @@ def test_analytic_default_configuration(capsys):
     assert float(summary_value(out, "mean1")) == pytest.approx(4185.0)
 
 
+@pytest.mark.parametrize(
+    "kind, epsilon_ideal", [("twin_beam", repr((1.0 + 0.075) / 0.075)), ("split_thermal", "1.0")]
+)
+def test_analytic_epsilon_ideal_is_the_source_kind_lossless_value(capsys, kind, epsilon_ideal):
+    code, out, _ = run_cli(capsys, "analytic", "--source.kind", kind)
+    assert code == 0
+    assert summary_value(out, "epsilon_ideal") == epsilon_ideal
+    assert summary_value(out, "enhancement") == repr((1.0 + 0.075) / 0.075)
+
+
 def test_analytic_mu_shortcut(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--mu", "1")
     assert code == 0
