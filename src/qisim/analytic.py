@@ -163,11 +163,17 @@ def moments(scenario: Scenario) -> MomentSet:
     these, and the fourth-order central moment is reconstructed from
     them at the end.
     """
+    return _moments(scenario, scenario.channel.arm2_efficiency)
+
+
+def _moments(scenario: Scenario, arm2_efficiency: float) -> MomentSet:
+    """`moments` with `arm2_efficiency` in place of the channel's own, so
+    the other hypothesis needs no second `Scenario`."""
     source = scenario.source
     channel = scenario.channel
     background = scenario.background
     p10, p01, p20, p02, p11, p22 = _pair_cumulants(
-        source.kind, source.mu, source.split_ratio, channel.eta1, channel.arm2_efficiency
+        source.kind, source.mu, source.split_ratio, channel.eta1, arm2_efficiency
     )
     matched = channel.mode_match * source.modes
 
@@ -205,7 +211,7 @@ def snr(scenario: Scenario) -> float:
     """Contrast-to-noise ratio of the covariance receiver, per single
     pixel pair; multiply by sqrt(K * frames averaged) for an acquisition."""
     m_in = moments(scenario)
-    m_out = moments(scenario.with_target(False))
+    m_out = _moments(scenario, scenario.channel.arm2_efficiency_given(False))
     numerator = abs(m_in.cov)
     denom_sq = m_in.delta_product_variance + m_out.delta_product_variance
     if denom_sq <= 0.0:
@@ -287,7 +293,7 @@ def error_probability(scenario: Scenario, images_per_decision: int) -> float:
             f"images_per_decision must be >= 1 (got {images_per_decision})"
         )
     m_in = moments(scenario)
-    m_out = moments(scenario.with_target(False))
+    m_out = _moments(scenario, scenario.channel.arm2_efficiency_given(False))
     n_eff = scenario.pixel_pairs * images_per_decision
     s_in = math.sqrt(max(0.0, m_in.delta_product_variance) / n_eff)
     s_out = math.sqrt(max(0.0, m_out.delta_product_variance) / n_eff)

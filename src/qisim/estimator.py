@@ -5,6 +5,13 @@ n2, one row per frame.  `covariance_hat` turns them into one covariance
 per frame; `snr_hat` and `perr_hat` work on those float arrays, and
 `epsilon_hat` pools the integer sufficient statistics of all frames.
 
+Each statistic has one row-wise form (`epsilon_rows`, `snr_rows`,
+`perr_rows`): its samples carry the frames on their last axis and one
+row per resample before it, and it returns one value per row, NaN where
+the row is degenerate.  The point estimates (`epsilon_hat`, `snr_hat`,
+`perr_hat`) are its one-row case on the samples themselves, and
+`bootstrap` evaluates it on a block of resamples at once.
+
 Conventions follow the receiver definition: the per-frame covariance uses
 the plug-in estimator with divisor K, while SNR sample variances use
 divisor n-1.  All pooled reductions run on exact integer sums of the
@@ -27,6 +34,11 @@ from .types import (
     InsufficientDataError,
     ParameterError,
 )
+
+
+# Resampled cells (resamples times sample items) that `bootstrap` holds
+# at once; bounds its memory whatever the sample size.
+_BOOTSTRAP_BLOCK_CELLS = 2**16
 
 
 class PerrEstimate(NamedTuple):
@@ -76,14 +88,14 @@ def covariance_hat(n1, n2) -> np.ndarray:
 
 
 def _frame_stats(n1, n2) -> np.ndarray:
-    """Per-frame integer sufficient statistics (S1, S2, S11, S22, S12, K)
-    of at least 2 frames."""
+    """Integer sufficient statistics (S1, S2, S11, S22, S12, K) of each of
+    at least 2 frames, as a (6, images) array."""
     n1, n2 = _counts(n1, n2)
     if n1.shape[0] < 2:
         raise InsufficientDataError("need at least 2 frames")
     dots = (_row_dot(n1, n1), _row_dot(n2, n2), _row_dot(n1, n2))
     pixels = np.full(n1.shape[0], n1.shape[1], dtype=np.int64)
-    return np.column_stack((n1.sum(axis=1), n2.sum(axis=1), *dots, pixels))
+    return np.stack((n1.sum(axis=1), n2.sum(axis=1), *dots, pixels))
 
 
 def _epsilon_from_sums(sums: np.ndarray) -> np.ndarray:
@@ -101,71 +113,103 @@ def _epsilon_from_sums(sums: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resampled_epsilon(stats: np.ndarray) -> float:
-    # keepdims keeps array arithmetic: numpy's scalar x**2 calls pow(),
-    # which can differ from the array square in the last bit
-    return float(_epsilon_from_sums(stats.sum(axis=0, keepdims=True))[0])
-
-
-def _pooled_epsilon(stats: np.ndarray) -> float:
-    value = float(_epsilon_from_sums(stats.sum(axis=0)))
-    if math.isnan(value):
-        raise DegenerateStatisticError("estimated normally ordered variance is not positive")
-    return value
+def epsilon_rows(frame_stats: np.ndarray) -> np.ndarray:
+    """Epsilon of each row of (6, rows, images) frame statistics, pooled
+    over the row's frames in exact int64 sums; NaN where a normally
+    ordered variance is not positive."""
+    return _epsilon_from_sums(frame_stats.sum(axis=-1).T)
 
 
 def epsilon_hat(n1, n2) -> float:
     """Nonclassicality parameter from pooled sample moments over all
     pixels and frames; normally ordered variances are sample variance
     minus sample mean per arm."""
-    return _pooled_epsilon(_frame_stats(n1, n2))
+    return _one_row(epsilon_rows, _frame_stats(n1, n2))
 
 
 def bootstrap_epsilon(n1, n2, rng: np.random.Generator) -> tuple[float, float]:
     """(epsilon_hat, bootstrap sigma), resampling whole frames."""
-    stats = _frame_stats(n1, n2)
-    return _pooled_epsilon(stats), bootstrap(_resampled_epsilon, [stats], rng)
+    return bootstrap(epsilon_rows, [_frame_stats(n1, n2)], rng)
 
 
-def bootstrap(stat, samples, rng: np.random.Generator, resamples: int = 200) -> float:
-    """Bootstrap sigma of `stat(*samples)`.
+def _one_row(stat, *samples) -> float:
+    """The row-wise `stat` on the samples themselves, as one row; a
+    degenerate sample raises DegenerateStatisticError."""
+    value = float(stat(*(sample[..., None, :] for sample in samples))[0])
+    if math.isnan(value):
+        raise DegenerateStatisticError("a denominator of the statistic is not positive")
+    return value
 
-    Each resample draws, sample by sample, `len(sample)` indices with
-    replacement.  Draws where `stat` is not finite or raises
-    DegenerateStatisticError are dropped; at least 2 must remain.
+
+def bootstrap(
+    stat, samples, rng: np.random.Generator, resamples: int = 200
+) -> tuple[float, float]:
+    """(estimate, bootstrap sigma) of the row-wise statistic `stat`.
+
+    Each sample is an array whose last axis runs over its n items
+    (frames).  `stat` takes every sample with that axis replaced by
+    (rows, n), one row per resample, and returns one value per row, NaN
+    where the row is degenerate; the estimate is its one-row case on the
+    samples themselves, and raises DegenerateStatisticError if that is
+    NaN.  Each resample draws, sample by sample, n indices with
+    replacement, one `rng.integers(0, n, n)` call each.  Resamples are
+    evaluated in blocks of at most `_BOOTSTRAP_BLOCK_CELLS` resampled
+    cells; values that are not finite are dropped, and at least 2 must
+    remain.
     """
-    if any(len(sample) < 2 for sample in samples):
+    samples = [np.asarray(sample) for sample in samples]
+    sizes = [sample.shape[-1] for sample in samples]
+    if min(sizes) < 2:
         raise InsufficientDataError("need at least 2 values per sample to bootstrap")
+    estimate = _one_row(stat, *samples)
+    rows = max(1, _BOOTSTRAP_BLOCK_CELLS // sum(sample.size for sample in samples))
     draws = []
-    for _ in range(resamples):
-        picked = [sample[rng.integers(0, len(sample), len(sample))] for sample in samples]
-        try:
-            value = stat(*picked)
-        except DegenerateStatisticError:
-            continue
-        if np.isfinite(value):
-            draws.append(value)
-    if len(draws) < 2:
+    for start in range(0, resamples, rows):
+        picks = [np.empty((min(rows, resamples - start), n), dtype=np.int64) for n in sizes]
+        for row in range(len(picks[0])):
+            for pick, n in zip(picks, sizes):
+                pick[row] = rng.integers(0, n, n)
+        values = stat(*(np.take(sample, pick, axis=-1) for sample, pick in zip(samples, picks)))
+        draws.append(values[np.isfinite(values)])
+    draws = np.concatenate(draws)
+    if draws.size < 2:
         raise DegenerateStatisticError("bootstrap resamples all degenerate")
-    return float(np.std(draws, ddof=1))
+    return estimate, float(np.std(draws, ddof=1))
+
+
+def snr_rows(in_values: np.ndarray, out_values: np.ndarray) -> np.ndarray:
+    """|mean(in) - mean(out)| / sqrt(var(in) + var(out)) of each row of
+    (rows, n) per-frame covariances, variances with divisor n-1; NaN where
+    both variances are 0.  This is the per-frame SNR; divide by sqrt(K)
+    to compare against the per-pixel-pair analytic value."""
+    if in_values.shape[-1] < 2 or out_values.shape[-1] < 2:
+        raise InsufficientDataError("need at least 2 records per hypothesis")
+    denom_sq = in_values.var(axis=-1, ddof=1) + out_values.var(axis=-1, ddof=1)
+    contrast = np.abs(in_values.mean(axis=-1) - out_values.mean(axis=-1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom_sq > 0.0, contrast / np.sqrt(denom_sq), np.nan)
 
 
 def snr_hat(in_values, out_values) -> float:
-    """|mean(in) - mean(out)| / sqrt(var(in) + var(out)), variances with
-    divisor n-1, over per-frame covariances.  This is the per-frame SNR;
-    divide by sqrt(K) to compare against the per-pixel-pair analytic value."""
-    a = np.asarray(in_values, dtype=float)
-    b = np.asarray(out_values, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise InsufficientDataError("need at least 2 records per hypothesis")
-    denom_sq = a.var(ddof=1) + b.var(ddof=1)
-    if denom_sq <= 0.0:
-        raise DegenerateStatisticError("zero sample variance in both hypotheses")
-    return float(abs(a.mean() - b.mean()) / math.sqrt(denom_sq))
+    """`snr_rows` of one row of per-frame covariances per hypothesis."""
+    return _one_row(
+        snr_rows, np.asarray(in_values, dtype=float), np.asarray(out_values, dtype=float)
+    )
 
 
-def perr_hat(in_values, out_values, images_per_decision: int) -> PerrEstimate:
-    """Empirical minimum error probability of the threshold receiver.
+def _batch_means(values: np.ndarray, batches: int, images_per_decision: int) -> np.ndarray:
+    """Mean of each run of `images_per_decision` frames of each row."""
+    rows = values.shape[0]
+    frames = values[:, : batches * images_per_decision].reshape(rows * batches, images_per_decision)
+    return frames.mean(axis=1).reshape(rows, batches)
+
+
+def perr_rows(
+    in_values: np.ndarray, out_values: np.ndarray, images_per_decision: int
+) -> PerrEstimate:
+    """Empirical minimum error probability of the threshold receiver on
+    each row of (rows, n) per-frame covariances; p_err and threshold are
+    arrays with one value per row.
 
     Per-frame covariances are batched into decisions of
     `images_per_decision` frames, batch covariances averaged, and every
@@ -174,28 +218,54 @@ def perr_hat(in_values, out_values, images_per_decision: int) -> PerrEstimate:
     """
     if images_per_decision < 1:
         raise ParameterError(f"images_per_decision must be >= 1 (got {images_per_decision})")
-    a = np.asarray(in_values, dtype=float)
-    b = np.asarray(out_values, dtype=float)
-    batches_in = a.size // images_per_decision
-    batches_out = b.size // images_per_decision
+    batches_in = in_values.shape[-1] // images_per_decision
+    batches_out = out_values.shape[-1] // images_per_decision
     if batches_in < 10 or batches_out < 10:
         raise InsufficientDataError(
             f"need >= 10 batches per hypothesis (got {batches_in}, {batches_out})"
         )
-    in_means = a[: batches_in * images_per_decision].reshape(batches_in, -1).mean(axis=1)
-    out_means = b[: batches_out * images_per_decision].reshape(batches_out, -1).mean(axis=1)
-
-    pooled = np.unique(np.concatenate([in_means, out_means]))
-    candidates = np.concatenate(
-        ([pooled[0] - 1.0], 0.5 * (pooled[:-1] + pooled[1:]), [pooled[-1] + 1.0])
+    means = np.concatenate(
+        (
+            _batch_means(in_values, batches_in, images_per_decision),
+            _batch_means(out_values, batches_out, images_per_decision),
+        ),
+        axis=1,
     )
-    # counts of batch means above (false alarms) and at or below (misses)
-    # each candidate threshold
-    false_alarms = batches_out - np.searchsorted(np.sort(out_means), candidates, side="right")
-    misses = np.searchsorted(np.sort(in_means), candidates, side="right")
+    pooled = np.sort(means, axis=1)
+    candidates = np.concatenate(
+        (pooled[:, :1] - 1.0, 0.5 * (pooled[:, :-1] + pooled[:, 1:]), pooled[:, -1:] + 1.0),
+        axis=1,
+    )
+    # Count the batch means at or below each candidate threshold: candidates
+    # never decrease along a row, so a stable sort of the means followed by
+    # the candidates keeps the candidates in order, each after the means
+    # equal to it.
+    order = np.argsort(np.concatenate((means, candidates), axis=1), axis=1, kind="stable")
+    is_candidate = order >= means.shape[1]
+    rows = len(order)
+    misses = np.cumsum(order < batches_in, axis=1)[is_candidate].reshape(rows, -1)
+    at_or_below = np.cumsum(~is_candidate, axis=1)[is_candidate].reshape(rows, -1)
+    false_alarms = batches_out - (at_or_below - misses)
     risk = 0.5 * (false_alarms / batches_out + misses / batches_in)
-    best = int(np.argmin(risk))
-    return PerrEstimate(float(risk[best]), float(candidates[best]), batches_in, batches_out)
+    # candidates lie between distinct means, not between equal ones
+    risk[:, 1:-1][pooled[:, 1:] == pooled[:, :-1]] = np.inf
+    best = np.argmin(risk, axis=1)[:, None]
+    return PerrEstimate(
+        np.take_along_axis(risk, best, axis=1)[:, 0],
+        np.take_along_axis(candidates, best, axis=1)[:, 0],
+        batches_in,
+        batches_out,
+    )
+
+
+def perr_hat(in_values, out_values, images_per_decision: int) -> PerrEstimate:
+    """`perr_rows` of one row of per-frame covariances per hypothesis."""
+    p_err, threshold, batches_in, batches_out = perr_rows(
+        np.asarray(in_values, dtype=float)[None],
+        np.asarray(out_values, dtype=float)[None],
+        images_per_decision,
+    )
+    return PerrEstimate(float(p_err[0]), float(threshold[0]), batches_in, batches_out)
 
 
 def write_records_csv(path: str, in_values, out_values) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .types import (
     BackgroundSpec,
@@ -39,8 +39,8 @@ _MIX_COST_LIMIT = 2 * 10**8
 _MAX_STATES = 10**7
 # Upper-tail mass of each enumerated photon-number law left out of it.
 _CUTOFF_TAIL = 1e-12
-# Mode counts and photon probabilities below this change no table entry
-# by more than 1e-290; they are taken as 0.
+# Mode counts below this change no table entry by more than 1e-290; they
+# are taken as 0.
 _NEGLIGIBLE = 1e-300
 
 
@@ -73,16 +73,32 @@ def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> np.ndarra
         return np.ones(1)
     mean_per_mode = total_mean / modes
     p = 1.0 / (1.0 + mean_per_mode)
-    n_hi = int(stats.nbinom.ppf(1.0 - cutoff, modes, p))
     variance = total_mean * (1.0 + mean_per_mode)
+    # P(N > n) = I_{1-p}(n + 1, modes), the regularized incomplete beta
+    n = np.arange(int(total_mean + 10.0 * np.sqrt(variance)) + 10)
+    while special.betainc(n[-1] + 1.0, modes, 1.0 - p) > cutoff:
+        n = np.arange(2 * n.size)
+    n_hi = int(np.argmax(special.betainc(n + 1.0, modes, 1.0 - p) <= cutoff))
     n_hi += 30 + int(6.0 * np.sqrt(variance))
-    return stats.nbinom.pmf(np.arange(n_hi + 1), modes, p)
+    n = np.arange(n_hi + 1)
+    log_pmf = (
+        special.gammaln(n + modes) - special.gammaln(modes) - special.gammaln(n + 1.0)
+        + modes * np.log(p) + special.xlog1py(n, -p)
+    )
+    return np.exp(log_pmf)
 
 
 def _binom_pmf(k, n, p: float) -> np.ndarray:
-    """stats.binom.pmf, with a negligible p taken as 0 (scipy's kernel
-    overflows near the smallest normal double)."""
-    return stats.binom.pmf(k, n, 0.0 if p < _NEGLIGIBLE else p)
+    """P(k of n survive), each with probability p, from log-gamma; 0 where
+    k > n."""
+    k, n = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(n, dtype=float))
+    inside = k <= n
+    lost = np.where(inside, n - k, 0.0)
+    log_pmf = (
+        special.gammaln(n + 1.0) - special.gammaln(k + 1.0) - special.gammaln(lost + 1.0)
+        + special.xlogy(k, p) + special.xlog1py(lost, -p)
+    )
+    return np.where(inside, np.exp(log_pmf), 0.0)
 
 
 def _binomial_table(size: int, p: float) -> np.ndarray:

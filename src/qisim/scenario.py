@@ -16,8 +16,8 @@ from .estimator import (
     bootstrap,
     bootstrap_epsilon,
     covariance_hat,
-    perr_hat,
-    snr_hat,
+    perr_rows,
+    snr_rows,
 )
 from .sampler import sample_counts
 from .types import (
@@ -182,22 +182,18 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
         )
 
     def mc(stat, *counts):
-        """(stat, bootstrap sigma) over the per-frame covariances of `counts`."""
-
-        def compute(rng):
-            deltas = [covariance_hat(*c) for c in counts]
-            return stat(*deltas), bootstrap(stat, deltas, rng)
-
-        return compute
+        """(stat, bootstrap sigma) over the per-frame covariances of `counts`;
+        `stat` is row-wise, as `bootstrap` takes it."""
+        return lambda rng: bootstrap(stat, [covariance_hat(*c) for c in counts], rng)
 
     def mean(deltas):
-        return float(deltas.mean())
+        return deltas.mean(axis=-1)
 
     def snr(a, b):
-        return snr_hat(a, b) / math.sqrt(scn.pixel_pairs)
+        return snr_rows(a, b) / math.sqrt(scn.pixel_pairs)
 
     def perr(a, b):
-        return perr_hat(a, b, ipd).p_err
+        return perr_rows(a, b, ipd).p_err
 
     for output in spec.outputs:
         if output == "epsilon":

@@ -400,7 +400,10 @@ def test_reproduce_flags_override_preset(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "module, absent",
-    [("qisim.cli", ("scipy.stats", "scipy.signal")), ("qisim.oracle", ("scipy.signal",))],
+    [
+        ("qisim.cli", ("scipy.stats", "scipy.signal")),
+        ("qisim.oracle", ("scipy.stats", "scipy.signal")),
+    ],
 )
 def test_import_leaves_scipy_front_ends_out(module, absent):
     # scipy.stats alone costs about a second of every CLI start

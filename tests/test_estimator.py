@@ -236,7 +236,7 @@ def test_snr_ratio_stable_under_doubled_background():
 def test_bootstrap_sigma_scales_like_standard_error():
     rng = np.random.default_rng(21)
     data = rng.normal(0.0, 2.0, 500)
-    point, sigma = np.mean(data), bootstrap(np.mean, [data], np.random.default_rng(0))
+    point, sigma = bootstrap(lambda rows: rows.mean(axis=-1), [data], np.random.default_rng(0))
     assert point == pytest.approx(data.mean())
     se = data.std(ddof=1) / np.sqrt(data.size)
     assert 0.5 * se < sigma < 2.0 * se

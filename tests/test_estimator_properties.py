@@ -21,8 +21,10 @@ from qisim.estimator import (
     bootstrap_epsilon,
     covariance_hat,
     epsilon_hat,
+    epsilon_rows,
     perr_hat,
-    snr_hat,
+    perr_rows,
+    snr_rows,
 )
 from qisim.types import DegenerateStatisticError, ParameterError
 
@@ -94,6 +96,17 @@ def test_perr_hat_equals_brute_force_on_tied_batches():
     assert perr_hat(in_values, out_values, 1) == brute_force_perr(in_values, out_values, 1)
 
 
+def test_perr_hat_counts_means_equal_to_a_rounded_midpoint():
+    # x and y are adjacent doubles and 0.5 * (x + y) rounds to y, so the
+    # threshold between them counts the means equal to y as at or below it
+    x = 1.0 + 2.0**-52
+    y = 1.0 + 2.0**-51
+    assert 0.5 * (x + y) == y
+    in_values = [y] * 10 + [x] * 5
+    out_values = [x] * 10 + [y] * 3
+    assert perr_hat(in_values, out_values, 1) == brute_force_perr(in_values, out_values, 1)
+
+
 # ---------------------------------------------------------------------------
 # covariance_hat against Python-int arithmetic
 # ---------------------------------------------------------------------------
@@ -142,16 +155,22 @@ def test_counts_past_int64_limit_are_rejected():
 # bootstrap against one index draw per sample per iteration
 # ---------------------------------------------------------------------------
 def per_iteration_bootstrap(stat, samples, rng, resamples):
+    """(stat on the samples, sigma over resamples), one scalar `stat` call
+    per resample; resamples where it raises DegenerateStatisticError or is
+    not finite are dropped."""
+    estimate = stat(*samples)
     draws = []
     for _ in range(resamples):
-        picked = [s[rng.integers(0, s.size, s.size)] for s in samples]
+        picked = [s[..., rng.integers(0, s.shape[-1], s.shape[-1])] for s in samples]
         try:
-            draws.append(stat(*picked))
+            value = stat(*picked)
         except DegenerateStatisticError:
             continue
+        if math.isfinite(value):
+            draws.append(value)
     if len(draws) < 2:
         raise DegenerateStatisticError("bootstrap resamples all degenerate")
-    return float(np.std(draws, ddof=1))
+    return estimate, float(np.std(draws, ddof=1))
 
 
 def _sigma_or_error(fn):
@@ -159,6 +178,28 @@ def _sigma_or_error(fn):
         return fn()
     except DegenerateStatisticError:
         return "degenerate"
+
+
+def scalar_snr(a, b) -> float:
+    """The per-frame SNR of one pair of samples, in scalar arithmetic."""
+    denom_sq = a.var(ddof=1) + b.var(ddof=1)
+    if denom_sq <= 0.0:
+        raise DegenerateStatisticError("zero sample variance in both hypotheses")
+    return float(abs(a.mean() - b.mean()) / math.sqrt(denom_sq))
+
+
+def scalar_epsilon(stats) -> float:
+    """Epsilon of one (6, frames) array of frame statistics, summed frame
+    by frame in Python ints."""
+    sums = np.asarray([[sum(int(v) for v in row) for row in stats]], dtype=np.int64)
+    value = float(_epsilon_from_sums(sums)[0])
+    if math.isnan(value):
+        raise DegenerateStatisticError("normally ordered variance not positive")
+    return value
+
+
+def _row_mean(rows):
+    return rows.mean(axis=-1)
 
 
 _seeds = st.integers(0, 2**32 - 1)
@@ -172,7 +213,7 @@ _coarse_samples = st.lists(st.integers(0, 2), min_size=2, max_size=6).map(
 @PROPERTY_SETTINGS
 @given(_float_samples, _seeds, st.integers(2, 40))
 def test_bootstrap_one_sample_matches_per_iteration_draws(sample, seed, resamples):
-    got = bootstrap(np.mean, [sample], np.random.default_rng(seed), resamples)
+    got = bootstrap(_row_mean, [sample], np.random.default_rng(seed), resamples)
     want = per_iteration_bootstrap(np.mean, [sample], np.random.default_rng(seed), resamples)
     assert got == want
 
@@ -181,11 +222,24 @@ def test_bootstrap_one_sample_matches_per_iteration_draws(sample, seed, resample
 @given(st.one_of(_float_samples, _coarse_samples), st.one_of(_float_samples, _coarse_samples),
        _seeds, st.integers(2, 40))
 def test_bootstrap_two_samples_matches_per_iteration_draws(a, b, seed, resamples):
-    got = _sigma_or_error(lambda: bootstrap(snr_hat, [a, b], np.random.default_rng(seed), resamples))
+    got = _sigma_or_error(
+        lambda: bootstrap(snr_rows, [a, b], np.random.default_rng(seed), resamples)
+    )
     want = _sigma_or_error(
-        lambda: per_iteration_bootstrap(snr_hat, [a, b], np.random.default_rng(seed), resamples)
+        lambda: per_iteration_bootstrap(scalar_snr, [a, b], np.random.default_rng(seed), resamples)
     )
     assert got == want
+
+
+@pytest.mark.parametrize("sizes", [(30000,), (20000, 13000)])
+def test_bootstrap_blocks_match_per_iteration_draws(sizes):
+    # samples this large leave room for 2 resamples per block (one sample)
+    # or 1 (two samples), so 7 resamples take 4 or 7 blocks
+    rng = np.random.default_rng(17)
+    samples = [rng.normal(0.3 * i, 1.0, n) for i, n in enumerate(sizes)]
+    stat_rows, stat = (_row_mean, np.mean) if len(sizes) == 1 else (snr_rows, scalar_snr)
+    got = bootstrap(stat_rows, samples, np.random.default_rng(18), 7)
+    assert got == per_iteration_bootstrap(stat, samples, np.random.default_rng(18), 7)
 
 
 @PROPERTY_SETTINGS
@@ -204,4 +258,61 @@ def test_bootstrap_epsilon_matches_one_index_matrix(frames, k, seed):
     good = values[np.isfinite(values)]
     want = float(np.std(good, ddof=1)) if good.size >= 2 else "degenerate"
     got = _sigma_or_error(lambda: bootstrap_epsilon(n1, n2, np.random.default_rng(seed + 1))[1])
+    assert got == want
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 40), st.integers(2, 6), st.sampled_from((0.2, 0.6, 0.95)), _seeds,
+       st.integers(2, 40))
+def test_bootstrap_epsilon_matches_per_iteration_draws(frames, k, p, seed, resamples):
+    # at p = 0.95 most counts are 0, so some resamples (or the whole
+    # sample) have a normally ordered variance that is not positive
+    counts = np.random.default_rng(seed).negative_binomial(1, p, size=(2, frames, k))
+    n1, n2 = counts.astype(np.int64)
+    stats = np.stack(
+        (n1.sum(1), n2.sum(1), (n1 * n1).sum(1), (n2 * n2).sum(1), (n1 * n2).sum(1),
+         np.full(frames, k))
+    )
+    got = _sigma_or_error(
+        lambda: bootstrap(epsilon_rows, [stats], np.random.default_rng(seed + 1), resamples)
+    )
+    want = _sigma_or_error(
+        lambda: per_iteration_bootstrap(
+            scalar_epsilon, [stats], np.random.default_rng(seed + 1), resamples
+        )
+    )
+    assert got == want
+
+
+@st.composite
+def perr_bootstrap_inputs(draw):
+    """Two samples, in general of unequal lengths, with 10 to 16 batches
+    each; a coarse grid makes tied batch means common."""
+    ipd = draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(_seeds))
+    samples = []
+    for _ in range(2):
+        size = draw(st.integers(10, 16)) * ipd + draw(st.integers(0, ipd - 1))
+        if draw(st.booleans()):
+            samples.append(rng.integers(-3, 4, size) * 0.1)
+        else:
+            samples.append(rng.normal(draw(st.floats(-1.0, 1.0)), 1.0, size))
+    return samples[0], samples[1], ipd
+
+
+@PROPERTY_SETTINGS
+@given(perr_bootstrap_inputs(), _seeds, st.integers(2, 20))
+def test_bootstrap_perr_matches_per_iteration_draws(case, seed, resamples):
+    in_values, out_values, ipd = case
+
+    def row_perr(a, b):
+        return perr_rows(a, b, ipd).p_err
+
+    def scalar_perr(a, b):
+        return brute_force_perr(a, b, ipd).p_err
+
+    got = bootstrap(row_perr, [in_values, out_values], np.random.default_rng(seed), resamples)
+    want = per_iteration_bootstrap(
+        scalar_perr, [in_values, out_values], np.random.default_rng(seed), resamples
+    )
     assert got == want

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from conftest import make_scenario
-from qisim import analytic
+from qisim import analytic, oracle
 from qisim.estimator import covariance_hat
 from qisim.sampler import generate_image_set, sample_counts
 from qisim.types import ParameterError, SeedSpec, SourceKind
@@ -221,6 +221,40 @@ def test_sampled_background_matches_variance_law(modes_b, mean_total, var_expect
     _, n2 = sample_counts(scn.with_target(False), SeedSpec(7))
     _assert_mean_var(n2[0].astype(float), mean_total, var_expected)
     _assert_mean_var(samples, mean_total, var_expected)
+
+
+# Bound on |z| = |sampled - oracle| / standard error for each of the six
+# moments below, fixed before the first run: about 6e-5 two-sided per
+# moment for a correct law, while a wrong one moves by many errors.
+ORACLE_LAW_Z_BOUND = 4.0
+
+
+@pytest.mark.parametrize("target", [True, False])
+@pytest.mark.parametrize("kind", [SourceKind.TWIN_BEAM, SourceKind.SPLIT_THERMAL])
+def test_sampled_moments_match_oracle(kind, target):
+    # 200,000 pixel pairs of an instance small enough to enumerate, with
+    # mode mismatch and background; every moment against the exact joint
+    scn = make_scenario(
+        kind=kind, mu=0.25, modes=20, mode_match=0.8, target_present=target,
+        modes_b=5, background_mean=2.0, pixel_pairs=1000, images=200,
+    )
+    n1, n2 = sample_counts(scn, SeedSpec(4304))
+    x = n1.ravel().astype(float)
+    y = n2.ravel().astype(float)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    ref = oracle.enumerate_moments(scn.source, scn.channel, scn.background)
+    per_pair = {
+        "mean1": (x, ref.mean1),
+        "mean2": (y, ref.mean2),
+        "var1": (dx * dx, ref.var1),
+        "var2": (dy * dy, ref.var2),
+        "cov": (dx * dy, ref.cov),
+        "m22": (dx * dx * dy * dy, ref.m22),
+    }
+    for field, (values, exact) in per_pair.items():
+        z = (values.mean() - exact) / (values.std(ddof=1) / np.sqrt(values.size))
+        assert abs(z) <= ORACLE_LAW_Z_BOUND, (field, z)
 
 
 def test_thinning_law_two_sample_chisquare():
