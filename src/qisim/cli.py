@@ -4,8 +4,11 @@ Configuration is flat key-value text with one section per module
 (INI syntax), described by ``CONFIG_SCHEMA``.  A run resolves one
 configuration in layers: the defaults or ``--config FILE``, then, for
 ``reproduce``, the keys of the figure preset's series, then every key
-given on the command line (``--section.key value``, the shortcut flags,
-``--seed`` and ``--target``), so explicit flags win over presets.
+given on the command line, so explicit flags win over presets.  Each key
+is one option, spelled ``--section.key`` or by its shortcut (``--mu``,
+``--seed``, ...); ``--target present|absent`` sets
+``channel.target_present``.  A key given more than once takes the value
+of its last flag, before or after the subcommand.
 
 Every sweep writes its CSV and, next to it, a sidecar: the resolved
 configuration rendered from the schema, seed included.  ``qisim sweep
@@ -117,7 +120,7 @@ CONFIG_SCHEMA = {
         "emit_analytic": (_parse_bool, True, "also emit closed-form curve values"),
     },
     "run": {
-        "seed": (int, None, "master seed; --seed takes precedence"),
+        "seed": (int, None, "master seed (default: drawn and printed)"),
     },
 }
 
@@ -140,12 +143,12 @@ def _set_key(config: dict, section: str, key: str, raw: str) -> None:
 
 
 def _apply(config: dict, *layers) -> dict:
-    """A copy of `config` with each layer of (section, key, raw) triples
+    """A copy of `config` with each layer, a {"section.key": raw} dict,
     applied in order, so a later layer wins."""
     config = {section: dict(keys) for section, keys in config.items()}
     for layer in layers:
-        for section, key, raw in layer:
-            _set_key(config, section, key, raw)
+        for name, raw in layer.items():
+            _set_key(config, *name.split(".", 1), raw)
     return config
 
 
@@ -236,35 +239,28 @@ def _write_sweeps(out: str, configs: dict) -> int:
     for stem, config in configs.items():
         csv_path = os.path.join(out, f"{stem}.csv")
         write_sweep_csv(run_sweep(specs[stem]), csv_path)
-        config = _apply(config, [("source", "kind", config["sweep"]["sources"][0])])
+        config = _apply(config, {"source.kind": config["sweep"]["sources"][0]})
         with open(csv_path + ".meta.txt", "w") as handle:
             handle.write(sidecar_text(config))
         print(f"wrote {csv_path}")
     return 0
 
 
-def _config_help() -> str:
-    lines = ["configuration keys (file sections or --section.key overrides):"]
-    for section, keys in CONFIG_SCHEMA.items():
-        for key, (_, default, text) in keys.items():
-            lines.append(f"  {section}.{key:<22} {text} [default: {_render(default)}]")
-    return "\n".join(lines)
-
-
-# shortcut flag -> the config key it sets
+# config key -> its shortcut flag
 _SHORTCUTS = {
-    "mu": "source.mu",
-    "modes": "source.modes",
-    "eta1": "channel.eta1",
-    "eta2": "channel.eta2",
-    "reflectivity": "channel.reflectivity",
-    "mode-match": "channel.mode_match",
-    "background": "background.mean_total",
-    "modes-b": "background.modes_b",
-    "pixel-pairs": "scenario.pixel_pairs",
-    "frames": "scenario.images",
-    "images-per-decision": "scenario.images_per_decision",
-    "read-noise": "sampler.read_noise_sigma",
+    "source.mu": "mu",
+    "source.modes": "modes",
+    "channel.eta1": "eta1",
+    "channel.eta2": "eta2",
+    "channel.reflectivity": "reflectivity",
+    "channel.mode_match": "mode-match",
+    "background.mean_total": "background",
+    "background.modes_b": "modes-b",
+    "scenario.pixel_pairs": "pixel-pairs",
+    "scenario.images": "frames",
+    "scenario.images_per_decision": "images-per-decision",
+    "sampler.read_noise_sigma": "read-noise",
+    "run.seed": "seed",
 }
 
 
@@ -281,36 +277,31 @@ def _target(text: str) -> str:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    """Shared flags, accepted both before and after the subcommand.  A flag
-    that sets a config key stores its raw text under the key's name."""
+    """Shared flags, accepted both before and after the subcommand: one
+    option per config key, `--section.key` and its shortcut, storing the
+    raw text under the key's name."""
     parser.add_argument(
         "--config", metavar="PATH", default=argparse.SUPPRESS, help="key-value config file"
     )
     parser.add_argument(
-        "--seed",
-        dest="run.seed",
-        metavar="U64",
-        default=argparse.SUPPRESS,
-        help="master seed, shortcut for --run.seed (default: drawn and printed)",
-    )
-    parser.add_argument(
         "--out", metavar="DIR", default=argparse.SUPPRESS, help="output directory"
     )
-    for flag, name in _SHORTCUTS.items():
-        parser.add_argument(
-            f"--{flag}",
-            dest=name,
-            metavar="V",
-            default=argparse.SUPPRESS,
-            help=f"shortcut for --{name}",
-        )
+    for section, keys in CONFIG_SCHEMA.items():
+        for key, (_, default, text) in keys.items():
+            name = f"{section}.{key}"
+            flags = [f"--{flag}" for flag in (name, _SHORTCUTS.get(name)) if flag]
+            if default is not None:
+                text = f"{text} (default: {_render(default)})"
+            parser.add_argument(
+                *flags, dest=name, metavar="V", default=argparse.SUPPRESS, help=text
+            )
     parser.add_argument(
         "--target",
         dest="channel.target_present",
         type=_target,
         metavar="{present,absent}",
         default=argparse.SUPPRESS,
-        help="shortcut for --channel.target_present",
+        help="sets channel.target_present",
     )
 
 
@@ -323,53 +314,28 @@ def build_parser() -> argparse.ArgumentParser:
             "Photon-counting target detection with correlated beams: "
             "closed forms, Monte Carlo simulation, and figure sweeps."
         ),
-        epilog=_config_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
         parents=[common],
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_analytic = sub.add_parser(
-        "analytic",
-        parents=[common],
-        help="closed-form moments and figures of merit, no sampling",
-    )
+
+    def add(name: str, text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=text)
+
+    p_analytic = add("analytic", "closed-form moments and figures of merit, no sampling")
     p_analytic.add_argument("--csv", metavar="PATH", help="also write a single-row CSV")
-    sub.add_parser(
-        "simulate",
-        parents=[common],
-        help="generate one image set, run all estimators, write records",
-    )
-    sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="run the configured sweep; write sweep.csv and its sidecar",
-    )
-    p_rep = sub.add_parser("reproduce", parents=[common], help="run a named figure sweep preset")
+    add("simulate", "generate one image set, run all estimators, write records")
+    add("sweep", "run the configured sweep; write sweep.csv and its sidecar")
+    p_rep = add("reproduce", "run a named figure sweep preset")
     p_rep.add_argument("figure", choices=list(PRESETS))
     return parser
 
 
-def _overrides(args: argparse.Namespace, leftovers: list) -> list:
-    """Every config key given on the command line, as (section, key, raw):
-    the --section.key overrides in order, then the flags that set a key."""
-    triples = []
-    tokens = iter(leftovers)
-    for token in tokens:
-        if not token.startswith("--"):
-            raise ParameterError(f"unrecognized argument: {token}")
-        name, eq, raw = token[2:].partition("=")
-        section, dot, key = name.partition(".")
-        if not dot:
-            raise ParameterError(f"unknown config key: {name}")
-        if not eq:
-            raw = next(tokens, None)
-            if raw is None:
-                raise ParameterError(f"missing value for {token}")
-        triples.append((section, key, raw))
-    triples.extend(
-        (*name.split(".", 1), raw) for name, raw in vars(args).items() if "." in name
-    )
-    return triples
+def _overrides(args: argparse.Namespace, leftovers: list) -> dict:
+    """Every config key given on the command line, as {"section.key": raw}."""
+    if leftovers:
+        raise ParameterError(f"unknown config key: {leftovers[0].lstrip('-').partition('=')[0]}")
+    return {name: raw for name, raw in vars(args).items() if "." in name}
 
 
 def _fmt(value: float) -> str:
@@ -513,14 +479,13 @@ PRESETS = {
 }
 
 
-def cmd_reproduce(base: dict, overrides: list, seed: SeedSpec, args: argparse.Namespace) -> int:
+def cmd_reproduce(base: dict, overrides: dict, seed: SeedSpec, args: argparse.Namespace) -> int:
     """One sweep per series of the preset, configured by `base`, then the
     series' keys, then the command-line `overrides`; series i runs on the
     seed derived from the master seed with tag i."""
     configs = {}
     for index, (stem, table) in enumerate(PRESETS[args.figure].items()):
-        keys = {**_PRESET_BASE, **table}
-        config = _apply(base, [(*name.split(".", 1), raw) for name, raw in keys.items()], overrides)
+        config = _apply(base, _PRESET_BASE, table, overrides)
         config["run"]["seed"] = seed.derive(index).master_seed
         configs[stem] = config
     return _write_sweeps(args.out, configs)

@@ -204,6 +204,20 @@ def _batch_means(values: np.ndarray, batches: int, images_per_decision: int) -> 
     return frames.mean(axis=1).reshape(rows, batches)
 
 
+def perr_batches(frames_in: int, frames_out: int, images_per_decision: int) -> tuple[int, int]:
+    """Batches per hypothesis that `perr_rows` forms from these frame counts,
+    checked before any frame is drawn: fewer than 10 raise InsufficientDataError."""
+    if images_per_decision < 1:
+        raise ParameterError(f"images_per_decision must be >= 1 (got {images_per_decision})")
+    batches_in = frames_in // images_per_decision
+    batches_out = frames_out // images_per_decision
+    if batches_in < 10 or batches_out < 10:
+        raise InsufficientDataError(
+            f"need >= 10 batches per hypothesis (got {batches_in}, {batches_out})"
+        )
+    return batches_in, batches_out
+
+
 def perr_rows(
     in_values: np.ndarray, out_values: np.ndarray, images_per_decision: int
 ) -> PerrEstimate:
@@ -216,14 +230,9 @@ def perr_rows(
     midpoint between adjacent pooled batch means is scanned; ties resolve
     to the smallest threshold.  The batch counts are reported alongside.
     """
-    if images_per_decision < 1:
-        raise ParameterError(f"images_per_decision must be >= 1 (got {images_per_decision})")
-    batches_in = in_values.shape[-1] // images_per_decision
-    batches_out = out_values.shape[-1] // images_per_decision
-    if batches_in < 10 or batches_out < 10:
-        raise InsufficientDataError(
-            f"need >= 10 batches per hypothesis (got {batches_in}, {batches_out})"
-        )
+    batches_in, batches_out = perr_batches(
+        in_values.shape[-1], out_values.shape[-1], images_per_decision
+    )
     means = np.concatenate(
         (
             _batch_means(in_values, batches_in, images_per_decision),

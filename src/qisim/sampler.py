@@ -34,6 +34,8 @@ from .types import (
     SeedSpec,
     SourceKind,
     SourceSpec,
+    STREAM_IN,
+    STREAM_OUT,
 )
 
 # Frames per random stream.  Part of the stream format: changing it
@@ -125,13 +127,25 @@ def sample_counts(scenario: Scenario, seed: SeedSpec) -> tuple[np.ndarray, np.nd
     return n1, n2
 
 
+def hypothesis_stream(scenario: Scenario, seed: SeedSpec, label: str) -> tuple[Scenario, SeedSpec]:
+    """The (scenario, seed) `sample_counts` draws hypothesis `label` from, a
+    rule of the stream format: "in" is `scenario` as configured, target
+    present or not, on `seed.derive(STREAM_IN)`; "out" is
+    `scenario.with_target(False)` on `seed.derive(STREAM_OUT)`."""
+    if label == "in":
+        return scenario, seed.derive(STREAM_IN)
+    if label == "out":
+        return scenario.with_target(False), seed.derive(STREAM_OUT)
+    raise ParameterError(f"hypothesis must be 'in' or 'out' (got {label!r})")
+
+
 def generate_image_set(
     scenario: Scenario, seed: SeedSpec
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(n1, n2) counts of N_img frames per hypothesis: ("in" = scenario as
-    configured, "out" = target removed), on disjoint seed streams."""
-    in_counts = sample_counts(scenario, seed.derive(1))
-    out_counts = sample_counts(scenario.with_target(False), seed.derive(0))
+    """(n1, n2) counts of N_img frames of the "in" and the "out"
+    hypothesis, drawn as `hypothesis_stream` says."""
+    in_counts = sample_counts(*hypothesis_stream(scenario, seed, "in"))
+    out_counts = sample_counts(*hypothesis_stream(scenario, seed, "out"))
     return in_counts, out_counts
 
 

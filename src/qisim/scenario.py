@@ -8,6 +8,7 @@ sweep.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,10 +17,11 @@ from .estimator import (
     bootstrap,
     bootstrap_epsilon,
     covariance_hat,
+    perr_batches,
     perr_rows,
     snr_rows,
 )
-from .sampler import sample_counts
+from .sampler import hypothesis_stream, sample_counts
 from .types import (
     DegenerateStatisticError,
     InsufficientDataError,
@@ -144,10 +146,15 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
     scn, ipd = _scenario_at(spec, kind, value)
     point_seed = spec.seed.derive(source_index, value_index)
 
-    in_counts = sample_counts(scn, point_seed.derive(1))
-    out_counts = None
-    if any(o in spec.outputs for o in ("snr", "perr", "covariance")):
-        out_counts = sample_counts(scn.with_target(False), point_seed.derive(0))
+    # Each hypothesis is drawn, and its per-frame covariances computed, at
+    # most once per point and only when an output first needs it.
+    @functools.cache
+    def counts(label: str):
+        return sample_counts(*hypothesis_stream(scn, point_seed, label))
+
+    @functools.cache
+    def deltas(label: str):
+        return covariance_hat(*counts(label))
 
     rows: list[SweepRow] = []
 
@@ -181,13 +188,13 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
             )
         )
 
-    def mc(stat, *counts):
-        """(stat, bootstrap sigma) over the per-frame covariances of `counts`;
-        `stat` is row-wise, as `bootstrap` takes it."""
-        return lambda rng: bootstrap(stat, [covariance_hat(*c) for c in counts], rng)
+    def mc(stat, *labels):
+        """(stat, bootstrap sigma) over the per-frame covariances of the
+        hypotheses `labels`; `stat` is row-wise, as `bootstrap` takes it."""
+        return lambda rng: bootstrap(stat, [deltas(label) for label in labels], rng)
 
-    def mean(deltas):
-        return deltas.mean(axis=-1)
+    def mean(values):
+        return values.mean(axis=-1)
 
     def snr(a, b):
         return snr_rows(a, b) / math.sqrt(scn.pixel_pairs)
@@ -195,16 +202,20 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
     def perr(a, b):
         return perr_rows(a, b, ipd).p_err
 
+    def perr_point(rng):
+        perr_batches(scn.images, scn.images, ipd)
+        return mc(perr, "in", "out")(rng)
+
     for output in spec.outputs:
         if output == "epsilon":
-            emit("epsilon", 0, lambda rng: bootstrap_epsilon(*in_counts, rng))
+            emit("epsilon", 0, lambda rng: bootstrap_epsilon(*counts("in"), rng))
         elif output == "covariance":
-            emit("covariance_in", 1, mc(mean, in_counts))
-            emit("covariance_out", 2, mc(mean, out_counts))
+            emit("covariance_in", 1, mc(mean, "in"))
+            emit("covariance_out", 2, mc(mean, "out"))
         elif output == "snr":
-            emit("snr", 3, mc(snr, in_counts, out_counts))
+            emit("snr", 3, mc(snr, "in", "out"))
         elif output == "perr":
-            emit("perr", 4, mc(perr, in_counts, out_counts))
+            emit("perr", 4, perr_point)
     return rows
 
 

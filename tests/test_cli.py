@@ -272,6 +272,64 @@ def test_underscore_shortcut_spelling_rejected(capsys):
     assert "unknown config key: pixel_pairs" in err
 
 
+@pytest.mark.parametrize(
+    "first, last",
+    [
+        (("--mu", "0.1"), ("--source.mu", "0.2")),
+        (("--seed", "11"), ("--run.seed", "12")),
+        (("--target", "absent"), ("--channel.target_present", "true")),
+    ],
+    ids=["mu", "seed", "target"],
+)
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("split", [0, 1, 2], ids=["before", "across", "after"])
+def test_last_flag_wins(capsys, tmp_path, first, last, reverse, split):
+    # `split` of the two flags go before the subcommand, the rest after it
+    if reverse:
+        first, last = last, first
+
+    def summary(*flags):
+        code, out, _ = run_cli(
+            capsys, "--seed", "5", *flags[: 2 * split], "simulate", *flags[2 * split :],
+            "--frames", "20", "--pixel-pairs", "4", "--out", str(tmp_path),
+        )
+        assert code == 0
+        return out
+
+    both = summary(*first, *last)
+    assert both == summary(*last, *last)
+    assert both != summary(*first, *first)
+
+
+@pytest.mark.parametrize("flag, value", [("--source.mo", "3"), ("--backg", "100")])
+def test_abbreviated_flag_rejected(capsys, flag, value):
+    # each is the prefix of exactly one option, which argparse would accept
+    code, _, err = run_cli(capsys, "analytic", flag, value)
+    assert code == 2
+    assert f"unknown config key: {flag[2:]}" in err
+
+
+def test_help_shows_each_shortcut_beside_its_key(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    for key, flag in (
+        ("source.mu", "mu"),
+        ("source.modes", "modes"),
+        ("channel.eta1", "eta1"),
+        ("channel.eta2", "eta2"),
+        ("channel.reflectivity", "reflectivity"),
+        ("channel.mode_match", "mode-match"),
+        ("background.mean_total", "background"),
+        ("background.modes_b", "modes-b"),
+        ("scenario.pixel_pairs", "pixel-pairs"),
+        ("scenario.images", "frames"),
+        ("scenario.images_per_decision", "images-per-decision"),
+        ("sampler.read_noise_sigma", "read-noise"),
+        ("run.seed", "seed"),
+    ):
+        assert f"--{key} V, --{flag} V" in out
+
+
 def test_simulate_absent_target_zero_background(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,

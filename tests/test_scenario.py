@@ -9,8 +9,10 @@ from conftest import make_scenario
 from qisim.estimator import bootstrap_epsilon
 from qisim.sampler import sample_counts
 from qisim.cli import default_config, load_config_file, sidecar_text
+from qisim import analytic
 from qisim.scenario import (
     SweepParameter,
+    SweepRow,
     SweepSpec,
     run_sweep,
     write_sweep_csv,
@@ -69,9 +71,65 @@ def test_counts_that_would_wrap_flag_the_row(monkeypatch):
         )
 
     monkeypatch.setattr("qisim.scenario.sample_counts", huge_counts)
-    spec = sweep_spec(values=(100.0,), outputs=("epsilon", "snr", "covariance", "perr"))
+    # 60 frames at 2 per decision make 30 batches, so the perr row too
+    # reaches the wrap check rather than the batch check
+    spec = sweep_spec(
+        values=(100.0,), outputs=("epsilon", "snr", "covariance", "perr"), images_per_decision=2
+    )
     rows = run_sweep(spec).rows
     assert rows and all(r.flag == "error:ParameterError" and r.estimate is None for r in rows)
+
+
+def counting_sample_counts(monkeypatch) -> list:
+    """Record the hypothesis (target present or not) of every draw the
+    sweep makes; the draws themselves are unchanged."""
+    calls = []
+
+    def counted(scn, seed):
+        calls.append(scn.channel.target_present)
+        return sample_counts(scn, seed)
+
+    monkeypatch.setattr("qisim.scenario.sample_counts", counted)
+    return calls
+
+
+def test_perr_point_with_too_few_batches_draws_nothing(monkeypatch):
+    # 60 frames at 10 per decision make 6 batches, fewer than perr needs
+    spec = sweep_spec(values=(100.0,), sources=(SourceKind.TWIN_BEAM,), outputs=("perr",))
+    calls = counting_sample_counts(monkeypatch)
+    (row,) = run_sweep(spec).rows
+    assert calls == []
+    scn = spec.base.with_background_mean(100.0)
+    assert row == SweepRow(
+        source="twin_beam",
+        param="background_mean",
+        value=100.0,
+        metric="perr",
+        estimate=None,
+        uncertainty=None,
+        analytic=analytic.error_probability(scn, 10),
+        flag="error:InsufficientDataError",
+    )
+
+
+@pytest.mark.parametrize(
+    "outputs, draws",
+    [
+        (("epsilon",), [True]),
+        (("covariance", "snr", "perr"), [False, True]),
+        (("epsilon", "covariance", "snr", "perr"), [False, True]),
+    ],
+)
+def test_point_draws_each_hypothesis_once(monkeypatch, outputs, draws):
+    spec = sweep_spec(
+        values=(100.0,), sources=(SourceKind.TWIN_BEAM,), outputs=outputs, images_per_decision=2
+    )
+    expected = run_sweep(spec)
+    calls = counting_sample_counts(monkeypatch)
+    result = run_sweep(spec)
+    assert sorted(calls) == draws
+    assert result == expected
+    assert not any(row.flag for row in result.rows)
 
 
 def test_single_value_sweep_equals_direct_call():
