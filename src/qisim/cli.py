@@ -308,8 +308,11 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _add_common_flags(common)
+    # short usage lines: an argparse error is two lines, not a list of every key
+    usage = "%(prog)s [-h] [--section.key V | --shortcut V ...]"
     parser = argparse.ArgumentParser(
         prog="qisim",
+        usage=usage + " {analytic,simulate,sweep,reproduce} ...",
         description=(
             "Photon-counting target detection with correlated beams: "
             "closed forms, Monte Carlo simulation, and figure sweeps."
@@ -317,16 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="qisim")
 
-    def add(name: str, text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=text)
+    def add(name: str, text: str, tail: str = "") -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], allow_abbrev=False, help=text, usage=usage + tail)
 
-    p_analytic = add("analytic", "closed-form moments and figures of merit, no sampling")
+    p_analytic = add("analytic", "closed-form moments and figures of merit, no sampling", " [--csv PATH]")
     p_analytic.add_argument("--csv", metavar="PATH", help="also write a single-row CSV")
     add("simulate", "generate one image set, run all estimators, write records")
     add("sweep", "run the configured sweep; write sweep.csv and its sidecar")
-    p_rep = add("reproduce", "run a named figure sweep preset")
+    p_rep = add("reproduce", "run a named figure sweep preset", " {fig2,fig3,fig4,fig5}")
     p_rep.add_argument("figure", choices=list(PRESETS))
     return parser
 

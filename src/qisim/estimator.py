@@ -23,8 +23,8 @@ Every uncertainty comes from `bootstrap`, which resamples whole frames.
 """
 from __future__ import annotations
 
-import csv
 import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +39,8 @@ from .types import (
 # Resampled cells (resamples times sample items) that `bootstrap` holds
 # at once; bounds its memory whatever the sample size.
 _BOOTSTRAP_BLOCK_CELLS = 2**16
+# Frames of records.csv formatted by one `%` operation.
+_WRITE_RECORDS = 1024
 
 
 class PerrEstimate(NamedTuple):
@@ -278,10 +280,14 @@ def perr_hat(in_values, out_values, images_per_decision: int) -> PerrEstimate:
 
 
 def write_records_csv(path: str, in_values, out_values) -> None:
-    """Per-frame covariances of both hypotheses; columns: frame,hypothesis,delta12."""
+    """Per-frame covariances of both hypotheses; columns frame,hypothesis,delta12,
+    lines ended by "\\r\\n".  Each block of `_WRITE_RECORDS` frames is one `%` of
+    the row template "%d,<label>,%r\\r\\n"; `%r` is a float's shortest repr."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["frame", "hypothesis", "delta12"])
+        handle.write("frame,hypothesis,delta12\r\n")
         for label, values in (("in", in_values), ("out", out_values)):
-            for frame, delta in enumerate(values):
-                writer.writerow([frame, label, repr(float(delta))])
+            deltas = np.asarray(values, dtype=float)
+            for start in range(0, deltas.size, _WRITE_RECORDS):
+                block = deltas[start : start + _WRITE_RECORDS].tolist()
+                cells = tuple(chain.from_iterable(enumerate(block, start)))
+                handle.write(f"%d,{label},%r\r\n" * len(block) % cells)

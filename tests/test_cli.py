@@ -75,6 +75,26 @@ def test_out_of_range_flag_names_field(capsys):
     assert "eta1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("analytic", "--eta1", "-inf"), "--eta1"),
+        (("--seed",), "--seed"),
+        (("reproduce",), "figure"),
+        (("reproduce", "fig9"), "fig9"),
+        (("simulate", "--target", "maybe"), "--target"),
+        ((), "command"),
+    ],
+    ids=["eta1", "seed", "no-figure", "bad-figure", "bad-target", "no-command"],
+)
+def test_argparse_error_is_short(capsys, argv, named):
+    # a usage block listing every config key would bury the message
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) <= 3
+    assert named in err.splitlines()[-1]
+
+
 def test_unknown_config_key_rejected(capsys):
     code, _, err = run_cli(capsys, "analytic", "--source.bogus", "3")
     assert code == 2
