@@ -24,14 +24,21 @@ give results of different types, so they get separate entries.  0.0 and
 -0.0 share an entry, which is safe because every raw and central moment
 below is a sum started from 0.0, which turns a signed zero into +0.0.
 
+The normal CDF `_ndtr` is a port of the Cephes `ndtr`/`erf`/`erfc` that
+`scipy.special.ndtr` runs, with the same constants, branches and operation
+order (the polynomials are unrolled Horner forms of `polevl`/`p1evl`), so it
+returns scipy's bits for every double, nan and +-inf included, while this
+module and the CLI that imports it load no scipy.  The shorter
+`0.5 * math.erfc(-a / math.sqrt(2))` is not used: it rounds differently from
+scipy's ndtr on about a third of arguments and underflows differently in the
+far lower tail, which would move every printed `error_probability`.
+
 All functions are pure and operate on immutable specs.
 """
 from __future__ import annotations
 
 import functools
 import math
-
-from scipy.special import ndtr
 
 from .types import (
     DegenerateStatisticError,
@@ -238,6 +245,53 @@ def enhancement(mu: float) -> float:
     return (1.0 + mu) / mu
 
 
+def _erf_small(x: float) -> float:
+    """Cephes erf for abs(x) <= 1: x T(x^2) / U(x^2)."""
+    z = x * x
+    p = (((9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z
+          + 2.23200534594684319226e3) * z + 7.00332514112805075473e3) * z + 5.55923013010394962768e4
+    q = ((((z + 3.35617141647503099647e1) * z + 5.21357949780152679795e2) * z
+          + 4.59432382970980127987e3) * z + 2.26290000613890934246e4) * z + 4.92673942608635921086e4
+    return x * p / q
+
+
+def _erfc_large(x: float) -> float:
+    """Cephes erfc for x >= 1 (and nan): exp(-x^2) P(x) / Q(x), or R / S from 8 up."""
+    z = -x * x
+    if z < -7.09782712893383996843e2:  # MAXLOG: exp(z) underflows
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        p = ((((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x
+                  + 7.46321056442269912687e0) * x + 4.86371970985681366614e1) * x
+                + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
+              + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x
+             + 5.57535335369399327526e2)
+        q = (((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x
+                 + 3.54937778887819891062e2) * x + 9.75708501743205489753e2) * x
+               + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
+             + 1.65666309194161350182e3) * x + 5.57535340817727675546e2
+    else:
+        p = ((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x
+               + 5.01905042251180477414e0) * x + 6.16021097993053585195e0) * x
+             + 7.40974269950448939160e0) * x + 2.97886665372100240670e0
+        q = (((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x
+               + 1.20489539808096656605e1) * x + 1.70814450747565897222e1) * x
+             + 9.60896809063285878198e0) * x + 3.36907645100081516050e0
+    return (z * p) / q
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF, bit-identical to `scipy.special.ndtr`."""
+    x = a * 0.70710678118654752440  # SQRT1_2
+    z = abs(x)
+    if z < 0.70710678118654752440:
+        return 0.5 + 0.5 * _erf_small(x)
+    # Cephes erfc(z) is 1 - erf(z) below 1
+    y = 0.5 * ((1.0 - _erf_small(z)) if z < 1.0 else _erfc_large(z))
+    return 1.0 - y if x > 0 else y
+
+
 def _min_error_two_gaussians(
     m0: float, s0: float, m1: float, s1: float
 ) -> tuple[float, float]:
@@ -250,9 +304,9 @@ def _min_error_two_gaussians(
         return 0.0, 0.5 * (m0 + m1)
     # a width whose square underflows is taken as 0 (an exact-zero s1 goes below)
     if s0**2 == 0.0 and s1 != 0.0:
-        return 0.5 * ndtr((m0 - m1) / s1), m0
+        return 0.5 * _ndtr((m0 - m1) / s1), m0
     if s1**2 == 0.0:
-        return 0.5 * ndtr(-((m1 - m0) / s0)), m1
+        return 0.5 * _ndtr(-((m1 - m0) / s0)), m1
 
     a = 1.0 / s1**2 - 1.0 / s0**2
     b = -2.0 * (m1 / s1**2 - m0 / s0**2)
@@ -274,7 +328,7 @@ def _min_error_two_gaussians(
 
     best_p, best_tau = 0.5, m1
     for tau in candidates:
-        p = 0.5 * (ndtr(-((tau - m0) / s0)) + ndtr((tau - m1) / s1))
+        p = 0.5 * (_ndtr(-((tau - m0) / s0)) + _ndtr((tau - m1) / s1))
         if p < best_p:
             best_p, best_tau = float(p), float(tau)
     return best_p, best_tau

@@ -8,10 +8,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from conftest import make_scenario, rel_err
 from qisim import analytic, oracle
@@ -485,6 +484,46 @@ def test_error_probability_rejects_bad_images():
         analytic.error_probability(make_scenario(), 0)
 
 
+def assert_same_double(got, expected, arg):
+    assert (math.isnan(got) and math.isnan(expected)) or got.hex() == expected.hex(), (
+        f"_ndtr({arg!r}) = {got!r}, scipy.special.ndtr gives {expected!r}"
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                   st.floats(-40.0, 40.0)))
+def test_ndtr_bit_identical_to_scipy(a):
+    assert_same_double(analytic._ndtr(a), float(special.ndtr(a)), a)
+
+
+def _neighbours(x, steps=3):
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+# the Cephes branch edges: abs(a)/sqrt(2) crosses 1/sqrt(2), 1 and 8; the lower
+# tail underflows to 0 where a^2/2 passes MAXLOG = 709.78, at a = -37.68
+_NDTR_EDGES = (
+    [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    + [s * x for edge in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0))
+       for s in (1.0, -1.0) for x in _neighbours(edge)]
+    + _neighbours(-math.sqrt(2.0 * 7.09782712893383996843e2), steps=8)
+    + np.linspace(-38.6, -37.5, 1101).tolist()
+)
+
+
+def test_ndtr_bit_identical_to_scipy_at_edges():
+    expected = special.ndtr(np.array(_NDTR_EDGES))
+    for a, want in zip(_NDTR_EDGES, expected.tolist()):
+        assert_same_double(analytic._ndtr(a), want, a)
+
+
 def reference_min_error_two_gaussians(m0, s0, m1, s1):
     """The threshold test evaluated through the scipy.stats normal law."""
     if m1 <= m0:
@@ -648,7 +687,7 @@ def closed_form_lines() -> list:
 def test_closed_forms_are_pinned():
     digest = hashlib.sha256("\n".join(closed_form_lines()).encode()).hexdigest()
     assert digest == CLOSED_FORM_SHA256, (
-        f"closed-form values changed under scipy {scipy.__version__} (special.ndtr is "
-        "the only library kernel they use): either the closed forms changed, or this "
-        "scipy's ndtr rounds differently"
+        "closed-form values changed: the closed forms use no library kernel but libm "
+        "exp, log, sqrt and pow (float **), so either the closed forms changed or this "
+        "platform's libm rounds differently"
     )

@@ -476,18 +476,41 @@ def test_reproduce_flags_override_preset(capsys, tmp_path):
         assert config["scenario"]["images"] == 30
 
 
+def run_python(code):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qisim.__file__)))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize(
     "module, absent",
     [
-        ("qisim.cli", ("scipy.stats", "scipy.signal")),
+        # the closed forms carry their own normal CDF: the CLI loads no scipy at all
+        ("qisim.cli", ("scipy",)),
         ("qisim.oracle", ("scipy.stats", "scipy.signal")),
     ],
 )
 def test_import_leaves_scipy_front_ends_out(module, absent):
-    # scipy.stats alone costs about a second of every CLI start
-    code = f"import sys, {module}; print(sorted(m for m in {absent!r} if m in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qisim.__file__)))
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    # scipy.stats alone costs about a second of every CLI start, scipy.special 0.3 s
+    code = (
+        f"import sys, {module}; print(sorted(m for m in sys.modules "
+        f"if any(m == a or m.startswith(a + '.') for a in {absent!r})))"
     )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # an import of scipy hidden inside a function would fail here
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from qisim.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [main(['analytic']),\n"
+        "         main(['simulate', '--frames', '20', '--out', out + '/simulate']),\n"
+        "         main(['reproduce', 'fig5', '--frames', '40', '--out', out + '/fig5'])]\n"
+        "print(codes)\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0]", result.stdout + result.stderr
