@@ -2,27 +2,33 @@
 
 The detected pair (N1, N2) is a sum of independent per-mode contributions,
 so its bivariate cumulants are per-mode cumulants scaled by the mode
-count.  Per-mode raw moments come from factorial-moment identities of the
-thermal law, E[(n)_k] = k! mu^k, pushed through the conditional detection
-laws (independent thinning for the shared-photon pair, per-photon
-trinomial routing for the split beam).  No fourth-order expression is
-hand-expanded anywhere: raw -> central -> cumulants -> scaled -> central
-is done by the generic conversions below, and the `oracle` module checks
-the result by exhaustive enumeration.
+count.  Per mode, the probability generating function of the detected
+pair is the thermal one, 1 / (1 - mu (z - 1)), taken at the thinned
+arguments (Mandel and Wolf, *Optical Coherence and Quantum Optics*, 1995).
+With x = z - 1 on each arm it is 1 / (1 - u), u = A x1 + B x2 + C x1 x2:
+a twin pair thins the same photons on both arms, so (A, B, C) =
+(mu e1, mu e2, mu e1 e2); a split beam routes each photon to arm 1 with
+probability p1, to arm 2 with p2 or to neither, so (A, B, C) =
+(nu p1, nu p2, 0).  The factorial cumulants are the Taylor coefficients of
+-log(1 - u), Stirling numbers on each axis turn them into ordinary
+cumulants, and the normally ordered variances are the factorial cumulants
+k[2,0] and k[0,2] themselves.  Each is a sum of nonnegative products, so
+nothing cancels, and the `oracle` module checks the moments by exhaustive
+enumeration.
 
-The per-mode pair cumulants are cached: `_pair_cumulants` is an
+The per-mode factorial cumulants are cached: `_pair_cumulants` is an
 `lru_cache` keyed on the plain scalars it reads (source kind, mu, split
 ratio, and the two arm efficiencies, the second of which carries the
 hypothesis).  Along a background sweep only the background changes, so
-each (source, hypothesis) pays for the raw -> central -> cumulant chain
-once.  The mode count, `mode_match` and the background stay outside the
-key, because `moments` applies them to the cached cumulants afterwards.
+each (source, hypothesis) expands the generating function once.  The
+mode count, `mode_match` and the background stay outside the key,
+because `moments` applies them to the cached cumulants afterwards.
 A hit returns the tuple a cold call with the same key built, so results
 do not depend on the call history as long as equal keys compute equal
 bits.  The key is `typed`: `np.float64(0.5)` and `0.5` compare equal but
 give results of different types, so they get separate entries.  0.0 and
--0.0 share an entry, which is safe because every raw and central moment
-below is a sum started from 0.0, which turns a signed zero into +0.0.
+-0.0 share an entry, which is safe because `_pair_cumulants` adds 0.0 to
+every cumulant it returns, which turns a signed zero into +0.0.
 
 The normal CDF `_ndtr` is a port of the Cephes `ndtr`/`erf`/`erfc` that
 `scipy.special.ndtr` runs, with the same constants, branches and operation
@@ -48,104 +54,31 @@ from .types import (
     SourceKind,
 )
 
-# Stirling numbers of the second kind for orders 0..2: x^i = sum_a S(i,a) (x)_a.
-_STIRLING2 = {(0, 0): 1.0, (1, 1): 1.0, (2, 1): 1.0, (2, 2): 1.0}
-_ORDERS = [(i, j) for i in range(3) for j in range(3)]
 # Distinct (source, hypothesis) pair cumulants kept by `_pair_cumulants`.
 _PAIR_CACHE_SIZE = 256
-
-
-def _thermal_factorial_product(mu: float, a: int, b: int) -> float:
-    """E[(n)_a (n)_b] for a single thermal mode with mean mu.
-
-    Uses (n)_a (n)_b = sum_k C(a,k) C(b,k) k! (n)_{a+b-k} together with
-    the thermal factorial moments E[(n)_m] = m! mu^m.
-    """
-    total = 0.0
-    for k in range(min(a, b) + 1):
-        order = a + b - k
-        total += (
-            math.comb(a, k)
-            * math.comb(b, k)
-            * math.factorial(k)
-            * math.factorial(order)
-            * mu**order
-        )
-    return total
-
-
-def _pair_raw_moments(
-    kind: SourceKind, mu: float, split_ratio: float, e1: float, e2: float
-) -> dict:
-    """Per-mode raw joint moments E[n1^i n2^j], i, j <= 2, of one
-    correlated mode pair after detection, from its factorial moments
-    E[(n1)_a (n2)_b] through x^i = sum_a S(i,a) (x)_a.
-
-    Given n photons, a twin pair thins the same n independently on each
-    arm, so E[(n1)_a (n2)_b] = e1^a e2^b E[(n)_a (n)_b]; a split beam
-    routes each photon to arm 1 with probability p1, to arm 2 with p2 or
-    to neither, so E[(n1)_a (n2)_b] = p1^a p2^b E[(n)_{a+b}].
-    """
-    if kind is SourceKind.TWIN_BEAM:
-
-        def factorial_moment(a: int, b: int) -> float:
-            return e1**a * e2**b * _thermal_factorial_product(mu, a, b)
-
-    else:
-        p1 = split_ratio * e1
-        p2 = (1.0 - split_ratio) * e2
-        nu = mu / split_ratio  # the pre-split mean, as in SourceSpec
-
-        def factorial_moment(a: int, b: int) -> float:
-            return p1**a * p2**b * math.factorial(a + b) * nu ** (a + b)
-
-    raw = {}
-    for i, j in _ORDERS:
-        total = 0.0
-        for a in range(i + 1):
-            for b in range(j + 1):
-                s = _STIRLING2.get((i, a), 0.0) * _STIRLING2.get((j, b), 0.0)
-                if s == 0.0:
-                    continue
-                total += s * factorial_moment(a, b)
-        raw[(i, j)] = total
-    return raw
-
-
-def _raw_to_central(raw: dict) -> dict:
-    m1 = raw[(1, 0)]
-    m2 = raw[(0, 1)]
-    central = {}
-    for i, j in _ORDERS:
-        total = 0.0
-        for p in range(i + 1):
-            for q in range(j + 1):
-                total += (
-                    math.comb(i, p)
-                    * math.comb(j, q)
-                    * (-m1) ** (i - p)
-                    * (-m2) ** (j - q)
-                    * raw[(p, q)]
-                )
-        central[(i, j)] = total
-    return central
 
 
 @functools.lru_cache(maxsize=_PAIR_CACHE_SIZE, typed=True)
 def _pair_cumulants(
     kind: SourceKind, mu: float, split_ratio: float, e1: float, e2: float
 ) -> tuple:
-    """Per-mode bivariate cumulants (k10, k01, k20, k02, k11, k22)."""
-    raw = _pair_raw_moments(kind, mu, split_ratio, e1, e2)
-    c = _raw_to_central(raw)
-    return (
-        raw[(1, 0)],
-        raw[(0, 1)],
-        c[(2, 0)],
-        c[(0, 2)],
-        c[(1, 1)],
-        c[(2, 2)] - c[(2, 0)] * c[(0, 2)] - 2.0 * c[(1, 1)] ** 2,
+    """Per-mode factorial cumulants (k10, k01, k20, k02, k11, k12, k21, k22)
+    of one detected mode pair: k_ij is i! j! times the x1^i x2^j
+    coefficient of -log(1 - u) = u + u^2/2 + u^3/3 + u^4/4 + ..."""
+    if kind is SourceKind.TWIN_BEAM:
+        a, b, c = mu * e1, mu * e2, mu * e1 * e2
+    else:
+        nu = mu / split_ratio  # the pre-split mean, as in SourceSpec
+        a, b, c = nu * (split_ratio * e1), nu * ((1.0 - split_ratio) * e2), 0.0
+    ab = a * b
+    cumulants = (
+        a, b,  # k10, k01
+        a * a, b * b,  # k20, k02
+        c + ab,  # k11
+        2.0 * (b * c + ab * b), 2.0 * (a * c + a * ab),  # k12, k21
+        2.0 * c * c + 8.0 * ab * c + 6.0 * ab * ab,  # k22
     )
+    return tuple(k + 0.0 for k in cumulants)  # -0.0 -> +0.0
 
 
 def variance_law(mean_total: float, modes: int) -> float:
@@ -160,8 +93,8 @@ def variance_law(mean_total: float, modes: int) -> float:
 def moments(scenario: Scenario) -> MomentSet:
     """Exact detected-count moments of one pixel pair.
 
-    Composition: every source mode contributes the pair cumulants of one
-    mode pair to each arm's own cumulants (k10, k01, k20, k02), because
+    Composition: every source mode contributes the cumulants of one mode
+    pair to each arm's own cumulants (k10, k01, k20, k02), because
     mode-mismatched light has the local statistics of matched light; only
     the mode_match fraction of modes stays correlated across the arms and
     contributes the joint cumulants k11 and k22.  The background adds
@@ -176,20 +109,18 @@ def moments(scenario: Scenario) -> MomentSet:
 def _moments(scenario: Scenario, arm2_efficiency: float) -> MomentSet:
     """`moments` with `arm2_efficiency` in place of the channel's own, so
     the other hypothesis needs no second `Scenario`."""
-    source = scenario.source
-    channel = scenario.channel
-    background = scenario.background
-    p10, p01, p20, p02, p11, p22 = _pair_cumulants(
+    source, channel, background = scenario.source, scenario.channel, scenario.background
+    f10, f01, f20, f02, f11, f12, f21, f22 = _pair_cumulants(
         source.kind, source.mu, source.split_ratio, channel.eta1, arm2_efficiency
     )
     matched = channel.mode_match * source.modes
-
-    k10 = source.modes * p10
-    k01 = source.modes * p01 + background.mean_total
-    k20 = source.modes * p20
-    k02 = source.modes * p02 + variance_law(background.mean_total, background.modes_b)
-    k11 = matched * p11
-    k22 = matched * p22
+    # ordinary from factorial cumulants, by x^2 = (x)_2 + (x)_1 on each axis
+    k10 = source.modes * f10
+    k01 = source.modes * f01 + background.mean_total
+    k20 = source.modes * (f20 + f10)
+    k02 = source.modes * (f02 + f01) + variance_law(background.mean_total, background.modes_b)
+    k11 = matched * f11
+    k22 = matched * (f22 + f21 + f12 + f11)
 
     return MomentSet(
         mean1=k10,
@@ -203,15 +134,24 @@ def _moments(scenario: Scenario, arm2_efficiency: float) -> MomentSet:
 
 def epsilon(scenario: Scenario) -> float:
     """Normally ordered cross correlation over the geometric mean of the
-    normally ordered variances; > 1 certifies nonclassical correlation."""
-    m = moments(scenario)
-    nv1 = m.normally_ordered_var1
-    nv2 = m.normally_ordered_var2
+    normally ordered variances; > 1 certifies nonclassical correlation.
+
+    The normally ordered variances are the second factorial cumulants:
+    modes * k20 on arm 1, and modes * k02 plus the background's
+    N_b^2 / M_b on arm 2.  Their product may underflow, so each is rooted.
+    """
+    source, channel, background = scenario.source, scenario.channel, scenario.background
+    _, _, f20, f02, f11, _, _, _ = _pair_cumulants(
+        source.kind, source.mu, source.split_ratio, channel.eta1, channel.arm2_efficiency
+    )
+    nv1 = source.modes * f20
+    nv2 = source.modes * f02 + background.mean_total**2 / background.modes_b
     if nv1 <= 0.0 or nv2 <= 0.0:
         raise DegenerateStatisticError(
             f"normally ordered variances must be positive (got {nv1}, {nv2})"
         )
-    return m.cov / math.sqrt(nv1 * nv2)
+    cov = channel.mode_match * source.modes * f11  # bit for bit `moments(...).cov`
+    return cov / (math.sqrt(nv1) * math.sqrt(nv2))
 
 
 def snr(scenario: Scenario) -> float:

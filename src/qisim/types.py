@@ -220,14 +220,6 @@ class MomentSet:
     m22: float
 
     @property
-    def normally_ordered_var1(self) -> float:
-        return self.var1 - self.mean1
-
-    @property
-    def normally_ordered_var2(self) -> float:
-        return self.var2 - self.mean2
-
-    @property
     def delta_product_variance(self) -> float:
         return self.m22 - self.cov**2
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,10 +346,66 @@ def test_pair_cumulants_built_once_per_source_kind_and_hypothesis():
 # ---------------------------------------------------------------------------
 # epsilon
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("mu", [0.01, 0.075, 1.0])
+@pytest.mark.parametrize("mu", [1e-100, 0.01, 0.075, 1.0])
 def test_epsilon_twin_no_background_is_ideal(mu):
     scn = make_scenario(mu=mu)
     assert rel_err(analytic.epsilon(scn), (1.0 + mu) / mu) < 1e-12
+
+
+def exact_epsilon_squared(scn) -> Fraction:
+    """epsilon^2 in exact arithmetic from the scenario's floats.  Per mode,
+    arm i sees a thermal law of mean n_i, whose normally ordered variance
+    is n_i^2; a twin pair's covariance is e1 e2 mu (1 + mu), a split
+    beam's n_1 n_2, and the background adds N_b^2 / M_b on arm 2."""
+    source, channel, background = scn.source, scn.channel, scn.background
+    mu, e1 = Fraction(source.mu), Fraction(channel.eta1)
+    e2 = Fraction(channel.arm2_efficiency)
+    if source.kind is SourceKind.TWIN_BEAM:
+        n1, n2, cov = mu * e1, mu * e2, e1 * e2 * mu * (1 + mu)
+    else:
+        t = Fraction(source.split_ratio)
+        n1, n2 = mu * e1, mu / t * (1 - t) * e2
+        cov = n1 * n2
+    cov *= Fraction(channel.mode_match) * source.modes
+    nv1 = source.modes * n1**2
+    nv2 = source.modes * n2**2 + Fraction(background.mean_total) ** 2 / background.modes_b
+    return cov**2 / (nv1 * nv2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(SourceKind),
+    mu=st.floats(1e-4, 10.0),
+    modes=st.integers(1, 100_000),
+    split_ratio=st.floats(0.25, 0.75),
+    eta1=st.floats(1e-3, 1.0),
+    eta2=st.floats(1e-3, 1.0),
+    reflectivity=st.floats(1e-3, 1.0),
+    # a subnormal cov carries no relative precision
+    mode_match=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+    modes_b=st.integers(1, 100_000),
+    background_mean=st.one_of(st.just(0.0), st.floats(1e-3, 1e6)),
+)
+# e1 mu = 3e-4 at M = 9e4: the normally ordered variance M (e1 mu)^2 is
+# 0.0081, and var1 - mean1 = 27.0081 - 27 would lose 12 bits to cancellation
+@example(SourceKind.TWIN_BEAM, 0.075, 90000, 0.5, 0.004, 0.62, 0.5, 0.7, 1300, 0.0)
+def test_epsilon_matches_exact_arithmetic(
+    kind, mu, modes, split_ratio, eta1, eta2, reflectivity, mode_match, modes_b, background_mean
+):
+    scn = make_scenario(
+        kind=kind,
+        mu=mu,
+        modes=modes,
+        split_ratio=split_ratio,
+        eta1=eta1,
+        eta2=eta2,
+        reflectivity=reflectivity,
+        mode_match=mode_match,
+        modes_b=modes_b,
+        background_mean=background_mean,
+    )
+    exact = exact_epsilon_squared(scn)
+    assert abs(Fraction(analytic.epsilon(scn)) ** 2 - exact) <= Fraction(1e-14) * exact
 
 
 def test_epsilon_split_no_background_is_unity():
@@ -656,7 +713,7 @@ def test_covariance_effective_efficiency_forms():
 _PRESET_BACKGROUNDS = (0.0, 100.0, 316.0, 1000.0, 3162.0, 10000.0, 31623.0, 100000.0)
 
 # sha256 of `closed_form_lines()` joined by newlines.
-CLOSED_FORM_SHA256 = "aab2eaaf45a5d0e82b02b4c059d41a8b6580e73449f777df39cdf06cb4193993"
+CLOSED_FORM_SHA256 = "43fa0a0d976a224d8a94c5e49bb6a619367ececc3ef5711983d509744d744d44"
 
 
 def closed_form_lines() -> list:
