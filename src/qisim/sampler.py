@@ -40,8 +40,8 @@ from .types import (
 _BLOCK_FRAMES = 256
 # Named in every sweep sidecar, so an output can be traced to its format.
 STREAM_FORMAT = f"stream format 2: one stream per {_BLOCK_FRAMES} frames"
-# Frames of frames.csv formatted by one `%` operation.
-_WRITE_FRAMES = 64
+# Frames of frames.csv formatted as one byte table.
+_WRITE_FRAMES = 256
 
 
 def _negbin(
@@ -148,17 +148,44 @@ def generate_image_set(
     return in_counts, out_counts
 
 
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """Non-negative `values` in decimal as uint8 digits on a new last axis, as
+    many as the largest value has: right-aligned, NUL left of a leading digit."""
+    digits = np.zeros((*values.shape, len(str(int(values.max())))), np.uint8)
+    shown = True
+    for column in reversed(range(digits.shape[-1])):
+        quotient = values // 10
+        digits[..., column] = (values - 10 * quotient + 48) * shown
+        values, shown = quotient, quotient > 0
+    return digits
+
+
 def write_frames_csv(path: str, in_counts, out_counts) -> None:
     """Dump one image set of (n1, n2) count arrays: columns
-    frame,pixel,n1,n2,hypothesis, lines ended by "\\r\\n".  A frame's K rows
-    are one `%` template; each block of `_WRITE_FRAMES` frames repeats it and
-    fills in the block's (frame, n1, n2) cells in one operation."""
-    with open(path, "w", newline="") as handle:
-        handle.write("frame,pixel,n1,n2,hypothesis\r\n")
-        for label, (n1, n2) in (("in", in_counts), ("out", out_counts)):
-            row = "".join(f"%d,{pixel},%d,%d,{label}\r\n" for pixel in range(n1.shape[1]))
-            frame = np.broadcast_to(np.arange(n1.shape[0])[:, None], n1.shape)
+    frame,pixel,n1,n2,hypothesis, lines ended by "\\r\\n".
+
+    Each block of `_WRITE_FRAMES` frames is one (frames, K, width) uint8
+    table, a row per line: the `_decimal` digits of frame, n1 and n2 between
+    the constant bytes `,<pixel>,` (a per-pixel template), `,` and
+    `,<hypothesis>\\r\\n`.  No NUL occurs in the CSV, so the table less
+    its NULs is the block's lines.  A negative count raises
+    `ParameterError` before the file is opened."""
+    hypotheses = (("in", in_counts), ("out", out_counts))
+    if any((n < 0).any() for _, counts in hypotheses for n in counts):
+        raise ParameterError("counts must be non-negative")
+    with open(path, "wb") as handle:
+        handle.write(b"frame,pixel,n1,n2,hypothesis\r\n")
+        for label, (n1, n2) in hypotheses:
+            k = n1.shape[1]
+            pixels = np.array([f",{pixel},".encode() for pixel in range(k)])
+            pixels = pixels.view(np.uint8).reshape(k, -1)
+            comma, tail = (np.frombuffer(text.encode(), np.uint8) for text in (",", f",{label}\r\n"))
             for start in range(0, n1.shape[0], _WRITE_FRAMES):
-                rows = slice(start, start + _WRITE_FRAMES)
-                cells = np.stack((frame[rows], n1[rows], n2[rows]), axis=-1)
-                handle.write(row * len(cells) % tuple(cells.ravel().tolist()))
+                b1, b2 = n1[start : start + _WRITE_FRAMES], n2[start : start + _WRITE_FRAMES]
+                frame = _decimal(np.arange(start, start + len(b1)))[:, None]
+                parts = (frame, pixels, _decimal(b1), comma, _decimal(b2), tail)
+                cuts = np.cumsum([0] + [part.shape[-1] for part in parts])
+                table = np.zeros((*b1.shape, cuts[-1]), np.uint8)
+                for part, left, right in zip(parts, cuts, cuts[1:]):
+                    table[..., left:right] = part
+                handle.write(table[table != 0].tobytes())

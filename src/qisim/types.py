@@ -122,6 +122,8 @@ class ChannelSpec:
             value = getattr(self, name)
             _require_finite(name, value)
             _require(0.0 <= value <= 1.0, f"{name} must lie in [0, 1] (got {value})")
+            # a signed zero reads +0.0 on every route
+            object.__setattr__(self, name, value + 0.0)
 
     @property
     def arm2_efficiency(self) -> float:

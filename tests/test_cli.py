@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, validation, determinism."""
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -58,6 +59,13 @@ def test_analytic_mu_shortcut(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--mu", "1")
     assert code == 0
     assert summary_value(out, "enhancement") == "2.0"
+
+
+def test_analytic_signed_zero_mode_match_prints_as_zero(capsys):
+    code_neg, out_neg, _ = run_cli(capsys, "analytic", "--mode-match", "-0.0")
+    code_pos, out_pos, _ = run_cli(capsys, "analytic", "--mode-match", "0")
+    assert code_neg == 0 and code_pos == 0
+    assert out_neg == out_pos
 
 
 def test_analytic_csv_output(capsys, tmp_path):
@@ -201,6 +209,25 @@ def test_simulate_deterministic_outputs(capsys, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     frames_header = (tmp_path / "a" / "frames.csv").read_text().splitlines()[0]
     assert frames_header == "frame,pixel,n1,n2,hypothesis"
+
+
+# sha256 of each output of `simulate --frames 300 --background 5000 --seed 7`:
+# the bytes the CLI writes, counts, deltas and summary together.
+SIMULATE_SHA256 = {
+    "frames.csv": "1711f7d47df4ff2c6bf8729acaad6ff24d0205ff81854d017e0d356d86ab0d2d",
+    "records.csv": "909c4b42bedff21cf48bd3fe46207b70bb68acc793f456994b6411c43d59e555",
+    "summary.txt": "dfe06f6bb15cf0042bf026f08670d3367ac8abe3aebea7f4d50cef3e8055db15",
+}
+
+
+def test_simulate_outputs_are_pinned(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "simulate", "--frames", "300", "--background", "5000", "--seed", "7",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    for name, expected in SIMULATE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
 
 
 def test_flags_before_subcommand_are_kept(capsys, tmp_path):

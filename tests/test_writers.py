@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qisim.estimator import _WRITE_RECORDS, write_records_csv
 from qisim.sampler import _WRITE_FRAMES, write_frames_csv
+from qisim.types import ParameterError
 
 WRITER_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -64,13 +67,59 @@ def image_sets(draw):
     return draw(count_arrays(draw(frames), k)), draw(count_arrays(draw(frames), k))
 
 
+def planted(frames: int, k: int, high: int = 12_345) -> tuple[np.ndarray, np.ndarray]:
+    """(n1, n2) of shape (frames, k) with values in [0, high], 0 and `high` included."""
+    n1, n2 = np.random.default_rng(frames * k).integers(0, high, size=(2, frames, k), endpoint=True)
+    n1[0, 0], n2[-1, -1] = 0, high
+    return n1, n2
+
+
 @WRITER_SETTINGS
 @given(image_sets())
+# frame numbers that gain a digit inside one formatting block
+@example((planted(9, 3), planted(10, 3)))
+@example((planted(11, 3), planted(99, 3)))
+@example((planted(100, 3), planted(101, 3)))
+@example((planted(999, 2), planted(1001, 2)))
+# a 3-digit pixel index
+@example((planted(3, 101), planted(2, 101)))
+# an all-zero block, and a block whose n2 mixes 0 and the largest int64 beside an n1 of 0
+@example((planted(5, 4, high=0), (np.zeros((5, 4), np.int64), np.resize([0, 2**63 - 1], (5, 4)))))
 def test_frames_csv_matches_csv_writer_bytes(tmp_path, counts):
     in_counts, out_counts = counts
     write_frames_csv(str(tmp_path / "frames.csv"), in_counts, out_counts)
     reference_frames_csv(str(tmp_path / "reference.csv"), in_counts, out_counts)
     assert (tmp_path / "frames.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_frames_csv_refuses_negative_counts(tmp_path, side):
+    counts = [planted(3, 4), planted(3, 4)]
+    counts[side][1][2, 1] = -1
+    path = tmp_path / "frames.csv"
+    with pytest.raises(ParameterError, match="non-negative"):
+        write_frames_csv(str(path), *counts)
+    assert not path.exists()
+
+
+def frames_csv_traced_peak(tmp_path, frames: int) -> int:
+    counts = planted(frames, 80, high=9_999), planted(frames, 80, high=9_999)
+    tracemalloc.start()
+    try:
+        write_frames_csv(str(tmp_path / "frames.csv"), *counts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frames_csv_memory_does_not_grow_with_frames(tmp_path):
+    """The writer formats bounded blocks: its traced peak (numpy buffers
+    included) at 4,096 frames per hypothesis stays within 10 % of the peak at
+    1,024 frames, and under 4 MB."""
+    small = frames_csv_traced_peak(tmp_path, 1024)
+    large = frames_csv_traced_peak(tmp_path, 4096)
+    assert large <= 1.1 * small
+    assert large < 4 * 2**20
 
 
 SPECIAL_DELTAS = [
