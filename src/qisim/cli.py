@@ -20,21 +20,15 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import secrets
 import sys
 
 from . import analytic
-from .estimator import (
-    bootstrap_epsilon,
-    covariance_hat,
-    perr_hat,
-    snr_hat,
-    write_records_csv,
-)
-from .sampler import STREAM_FORMAT, generate_image_set, write_frames_csv
+from .estimator import perr_hat, write_records_csv
+from .sampler import STREAM_FORMAT, write_frames_csv
 from .scenario import (
+    PointPipeline,
     SweepParameter,
     SweepSpec,
     run_sweep,
@@ -50,7 +44,6 @@ from .types import (
     SeedSpec,
     SourceKind,
     SourceSpec,
-    STREAM_BOOTSTRAP,
 )
 
 
@@ -190,27 +183,12 @@ def sidecar_text(config: dict) -> str:
 
 
 def build_scenario(config: dict) -> Scenario:
-    source = SourceSpec(
-        kind=SourceKind.parse(config["source"]["kind"]),
-        mu=config["source"]["mu"],
-        modes=config["source"]["modes"],
-        split_ratio=config["source"]["split_ratio"],
-    )
-    channel = ChannelSpec(
-        eta1=config["channel"]["eta1"],
-        eta2=config["channel"]["eta2"],
-        reflectivity=config["channel"]["reflectivity"],
-        target_present=config["channel"]["target_present"],
-        mode_match=config["channel"]["mode_match"],
-    )
-    background = BackgroundSpec(
-        modes_b=config["background"]["modes_b"],
-        mean_total=config["background"]["mean_total"],
-    )
+    """The scenario of a resolved configuration; the source, channel and
+    background sections each hold exactly their spec's fields."""
     return Scenario(
-        source=source,
-        channel=channel,
-        background=background,
+        source=SourceSpec(**dict(config["source"], kind=SourceKind.parse(config["source"]["kind"]))),
+        channel=ChannelSpec(**config["channel"]),
+        background=BackgroundSpec(**config["background"]),
         pixel_pairs=config["scenario"]["pixel_pairs"],
         images=config["scenario"]["images"],
         read_noise_sigma=config["sampler"]["read_noise_sigma"],
@@ -385,41 +363,35 @@ def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
+    """One sweep point on the master seed: its counts, per-frame covariances
+    and estimates, as frames.csv, records.csv and summary.txt."""
     scenario = build_scenario(config)
     seed = SeedSpec(config["run"]["seed"])
     ipd = config["scenario"]["images_per_decision"]
-    in_counts, out_counts = generate_image_set(scenario, seed)
+    point = PointPipeline(scenario, seed, ipd)
     # every estimator runs before the first output is opened, so a run that
     # exits with an error leaves no partial output behind
-    in_deltas = covariance_hat(*in_counts)
-    out_deltas = covariance_hat(*out_counts)
+    in_deltas, out_deltas = point.deltas("in"), point.deltas("out")
 
     lines = [f"seed = {seed.master_seed}", f"frames_per_hypothesis = {scenario.images}"]
-    try:
-        eps, eps_sigma = bootstrap_epsilon(*in_counts, seed.rng(STREAM_BOOTSTRAP, 0))
-        lines.append(f"epsilon_hat = {_fmt(eps)}")
-        lines.append(f"epsilon_sigma = {_fmt(eps_sigma)}")
-    except (DegenerateStatisticError, InsufficientDataError) as exc:
-        lines.append(f"epsilon_hat = nan  # {type(exc).__name__}")
-    lines.append(f"covariance_in = {_fmt(in_deltas.mean())}")
-    lines.append(f"covariance_out = {_fmt(out_deltas.mean())}")
-    try:
-        k = scenario.pixel_pairs
-        lines.append(f"snr_per_sqrt_pair = {_fmt(snr_hat(in_deltas, out_deltas) / math.sqrt(k))}")
-    except (DegenerateStatisticError, InsufficientDataError) as exc:
-        lines.append(f"snr_per_sqrt_pair = nan  # {type(exc).__name__}")
-    try:
-        est = perr_hat(in_deltas, out_deltas, ipd)
-        lines.append(f"perr_hat = {_fmt(est.p_err)}")
-        lines.append(f"perr_threshold = {_fmt(est.threshold)}")
-        lines.append(f"perr_batches = {est.batches_in}")
-    except (DegenerateStatisticError, InsufficientDataError) as exc:
-        lines.append(f"perr_hat = nan  # {type(exc).__name__}")
+    for keys, compute in (
+        (("epsilon_hat", "epsilon_sigma"), lambda: point.estimate("epsilon")),
+        (("covariance_in",), lambda: [point.value("covariance_in")]),
+        (("covariance_out",), lambda: [point.value("covariance_out")]),
+        (("snr_per_sqrt_pair",), lambda: [point.value("snr")]),
+        (("perr_hat", "perr_threshold", "perr_batches"), lambda: perr_hat(in_deltas, out_deltas, ipd)),
+    ):
+        try:
+            values = compute()
+        except (DegenerateStatisticError, InsufficientDataError) as exc:
+            lines.append(f"{keys[0]} = nan  # {type(exc).__name__}")
+            continue
+        lines.extend(f"{key} = {v if isinstance(v, int) else _fmt(v)}" for key, v in zip(keys, values))
     summary = "\n".join(lines) + "\n"
 
     os.makedirs(args.out, exist_ok=True)
     frames_path = os.path.join(args.out, "frames.csv")
-    write_frames_csv(frames_path, in_counts, out_counts)
+    write_frames_csv(frames_path, point.counts("in"), point.counts("out"))
     records_path = os.path.join(args.out, "records.csv")
     write_records_csv(records_path, in_deltas, out_deltas)
     with open(os.path.join(args.out, "summary.txt"), "w") as handle:

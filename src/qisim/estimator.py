@@ -2,15 +2,15 @@
 
 Each hypothesis's counts arrive as two (images, K) int64 arrays n1 and
 n2, one row per frame.  `covariance_hat` turns them into one covariance
-per frame; `snr_hat` and `perr_hat` work on those float arrays, and
-`epsilon_hat` pools the integer sufficient statistics of all frames.
+per frame, which SNR and the error rate read; epsilon pools the integer
+sufficient statistics of all frames.
 
 Each statistic has one row-wise form (`epsilon_rows`, `snr_rows`,
 `perr_rows`): its samples carry the frames on their last axis and one
 row per resample before it, and it returns one value per row, NaN where
-the row is degenerate.  The point estimates (`epsilon_hat`, `snr_hat`,
-`perr_hat`) are its one-row case on the samples themselves, and
-`bootstrap` evaluates it on a block of resamples at once.
+the row is degenerate.  Its point estimate is `one_row`, its one-row case
+on the samples themselves (`perr_hat` for the error rate, with its
+threshold), and `bootstrap` evaluates it on a block of resamples at once.
 
 Conventions follow the receiver definition: the per-frame covariance uses
 the plug-in estimator with divisor K, while SNR sample variances use
@@ -122,19 +122,12 @@ def epsilon_rows(frame_stats: np.ndarray) -> np.ndarray:
     return _epsilon_from_sums(frame_stats.sum(axis=-1).T)
 
 
-def epsilon_hat(n1, n2) -> float:
-    """Nonclassicality parameter from pooled sample moments over all
-    pixels and frames; normally ordered variances are sample variance
-    minus sample mean per arm."""
-    return _one_row(epsilon_rows, _frame_stats(n1, n2))
-
-
 def bootstrap_epsilon(n1, n2, rng: np.random.Generator) -> tuple[float, float]:
-    """(epsilon_hat, bootstrap sigma), resampling whole frames."""
+    """(epsilon, bootstrap sigma), resampling whole frames."""
     return bootstrap(epsilon_rows, [_frame_stats(n1, n2)], rng)
 
 
-def _one_row(stat, *samples) -> float:
+def one_row(stat, *samples) -> float:
     """The row-wise `stat` on the samples themselves, as one row; a
     degenerate sample raises DegenerateStatisticError."""
     value = float(stat(*(sample[..., None, :] for sample in samples))[0])
@@ -163,7 +156,7 @@ def bootstrap(
     sizes = [sample.shape[-1] for sample in samples]
     if min(sizes) < 2:
         raise InsufficientDataError("need at least 2 values per sample to bootstrap")
-    estimate = _one_row(stat, *samples)
+    estimate = one_row(stat, *samples)
     rows = max(1, _BOOTSTRAP_BLOCK_CELLS // sum(sample.size for sample in samples))
     draws = []
     for start in range(0, resamples, rows):
@@ -190,13 +183,6 @@ def snr_rows(in_values: np.ndarray, out_values: np.ndarray) -> np.ndarray:
     contrast = np.abs(in_values.mean(axis=-1) - out_values.mean(axis=-1))
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom_sq > 0.0, contrast / np.sqrt(denom_sq), np.nan)
-
-
-def snr_hat(in_values, out_values) -> float:
-    """`snr_rows` of one row of per-frame covariances per hypothesis."""
-    return _one_row(
-        snr_rows, np.asarray(in_values, dtype=float), np.asarray(out_values, dtype=float)
-    )
 
 
 def _batch_means(values: np.ndarray, batches: int, images_per_decision: int) -> np.ndarray:
@@ -271,12 +257,9 @@ def perr_rows(
 
 def perr_hat(in_values, out_values, images_per_decision: int) -> PerrEstimate:
     """`perr_rows` of one row of per-frame covariances per hypothesis."""
-    p_err, threshold, batches_in, batches_out = perr_rows(
-        np.asarray(in_values, dtype=float)[None],
-        np.asarray(out_values, dtype=float)[None],
-        images_per_decision,
-    )
-    return PerrEstimate(float(p_err[0]), float(threshold[0]), batches_in, batches_out)
+    rows = (np.asarray(values, dtype=float)[None] for values in (in_values, out_values))
+    p_err, threshold, *batches = perr_rows(*rows, images_per_decision)
+    return PerrEstimate(float(p_err[0]), float(threshold[0]), *batches)
 
 
 def write_records_csv(path: str, in_values, out_values) -> None:

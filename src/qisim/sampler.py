@@ -17,7 +17,8 @@ or on which block is drawn first.
 `sample_counts` fills the counts of the hypothesis its `Scenario` names
 (`channel.target_present`), read noise included, into two preallocated
 (images, K) int64 arrays n1 and n2, row i holding frame i; the
-estimators take those arrays directly.
+estimators take those arrays directly.  `hypothesis_stream` names the
+(scenario, seed) each of a point's hypotheses, "in" and "out", is drawn on.
 """
 from __future__ import annotations
 
@@ -136,16 +137,6 @@ def hypothesis_stream(scenario: Scenario, seed: SeedSpec, label: str) -> tuple[S
     if label == "out":
         return scenario.with_target(False), seed.derive(STREAM_OUT)
     raise ParameterError(f"hypothesis must be 'in' or 'out' (got {label!r})")
-
-
-def generate_image_set(
-    scenario: Scenario, seed: SeedSpec
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(n1, n2) counts of N_img frames of the "in" and the "out"
-    hypothesis, drawn as `hypothesis_stream` says."""
-    in_counts = sample_counts(*hypothesis_stream(scenario, seed, "in"))
-    out_counts = sample_counts(*hypothesis_stream(scenario, seed, "out"))
-    return in_counts, out_counts
 
 
 def _decimal(values: np.ndarray) -> np.ndarray:

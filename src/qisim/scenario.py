@@ -1,9 +1,10 @@
 """Declarative parameter sweeps with Monte Carlo and closed-form columns.
 
-A sweep runs one (source kind, swept value) job per grid point, each on
-its own derived seed, so a point's rows do not depend on which other
-points run.  Estimator failures flag the affected row and never abort the
-sweep.
+A sweep runs one `PointPipeline` per (source kind, swept value) grid
+point, each on its own derived seed, so a point's rows do not depend on
+which other points run; `simulate` is one point on the master seed.
+`METRICS` defines each figure of merit once.  Estimator failures flag
+the affected row and never abort the sweep.
 """
 from __future__ import annotations
 
@@ -11,12 +12,14 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import analytic
 from .estimator import (
     bootstrap,
     bootstrap_epsilon,
     covariance_hat,
+    one_row,
     perr_batches,
     perr_rows,
     snr_rows,
@@ -32,7 +35,12 @@ from .types import (
     STREAM_BOOTSTRAP,
 )
 
-KNOWN_OUTPUTS = ("epsilon", "snr", "covariance", "perr")
+# sweep output -> the metrics it emits, one row each
+_OUTPUT_METRICS = {
+    "epsilon": ("epsilon",), "snr": ("snr",),
+    "covariance": ("covariance_in", "covariance_out"), "perr": ("perr",),
+}
+KNOWN_OUTPUTS = tuple(_OUTPUT_METRICS)
 
 
 class SweepParameter(enum.Enum):
@@ -123,18 +131,83 @@ def _scenario_at(spec: SweepSpec, kind: SourceKind, value: float) -> tuple[Scena
     return scn, ipd
 
 
-def _analytic_value(metric: str, scn: Scenario, ipd: int):
-    if metric == "epsilon":
-        return analytic.epsilon(scn)
-    if metric == "snr":
-        return analytic.snr(scn)
-    if metric == "covariance_in":
-        return analytic.moments(scn).cov
-    if metric == "covariance_out":
-        return 0.0
-    if metric == "perr":
-        return analytic.error_probability(scn, ipd)
-    raise ParameterError(f"no analytic form for metric {metric!r}")
+def _mean(scn: Scenario, ipd: int, values):
+    return values.mean(axis=-1)
+
+
+def _snr(scn: Scenario, ipd: int, in_values, out_values):
+    return snr_rows(in_values, out_values) / math.sqrt(scn.pixel_pairs)
+
+
+def _perr(scn: Scenario, ipd: int, in_values, out_values):
+    return perr_rows(in_values, out_values, ipd).p_err
+
+
+class _Metric(NamedTuple):
+    tag: int  # its bootstrap stream, `seed.rng(STREAM_BOOTSTRAP, tag)`
+    hypotheses: tuple  # the hypotheses it reads
+    # row-wise, of (scenario, images per decision, the per-frame covariances
+    # of `hypotheses`); None for epsilon, which `bootstrap_epsilon` pools
+    # from the counts
+    stat: Callable | None
+    closed_form: Callable  # of (scenario, images per decision)
+
+
+# closed forms look `analytic` up per call, so perfbench's tracer sees them
+METRICS = {
+    "epsilon": _Metric(0, ("in",), None, lambda scn, ipd: analytic.epsilon(scn)),
+    "covariance_in": _Metric(1, ("in",), _mean, lambda scn, ipd: analytic.moments(scn).cov),
+    "covariance_out": _Metric(2, ("out",), _mean, lambda scn, ipd: 0.0),
+    "snr": _Metric(3, ("in", "out"), _snr, lambda scn, ipd: analytic.snr(scn)),
+    "perr": _Metric(4, ("in", "out"), _perr, lambda scn, ipd: analytic.error_probability(scn, ipd)),
+}
+
+
+class PointPipeline:
+    """The Monte Carlo estimates of one point: a scenario on one seed, with
+    `images_per_decision` frames per perr decision.  Each hypothesis is
+    drawn, and its per-frame covariances computed, at most once and only
+    when a metric first needs it."""
+
+    def __init__(self, scenario: Scenario, seed: SeedSpec, images_per_decision: int) -> None:
+        self.scenario = scenario
+        self.seed = seed
+        self.images_per_decision = images_per_decision
+        self._counts: dict = {}
+        self._deltas: dict = {}
+
+    def counts(self, label: str):
+        """(n1, n2) of hypothesis `label`, drawn as `hypothesis_stream` says."""
+        if label not in self._counts:
+            self._counts[label] = sample_counts(*hypothesis_stream(self.scenario, self.seed, label))
+        return self._counts[label]
+
+    def deltas(self, label: str):
+        """Per-frame covariances of hypothesis `label`."""
+        if label not in self._deltas:
+            self._deltas[label] = covariance_hat(*self.counts(label))
+        return self._deltas[label]
+
+    def _inputs(self, metric: str):
+        """The row-wise statistic of `metric` and the covariances it reads."""
+        if metric == "perr":
+            # too few batches are refused before any frame is drawn
+            perr_batches(self.scenario.images, self.scenario.images, self.images_per_decision)
+        stat = functools.partial(METRICS[metric].stat, self.scenario, self.images_per_decision)
+        return stat, [self.deltas(label) for label in METRICS[metric].hypotheses]
+
+    def estimate(self, metric: str) -> tuple[float, float]:
+        """(estimate, bootstrap sigma) of `metric`."""
+        tag, hypotheses, stat, _ = METRICS[metric]
+        rng = self.seed.rng(STREAM_BOOTSTRAP, tag)
+        if stat is None:
+            return bootstrap_epsilon(*self.counts(*hypotheses), rng)
+        return bootstrap(*self._inputs(metric), rng)
+
+    def value(self, metric: str) -> float:
+        """The estimate of `metric`, epsilon aside, without its bootstrap."""
+        stat, samples = self._inputs(metric)
+        return one_row(stat, *samples)
 
 
 _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)
@@ -144,78 +217,28 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
     kind = spec.sources[source_index]
     value = spec.values[value_index]
     scn, ipd = _scenario_at(spec, kind, value)
-    point_seed = spec.seed.derive(source_index, value_index)
-
-    # Each hypothesis is drawn, and its per-frame covariances computed, at
-    # most once per point and only when an output first needs it.
-    @functools.cache
-    def counts(label: str):
-        return sample_counts(*hypothesis_stream(scn, point_seed, label))
-
-    @functools.cache
-    def deltas(label: str):
-        return covariance_hat(*counts(label))
-
+    point = PointPipeline(scn, spec.seed.derive(source_index, value_index), ipd)
     rows: list[SweepRow] = []
-
-    def emit(metric: str, boot_tag: int, compute) -> None:
-        estimate = uncertainty = None
-        flags = []
-        rng = point_seed.rng(STREAM_BOOTSTRAP, boot_tag)
-        try:
-            estimate, uncertainty = compute(rng)
-        except _ESTIMATOR_ERRORS as exc:
-            flags.append(f"error:{type(exc).__name__}")
-        reference = None
-        if spec.emit_analytic:
-            try:
-                reference = _analytic_value(metric, scn, ipd)
-            except _ESTIMATOR_ERRORS as exc:
-                flags.append(f"analytic_error:{type(exc).__name__}")
-        if reference is not None and scn.read_noise_sigma > 0:
-            # the closed forms have no read-noise term
-            flags.append("analytic_ignores_read_noise")
-        rows.append(
-            SweepRow(
-                source=kind.value,
-                param=spec.parameter.value,
-                value=value,
-                metric=metric,
-                estimate=estimate,
-                uncertainty=uncertainty,
-                analytic=reference,
-                flag=";".join(flags),
-            )
-        )
-
-    def mc(stat, *labels):
-        """(stat, bootstrap sigma) over the per-frame covariances of the
-        hypotheses `labels`; `stat` is row-wise, as `bootstrap` takes it."""
-        return lambda rng: bootstrap(stat, [deltas(label) for label in labels], rng)
-
-    def mean(values):
-        return values.mean(axis=-1)
-
-    def snr(a, b):
-        return snr_rows(a, b) / math.sqrt(scn.pixel_pairs)
-
-    def perr(a, b):
-        return perr_rows(a, b, ipd).p_err
-
-    def perr_point(rng):
-        perr_batches(scn.images, scn.images, ipd)
-        return mc(perr, "in", "out")(rng)
-
     for output in spec.outputs:
-        if output == "epsilon":
-            emit("epsilon", 0, lambda rng: bootstrap_epsilon(*counts("in"), rng))
-        elif output == "covariance":
-            emit("covariance_in", 1, mc(mean, "in"))
-            emit("covariance_out", 2, mc(mean, "out"))
-        elif output == "snr":
-            emit("snr", 3, mc(snr, "in", "out"))
-        elif output == "perr":
-            emit("perr", 4, perr_point)
+        for metric in _OUTPUT_METRICS[output]:
+            estimate = uncertainty = reference = None
+            flags = []
+            try:
+                estimate, uncertainty = point.estimate(metric)
+            except _ESTIMATOR_ERRORS as exc:
+                flags.append(f"error:{type(exc).__name__}")
+            if spec.emit_analytic:
+                try:
+                    reference = METRICS[metric].closed_form(scn, ipd)
+                except _ESTIMATOR_ERRORS as exc:
+                    flags.append(f"analytic_error:{type(exc).__name__}")
+            if reference is not None and scn.read_noise_sigma > 0:
+                # the closed forms have no read-noise term
+                flags.append("analytic_ignores_read_noise")
+            rows.append(SweepRow(
+                kind.value, spec.parameter.value, value, metric,
+                estimate, uncertainty, reference, ";".join(flags),
+            ))
     return rows
 
 

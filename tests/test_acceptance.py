@@ -15,8 +15,8 @@ import pytest
 from conftest import make_scenario, rel_err
 from qisim import analytic, oracle
 from qisim.cli import main as cli_main
-from qisim.estimator import bootstrap_epsilon, covariance_hat, perr_hat, snr_hat
-from qisim.sampler import generate_image_set, sample_counts
+from qisim.estimator import bootstrap_epsilon, covariance_hat, one_row, perr_hat, snr_rows
+from qisim.sampler import hypothesis_stream, sample_counts
 from qisim.types import SeedSpec, SourceKind, STREAM_BOOTSTRAP
 
 MOMENT_FIELDS = ("mean1", "mean2", "var1", "var2", "cov", "m22")
@@ -95,12 +95,12 @@ def test_criterion_2_epsilon_ideal_values():
             assert abs(split - 1.0) <= 1e-12
 
         scn = reference_scenario(images=2000)
-        in_counts, _ = generate_image_set(scn, SeedSpec(2024))
+        in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(2024), "in"))
         eps_q, sig_q = bootstrap_epsilon(*in_counts, rng=SeedSpec(2024).rng(STREAM_BOOTSTRAP))
         assert abs(eps_q - 14.333333333333334) <= 3.0 * sig_q
 
         scn_ci = reference_scenario(kind=SourceKind.SPLIT_THERMAL, images=2000)
-        in_counts, _ = generate_image_set(scn_ci, SeedSpec(2025))
+        in_counts = sample_counts(*hypothesis_stream(scn_ci, SeedSpec(2025), "in"))
         eps_c, sig_c = bootstrap_epsilon(*in_counts, rng=SeedSpec(2025).rng(STREAM_BOOTSTRAP))
         assert abs(eps_c - 1.0) <= 3.0 * sig_c
         details.append(
@@ -150,10 +150,12 @@ def test_criterion_4_enhancement_window():
 
         seed = SeedSpec(20240805)
         frames = 2000
-        ratio = snr_hat(
+        ratio = one_row(
+            snr_rows,
             records_for(qi, True, seed.derive(1, 1), frames),
             records_for(qi, False, seed.derive(1, 0), frames),
-        ) / snr_hat(
+        ) / one_row(
+            snr_rows,
             records_for(ci, True, seed.derive(2, 1), frames),
             records_for(ci, False, seed.derive(2, 0), frames),
         )

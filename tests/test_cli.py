@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, validation, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -16,11 +17,14 @@ import qisim
 from qisim.cli import (
     CONFIG_SCHEMA,
     build_scenario,
+    default_config,
     load_config_file,
     main,
     sidecar_text,
 )
-from qisim.scenario import KNOWN_OUTPUTS
+from qisim.estimator import perr_hat
+from qisim.scenario import KNOWN_OUTPUTS, PointPipeline
+from qisim.types import BackgroundSpec, ChannelSpec, SeedSpec, SourceSpec
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +234,67 @@ def test_simulate_outputs_are_pinned(capsys, tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
 
 
+# `simulate --seed 1 --frames 20 --pixel-pairs 2 --target absent --background 0`:
+# every count is 0 on arm 2, so three estimates print as `nan  # <Error>`.
+DEGENERATE_SUMMARY = """\
+seed = 1
+frames_per_hypothesis = 20
+epsilon_hat = nan  # DegenerateStatisticError
+covariance_in = 0.0
+covariance_out = 0.0
+snr_per_sqrt_pair = nan  # DegenerateStatisticError
+perr_hat = nan  # InsufficientDataError
+"""
+
+
+def test_simulate_error_lines_are_pinned(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--seed", "1", "--frames", "20", "--pixel-pairs", "2",
+        "--target", "absent", "--background", "0", "--out", str(tmp_path),
+    )
+    assert code == 0
+    summary = (tmp_path / "summary.txt").read_bytes()
+    assert summary == DEGENERATE_SUMMARY.encode()
+    assert hashlib.sha256(summary).hexdigest() == (
+        "9b7d4d2543de0d0a8d89266ce5e9e053cf3e8d585c06706226c39ccfd2fbfd1f"
+    )
+    assert out.startswith(DEGENERATE_SUMMARY)
+
+
+def test_simulate_summary_is_the_point_pipeline_on_the_master_seed(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--seed", "11", "--frames", "200", "--pixel-pairs", "16",
+        "--background", "300", "--images-per-decision", "4", "--out", str(tmp_path),
+    )
+    assert code == 0
+    config = default_config()
+    config["scenario"].update(images=200, pixel_pairs=16)
+    config["background"]["mean_total"] = 300.0
+    point = PointPipeline(build_scenario(config), SeedSpec(11), 4)
+    epsilon, sigma = point.estimate("epsilon")
+    perr = perr_hat(point.deltas("in"), point.deltas("out"), 4)
+    expected = {
+        "epsilon_hat": repr(epsilon),
+        "epsilon_sigma": repr(sigma),
+        "covariance_in": repr(point.value("covariance_in")),
+        "covariance_out": repr(point.value("covariance_out")),
+        "snr_per_sqrt_pair": repr(point.value("snr")),
+        "perr_hat": repr(perr.p_err),
+        "perr_threshold": repr(perr.threshold),
+        "perr_batches": "50",
+    }
+    assert {key: summary_value(out, key) for key in expected} == expected
+    assert (tmp_path / "summary.txt").read_text() == out.split("wrote ")[0]
+
+
+@pytest.mark.parametrize(
+    "section, spec", [("source", SourceSpec), ("channel", ChannelSpec), ("background", BackgroundSpec)]
+)
+def test_spec_sections_hold_exactly_their_fields(section, spec):
+    # build_scenario passes each of these sections to its spec as keywords
+    assert list(CONFIG_SCHEMA[section]) == [field.name for field in dataclasses.fields(spec)]
+
+
 def test_flags_before_subcommand_are_kept(capsys, tmp_path):
     flags = ["--seed", "5", "--frames", "30", "--pixel-pairs", "8"]
     code_a, _, _ = run_cli(capsys, *flags, "simulate", "--out", str(tmp_path / "a"))
@@ -241,7 +306,7 @@ def test_flags_before_subcommand_are_kept(capsys, tmp_path):
 
 def test_simulate_counts_that_would_wrap_exit_2(capsys, tmp_path, monkeypatch):
     huge = np.full((4, 8), 2**31, dtype=np.int64)
-    monkeypatch.setattr("qisim.cli.generate_image_set", lambda *args: ((huge, huge), (huge, huge)))
+    monkeypatch.setattr("qisim.scenario.sample_counts", lambda *args: (huge, huge))
     code, _, err = run_cli(capsys, "simulate", "--seed", "1", "--out", str(tmp_path / "run"))
     assert code == 2
     assert "overflow" in err

@@ -13,12 +13,13 @@ from qisim.estimator import (
     bootstrap,
     bootstrap_epsilon,
     covariance_hat,
-    epsilon_hat,
+    one_row,
     perr_hat,
-    snr_hat,
+    snr_rows,
     write_records_csv,
 )
-from qisim.sampler import generate_image_set, sample_counts
+from qisim.sampler import hypothesis_stream, sample_counts
+from qisim.scenario import PointPipeline
 from qisim.types import (
     DegenerateStatisticError,
     InsufficientDataError,
@@ -72,7 +73,7 @@ def test_covariance_statistics_match_moments():
     # mean of per-frame estimates within 3 SE of cov; their spread within
     # 10% of sqrt(var(dN1 dN2)/K)
     scn = make_scenario(background_mean=3000.0, images=2000)
-    in_counts, _ = generate_image_set(scn, SeedSpec(404))
+    in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(404), "in"))
     deltas = covariance_hat(*in_counts)
     m = analytic.moments(scn)
     se = deltas.std(ddof=1) / np.sqrt(deltas.size)
@@ -86,56 +87,56 @@ def test_covariance_statistics_match_moments():
 # ---------------------------------------------------------------------------
 def test_epsilon_hat_twin_beam_reaches_ideal():
     scn = make_scenario(images=2000)
-    in_counts, _ = generate_image_set(scn, SeedSpec(2001))
+    in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(2001), "in"))
     eps, sigma = bootstrap_epsilon(*in_counts, rng=SeedSpec(2001).rng(STREAM_BOOTSTRAP))
     assert abs(eps - 14.333333333333334) <= 3.0 * sigma
 
 
 def test_epsilon_hat_split_thermal_is_classical():
     scn = make_scenario(kind=SourceKind.SPLIT_THERMAL, images=2000)
-    in_counts, _ = generate_image_set(scn, SeedSpec(2002))
+    in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(2002), "in"))
     eps, sigma = bootstrap_epsilon(*in_counts, rng=SeedSpec(2002).rng(STREAM_BOOTSTRAP))
     assert abs(eps - 1.0) <= 3.0 * sigma
 
 
 def test_epsilon_hat_crosses_classical_bound_with_background():
     scn = make_scenario(background_mean=60000.0, images=400)
-    in_counts, _ = generate_image_set(scn, SeedSpec(2003))
-    assert epsilon_hat(*in_counts) < 1.0
+    eps, _ = PointPipeline(scn, SeedSpec(2003), 10).estimate("epsilon")
+    assert eps < 1.0
 
 
 def test_epsilon_hat_degenerate_raises():
     n1 = n2 = np.zeros((4, 3), dtype=np.int64)
     with pytest.raises(DegenerateStatisticError):
-        epsilon_hat(n1, n2)
+        bootstrap_epsilon(n1, n2, np.random.default_rng(0))
     with pytest.raises(InsufficientDataError):
-        epsilon_hat(n1[:1], n2[:1])
+        bootstrap_epsilon(n1[:1], n2[:1], np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
-# snr_hat
+# snr_rows, one row per hypothesis
 # ---------------------------------------------------------------------------
 def test_snr_hat_identical_distributions_is_small():
     rng = np.random.default_rng(9)
     a = rng.normal(0.0, 1.0, 4000)
     b = rng.normal(0.0, 1.0, 4000)
-    assert snr_hat(a, b) < 5.0 * np.sqrt(2.0 / 4000.0)
+    assert one_row(snr_rows, a, b) < 5.0 * np.sqrt(2.0 / 4000.0)
 
 
 def test_snr_hat_constant_records_degenerate():
     with pytest.raises(DegenerateStatisticError):
-        snr_hat([3.0, 3.0, 3.0], [1.0, 1.0, 1.0])
+        one_row(snr_rows, np.array([3.0, 3.0, 3.0]), np.array([1.0, 1.0, 1.0]))
 
 
 def test_snr_hat_needs_two_records():
     with pytest.raises(InsufficientDataError):
-        snr_hat([1.0], [0.0, 0.1])
+        one_row(snr_rows, np.array([1.0]), np.array([0.0, 0.1]))
 
 
 def test_snr_hat_accepts_records():
     recs_in = np.array([5.0, 6.0, 7.0])
     recs_out = np.array([0.0, 1.0, -1.0])
-    assert snr_hat(recs_in, recs_out) == pytest.approx(6.0 / np.sqrt(2.0))
+    assert one_row(snr_rows, recs_in, recs_out) == pytest.approx(6.0 / np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +193,7 @@ def test_snr_hat_tracks_analytic_curve():
     for vi, nb in enumerate((1000.0, 5000.0, 30000.0)):
         scn = make_scenario(background_mean=nb, images=2000)
         seed = SeedSpec(606).derive(vi)
-        in_counts, out_counts = generate_image_set(scn, seed)
-        f_hat = snr_hat(
-            covariance_hat(*in_counts),
-            covariance_hat(*out_counts),
-        ) / np.sqrt(scn.pixel_pairs)
+        f_hat = PointPipeline(scn, seed, 10).value("snr")
         f_ref = analytic.snr(scn)
         assert abs(f_hat - f_ref) / f_ref < 0.15
 
@@ -218,7 +215,7 @@ def test_snr_ratio_stable_under_doubled_background():
             for hyp_tag, target in ((1, True), (0, False)):
                 s = seed.derive(kind_tag, hyp_tag)
                 recs[target] = covariance_hat(*sample_counts(scen(kind, nb).with_target(target), s))
-            out.append(snr_hat(recs[True], recs[False]))
+            out.append(one_row(snr_rows, recs[True], recs[False]))
         return out[0] / out[1]
 
     base_nb = 10.0 * analytic.moments(scen(SourceKind.TWIN_BEAM, 0.0)).mean2
@@ -244,8 +241,8 @@ def test_bootstrap_sigma_scales_like_standard_error():
 
 def test_records_csv_roundtrip(tmp_path):
     scn = make_scenario(images=4, pixel_pairs=8)
-    in_counts, out_counts = generate_image_set(scn, SeedSpec(3))
-    in_deltas, out_deltas = covariance_hat(*in_counts), covariance_hat(*out_counts)
+    point = PointPipeline(scn, SeedSpec(3), 10)
+    in_deltas, out_deltas = point.deltas("in"), point.deltas("out")
     records = [(i, "in", d) for i, d in enumerate(in_deltas)]
     records += [(i, "out", d) for i, d in enumerate(out_deltas)]
     path = tmp_path / "records.csv"

@@ -20,8 +20,8 @@ from qisim.estimator import (
     bootstrap,
     bootstrap_epsilon,
     covariance_hat,
-    epsilon_hat,
     epsilon_rows,
+    one_row,
     perr_hat,
     perr_rows,
     snr_rows,
@@ -146,9 +146,10 @@ def test_counts_past_int64_limit_are_rejected():
     assert covariance_hat(below, below).tolist() == python_int_covariance(below, below)
     past = below.copy()
     past[0, 0] = peak + 1
-    for estimator in (covariance_hat, epsilon_hat):
-        with pytest.raises(ParameterError):
-            estimator(past, below)
+    with pytest.raises(ParameterError):
+        covariance_hat(past, below)
+    with pytest.raises(ParameterError):
+        bootstrap_epsilon(past, below, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +249,11 @@ def test_bootstrap_epsilon_matches_one_index_matrix(frames, k, seed):
     # the former vectorized form: one (resamples, frames) index draw
     counts = np.random.default_rng(seed).negative_binomial(3, 0.2, size=(2, frames, k))
     n1, n2 = counts.astype(np.int64)
-    assume(_sigma_or_error(lambda: epsilon_hat(n1, n2)) != "degenerate")
     stats = np.column_stack(
         (n1.sum(1), n2.sum(1), (n1 * n1).sum(1), (n2 * n2).sum(1), (n1 * n2).sum(1),
          np.full(frames, k))
     )
+    assume(_sigma_or_error(lambda: one_row(epsilon_rows, stats.T)) != "degenerate")
     idx = np.random.default_rng(seed + 1).integers(0, frames, size=(200, frames))
     values = _epsilon_from_sums(stats[idx].sum(axis=1))
     good = values[np.isfinite(values)]
@@ -316,3 +317,21 @@ def test_bootstrap_perr_matches_per_iteration_draws(case, seed, resamples):
         scalar_perr, [in_values, out_values], np.random.default_rng(seed), resamples
     )
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the one-row mean against .mean()
+# ---------------------------------------------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(1, 300), st.sampled_from((7, 8, 9, 127, 128, 129, 4095, 4096, 4097))),
+    st.floats(-3.0, 6.0).map(lambda exponent: 10.0**exponent),
+    _seeds,
+)
+def test_one_row_mean_equals_mean(length, magnitude, seed):
+    # a sweep's covariance metric is the one-row mean of the per-frame
+    # covariances, and simulate prints it: it must be `.mean()` bit for
+    # bit, across numpy's pairwise-summation blocks
+    v = np.random.default_rng(seed).normal(0.5, 1.0, length) * magnitude
+    assert v[None].mean(axis=-1)[0] == v.mean()
+    assert one_row(lambda rows: rows.mean(axis=-1), v) == v.mean()

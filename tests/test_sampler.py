@@ -12,7 +12,7 @@ from scipy import stats
 from conftest import make_scenario
 from qisim import analytic, oracle
 from qisim.estimator import covariance_hat
-from qisim.sampler import generate_image_set, sample_counts
+from qisim.sampler import hypothesis_stream, sample_counts
 from qisim.types import ParameterError, SeedSpec, SourceKind
 
 
@@ -154,7 +154,8 @@ def test_stream_format_is_pinned():
 
 def test_image_set_hypotheses_use_disjoint_streams():
     scn = make_scenario(images=50, pixel_pairs=16)
-    (in_n1, _), (out_n1, _) = generate_image_set(scn, SeedSpec(77))
+    in_n1, _ = sample_counts(*hypothesis_stream(scn, SeedSpec(77), "in"))
+    out_n1, _ = sample_counts(*hypothesis_stream(scn, SeedSpec(77), "out"))
     in_rows = {tuple(row) for row in in_n1}
     out_rows = {tuple(row) for row in out_n1}
     assert not in_rows & out_rows
@@ -269,7 +270,7 @@ def test_thinning_law_two_sample_chisquare():
 
 def test_frame_covariances_uncorrelated_between_frames():
     scn = make_scenario(background_mean=2000.0, images=2000)
-    in_counts, _ = generate_image_set(scn, SeedSpec(555))
+    in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(555), "in"))
     deltas = covariance_hat(*in_counts)
     x, y = deltas[:-1] - deltas.mean(), deltas[1:] - deltas.mean()
     lag1 = float(np.sum(x * y) / np.sum((deltas - deltas.mean()) ** 2))

@@ -2,6 +2,8 @@
 error flagging, and output formats."""
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from qisim.sampler import sample_counts
 from qisim.cli import default_config, load_config_file, sidecar_text
 from qisim import analytic
 from qisim.scenario import (
+    METRICS,
+    PointPipeline,
     SweepParameter,
     SweepRow,
     SweepSpec,
@@ -143,6 +147,42 @@ def test_single_value_sweep_equals_direct_call():
     eps, sigma = bootstrap_epsilon(n1, n2, rng=point_seed.rng(STREAM_BOOTSTRAP, 0))
     assert row.estimate == eps
     assert row.uncertainty == sigma
+
+
+ALL_OUTPUTS = ("epsilon", "snr", "covariance", "perr")
+
+
+def test_sweep_rows_are_the_point_pipeline_estimates():
+    spec = sweep_spec(
+        values=(100.0,), sources=(SourceKind.TWIN_BEAM,), outputs=ALL_OUTPUTS, images_per_decision=2
+    )
+    rows = run_sweep(spec).rows
+    scn = spec.base.with_source_kind(SourceKind.TWIN_BEAM).with_background_mean(100.0)
+    point = PointPipeline(scn, spec.seed.derive(0, 0), 2)
+    assert [r.metric for r in rows] == ["epsilon", "snr", "covariance_in", "covariance_out", "perr"]
+    for row in rows:
+        estimate, uncertainty = point.estimate(row.metric)
+        assert (repr(row.estimate), repr(row.uncertainty)) == (repr(estimate), repr(uncertainty))
+        assert row.analytic == METRICS[row.metric].closed_form(scn, 2)
+
+
+@pytest.mark.parametrize("target_present", [True, False])
+def test_sweep_leaves_no_reference_cycles(target_present):
+    # the point pipeline holds every count array of a point; a cycle through
+    # it would keep them alive until the cyclic collector runs.  With the
+    # target absent and no background, epsilon and snr are flagged, so the
+    # error path is covered too.
+    base = desk_scenario(target_present=target_present)
+    spec = sweep_spec(base=base, values=(0.0, 100.0), outputs=ALL_OUTPUTS, images_per_decision=2)
+    gc.collect()
+    gc.disable()
+    try:
+        rows = run_sweep(spec).rows
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert any(r.flag for r in rows) != target_present
 
 
 def test_rerun_is_byte_identical():
