@@ -1,223 +1,60 @@
-"""Command-line entry point: config parsing, subcommands, seeds, outputs.
+"""Command-line entry point: subcommands, flags, seeds, outputs.
 
-Configuration is flat key-value text with one section per module
-(INI syntax), described by ``CONFIG_SCHEMA``.  A run resolves one
-configuration in layers: the defaults or ``--config FILE``, then, for
-``reproduce``, the keys of the figure preset's series, then every key
-given on the command line, so explicit flags win over presets.  Each key
-is one option, spelled ``--section.key`` or by its shortcut (``--mu``,
-``--seed``, ...); ``--target present|absent`` sets
-``channel.target_present``.  A key given more than once takes the value
-of its last flag, before or after the subcommand.
+A run resolves one configuration (see `config`) in layers: the defaults
+or ``--config FILE``, then, for ``reproduce``, the keys of the figure
+preset's series, then every key given on the command line, so explicit
+flags win over presets.  Each key is one option, spelled
+``--section.key`` or by its shortcut (``--mu``, ``--seed``, ...);
+``--target present|absent`` sets ``channel.target_present``.  A key
+given more than once takes the value of its last flag, before or after
+the subcommand.
 
 Every sweep writes its CSV and, next to it, a sidecar: the resolved
 configuration rendered from the schema, seed included.  ``qisim sweep
---config SIDECAR`` replays the CSV byte for byte.  All randomness flows
+--config SIDECAR`` replays the CSV byte for byte.  A sweep moves any
+numeric key, a loss such as ``channel.eta2`` too.  All randomness flows
 from the single seed ``run.seed``; when absent a fresh seed is drawn and
 printed so the run stays reproducible after the fact.
 """
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import secrets
 import sys
 
 from . import analytic
-from .estimator import perr_hat, write_records_csv
-from .sampler import STREAM_FORMAT, write_frames_csv
-from .scenario import (
-    PointPipeline,
-    SweepParameter,
-    SweepSpec,
-    run_sweep,
-    write_sweep_csv,
+from .config import (
+    CONFIG_SCHEMA,
+    apply,
+    build_scenario,
+    default_config,
+    load_config_file,
+    render,
+    sidecar_text,
 )
+from .estimator import perr_hat, write_records_csv
+from .sampler import write_frames_csv
+from .scenario import PointPipeline, run_sweep, sweep_spec, write_sweep_csv
 from .types import (
-    BackgroundSpec,
-    ChannelSpec,
     DegenerateStatisticError,
     InsufficientDataError,
     ParameterError,
-    Scenario,
     SeedSpec,
     SourceKind,
-    SourceSpec,
 )
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ParameterError(f"expected a boolean, got {text!r}")
-
-
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_str_list(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-# section -> key -> (parser, default, help text with symbol and units)
-CONFIG_SCHEMA = {
-    "source": {
-        "kind": (
-            str,
-            "twin_beam",
-            "source type: twin_beam or split_thermal; analytic and simulate only, sweeps use sweep.sources",
-        ),
-        "mu": (float, 0.075, "mean photons per mode, symbol mu (dimensionless)"),
-        "modes": (int, 90000, "spatiotemporal modes per pixel pair, symbol M"),
-        "split_ratio": (float, 0.5, "classical splitter transmittance, symbol t, in (0,1)"),
-    },
-    "channel": {
-        "eta1": (float, 0.62, "reference-arm detection efficiency, symbol eta_1, in [0,1]"),
-        "eta2": (float, 0.62, "probe-arm detection efficiency, symbol eta_2, in [0,1]"),
-        "reflectivity": (float, 0.5, "target reflectivity, symbol r, in [0,1]"),
-        "target_present": (_parse_bool, True, "whether the target is in the probe path"),
-        "mode_match": (float, 1.0, "fraction of probe modes correlated with the paired pixel, in [0,1]"),
-    },
-    "background": {
-        "modes_b": (int, 1300, "background mode count, symbol M_b"),
-        "mean_total": (float, 0.0, "detected background photons per pixel, symbol N_b"),
-    },
-    "scenario": {
-        "pixel_pairs": (int, 80, "correlated pixel pairs per frame, symbol K"),
-        "images": (int, 2000, "frames generated per hypothesis, symbol N_img"),
-        "images_per_decision": (int, 10, "frames averaged per detection decision"),
-    },
-    "sampler": {
-        "read_noise_sigma": (float, 0.0, "additive detector read noise sigma, electrons, 0 to 1e6"),
-    },
-    "sweep": {
-        "parameter": (str, "background_mean", "swept axis: background_mean, images_per_decision or mu"),
-        "values": (
-            _parse_float_list,
-            (100.0, 316.0, 1000.0, 3162.0, 10000.0, 31623.0, 100000.0),
-            "comma-separated increasing values",
-        ),
-        "sources": (
-            _parse_str_list,
-            ("twin_beam", "split_thermal"),
-            "comma-separated source kinds to compare",
-        ),
-        "outputs": (
-            _parse_str_list, ("epsilon",), "comma-separated metrics: epsilon,snr,covariance,perr"
-        ),
-        "emit_analytic": (_parse_bool, True, "also emit closed-form curve values"),
-    },
-    "run": {
-        "seed": (int, None, "master seed (default: drawn and printed)"),
-    },
-}
-
-
-def default_config() -> dict:
-    return {
-        section: {key: entry[1] for key, entry in keys.items()}
-        for section, keys in CONFIG_SCHEMA.items()
-    }
-
-
-def _set_key(config: dict, section: str, key: str, raw: str) -> None:
-    if section not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[section]:
-        raise ParameterError(f"unknown config key: {section}.{key}")
-    parser = CONFIG_SCHEMA[section][key][0]
-    try:
-        config[section][key] = parser(raw)
-    except (ValueError, ParameterError) as exc:
-        raise ParameterError(f"{section}.{key}: {exc}") from exc
-
-
-def _apply(config: dict, *layers) -> dict:
-    """A copy of `config` with each layer, a {"section.key": raw} dict,
-    applied in order, so a later layer wins."""
-    config = {section: dict(keys) for section, keys in config.items()}
-    for layer in layers:
-        for name, raw in layer.items():
-            _set_key(config, *name.split(".", 1), raw)
-    return config
-
-
-def load_config_file(path: str) -> dict:
-    config = default_config()
-    ini = configparser.ConfigParser(interpolation=None)
-    with open(path) as handle:
-        ini.read_file(handle)
-    for section in ini.sections():
-        if section not in CONFIG_SCHEMA:
-            raise ParameterError(f"unknown config section: {section}")
-        for key, raw in ini.items(section):
-            _set_key(config, section, key, raw)
-    return config
-
-
-def _render(value) -> str:
-    """A config value in the text form its schema parser reads back."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(_render(item) for item in value)
-    return str(value)
-
-
-def sidecar_text(config: dict) -> str:
-    """A resolved configuration in the format `load_config_file` reads."""
-    lines = [
-        "# resolved sweep configuration; feed back via --config to reproduce",
-        "# background mean_total is the detected per-pixel mean",
-        f"# {STREAM_FORMAT}",
-    ]
-    for section, keys in CONFIG_SCHEMA.items():
-        lines.append(f"[{section}]")
-        lines.extend(f"{key} = {_render(config[section][key])}" for key in keys)
-    return "\n".join(lines) + "\n"
-
-
-def build_scenario(config: dict) -> Scenario:
-    """The scenario of a resolved configuration; the source, channel and
-    background sections each hold exactly their spec's fields."""
-    return Scenario(
-        source=SourceSpec(**dict(config["source"], kind=SourceKind.parse(config["source"]["kind"]))),
-        channel=ChannelSpec(**config["channel"]),
-        background=BackgroundSpec(**config["background"]),
-        pixel_pairs=config["scenario"]["pixel_pairs"],
-        images=config["scenario"]["images"],
-        read_noise_sigma=config["sampler"]["read_noise_sigma"],
-    )
-
-
-def build_sweep_spec(config: dict, seed: SeedSpec) -> SweepSpec:
-    return SweepSpec(
-        base=build_scenario(config),
-        parameter=SweepParameter.parse(config["sweep"]["parameter"]),
-        values=config["sweep"]["values"],
-        sources=tuple(SourceKind.parse(k) for k in config["sweep"]["sources"]),
-        outputs=config["sweep"]["outputs"],
-        seed=seed,
-        emit_analytic=config["sweep"]["emit_analytic"],
-        images_per_decision=config["scenario"]["images_per_decision"],
-    )
 
 
 def _write_sweeps(out: str, configs: dict) -> int:
     """Run the sweep each config describes on its seed `run.seed`; write
     `out`/<stem>.csv and the sidecar that replays it, with source.kind =
-    sweep.sources[0].  Every sweep is validated before `out` is made."""
-    specs = {stem: build_sweep_spec(c, SeedSpec(c["run"]["seed"])) for stem, c in configs.items()}
+    sweep.sources[0].  Every point of every sweep is built before `out` is made."""
+    specs = {stem: sweep_spec(config) for stem, config in configs.items()}
     os.makedirs(out, exist_ok=True)
     for stem, config in configs.items():
         csv_path = os.path.join(out, f"{stem}.csv")
         write_sweep_csv(run_sweep(specs[stem]), csv_path)
-        config = _apply(config, {"source.kind": config["sweep"]["sources"][0]})
+        config = apply(config, {"source.kind": config["sweep"]["sources"][0]})
         with open(csv_path + ".meta.txt", "w") as handle:
             handle.write(sidecar_text(config))
         print(f"wrote {csv_path}")
@@ -269,7 +106,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
             name = f"{section}.{key}"
             flags = [f"--{flag}" for flag in (name, _SHORTCUTS.get(name)) if flag]
             if default is not None:
-                text = f"{text} (default: {_render(default)})"
+                text = f"{text} (default: {render(default)})"
             parser.add_argument(
                 *flags, dest=name, metavar="V", default=argparse.SUPPRESS, help=text
             )
@@ -402,10 +239,6 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
-    return _write_sweeps(args.out, {"sweep": config})
-
-
 _DECADES = "100,316,1000,3162,10000,31623,100000"
 
 # Keys every preset series sets; the series' own table adds to them.
@@ -460,7 +293,7 @@ def cmd_reproduce(base: dict, overrides: dict, seed: SeedSpec, args: argparse.Na
     seed derived from the master seed with tag i."""
     configs = {}
     for index, (stem, table) in enumerate(PRESETS[args.figure].items()):
-        config = _apply(base, _PRESET_BASE, table, overrides)
+        config = apply(base, _PRESET_BASE, table, overrides)
         config["run"]["seed"] = seed.derive(index).master_seed
         configs[stem] = config
     return _write_sweeps(args.out, configs)
@@ -477,7 +310,7 @@ def main(argv=None) -> int:
     try:
         overrides = _overrides(args, leftovers)
         base = load_config_file(args.config) if args.config else default_config()
-        config = _apply(base, overrides)
+        config = apply(base, overrides)
         build_scenario(config)
         if args.command == "analytic":
             return cmd_analytic(config, args)
@@ -487,7 +320,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config, args)
         if args.command == "sweep":
-            return cmd_sweep(config, args)
+            return _write_sweeps(args.out, {"sweep": config})
         return cmd_reproduce(base, overrides, SeedSpec(config["run"]["seed"]), args)
     except (ParameterError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

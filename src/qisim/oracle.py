@@ -58,12 +58,6 @@ class JointDistribution:
         if not (1.0 - 1e-12 <= total + self.tail_bound <= 1.0 + 1e-12):
             raise AssertionError(f"mass {total} + tail {self.tail_bound} not ~1")
 
-    def marginal1(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def marginal2(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
 
 def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> np.ndarray:
     """pmf of an `modes`-mode thermal beam with the given total mean,

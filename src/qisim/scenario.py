@@ -1,20 +1,23 @@
 """Declarative parameter sweeps with Monte Carlo and closed-form columns.
 
-A sweep runs one `PointPipeline` per (source kind, swept value) grid
-point, each on its own derived seed, so a point's rows do not depend on
-which other points run; `simulate` is one point on the master seed.
-`METRICS` defines each figure of merit once.  Estimator failures flag
-the affected row and never abort the sweep.
+`sweep_spec` turns a resolved configuration into its grid: each (source
+kind, swept value) point is the configuration with `source.kind` and the
+swept key set, built by `config.build_scenario` before anything is
+drawn.  `run_sweep` runs one `PointPipeline` per point, each on its own
+derived seed, so a point's rows do not depend on which other points run;
+`simulate` is one point on the master seed.  `METRICS` defines each
+figure of merit once.  Estimator failures flag the affected row and never
+abort the sweep.
 """
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import analytic
+from .config import CONFIG_SCHEMA, apply, build_scenario
 from .estimator import (
     bootstrap,
     bootstrap_epsilon,
@@ -31,7 +34,6 @@ from .types import (
     ParameterError,
     Scenario,
     SeedSpec,
-    SourceKind,
     STREAM_BOOTSTRAP,
 )
 
@@ -43,51 +45,70 @@ _OUTPUT_METRICS = {
 KNOWN_OUTPUTS = tuple(_OUTPUT_METRICS)
 
 
-class SweepParameter(enum.Enum):
-    BACKGROUND_MEAN = "background_mean"
-    IMAGES_PER_DECISION = "images_per_decision"
-    MU = "mu"
+# sweep.parameter aliases -> the config key each one sweeps
+_ALIASES = {
+    "background_mean": "background.mean_total",
+    "mu": "source.mu",
+    "images_per_decision": "scenario.images_per_decision",
+}
 
-    @classmethod
-    def parse(cls, text: str) -> "SweepParameter":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ParameterError(
-            f"parameter must be one of {[m.value for m in cls]} (got {text!r})"
-        )
+
+class SweepPoint(NamedTuple):
+    """One grid point: its swept value and what its `PointPipeline` takes."""
+
+    value: float
+    scenario: Scenario
+    images_per_decision: int
+    seed: SeedSpec
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One experiment grid: base scenario, the swept axis and its values,
-    the sources to compare and the figures of merit to emit."""
+    """One experiment grid: the swept key as written, its points in grid
+    order (source by source, then value by value), and the figures of
+    merit to emit."""
 
-    base: Scenario
-    parameter: SweepParameter
-    values: tuple
-    sources: tuple
+    parameter: str
+    points: tuple
     outputs: tuple
-    seed: SeedSpec
     emit_analytic: bool = True
-    images_per_decision: int = 10
 
-    def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise ParameterError("values must be non-empty")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ParameterError("values must be strictly increasing")
-        unknown = [o for o in self.outputs if o not in KNOWN_OUTPUTS]
-        if unknown:
-            raise ParameterError(f"unknown outputs {unknown}; known: {KNOWN_OUTPUTS}")
-        if len(self.sources) == 0:
-            raise ParameterError("sources must be non-empty")
-        if self.images_per_decision < 1:
-            raise ParameterError("images_per_decision must be >= 1")
-        if self.parameter is SweepParameter.IMAGES_PER_DECISION and not all(
-            float(v).is_integer() and v >= 1 for v in self.values
-        ):
-            raise ParameterError(f"images_per_decision values must be integers >= 1 (got {self.values})")
+
+def sweep_spec(config: dict) -> SweepSpec:
+    """The grid of a resolved configuration.  Point (i, j) is the config
+    with source.kind = sweep.sources[i] and the swept key = sweep.values[j],
+    on the seed derived from run.seed with tags (i, j).  Every point is
+    built, and so checked, here."""
+    sweep = config["sweep"]
+    values = sweep["values"]
+    if len(values) == 0:
+        raise ParameterError("values must be non-empty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ParameterError("values must be strictly increasing")
+    unknown = [o for o in sweep["outputs"] if o not in KNOWN_OUTPUTS]
+    if unknown:
+        raise ParameterError(f"unknown outputs {unknown}; known: {KNOWN_OUTPUTS}")
+    if len(sweep["sources"]) == 0:
+        raise ParameterError("sources must be non-empty")
+    name = sweep["parameter"]
+    key = _ALIASES.get(name, name)
+    section, _, field = key.partition(".")
+    parser = CONFIG_SCHEMA.get(section, {}).get(field, (None,))[0]
+    if section in ("run", "sweep") or parser not in (int, float):
+        raise ParameterError(
+            "sweep.parameter must be a numeric section.key outside run and sweep, or one of "
+            f"{list(_ALIASES)} (got {name!r})"
+        )
+    if parser is int and not all(float(v).is_integer() and v >= 1 for v in values):
+        raise ParameterError(f"{name} values must be integers >= 1 (got {values})")
+    seed = SeedSpec(config["run"]["seed"])
+    points = []
+    for si, kind in enumerate(sweep["sources"]):
+        for vi, value in enumerate(values):
+            at = apply(config, {"source.kind": kind, key: value})
+            ipd = at["scenario"]["images_per_decision"]
+            points.append(SweepPoint(value, build_scenario(at), ipd, seed.derive(si, vi)))
+    return SweepSpec(name, tuple(points), sweep["outputs"], sweep["emit_analytic"])
 
 
 @dataclass(frozen=True)
@@ -117,18 +138,6 @@ class SweepResult:
                 f"{fmt(r.estimate)},{fmt(r.uncertainty)},{fmt(r.analytic)},{r.flag}"
             )
         return "\n".join(lines) + "\n"
-
-
-def _scenario_at(spec: SweepSpec, kind: SourceKind, value: float) -> tuple[Scenario, int]:
-    scn = spec.base.with_source_kind(kind)
-    ipd = spec.images_per_decision
-    if spec.parameter is SweepParameter.BACKGROUND_MEAN:
-        scn = scn.with_background_mean(value)
-    elif spec.parameter is SweepParameter.MU:
-        scn = scn.with_mu(value)
-    else:
-        ipd = int(value)
-    return scn, ipd
 
 
 def _mean(scn: Scenario, ipd: int, values):
@@ -213,18 +222,16 @@ class PointPipeline:
 _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)
 
 
-def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[SweepRow]:
-    kind = spec.sources[source_index]
-    value = spec.values[value_index]
-    scn, ipd = _scenario_at(spec, kind, value)
-    point = PointPipeline(scn, spec.seed.derive(source_index, value_index), ipd)
+def _point_rows(spec: SweepSpec, point: SweepPoint) -> list[SweepRow]:
+    scn, ipd = point.scenario, point.images_per_decision
+    pipeline = PointPipeline(scn, point.seed, ipd)
     rows: list[SweepRow] = []
     for output in spec.outputs:
         for metric in _OUTPUT_METRICS[output]:
             estimate = uncertainty = reference = None
             flags = []
             try:
-                estimate, uncertainty = point.estimate(metric)
+                estimate, uncertainty = pipeline.estimate(metric)
             except _ESTIMATOR_ERRORS as exc:
                 flags.append(f"error:{type(exc).__name__}")
             if spec.emit_analytic:
@@ -236,19 +243,18 @@ def _point_rows(spec: SweepSpec, source_index: int, value_index: int) -> list[Sw
                 # the closed forms have no read-noise term
                 flags.append("analytic_ignores_read_noise")
             rows.append(SweepRow(
-                kind.value, spec.parameter.value, value, metric,
+                scn.source.kind.value, spec.parameter, point.value, metric,
                 estimate, uncertainty, reference, ";".join(flags),
             ))
     return rows
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run every (source, value) job in grid order; deterministic under
-    `spec.seed`, since jobs own disjoint derived streams."""
+    """Run every point in grid order; deterministic, since points own
+    disjoint derived streams."""
     rows: list[SweepRow] = []
-    for si in range(len(spec.sources)):
-        for vi in range(len(spec.values)):
-            rows.extend(_point_rows(spec, si, vi))
+    for point in spec.points:
+        rows.extend(_point_rows(spec, point))
     return SweepResult(rows=tuple(rows))
 
 

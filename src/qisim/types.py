@@ -192,18 +192,6 @@ class Scenario:
             self, channel=dataclasses.replace(self.channel, target_present=present)
         )
 
-    def with_background_mean(self, mean_total: float) -> "Scenario":
-        return dataclasses.replace(
-            self,
-            background=dataclasses.replace(self.background, mean_total=mean_total),
-        )
-
-    def with_mu(self, mu: float) -> "Scenario":
-        return dataclasses.replace(self, source=dataclasses.replace(self.source, mu=mu))
-
-    def with_source_kind(self, kind: SourceKind) -> "Scenario":
-        return dataclasses.replace(self, source=dataclasses.replace(self.source, kind=kind))
-
 
 @dataclass(frozen=True)
 class MomentSet:

@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qisim
-from qisim.cli import (
+from qisim.cli import main
+from qisim.config import (
     CONFIG_SCHEMA,
     build_scenario,
     default_config,
     load_config_file,
-    main,
     sidecar_text,
 )
 from qisim.estimator import perr_hat
@@ -418,6 +418,52 @@ def test_sweep_images_per_decision_below_one_exit_2(capsys, tmp_path):
     assert "images_per_decision values must be integers >= 1" in err
     assert not [path for path in tmp_path.rglob("*") if path.is_file()]
     assert not (tmp_path / "run").exists()
+
+
+_NOT_SWEEPABLE = "sweep.parameter must be a numeric section.key outside run and sweep"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--sweep.values=-5,10"], "mean_total must be >= 0"),
+        (["sweep", "--sweep.parameter", "mu", "--sweep.values", "0.1,1e400"], "mu must be finite"),
+        (["reproduce", "fig2", "--sweep.values=5,1e400"], "mean_total must be finite"),
+        (["sweep", "--sweep.parameter", "channel.target_present"], _NOT_SWEEPABLE),
+        (["sweep", "--sweep.parameter", "source.kind"], _NOT_SWEEPABLE),
+        (["sweep", "--sweep.parameter", "run.seed"], _NOT_SWEEPABLE),
+        (["sweep", "--sweep.parameter", "sweep.values"], _NOT_SWEEPABLE),
+        (["sweep", "--sweep.parameter", "wibble"], _NOT_SWEEPABLE),
+    ],
+)
+def test_bad_sweep_exits_2_before_out_exists(capsys, tmp_path, argv, message):
+    # every point of every sweep is built before the output directory is made
+    code, _, err = run_cli(capsys, *argv, "--seed", "3", "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_loss_sweep_replays_from_its_sidecar(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "sweep", "--seed", "3", "--frames", "40", "--background", "1000",
+        "--sweep.parameter", "channel.eta2", "--sweep.values", "0.1,0.3,0.62,1",
+        "--out", str(tmp_path / "loss"),
+    )
+    assert code == 0
+    csv_bytes = (tmp_path / "loss" / "sweep.csv").read_bytes()
+    rows = [line.split(",") for line in csv_bytes.decode().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["channel.eta2"] * 8
+    assert [row[2] for row in rows] == ["0.1", "0.3", "0.62", "1.0"] * 2
+    # a lossier probe arm lowers the twin beam's closed-form epsilon
+    twin = [float(row[6]) for row in rows[:4]]
+    assert twin == sorted(set(twin))
+    sidecar = tmp_path / "loss" / "sweep.csv.meta.txt"
+    replay = tmp_path / "replay"
+    code, _, _ = run_cli(capsys, "sweep", "--config", str(sidecar), "--out", str(replay))
+    assert code == 0
+    assert (replay / "sweep.csv").read_bytes() == csv_bytes
+    assert (replay / "sweep.csv.meta.txt").read_bytes() == sidecar.read_bytes()
 
 
 def test_reproduce_images_per_decision_below_one_exit_2(capsys, tmp_path):

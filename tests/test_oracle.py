@@ -70,7 +70,7 @@ def test_split_covariance_formula_small():
 def test_arm1_marginal_is_thinned_multithermal(kind):
     source, channel, background = specs(kind, mu=0.3, modes=3, e1=0.7, e2=0.5)
     joint = oracle.joint_distribution(source, channel, background)
-    marginal = joint.marginal1()
+    marginal = joint.probs.sum(axis=1)
     eff_mu = 0.7 * 0.3
     p = 1.0 / (1.0 + eff_mu)
     expected = stats.nbinom.pmf(np.arange(marginal.size), 3, p)

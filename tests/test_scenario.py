@@ -7,65 +7,65 @@ import gc
 import numpy as np
 import pytest
 
-from conftest import make_scenario
 from qisim.estimator import bootstrap_epsilon
 from qisim.sampler import sample_counts
-from qisim.cli import default_config, load_config_file, sidecar_text
+from qisim.config import apply, default_config, load_config_file, sidecar_text
 from qisim import analytic
 from qisim.scenario import (
     METRICS,
     PointPipeline,
-    SweepParameter,
     SweepRow,
     SweepSpec,
     run_sweep,
+    sweep_spec,
     write_sweep_csv,
 )
 from qisim.types import ParameterError, SeedSpec, SourceKind, STREAM_BOOTSTRAP
 
+# Small mode count so the normally ordered variances are resolvable with a
+# few thousand samples.
+DESK = {
+    "source.mu": "0.3", "source.modes": "60", "channel.eta1": "0.9", "channel.eta2": "0.9",
+    "channel.reflectivity": "1.0", "scenario.images": "60", "scenario.pixel_pairs": "32",
+}
+# The grid each test sweeps unless it sets these keys itself.
+GRID = {
+    "sweep.parameter": "background_mean", "sweep.values": "0,200,2000",
+    "sweep.sources": "twin_beam,split_thermal", "sweep.outputs": "epsilon", "run.seed": "42",
+}
+ALL_OUTPUTS = "epsilon,snr,covariance,perr"
 
-def desk_scenario(**overrides):
-    """Small mode count so the normally ordered variances are resolvable
-    with a few thousand samples."""
-    defaults = dict(
-        mu=0.3, modes=60, eta1=0.9, eta2=0.9, reflectivity=1.0,
-        images=60, pixel_pairs=32,
-    )
-    defaults.update(overrides)
-    return make_scenario(**defaults)
 
-
-def sweep_spec(**overrides) -> SweepSpec:
-    defaults = dict(
-        base=desk_scenario(),
-        parameter=SweepParameter.BACKGROUND_MEAN,
-        values=(0.0, 200.0, 2000.0),
-        sources=(SourceKind.TWIN_BEAM, SourceKind.SPLIT_THERMAL),
-        outputs=("epsilon",),
-        seed=SeedSpec(42),
-    )
-    defaults.update(overrides)
-    return SweepSpec(**defaults)
+def desk_spec(*layers) -> SweepSpec:
+    """The sweep of the default configuration with DESK, GRID and then
+    each {"section.key": raw} layer set."""
+    return sweep_spec(apply(default_config(), DESK, GRID, *layers))
 
 
 def test_sweep_spec_validation():
     with pytest.raises(ParameterError):
-        sweep_spec(values=(3.0, 1.0))
+        desk_spec({"sweep.values": "3,1"})
     with pytest.raises(ParameterError):
-        sweep_spec(values=())
+        desk_spec({"sweep.values": ""})
     with pytest.raises(ParameterError):
-        sweep_spec(outputs=("epsilon", "wibble"))
+        desk_spec({"sweep.outputs": "epsilon,wibble"})
     with pytest.raises(ParameterError):
-        sweep_spec(sources=())
+        desk_spec({"sweep.sources": ""})
 
 
 def test_images_per_decision_values_must_be_integers():
+    ipd = {"sweep.parameter": "images_per_decision"}
     with pytest.raises(ParameterError):
-        sweep_spec(parameter=SweepParameter.IMAGES_PER_DECISION, values=(1.0, 2.5))
-    for values in ((0.0, 5.0), (-3.0, 5.0)):
+        desk_spec(ipd, {"sweep.values": "1,2.5"})
+    for values in ("0,5", "-3,5"):
         with pytest.raises(ParameterError, match="integers >= 1"):
-            sweep_spec(parameter=SweepParameter.IMAGES_PER_DECISION, values=values)
-    sweep_spec(parameter=SweepParameter.IMAGES_PER_DECISION, values=(1.0, 3.0))
+            desk_spec(ipd, {"sweep.values": values})
+    desk_spec(ipd, {"sweep.values": "1,3"})
+    modes = {"sweep.parameter": "source.modes"}
+    with pytest.raises(ParameterError, match="source.modes values must be integers >= 1"):
+        desk_spec(modes, {"sweep.values": "30,60.5"})
+    spec = desk_spec(modes, {"sweep.values": "30,60"})
+    assert [point.scenario.source.modes for point in spec.points] == [30, 60, 30, 60]
 
 
 def test_counts_that_would_wrap_flag_the_row(monkeypatch):
@@ -77,8 +77,8 @@ def test_counts_that_would_wrap_flag_the_row(monkeypatch):
     monkeypatch.setattr("qisim.scenario.sample_counts", huge_counts)
     # 60 frames at 2 per decision make 30 batches, so the perr row too
     # reaches the wrap check rather than the batch check
-    spec = sweep_spec(
-        values=(100.0,), outputs=("epsilon", "snr", "covariance", "perr"), images_per_decision=2
+    spec = desk_spec(
+        {"sweep.values": "100", "sweep.outputs": ALL_OUTPUTS, "scenario.images_per_decision": "2"}
     )
     rows = run_sweep(spec).rows
     assert rows and all(r.flag == "error:ParameterError" and r.estimate is None for r in rows)
@@ -99,11 +99,12 @@ def counting_sample_counts(monkeypatch) -> list:
 
 def test_perr_point_with_too_few_batches_draws_nothing(monkeypatch):
     # 60 frames at 10 per decision make 6 batches, fewer than perr needs
-    spec = sweep_spec(values=(100.0,), sources=(SourceKind.TWIN_BEAM,), outputs=("perr",))
+    spec = desk_spec({"sweep.values": "100", "sweep.sources": "twin_beam", "sweep.outputs": "perr"})
     calls = counting_sample_counts(monkeypatch)
     (row,) = run_sweep(spec).rows
     assert calls == []
-    scn = spec.base.with_background_mean(100.0)
+    scn = spec.points[0].scenario
+    assert scn.background.mean_total == 100.0
     assert row == SweepRow(
         source="twin_beam",
         param="background_mean",
@@ -125,9 +126,10 @@ def test_perr_point_with_too_few_batches_draws_nothing(monkeypatch):
     ],
 )
 def test_point_draws_each_hypothesis_once(monkeypatch, outputs, draws):
-    spec = sweep_spec(
-        values=(100.0,), sources=(SourceKind.TWIN_BEAM,), outputs=outputs, images_per_decision=2
-    )
+    spec = desk_spec({
+        "sweep.values": "100", "sweep.sources": "twin_beam", "sweep.outputs": ",".join(outputs),
+        "scenario.images_per_decision": "2",
+    })
     expected = run_sweep(spec)
     calls = counting_sample_counts(monkeypatch)
     result = run_sweep(spec)
@@ -137,11 +139,12 @@ def test_point_draws_each_hypothesis_once(monkeypatch, outputs, draws):
 
 
 def test_single_value_sweep_equals_direct_call():
-    spec = sweep_spec(values=(500.0,), sources=(SourceKind.TWIN_BEAM,))
+    spec = desk_spec({"sweep.values": "500", "sweep.sources": "twin_beam"})
     row = run_sweep(spec).rows[0]
 
-    scn = spec.base.with_source_kind(SourceKind.TWIN_BEAM).with_background_mean(500.0)
-    point_seed = spec.seed.derive(0, 0)
+    scn = spec.points[0].scenario
+    assert (scn.source.kind, scn.background.mean_total) == (SourceKind.TWIN_BEAM, 500.0)
+    point_seed = SeedSpec(42).derive(0, 0)
     in_seed = point_seed.derive(1)
     n1, n2 = sample_counts(scn.with_target(True), in_seed)
     eps, sigma = bootstrap_epsilon(n1, n2, rng=point_seed.rng(STREAM_BOOTSTRAP, 0))
@@ -149,16 +152,14 @@ def test_single_value_sweep_equals_direct_call():
     assert row.uncertainty == sigma
 
 
-ALL_OUTPUTS = ("epsilon", "snr", "covariance", "perr")
-
-
 def test_sweep_rows_are_the_point_pipeline_estimates():
-    spec = sweep_spec(
-        values=(100.0,), sources=(SourceKind.TWIN_BEAM,), outputs=ALL_OUTPUTS, images_per_decision=2
-    )
+    spec = desk_spec({
+        "sweep.values": "100", "sweep.sources": "twin_beam", "sweep.outputs": ALL_OUTPUTS,
+        "scenario.images_per_decision": "2",
+    })
     rows = run_sweep(spec).rows
-    scn = spec.base.with_source_kind(SourceKind.TWIN_BEAM).with_background_mean(100.0)
-    point = PointPipeline(scn, spec.seed.derive(0, 0), 2)
+    scn = spec.points[0].scenario
+    point = PointPipeline(scn, SeedSpec(42).derive(0, 0), 2)
     assert [r.metric for r in rows] == ["epsilon", "snr", "covariance_in", "covariance_out", "perr"]
     for row in rows:
         estimate, uncertainty = point.estimate(row.metric)
@@ -172,8 +173,10 @@ def test_sweep_leaves_no_reference_cycles(target_present):
     # it would keep them alive until the cyclic collector runs.  With the
     # target absent and no background, epsilon and snr are flagged, so the
     # error path is covered too.
-    base = desk_scenario(target_present=target_present)
-    spec = sweep_spec(base=base, values=(0.0, 100.0), outputs=ALL_OUTPUTS, images_per_decision=2)
+    spec = desk_spec({
+        "channel.target_present": str(target_present), "sweep.values": "0,100",
+        "sweep.outputs": ALL_OUTPUTS, "scenario.images_per_decision": "2",
+    })
     gc.collect()
     gc.disable()
     try:
@@ -186,13 +189,13 @@ def test_sweep_leaves_no_reference_cycles(target_present):
 
 
 def test_rerun_is_byte_identical():
-    spec = sweep_spec(outputs=("epsilon", "covariance"))
+    spec = desk_spec({"sweep.outputs": "epsilon,covariance"})
     assert run_sweep(spec).to_csv_text() == run_sweep(spec).to_csv_text()
 
 
 def test_analytic_columns_do_not_depend_on_seed():
-    rows_a = run_sweep(sweep_spec(seed=SeedSpec(1))).rows
-    rows_b = run_sweep(sweep_spec(seed=SeedSpec(2))).rows
+    rows_a = run_sweep(desk_spec({"run.seed": "1"})).rows
+    rows_b = run_sweep(desk_spec({"run.seed": "2"})).rows
     assert [r.analytic for r in rows_a] == [r.analytic for r in rows_b]
     assert any(
         ra.estimate != rb.estimate
@@ -202,13 +205,11 @@ def test_analytic_columns_do_not_depend_on_seed():
 
 
 def test_degenerate_point_is_flagged_not_fatal():
-    base = desk_scenario(images=30, pixel_pairs=16, target_present=False)
-    spec = sweep_spec(
-        base=base,
-        values=(0.0, 100.0),
-        sources=(SourceKind.TWIN_BEAM,),
-        outputs=("epsilon", "covariance"),
-    )
+    spec = desk_spec({
+        "scenario.images": "30", "scenario.pixel_pairs": "16", "channel.target_present": "false",
+        "sweep.values": "0,100", "sweep.sources": "twin_beam",
+        "sweep.outputs": "epsilon,covariance",
+    })
     result = run_sweep(spec)
     flagged = [r for r in result.rows if r.metric == "epsilon" and r.value == 0.0]
     assert flagged and flagged[0].flag != "" and flagged[0].estimate is None
@@ -217,7 +218,7 @@ def test_degenerate_point_is_flagged_not_fatal():
 
 
 def test_csv_schema_and_content(tmp_path):
-    spec = sweep_spec(values=(100.0,), outputs=("epsilon", "snr", "covariance", "perr"))
+    spec = desk_spec({"sweep.values": "100", "sweep.outputs": ALL_OUTPUTS})
     result = run_sweep(spec)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, str(path))
@@ -248,30 +249,29 @@ def test_sidecar_records_resolved_config(tmp_path):
 
 
 def test_read_noise_flags_every_analytic_row():
-    def rows(**overrides):
-        outputs = ("epsilon", "snr", "covariance", "perr")
-        return run_sweep(sweep_spec(values=(100.0,), outputs=outputs, **overrides)).rows
+    def rows(*layers):
+        grid = {"sweep.values": "100", "sweep.outputs": ALL_OUTPUTS}
+        return run_sweep(desk_spec(grid, *layers)).rows
 
-    quiet = rows(images_per_decision=2)
+    ipd2 = {"scenario.images_per_decision": "2"}
+    noise = {"sampler.read_noise_sigma": "2"}
+    quiet = rows(ipd2)
     assert quiet and all(r.flag == "" for r in quiet)
-    noisy_base = desk_scenario(read_noise_sigma=2.0)
-    noisy = rows(images_per_decision=2, base=noisy_base)
+    noisy = rows(ipd2, noise)
     assert [r.metric for r in noisy] == [r.metric for r in quiet]
     assert all(r.analytic is not None for r in noisy)
     assert all(r.flag == "analytic_ignores_read_noise" for r in noisy)
     # 60 frames give too few batches of 10: the flags join
-    assert rows(base=noisy_base)[-1].flag == "error:InsufficientDataError;analytic_ignores_read_noise"
-    assert all(r.flag == "" for r in rows(images_per_decision=2, base=noisy_base, emit_analytic=False))
+    assert rows(noise)[-1].flag == "error:InsufficientDataError;analytic_ignores_read_noise"
+    assert all(r.flag == "" for r in rows(ipd2, noise, {"sweep.emit_analytic": "false"}))
 
 
 def test_images_per_decision_sweep():
-    spec = sweep_spec(
-        base=desk_scenario(images=300, pixel_pairs=16, background_mean=300.0),
-        parameter=SweepParameter.IMAGES_PER_DECISION,
-        values=(1.0, 5.0),
-        sources=(SourceKind.TWIN_BEAM,),
-        outputs=("perr",),
-    )
+    spec = desk_spec({
+        "scenario.images": "300", "scenario.pixel_pairs": "16", "background.mean_total": "300",
+        "sweep.parameter": "images_per_decision", "sweep.values": "1,5",
+        "sweep.sources": "twin_beam", "sweep.outputs": "perr",
+    })
     rows = run_sweep(spec).rows
     assert all(r.estimate is not None for r in rows)
     # averaging more frames per decision cannot hurt the analytic error rate
@@ -279,12 +279,10 @@ def test_images_per_decision_sweep():
 
 
 def test_mu_sweep_tracks_ideal_epsilon():
-    spec = sweep_spec(
-        parameter=SweepParameter.MU,
-        values=(0.1, 0.3, 0.9),
-        sources=(SourceKind.TWIN_BEAM,),
-        base=desk_scenario(images=200, pixel_pairs=64),
-    )
+    spec = desk_spec({
+        "sweep.parameter": "mu", "sweep.values": "0.1,0.3,0.9", "sweep.sources": "twin_beam",
+        "scenario.images": "200", "scenario.pixel_pairs": "64",
+    })
     rows = run_sweep(spec).rows
     for row in rows:
         ideal = (1.0 + row.value) / row.value
@@ -295,8 +293,8 @@ def test_mu_sweep_tracks_ideal_epsilon():
 def test_background_sweep_reproduces_nonclassicality_transition():
     # twin beams start at the ideal value and cross below 1 with enough
     # background; split thermal starts at the classical bound
-    base = make_scenario(images=1000, pixel_pairs=80)
-    spec = sweep_spec(base=base, values=(0.0, 60000.0), seed=SeedSpec(9))
+    keys = {"scenario.images": "1000", "sweep.values": "0,60000", "run.seed": "9"}
+    spec = sweep_spec(apply(default_config(), GRID, keys))
     rows = run_sweep(spec).rows
     by_key = {(r.source, r.value): r for r in rows}
     qi0 = by_key[("twin_beam", 0.0)]
