@@ -11,14 +11,20 @@ Stream format: pixel pairs are i.i.d. across pixels and frames, so frames
 are drawn in blocks of `_BLOCK_FRAMES`.  Block b holds frames 256*b to
 256*b + 255 (the last block may be shorter) and draws from its own child
 stream keyed by (master_seed, hypothesis, b), in one fixed vectorized
-sequence, so a block's counts do not depend on how many frames follow it
-or on which block is drawn first.
+sequence: the source pixel pairs, the background on arm 2, then read
+noise.  So a block's counts do not depend on how many frames follow it
+or on which block is drawn first.  A sweep draws every point of a series
+on the series seed (`scenario.sweep_spec`), so points that share the
+source and channel share their pixel pairs.
 
 `sample_counts` fills the counts of the hypothesis its `Scenario` names
 (`channel.target_present`), read noise included, into two preallocated
 (images, K) int64 arrays n1 and n2, row i holding frame i; the
-estimators take those arrays directly.  `hypothesis_stream` names the
-(scenario, seed) each of a point's hypotheses, "in" and "out", is drawn on.
+estimators take those arrays directly.  Given a memo, it draws the pixel
+pairs of a stream it has seen once and restores the stream state after
+them, so the bytes stay those of a call without it.  `hypothesis_stream`
+names the (scenario, seed) each of a point's hypotheses, "in" and "out",
+is drawn on.
 """
 from __future__ import annotations
 
@@ -40,7 +46,9 @@ from .types import (
 # changes every sampled value.
 _BLOCK_FRAMES = 256
 # Named in every sweep sidecar, so an output can be traced to its format.
-STREAM_FORMAT = f"stream format 2: one stream per {_BLOCK_FRAMES} frames"
+STREAM_FORMAT = (
+    f"stream format 3: one stream per {_BLOCK_FRAMES} frames, one seed per sweep series"
+)
 # Frames of frames.csv formatted as one byte table.
 _WRITE_FRAMES = 256
 
@@ -100,23 +108,44 @@ def _sample_pair_counts(
     return n1, n2
 
 
-def sample_counts(scenario: Scenario, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
+def sample_counts(
+    scenario: Scenario, seed: SeedSpec, memo: dict | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(n1, n2) of `scenario.images` frames, each of shape (images, K),
     under the hypothesis `scenario.channel.target_present`.
 
     Block b of `_BLOCK_FRAMES` rows draws from `seed.frame_rng(target_present, b)`:
     the pixel pairs, then the background on arm 2, then read noise on
-    arm 1 and on arm 2, each as one call over the whole block."""
+    arm 1 and on arm 2, each as one call over the whole block.
+
+    `memo` maps each seed to the last call's source, channel and frame
+    shape, with each block's pixel pairs and its stream right after them.
+    A call that matches restores that stream and draws only the background
+    and read noise; any other call on the seed replaces what it holds.
+    Either way the counts are those of a call without a memo."""
     sigma = scenario.read_noise_sigma
     background = scenario.background
     k = scenario.pixel_pairs
+    target = scenario.channel.target_present
+    pairs = []
+    if memo is not None:
+        key = (scenario.source, scenario.channel, k, scenario.images)
+        if memo.get(seed, (None,))[0] != key:
+            memo[seed] = (key, pairs)
+        pairs = memo[seed][1]
     n1 = np.empty((scenario.images, k), dtype=np.int64)
     n2 = np.empty_like(n1)
     for block, start in enumerate(range(0, scenario.images, _BLOCK_FRAMES)):
         rows = slice(start, start + _BLOCK_FRAMES)
         size = n1[rows].size
-        rng = seed.frame_rng(scenario.channel.target_present, block)
-        a1, a2 = _sample_pair_counts(scenario.source, scenario.channel, rng, size)
+        if block < len(pairs):
+            a1, a2, rng, state = pairs[block]
+            rng.bit_generator.state = state
+        else:
+            rng = seed.frame_rng(target, block)
+            a1, a2 = _sample_pair_counts(scenario.source, scenario.channel, rng, size)
+            if memo is not None:
+                pairs.append((a1, a2, rng, rng.bit_generator.state))
         if background.mean_total > 0.0:
             a2 = a2 + _negbin(rng, background.modes_b, background.mean_total, size)
         if sigma > 0.0:

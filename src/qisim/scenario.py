@@ -3,15 +3,18 @@
 `sweep_spec` turns a resolved configuration into its grid: each (source
 kind, swept value) point is the configuration with `source.kind` and the
 swept key set, built by `config.build_scenario` before anything is
-drawn.  `run_sweep` runs one `PointPipeline` per point, each on its own
-derived seed, so a point's rows do not depend on which other points run;
-`simulate` is one point on the master seed.  `METRICS` defines each
-figure of merit once.  Estimator failures flag the affected row and never
-abort the sweep.
+drawn.  Every point of a series (one source kind) draws on the series
+seed, its frames and its bootstrap streams alike, so points share random
+numbers, but a point's rows do not depend on which other points run.
+`run_sweep` runs one `PointPipeline` per point, with one memo of source
+draws per series; `simulate` is one point on the master seed.
+`METRICS` defines each figure of merit once.  Estimator failures flag
+the affected row and never abort the sweep.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -77,8 +80,8 @@ class SweepSpec:
 def sweep_spec(config: dict) -> SweepSpec:
     """The grid of a resolved configuration.  Point (i, j) is the config
     with source.kind = sweep.sources[i] and the swept key = sweep.values[j],
-    on the seed derived from run.seed with tags (i, j).  Every point is
-    built, and so checked, here."""
+    on the seed of series i, derived from run.seed with tag i.  Every point
+    is built, and so checked, here."""
     sweep = config["sweep"]
     values = sweep["values"]
     if len(values) == 0:
@@ -104,10 +107,10 @@ def sweep_spec(config: dict) -> SweepSpec:
     seed = SeedSpec(config["run"]["seed"])
     points = []
     for si, kind in enumerate(sweep["sources"]):
-        for vi, value in enumerate(values):
+        for value in values:
             at = apply(config, {"source.kind": kind, key: value})
             ipd = at["scenario"]["images_per_decision"]
-            points.append(SweepPoint(value, build_scenario(at), ipd, seed.derive(si, vi)))
+            points.append(SweepPoint(value, build_scenario(at), ipd, seed.derive(si)))
     return SweepSpec(name, tuple(points), sweep["outputs"], sweep["emit_analytic"])
 
 
@@ -176,19 +179,25 @@ class PointPipeline:
     """The Monte Carlo estimates of one point: a scenario on one seed, with
     `images_per_decision` frames per perr decision.  Each hypothesis is
     drawn, and its per-frame covariances computed, at most once and only
-    when a metric first needs it."""
+    when a metric first needs it.  `memo` is `sample_counts`' memo, shared
+    by the points of a series."""
 
-    def __init__(self, scenario: Scenario, seed: SeedSpec, images_per_decision: int) -> None:
+    def __init__(
+        self, scenario: Scenario, seed: SeedSpec, images_per_decision: int,
+        memo: dict | None = None,
+    ) -> None:
         self.scenario = scenario
         self.seed = seed
         self.images_per_decision = images_per_decision
+        self._memo = memo
         self._counts: dict = {}
         self._deltas: dict = {}
 
     def counts(self, label: str):
         """(n1, n2) of hypothesis `label`, drawn as `hypothesis_stream` says."""
         if label not in self._counts:
-            self._counts[label] = sample_counts(*hypothesis_stream(self.scenario, self.seed, label))
+            stream = hypothesis_stream(self.scenario, self.seed, label)
+            self._counts[label] = sample_counts(*stream, self._memo)
         return self._counts[label]
 
     def deltas(self, label: str):
@@ -222,9 +231,9 @@ class PointPipeline:
 _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)
 
 
-def _point_rows(spec: SweepSpec, point: SweepPoint) -> list[SweepRow]:
+def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow]:
     scn, ipd = point.scenario, point.images_per_decision
-    pipeline = PointPipeline(scn, point.seed, ipd)
+    pipeline = PointPipeline(scn, point.seed, ipd, memo)
     rows: list[SweepRow] = []
     for output in spec.outputs:
         for metric in _OUTPUT_METRICS[output]:
@@ -250,11 +259,14 @@ def _point_rows(spec: SweepSpec, point: SweepPoint) -> list[SweepRow]:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run every point in grid order; deterministic, since points own
-    disjoint derived streams."""
+    """Run every point in grid order.  The points of a series share one
+    memo, dropped when the series ends; each point's rows are those of its
+    own `PointPipeline` without one."""
     rows: list[SweepRow] = []
-    for point in spec.points:
-        rows.extend(_point_rows(spec, point))
+    for _, series in itertools.groupby(spec.points, key=lambda point: point.seed):
+        memo: dict = {}
+        for point in series:
+            rows.extend(_point_rows(spec, point, memo))
     return SweepResult(rows=tuple(rows))
 
 

@@ -251,13 +251,19 @@ class SeedSpec:
         )
 
     def child_sequence(self, *tags: int) -> np.random.SeedSequence:
+        """The SeedSequence of (master_seed, *tags).  It pads its entropy,
+        the 32-bit words of master_seed and of each tag, with zeros to 4
+        words, so a trailing zero tag is ignored while the entropy fits in
+        4 words: (a,) and (a, 0) give the same sequence."""
         return np.random.SeedSequence((self.master_seed, *tags))
 
     def rng(self, *tags: int) -> np.random.Generator:
         return np.random.default_rng(self.child_sequence(*tags))
 
     def derive(self, *tags: int) -> "SeedSpec":
-        """A new independent SeedSpec, e.g. one per sweep point."""
+        """A new independent SeedSpec, e.g. one per sweep series.  As in
+        `child_sequence`, a trailing zero tag is ignored while the entropy
+        fits in 4 words, so derive(a) == derive(a, 0)."""
         child = int(self.child_sequence(*tags).generate_state(1, np.uint64)[0])
         return SeedSpec(child)
 

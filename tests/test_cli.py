@@ -235,43 +235,43 @@ def test_simulate_outputs_are_pinned(capsys, tmp_path):
 
 
 # sha256 of each CSV and sidecar of `reproduce fig2..fig5 --frames 300 --seed 3`:
-# 28 files, the bytes every figure sweep writes.
+# 28 files, the bytes every figure sweep writes in stream format 3.
 FIGURE_SHA256 = {
     "fig2": {
-        "fig2_mb1300.csv": "6d87d3fd8eb4dad94a7bac00db5e608138daf7c4bc87f97560644549f30fbfa5",
-        "fig2_mb1300.csv.meta.txt": "f8ec02d8d3bd9546e4065f68d88dda1b71aa14d332d6b14b042e283a674dffd0",
-        "fig2_mb57.csv": "b8fd930f8670fec6dc4cbc06f70a69655a174309af79f0109ab30bcb4dc87b73",
-        "fig2_mb57.csv.meta.txt": "c3973faa4396970e8a74e227a48983ee20027fed83e0672aa87aa342eac7095c",
+        "fig2_mb1300.csv": "0a3cad020fd3ca99986c2af0ef6d01769f7b95a702353168b736010b42d5b35d",
+        "fig2_mb1300.csv.meta.txt": "4a5b4a35390895a6b87816d9d0888bf9c5c4c346b0a45a811e3b4b8102b5256e",
+        "fig2_mb57.csv": "f2212b53f692ef957e76589547833e2f5b6e635fec08ed965bb291175dd87b04",
+        "fig2_mb57.csv.meta.txt": "968e12b51d2bbe4d4381328f7d37dc22797c00e8e22c7b2e5d84eef2908afa12",
     },
     "fig3": {
-        "fig3_split_mb1300.csv": "fd8237a8ad79978cbab97d8ead6c908d9f2b28805f3bbbae2e8273a3a9fc5acb",
-        "fig3_split_mb1300.csv.meta.txt": "56d5beee063ce4d1d2c3eec0485352459fdc487df792b09850468efe2e597799",
-        "fig3_twin_mb1300.csv": "e16c35c96a88be92334497961be110307366792690a321c1b99f4df57f7b521f",
-        "fig3_twin_mb1300.csv.meta.txt": "b50c818d357a4e1fe55c600c7bea6c155846e433e51c54feec9833cfb6eee9c9",
-        "fig3_twin_mb57.csv": "ab03298ee064c231615eba0f55257d8ac8c03b7e09b396ac1f1b49b3eb0e3713",
-        "fig3_twin_mb57.csv.meta.txt": "e29871c925ad37920f98bcce4fc4e186a3394db6b58a91ac8aefac4fb72b8474",
+        "fig3_split_mb1300.csv": "a774090860118b895b3c172a124952fa61243135dedf236f73f000bf4fa3beb0",
+        "fig3_split_mb1300.csv.meta.txt": "db39d8773f470cf080d1991bb388000acf0d8d7ec239b32092f5aa50cca4921c",
+        "fig3_twin_mb1300.csv": "7e63fa3158911036954f6ef0fd07ef75c93a9f9e89f210c20571117f605cbc17",
+        "fig3_twin_mb1300.csv.meta.txt": "8a272615e5d78e824e410c53277b0eb9a940fc99829a590652b66efee9ce681d",
+        "fig3_twin_mb57.csv": "fc70c56780b06f6eebbca02e10f9638deb13c8877d99d2f018b7bc3b2184bcde",
+        "fig3_twin_mb57.csv.meta.txt": "5bd9514b01e8b28bd206af1f2ea9bf3aeea794cd78a3f56b22b7fc2ef0e6e34d",
     },
     "fig4": {
-        "fig4_split_mb1300.csv": "aa01e657b6e6aa4559baf292a9ba7f34a727d0942bdbcc6354f169e5a57e11db",
-        "fig4_split_mb1300.csv.meta.txt": "f16408627d86cdeb62952a480be1704c0f9906921f2064f6004cf0aa17357649",
-        "fig4_twin_mb1300.csv": "13916ae66b1b2bddfdeff4f5224f391b2a02e086a2535477b52fe34882dd169e",
-        "fig4_twin_mb1300.csv.meta.txt": "5193c13356cb0fa29cd22338a3807941f8c7db0d070a4fafa97573ed8ad18c42",
-        "fig4_twin_mb57.csv": "7191803b88551d12491c34c488ad16a94917a25437aedfb8a4835a9be8931a94",
-        "fig4_twin_mb57.csv.meta.txt": "0e8496465d819c6222ef11a9e34fa9a77ceb411c46bd1d41e8ff480303c7f068",
+        "fig4_split_mb1300.csv": "7d0ef8cf25c05aeaed6f1af92c15b72d163db81939811dba9f880348a3db82c4",
+        "fig4_split_mb1300.csv.meta.txt": "85221bb420e45f3752f369c1de632140a72c9beb98d8a730218df3a7ec7912eb",
+        "fig4_twin_mb1300.csv": "c148b2e40d1ba7975fd9eb10024e7479c8a6cc957684bfcafcab9e78f463f0e5",
+        "fig4_twin_mb1300.csv.meta.txt": "0d2b3ada6c2e479fabe6a443c0787a2b8f2a85c20ed62f88e87387e295de8de5",
+        "fig4_twin_mb57.csv": "fb02badb8f682bb6731e99238125af9ad14c001bb5d28a579a9be9ae9c3bda98",
+        "fig4_twin_mb57.csv.meta.txt": "aac167571d85f4a73906c2f6f72efa32b4fded1bff2f1a434d0b327e104b7ac7",
     },
     "fig5": {
         "fig5_inset_split_mb1300.csv": "49cedc40f13951cca917b5cafc1fba687dab15dc1606dab3a475a42ff0716f18",
-        "fig5_inset_split_mb1300.csv.meta.txt": "fdabc84f7971aaf660912abeab5ce11bff9395eda78fdb082ca3004bdb316dfc",
+        "fig5_inset_split_mb1300.csv.meta.txt": "e2ce594b5b1b88312a6c30e922101308668c82fed9d9b4120cbc86926ef3ff37",
         "fig5_inset_twin_mb1300.csv": "a9e23b41f5fb91231e9945ddb71bcc55f4a15b4ed5b2983016615bd4b0b0302d",
-        "fig5_inset_twin_mb1300.csv.meta.txt": "8844c621d007ff30507f9f55b94f83890d99960c824686db880bc5fb8abd0785",
+        "fig5_inset_twin_mb1300.csv.meta.txt": "9642d0cee832a9ad2abc5c9b7570bf35f33944142076d31d01aaaef88a9b67ba",
         "fig5_inset_twin_mb57.csv": "ae0c8f9cc6fcb09044506412aaa6c95e9c2e7a02d73c7aa7b9f7f9d48db97076",
-        "fig5_inset_twin_mb57.csv.meta.txt": "9c40af5b8e2710186601885350870a7cf6d6638ab374b901cbe525aa3c07a710",
-        "fig5_split_mb1300.csv": "966674d9c07cb013b1f86e283cef289524f9af26fdd46c8ee7cd3b8e82d39fce",
-        "fig5_split_mb1300.csv.meta.txt": "0a8206cf5f75c855022a73590d375f6ff32b99fbab79f19407f5f45105ed268f",
-        "fig5_twin_mb1300.csv": "48ec98d4030f7b8a739564fd67c0f4aaab07e532535ff9c5c438f90e460c1859",
-        "fig5_twin_mb1300.csv.meta.txt": "8ce72f9b0e9c150ebb98f3971eec2f2503d0783bf4f9d85bd37a51d44bc6563e",
-        "fig5_twin_mb57.csv": "cae7d548063b00549d7e44806f4e77f04e41c8d80f6d79863baa84c21af97c48",
-        "fig5_twin_mb57.csv.meta.txt": "5122872719551d00091965b2968b07b6cc58673c7ac346b6c632db8796290bf5",
+        "fig5_inset_twin_mb57.csv.meta.txt": "a7ab79d65ae581ca1d6357fee24e875d54c98758ac4ce55636b290fcdfb62bbc",
+        "fig5_split_mb1300.csv": "5b19bff3fed5c0df5f2ecfcf0b8479cff39a58311a5d06bc3aaeb26f619e1405",
+        "fig5_split_mb1300.csv.meta.txt": "946adfe9ea0378e760e0e7263bdee60d879fb3f981c568037bc0a0cfced01458",
+        "fig5_twin_mb1300.csv": "65049f532c312b120260088a5dc9044172717e2ec6204694e232de3d52b57949",
+        "fig5_twin_mb1300.csv.meta.txt": "765f22a471b71221486dd5ea4e3581ffdabc7d9fd772e402dca1eb74b941ffc5",
+        "fig5_twin_mb57.csv": "f05cb8dfab653debfdfbc672f12d5ad90a7fdf55c8b3ce3e67a5657e51dd07c5",
+        "fig5_twin_mb57.csv.meta.txt": "7cdf9cd13b84119120cca46b796b21557b09d97a5f8509a0c72a92c9d9f7055c",
     },
 }
 

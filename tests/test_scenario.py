@@ -3,14 +3,16 @@ error flagging, and output formats."""
 from __future__ import annotations
 
 import gc
+import itertools
 
 import numpy as np
 import pytest
 
 from qisim.estimator import bootstrap_epsilon
-from qisim.sampler import sample_counts
+from qisim.sampler import hypothesis_stream, sample_counts
 from qisim.config import apply, default_config, load_config_file, sidecar_text
 from qisim import analytic
+from qisim.cli import PRESETS, _PRESET_BASE
 from qisim.scenario import (
     METRICS,
     PointPipeline,
@@ -20,7 +22,14 @@ from qisim.scenario import (
     sweep_spec,
     write_sweep_csv,
 )
-from qisim.types import ParameterError, SeedSpec, SourceKind, STREAM_BOOTSTRAP
+from qisim.types import (
+    ParameterError,
+    SeedSpec,
+    SourceKind,
+    STREAM_BOOTSTRAP,
+    STREAM_IN,
+    STREAM_OUT,
+)
 
 # Small mode count so the normally ordered variances are resolvable with a
 # few thousand samples.
@@ -69,7 +78,7 @@ def test_images_per_decision_values_must_be_integers():
 
 
 def test_counts_that_would_wrap_flag_the_row(monkeypatch):
-    def huge_counts(scn, seed):
+    def huge_counts(scn, seed, memo=None):
         return np.full((scn.images, scn.pixel_pairs), 2**31, dtype=np.int64), np.ones(
             (scn.images, scn.pixel_pairs), dtype=np.int64
         )
@@ -89,7 +98,7 @@ def counting_sample_counts(monkeypatch) -> list:
     sweep makes; the draws themselves are unchanged."""
     calls = []
 
-    def counted(scn, seed):
+    def counted(scn, seed, memo=None):
         calls.append(scn.channel.target_present)
         return sample_counts(scn, seed)
 
@@ -167,6 +176,123 @@ def test_sweep_rows_are_the_point_pipeline_estimates():
         assert row.analytic == METRICS[row.metric].closed_form(scn, 2)
 
 
+@pytest.mark.parametrize(
+    "grid", [{}, {"sweep.parameter": "channel.eta2", "sweep.values": "0.3,0.6,0.9"}]
+)
+def test_every_point_of_a_series_draws_on_the_series_seed(grid):
+    # derive(si) == derive(si, 0), so only points past the first tell the
+    # series seed from a seed per point.  A background sweep reuses the
+    # series' source draws; a loss sweep must not.
+    spec = desk_spec(
+        {"sweep.outputs": ALL_OUTPUTS, "scenario.images_per_decision": "2"}, grid
+    )
+    rows = run_sweep(spec).rows
+    assert rows and not any(row.flag for row in rows)
+    per_point = len(rows) // len(spec.points)
+    for index, point in enumerate(spec.points):
+        si, vi = divmod(index, 3)
+        assert point.seed == SeedSpec(42).derive(si)
+        pipeline = PointPipeline(point.scenario, SeedSpec(42).derive(si), 2)
+        for row in rows[index * per_point : (index + 1) * per_point]:
+            estimate, uncertainty = pipeline.estimate(row.metric)
+            assert row.value == point.value
+            assert (repr(row.estimate), repr(row.uncertainty)) == (
+                repr(estimate), repr(uncertainty)
+            )
+        if vi >= 1:
+            own = PointPipeline(point.scenario, SeedSpec(42).derive(si, vi), 2)
+            assert own.estimate("epsilon") != pipeline.estimate("epsilon")
+
+
+def _distinct_preset_series(extra: dict):
+    """Each distinct series of the fig2..fig5 presets at 300 frames, so the
+    last 256-frame block is partial, as (series seed, scenarios).  fig3..fig5
+    sweep the same three series, which differ there only in frames per
+    decision and seed, so each runs once."""
+    seen = {}
+    for table in (table for figure in PRESETS.values() for table in figure.values()):
+        keys = {"scenario.images": "300", "run.seed": "3"}
+        config = apply(default_config(), _PRESET_BASE, table, keys, extra)
+        for seed, points in itertools.groupby(sweep_spec(config).points, lambda p: p.seed):
+            scenarios = tuple(point.scenario for point in points)
+            seen.setdefault(scenarios, seed)
+    return [(seed, scenarios) for scenarios, seed in seen.items()]
+
+
+@pytest.mark.parametrize(
+    "extra", [{}, {"channel.mode_match": "0.7", "sampler.read_noise_sigma": "1.5"}]
+)
+def test_memoized_counts_are_the_direct_draws_on_every_preset(extra):
+    series = _distinct_preset_series(extra)
+    assert len(series) == 7
+    for seed, scenarios in series:
+        memo: dict = {}
+        for scn in scenarios:
+            for label in ("in", "out"):
+                stream = hypothesis_stream(scn, seed, label)
+                memoized, direct = sample_counts(*stream, memo), sample_counts(*stream)
+                assert [n.tobytes() for n in memoized] == [n.tobytes() for n in direct]
+
+
+def test_memo_holds_one_point_per_hypothesis_on_a_mu_sweep(monkeypatch):
+    # after every draw, the frame blocks of source draws the memo holds for
+    # each seed: 600 frames are 3 blocks, and each point's draws miss
+    held = []
+
+    def watched(scn, seed, memo):
+        counts = sample_counts(scn, seed, memo)
+        assert memo[seed][0] == (scn.source, scn.channel, scn.pixel_pairs, scn.images)
+        held.append(sorted(len(blocks) for _, blocks in memo.values()))
+        return counts
+
+    monkeypatch.setattr("qisim.scenario.sample_counts", watched)
+    rows = run_sweep(desk_spec({
+        "sweep.parameter": "mu", "sweep.values": "0.1,0.3,0.9", "sweep.outputs": "snr",
+        "scenario.images": "600",
+    })).rows
+    assert len(rows) == 6 and not any(row.flag for row in rows)
+    # a new series starts from an empty memo
+    assert held == ([[3]] + [[3, 3]] * 5) * 2
+
+
+def test_background_series_draws_its_source_pairs_once(monkeypatch):
+    streams = []
+    frame_rng = SeedSpec.frame_rng
+
+    def counted(self, target_present, block):
+        streams.append((self, target_present, block))
+        return frame_rng(self, target_present, block)
+
+    monkeypatch.setattr(SeedSpec, "frame_rng", counted)
+    spec = desk_spec({"sweep.outputs": "snr", "scenario.images": "600"})
+    run_sweep(spec)
+    # 2 series x 2 hypotheses x 3 blocks, not 3 points x 12
+    assert len(streams) == len(set(streams)) == 12
+
+
+@pytest.mark.parametrize("master_seed", [0, 42, 2**63 + 5, 2**64 - 1])
+def test_series_streams_are_distinct_and_trailing_zero_tags_ignored(master_seed):
+    root = SeedSpec(master_seed)
+    # the entropy is at most 2 + 2 words: a trailing zero tag is padding
+    assert root.derive(3) == root.derive(3, 0)
+    assert list(root.child_sequence(3).pool) == list(root.child_sequence(3, 0).pool)
+    if master_seed >= 2**32:
+        # 2 + 3 words: past the pad, the zero counts
+        assert root.derive(3, 1) != root.derive(3, 1, 0)
+    for si in range(4):
+        series = root.derive(si)
+        sequences = [series.child_sequence(STREAM_IN), series.child_sequence(STREAM_OUT)]
+        sequences += [series.child_sequence(STREAM_BOOTSTRAP, tag) for tag in range(5)]
+        for hypothesis in (series.derive(STREAM_IN), series.derive(STREAM_OUT)):
+            sequences += [
+                hypothesis.child_sequence(domain, block)
+                for domain in (STREAM_IN, STREAM_OUT)
+                for block in range(24)  # 6,000 frames
+            ]
+        states = {tuple(sequence.pool) for sequence in sequences}
+        assert len(states) == len(sequences) == 2 + 5 + 2 * 2 * 24
+
+
 @pytest.mark.parametrize("target_present", [True, False])
 def test_sweep_leaves_no_reference_cycles(target_present):
     # the point pipeline holds every count array of a point; a cycle through
@@ -242,7 +368,7 @@ def test_sidecar_records_resolved_config(tmp_path):
     assert "mu = 0.3" in text
     assert "values = 100.0,316.0,1000.0,3162.0,10000.0,31623.0,100000.0" in text
     assert "target_present = true" in text
-    assert "\n# stream format 2: one stream per 256 frames\n" in text
+    assert "\n# stream format 3: one stream per 256 frames, one seed per sweep series\n" in text
     path = tmp_path / "sweep.csv.meta.txt"
     path.write_text(text)
     assert load_config_file(str(path)) == config
