@@ -20,6 +20,11 @@ counts, so results are independent of summation order by construction
 large enough to wrap those int64 sums raise ParameterError.
 
 Every uncertainty comes from `bootstrap`, which resamples whole frames.
+Drawing the resamples is apart from evaluating them: `resample_indices`
+draws their frame indices, and `bootstrap` and `bootstrap_epsilon` take
+either those indices or the Generator to draw them from, so a caller may
+draw a stream's indices once and evaluate them on several samples of the
+same sizes.
 """
 from __future__ import annotations
 
@@ -36,6 +41,8 @@ from .types import (
 )
 
 
+# Bootstrap resamples per uncertainty.
+_RESAMPLES = 200
 # Resampled cells (resamples times sample items) that `bootstrap` holds
 # at once; bounds its memory whatever the sample size.
 _BOOTSTRAP_BLOCK_CELLS = 2**16
@@ -122,9 +129,23 @@ def epsilon_rows(frame_stats: np.ndarray) -> np.ndarray:
     return _epsilon_from_sums(frame_stats.sum(axis=-1).T)
 
 
-def bootstrap_epsilon(n1, n2, rng: np.random.Generator) -> tuple[float, float]:
-    """(epsilon, bootstrap sigma), resampling whole frames."""
-    return bootstrap(epsilon_rows, [_frame_stats(n1, n2)], rng)
+def bootstrap_epsilon(n1, n2, rng) -> tuple[float, float]:
+    """(epsilon, bootstrap sigma), resampling whole frames: the values of
+    `bootstrap(epsilon_rows, [_frame_stats(n1, n2)], rng)`.
+
+    Each resample's pooled sums are its frame multiplicities (a bincount of
+    its indices) contracted with the frame statistics in exact int64, so
+    no (6, rows, frames) gather is made."""
+    stats = _frame_stats(n1, n2)
+    frames = stats.shape[-1]
+    estimate = one_row(epsilon_rows, stats)
+    values = []
+    # the blocks `bootstrap` would gather, which bound the int64 temporaries
+    for (pick,) in _index_blocks([frames], rng, _RESAMPLES, _BOOTSTRAP_BLOCK_CELLS // stats.size):
+        flat = (pick + frames * np.arange(len(pick))[:, None]).ravel()
+        counts = np.bincount(flat, minlength=pick.size).reshape(pick.shape)
+        values.append(_epsilon_from_sums(np.einsum("rn,sn->rs", counts, stats)))
+    return estimate, _spread(values)
 
 
 def one_row(stat, *samples) -> float:
@@ -136,9 +157,45 @@ def one_row(stat, *samples) -> float:
     return value
 
 
-def bootstrap(
-    stat, samples, rng: np.random.Generator, resamples: int = 200
-) -> tuple[float, float]:
+def resample_indices(
+    sizes, rng: np.random.Generator, resamples: int = _RESAMPLES, dtype=None
+) -> list:
+    """Frame indices of `resamples` bootstrap resamples of samples of n
+    items each, for n in `sizes`: per sample a (resamples, n) array of
+    `dtype`, by default the smallest unsigned dtype that holds n.  Each
+    resample draws, sample by sample, n indices with replacement, one
+    `rng.integers(0, n, n)` call each."""
+    picks = [np.empty((resamples, n), dtype or np.min_scalar_type(n)) for n in sizes]
+    for row in range(resamples):
+        for pick, n in zip(picks, sizes):
+            pick[row] = rng.integers(0, n, n)
+    return picks
+
+
+def _index_blocks(sizes, rng, resamples: int, rows: int):
+    """The resamples' indices, at most `rows` (at least 1) resamples a
+    block: drawn block by block if `rng` is a Generator, as intp, which
+    numpy gathers fastest; otherwise sliced from `rng`, indices that
+    `resample_indices` drew (whose length then overrides `resamples`)."""
+    rows = max(1, rows)
+    if isinstance(rng, np.random.Generator):
+        for start in range(0, resamples, rows):
+            yield resample_indices(sizes, rng, min(rows, resamples - start), np.intp)
+    else:
+        for start in range(0, len(rng[0]), rows):
+            yield [pick[start : start + rows] for pick in rng]
+
+
+def _spread(values) -> float:
+    """Sample standard deviation of the finite bootstrap values."""
+    draws = np.concatenate(values)
+    draws = draws[np.isfinite(draws)]
+    if draws.size < 2:
+        raise DegenerateStatisticError("bootstrap resamples all degenerate")
+    return float(np.std(draws, ddof=1))
+
+
+def bootstrap(stat, samples, rng, resamples: int = _RESAMPLES) -> tuple[float, float]:
     """(estimate, bootstrap sigma) of the row-wise statistic `stat`.
 
     Each sample is an array whose last axis runs over its n items
@@ -146,30 +203,22 @@ def bootstrap(
     (rows, n), one row per resample, and returns one value per row, NaN
     where the row is degenerate; the estimate is its one-row case on the
     samples themselves, and raises DegenerateStatisticError if that is
-    NaN.  Each resample draws, sample by sample, n indices with
-    replacement, one `rng.integers(0, n, n)` call each.  Resamples are
-    evaluated in blocks of at most `_BOOTSTRAP_BLOCK_CELLS` resampled
-    cells; values that are not finite are dropped, and at least 2 must
-    remain.
+    NaN.  `rng` is the Generator that `resample_indices` draws the
+    resamples from, or the indices it drew.  Resamples are evaluated in
+    blocks of at most `_BOOTSTRAP_BLOCK_CELLS` resampled cells; values
+    that are not finite are dropped, and at least 2 must remain.
     """
     samples = [np.asarray(sample) for sample in samples]
     sizes = [sample.shape[-1] for sample in samples]
     if min(sizes) < 2:
         raise InsufficientDataError("need at least 2 values per sample to bootstrap")
     estimate = one_row(stat, *samples)
-    rows = max(1, _BOOTSTRAP_BLOCK_CELLS // sum(sample.size for sample in samples))
-    draws = []
-    for start in range(0, resamples, rows):
-        picks = [np.empty((min(rows, resamples - start), n), dtype=np.int64) for n in sizes]
-        for row in range(len(picks[0])):
-            for pick, n in zip(picks, sizes):
-                pick[row] = rng.integers(0, n, n)
-        values = stat(*(np.take(sample, pick, axis=-1) for sample, pick in zip(samples, picks)))
-        draws.append(values[np.isfinite(values)])
-    draws = np.concatenate(draws)
-    if draws.size < 2:
-        raise DegenerateStatisticError("bootstrap resamples all degenerate")
-    return estimate, float(np.std(draws, ddof=1))
+    rows = _BOOTSTRAP_BLOCK_CELLS // sum(sample.size for sample in samples)
+    values = [
+        stat(*(np.take(sample, pick, axis=-1) for sample, pick in zip(samples, picks)))
+        for picks in _index_blocks(sizes, rng, resamples, rows)
+    ]
+    return estimate, _spread(values)
 
 
 def snr_rows(in_values: np.ndarray, out_values: np.ndarray) -> np.ndarray:
@@ -187,9 +236,10 @@ def snr_rows(in_values: np.ndarray, out_values: np.ndarray) -> np.ndarray:
 
 def _batch_means(values: np.ndarray, batches: int, images_per_decision: int) -> np.ndarray:
     """Mean of each run of `images_per_decision` frames of each row."""
-    rows = values.shape[0]
-    frames = values[:, : batches * images_per_decision].reshape(rows * batches, images_per_decision)
-    return frames.mean(axis=1).reshape(rows, batches)
+    frames = values[:, : batches * images_per_decision]
+    frames = frames.reshape(len(values), batches, images_per_decision)
+    # the sum and division of .mean(), without its overhead
+    return frames.sum(axis=-1) / images_per_decision
 
 
 def perr_batches(frames_in: int, frames_out: int, images_per_decision: int) -> tuple[int, int]:
@@ -228,24 +278,36 @@ def perr_rows(
         ),
         axis=1,
     )
-    pooled = np.sort(means, axis=1)
+    order = np.argsort(means, axis=1)
+    pooled = np.take_along_axis(means, order, axis=1)
     candidates = np.concatenate(
         (pooled[:, :1] - 1.0, 0.5 * (pooled[:, :-1] + pooled[:, 1:]), pooled[:, -1:] + 1.0),
         axis=1,
     )
-    # Count the batch means at or below each candidate threshold: candidates
-    # never decrease along a row, so a stable sort of the means followed by
-    # the candidates keeps the candidates in order, each after the means
-    # equal to it.
-    order = np.argsort(np.concatenate((means, candidates), axis=1), axis=1, kind="stable")
-    is_candidate = order >= means.shape[1]
-    rows = len(order)
-    misses = np.cumsum(order < batches_in, axis=1)[is_candidate].reshape(rows, -1)
-    at_or_below = np.cumsum(~is_candidate, axis=1)[is_candidate].reshape(rows, -1)
+    tied = pooled[:, 1:] == pooled[:, :-1]
+    # Candidate j lies between the j lowest means and the rest, so j means
+    # are at or below it and the misses are the "in" means among those j;
+    # j never splits a run of equal means, so their sort order cannot
+    # matter.  A candidate that rounds onto the mean above it (adjacent
+    # doubles, or m - 1 == m past 2**53) or below the one under it (a sum
+    # that overflows) is counted exactly instead.
+    outside = np.zeros(candidates.shape, dtype=bool)
+    outside[:, :-1] = candidates[:, :-1] >= pooled
+    outside[:, 1:] |= candidates[:, 1:] < pooled
+    outside[:, 1:-1] &= ~tied
+    misses = np.zeros(candidates.shape, dtype=np.int64)
+    np.cumsum(order < batches_in, axis=1, out=misses[:, 1:])
+    at_or_below = np.arange(candidates.shape[1])
+    fixes = np.nonzero(outside)
+    if len(fixes[0]):
+        at_or_below = np.repeat(at_or_below[None], len(candidates), axis=0)
+        for row, j in zip(*fixes):
+            at_or_below[row, j] = np.searchsorted(pooled[row], candidates[row, j], side="right")
+        misses = np.take_along_axis(misses, at_or_below, axis=1)
     false_alarms = batches_out - (at_or_below - misses)
     risk = 0.5 * (false_alarms / batches_out + misses / batches_in)
     # candidates lie between distinct means, not between equal ones
-    risk[:, 1:-1][pooled[:, 1:] == pooled[:, :-1]] = np.inf
+    risk[:, 1:-1][tied] = np.inf
     best = np.argmin(risk, axis=1)[:, None]
     return PerrEstimate(
         np.take_along_axis(risk, best, axis=1)[:, 0],

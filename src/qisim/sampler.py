@@ -64,7 +64,7 @@ def _negbin(
             f"expected photon number {total_mean} exceeds sampling limit"
         )
     p = modes / (modes + total_mean)
-    return rng.negative_binomial(modes, p, size=size).astype(np.int64)
+    return rng.negative_binomial(modes, p, size=size)
 
 
 def _sample_pair_counts(
@@ -92,19 +92,19 @@ def _sample_pair_counts(
     )
 
     if twin:
-        n1 = rng.binomial(shared, e1).astype(np.int64)
-        n2 = rng.binomial(shared, e2).astype(np.int64)
+        n1 = rng.binomial(shared, e1)
+        n2 = rng.binomial(shared, e2)
         arm2_per_mode = e2 * nu
     else:
         t = source.split_ratio
-        to_arm1 = rng.binomial(shared, t).astype(np.int64)
-        n1 = rng.binomial(to_arm1, e1).astype(np.int64)
-        n2 = rng.binomial(shared - to_arm1, e2).astype(np.int64)
+        to_arm1 = rng.binomial(shared, t)
+        n1 = rng.binomial(to_arm1, e1)
+        n2 = rng.binomial(shared - to_arm1, e2)
         arm2_per_mode = e2 * (1.0 - t) * nu
 
     if unmatched > 0.0:
-        n1 = n1 + _negbin(rng, unmatched, unmatched * e1 * source.mu, size)
-        n2 = n2 + _negbin(rng, unmatched, unmatched * arm2_per_mode, size)
+        n1 += _negbin(rng, unmatched, unmatched * e1 * source.mu, size)
+        n2 += _negbin(rng, unmatched, unmatched * arm2_per_mode, size)
     return n1, n2
 
 
@@ -146,13 +146,14 @@ def sample_counts(
             a1, a2 = _sample_pair_counts(scenario.source, scenario.channel, rng, size)
             if memo is not None:
                 pairs.append((a1, a2, rng, rng.bit_generator.state))
-        if background.mean_total > 0.0:
-            a2 = a2 + _negbin(rng, background.modes_b, background.mean_total, size)
-        if sigma > 0.0:
-            a1 = np.maximum(a1 + np.rint(rng.normal(0.0, sigma, size)).astype(np.int64), 0)
-            a2 = np.maximum(a2 + np.rint(rng.normal(0.0, sigma, size)).astype(np.int64), 0)
         n1[rows] = a1.reshape(-1, k)
         n2[rows] = a2.reshape(-1, k)
+        if background.mean_total > 0.0:
+            n2[rows] += _negbin(rng, background.modes_b, background.mean_total, size).reshape(-1, k)
+        if sigma > 0.0:
+            for n in (n1, n2):
+                n[rows] += np.rint(rng.normal(0.0, sigma, size)).astype(np.int64).reshape(-1, k)
+                np.maximum(n[rows], 0, out=n[rows])
     return n1, n2
 
 

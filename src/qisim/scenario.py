@@ -6,8 +6,11 @@ swept key set, built by `config.build_scenario` before anything is
 drawn.  Every point of a series (one source kind) draws on the series
 seed, its frames and its bootstrap streams alike, so points share random
 numbers, but a point's rows do not depend on which other points run.
-`run_sweep` runs one `PointPipeline` per point, with one memo of source
-draws per series; `simulate` is one point on the master seed.
+`run_sweep` runs one `PointPipeline` per point, with two memos per
+series: the source draws of `sample_counts`, and each bootstrap stream's
+resample indices, which every point of the series with the same frame
+counts reuses.  `simulate` is one point on the master seed, without
+memos.
 `METRICS` defines each figure of merit once.  Estimator failures flag
 the affected row and never abort the sweep.
 """
@@ -28,6 +31,7 @@ from .estimator import (
     one_row,
     perr_batches,
     perr_rows,
+    resample_indices,
     snr_rows,
 )
 from .sampler import hypothesis_stream, sample_counts
@@ -179,17 +183,19 @@ class PointPipeline:
     """The Monte Carlo estimates of one point: a scenario on one seed, with
     `images_per_decision` frames per perr decision.  Each hypothesis is
     drawn, and its per-frame covariances computed, at most once and only
-    when a metric first needs it.  `memo` is `sample_counts`' memo, shared
-    by the points of a series."""
+    when a metric first needs it.  `memo` is `sample_counts`' memo and
+    `resamples` the memo of bootstrap indices, each shared by the points of
+    a series; neither changes an estimate."""
 
     def __init__(
         self, scenario: Scenario, seed: SeedSpec, images_per_decision: int,
-        memo: dict | None = None,
+        memo: dict | None = None, resamples: dict | None = None,
     ) -> None:
         self.scenario = scenario
         self.seed = seed
         self.images_per_decision = images_per_decision
         self._memo = memo
+        self._resamples = resamples
         self._counts: dict = {}
         self._deltas: dict = {}
 
@@ -214,13 +220,26 @@ class PointPipeline:
         stat = functools.partial(METRICS[metric].stat, self.scenario, self.images_per_decision)
         return stat, [self.deltas(label) for label in METRICS[metric].hypotheses]
 
+    def _draws(self, tag: int, sizes: tuple):
+        """What the bootstrap of stream `tag` on samples of `sizes` draws
+        from: the stream itself, or with a memo the indices
+        `resample_indices` drew from it.  The memo holds one entry per tag
+        and replaces it when the sizes differ."""
+        if self._resamples is None:
+            return self.seed.rng(STREAM_BOOTSTRAP, tag)
+        if self._resamples.get(tag, (None,))[0] != sizes:
+            rng = self.seed.rng(STREAM_BOOTSTRAP, tag)
+            self._resamples[tag] = (sizes, resample_indices(sizes, rng))
+        return self._resamples[tag][1]
+
     def estimate(self, metric: str) -> tuple[float, float]:
         """(estimate, bootstrap sigma) of `metric`."""
         tag, hypotheses, stat, _ = METRICS[metric]
-        rng = self.seed.rng(STREAM_BOOTSTRAP, tag)
         if stat is None:
-            return bootstrap_epsilon(*self.counts(*hypotheses), rng)
-        return bootstrap(*self._inputs(metric), rng)
+            n1, n2 = self.counts(*hypotheses)
+            return bootstrap_epsilon(n1, n2, self._draws(tag, (len(n1),)))
+        stat, samples = self._inputs(metric)
+        return bootstrap(stat, samples, self._draws(tag, tuple(len(s) for s in samples)))
 
     def value(self, metric: str) -> float:
         """The estimate of `metric`, epsilon aside, without its bootstrap."""
@@ -231,9 +250,11 @@ class PointPipeline:
 _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)
 
 
-def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow]:
+def _point_rows(
+    spec: SweepSpec, point: SweepPoint, memo: dict, resamples: dict
+) -> list[SweepRow]:
     scn, ipd = point.scenario, point.images_per_decision
-    pipeline = PointPipeline(scn, point.seed, ipd, memo)
+    pipeline = PointPipeline(scn, point.seed, ipd, memo, resamples)
     rows: list[SweepRow] = []
     for output in spec.outputs:
         for metric in _OUTPUT_METRICS[output]:
@@ -260,13 +281,15 @@ def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every point in grid order.  The points of a series share one
-    memo, dropped when the series ends; each point's rows are those of its
-    own `PointPipeline` without one."""
+    memo of source draws and one of bootstrap indices, dropped when the
+    series ends; each point's rows are those of its own `PointPipeline`
+    without them."""
     rows: list[SweepRow] = []
     for _, series in itertools.groupby(spec.points, key=lambda point: point.seed):
         memo: dict = {}
+        resamples: dict = {}
         for point in series:
-            rows.extend(_point_rows(spec, point, memo))
+            rows.extend(_point_rows(spec, point, memo, resamples))
     return SweepResult(rows=tuple(rows))
 
 

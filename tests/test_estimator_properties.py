@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qisim.estimator import (
     PerrEstimate,
     _epsilon_from_sums,
+    _frame_stats,
     bootstrap,
     bootstrap_epsilon,
     covariance_hat,
@@ -24,6 +25,7 @@ from qisim.estimator import (
     one_row,
     perr_hat,
     perr_rows,
+    resample_indices,
     snr_rows,
 )
 from qisim.types import DegenerateStatisticError, ParameterError
@@ -105,6 +107,38 @@ def test_perr_hat_counts_means_equal_to_a_rounded_midpoint():
     in_values = [y] * 10 + [x] * 5
     out_values = [x] * 10 + [y] * 3
     assert perr_hat(in_values, out_values, 1) == brute_force_perr(in_values, out_values, 1)
+
+
+def test_perr_rows_equals_brute_force_on_stacked_edge_rows():
+    # one call over rows whose candidate thresholds take every path of the
+    # scan: ties, a midpoint that rounds onto the mean above it (adjacent
+    # doubles, as in the test above), means past 2**53, where m - 1 == m
+    # and midpoints round onto the mean above too, and midpoints whose sum
+    # overflows to -inf
+    x, y = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    big = 2.0**55  # doubles 8 apart: (big + 8 + big + 16) / 2 rounds to big + 16
+    huge = -1.7e308  # the sum of two such means is -inf
+    rng = np.random.default_rng(5)
+    steps = rng.integers(0, 5, (6, 20))
+    rows = [
+        (rng.normal(0.3, 1.0, 20), rng.normal(0.0, 1.0, 20)),
+        (steps[0] * 0.1, steps[1] * 0.1),
+        ([y] * 13 + [x] * 7, [x] * 14 + [y] * 6),
+        (big + 8.0 * steps[2], big + 8.0 * steps[3] + 8.0),
+        (-big - 8.0 * steps[3], -big - 8.0 * steps[2] - 8.0),
+        (huge + 1e307 * steps[4], huge + 1e307 * steps[5]),
+    ]
+    in_rows, out_rows = (np.array([row[i] for row in rows], dtype=float) for i in (0, 1))
+    assert in_rows.shape == out_rows.shape == (6, 20)
+    assert 0.5 * (x + y) == y and big + 8.0 - 1.0 == big + 8.0
+    assert 0.5 * ((big + 8.0) + (big + 16.0)) == big + 16.0
+    assert {big + 8.0, big + 16.0} <= set(in_rows[3]) | set(out_rows[3])
+    with np.errstate(over="ignore"):
+        assert huge + huge == -np.inf
+        got = perr_rows(in_rows, out_rows, 1)
+        for i, (in_values, out_values) in enumerate(rows):
+            row = PerrEstimate(float(got.p_err[i]), float(got.threshold[i]), *got[2:])
+            assert row == brute_force_perr(in_values, out_values, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +320,44 @@ def test_bootstrap_epsilon_matches_per_iteration_draws(frames, k, p, seed, resam
 
 
 @st.composite
+def frame_counts(draw):
+    """(n1, n2) of 2 to 40 frames of 2 to 6 pixels, up to a peak that is at
+    times the largest the int64 guard accepts, and then reached."""
+    images = draw(st.integers(2, 40))
+    k = draw(st.integers(2, 6))
+    guard = math.isqrt((2**63 - 1) // (k * max(images, k)))
+    top = draw(st.sampled_from((3, 50, 10**6, guard)))
+    rng = np.random.default_rng(draw(_seeds))
+    n1, n2 = rng.integers(0, top, (2, images, k), endpoint=True)
+    n1[0, 0] = top
+    return n1, n2
+
+
+@PROPERTY_SETTINGS
+@given(frame_counts(), _seeds)
+def test_bootstrap_epsilon_equals_bootstrap_of_epsilon_rows(counts, seed):
+    # its bincount contraction against the gather, bit for bit, on a
+    # Generator and on the indices drawn from the same one
+    n1, n2 = counts
+    want = _sigma_or_error(
+        lambda: bootstrap(epsilon_rows, [_frame_stats(n1, n2)], np.random.default_rng(seed))
+    )
+    indices = resample_indices([len(n1)], np.random.default_rng(seed))
+    for draws in (np.random.default_rng(seed), indices):
+        assert _sigma_or_error(lambda: bootstrap_epsilon(n1, n2, draws)) == want
+
+
+@pytest.mark.parametrize("sizes", [(2,), (255, 256), (65535, 65536)])
+def test_resample_indices_are_the_bootstrap_draws(sizes):
+    picks = resample_indices(sizes, np.random.default_rng(4), 3)
+    rng = np.random.default_rng(4)
+    assert [pick.dtype for pick in picks] == [np.min_scalar_type(n) for n in sizes]
+    for row in range(3):
+        for pick, n in zip(picks, sizes):
+            assert pick[row].tolist() == rng.integers(0, n, n).tolist()
+
+
+@st.composite
 def perr_bootstrap_inputs(draw):
     """Two samples, in general of unequal lengths, with 10 to 16 batches
     each; a coarse grid makes tied batch means common."""
@@ -317,6 +389,23 @@ def test_bootstrap_perr_matches_per_iteration_draws(case, seed, resamples):
         scalar_perr, [in_values, out_values], np.random.default_rng(seed), resamples
     )
     assert got == want
+
+
+@PROPERTY_SETTINGS
+@given(perr_bootstrap_inputs(), _seeds, st.integers(2, 20))
+def test_bootstrap_on_drawn_indices_equals_bootstrap_on_their_stream(case, seed, resamples):
+    in_values, out_values, ipd = case
+
+    def row_perr(a, b):
+        return perr_rows(a, b, ipd).p_err
+
+    samples = [in_values, out_values]
+    sizes = [len(in_values), len(out_values)]
+    indices = resample_indices(sizes, np.random.default_rng(seed), resamples)
+    for stat in (row_perr, snr_rows):
+        rng = np.random.default_rng(seed)
+        want = _sigma_or_error(lambda: bootstrap(stat, samples, rng, resamples))
+        assert _sigma_or_error(lambda: bootstrap(stat, samples, indices)) == want
 
 
 # ---------------------------------------------------------------------------

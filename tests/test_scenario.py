@@ -270,6 +270,48 @@ def test_background_series_draws_its_source_pairs_once(monkeypatch):
     assert len(streams) == len(set(streams)) == 12
 
 
+def test_series_builds_each_bootstrap_stream_once(monkeypatch):
+    built = []
+    rng = SeedSpec.rng
+
+    def counted(self, *tags):
+        if tags[0] == STREAM_BOOTSTRAP:
+            built.append((self, tags))
+        return rng(self, *tags)
+
+    monkeypatch.setattr(SeedSpec, "rng", counted)
+    spec = desk_spec({"sweep.outputs": ALL_OUTPUTS, "scenario.images_per_decision": "2"})
+    rows = run_sweep(spec).rows
+    assert len(rows) == 30 and not any(row.flag for row in rows)
+    # 2 series x 5 metrics, not 6 points x 5
+    assert sorted(built, key=repr) == sorted(
+        ((SeedSpec(42).derive(si), (STREAM_BOOTSTRAP, metric.tag))
+         for si in range(2) for metric in METRICS.values()),
+        key=repr,
+    )
+
+
+def test_frame_count_sweep_rows_are_the_memoless_estimates():
+    # every point has its own frame counts, so each bootstrap stream's
+    # indices are drawn again and replace the ones the memo holds; with a
+    # background, every metric's uncertainty depends on its indices
+    spec = desk_spec({
+        "sweep.parameter": "scenario.images", "sweep.values": "40,60,80",
+        "sweep.outputs": ALL_OUTPUTS, "scenario.images_per_decision": "2",
+        "background.mean_total": "200",
+    })
+    rows = run_sweep(spec).rows
+    assert len(rows) == 30 and not any(row.flag for row in rows)
+    for index, point in enumerate(spec.points):
+        pipeline = PointPipeline(point.scenario, point.seed, 2)
+        for row in rows[index * 5 : (index + 1) * 5]:
+            estimate, uncertainty = pipeline.estimate(row.metric)
+            assert row.value == point.scenario.images and uncertainty > 0.0
+            assert (repr(row.estimate), repr(row.uncertainty)) == (
+                repr(estimate), repr(uncertainty)
+            )
+
+
 @pytest.mark.parametrize("master_seed", [0, 42, 2**63 + 5, 2**64 - 1])
 def test_series_streams_are_distinct_and_trailing_zero_tags_ignored(master_seed):
     root = SeedSpec(master_seed)
