@@ -13,9 +13,12 @@ are drawn in blocks of `_BLOCK_FRAMES`.  Block b holds frames 256*b to
 stream keyed by (master_seed, hypothesis, b), in one fixed vectorized
 sequence: the source pixel pairs, the background on arm 2, then read
 noise.  So a block's counts do not depend on how many frames follow it
-or on which block is drawn first.  A sweep draws every point of a series
-on the series seed (`scenario.sweep_spec`), so points that share the
-source and channel share their pixel pairs.
+or on which block is drawn first.  `sample_counts` draws the blocks of a
+call concurrently, on a pool of one thread per core this process may
+use (numpy releases the GIL while it draws), each block into its own
+rows, so the bytes do not depend on the number of cores.  A sweep draws
+every point of a series on the series seed (`scenario.sweep_spec`), so
+points that share the source and channel share their pixel pairs.
 
 `sample_counts` fills the counts of the hypothesis its `Scenario` names
 (`channel.target_present`), read noise included, into two preallocated
@@ -27,6 +30,9 @@ names the (scenario, seed) each of a point's hypotheses, "in" and "out",
 is drawn on.
 """
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -51,6 +57,11 @@ STREAM_FORMAT = (
 )
 # Frames of frames.csv formatted as one byte table.
 _WRITE_FRAMES = 256
+# Cores this process may run on: the width of the block pool, which
+# `_executor` makes on the first call with two or more blocks.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 def _negbin(
@@ -108,6 +119,50 @@ def _sample_pair_counts(
     return n1, n2
 
 
+def _fill_block(
+    scenario: Scenario, n1: np.ndarray, n2: np.ndarray, rows: slice, stream, keep: bool
+) -> tuple | None:
+    """Fill rows `rows` of n1 and n2 with one block's counts: its pixel pairs,
+    then the background on arm 2, then read noise on arm 1 and on arm 2.
+
+    `stream` is the block's Generator, or the memo entry of pairs already
+    drawn on it, which restores them and the stream right after them.
+    Returns the memo entry of freshly drawn pairs if `keep`, else None."""
+    k = scenario.pixel_pairs
+    size = n1[rows].size
+    kept = None
+    if isinstance(stream, tuple):
+        a1, a2, rng, state = stream
+        rng.bit_generator.state = state
+    else:
+        rng = stream
+        a1, a2 = _sample_pair_counts(scenario.source, scenario.channel, rng, size)
+        if keep:
+            kept = (a1, a2, rng, rng.bit_generator.state)
+    n1[rows] = a1.reshape(-1, k)
+    n2[rows] = a2.reshape(-1, k)
+    background = scenario.background
+    if background.mean_total > 0.0:
+        n2[rows] += _negbin(rng, background.modes_b, background.mean_total, size).reshape(-1, k)
+    sigma = scenario.read_noise_sigma
+    if sigma > 0.0:
+        for n in (n1, n2):
+            n[rows] += np.rint(rng.normal(0.0, sigma, size)).astype(np.int64).reshape(-1, k)
+            np.maximum(n[rows], 0, out=n[rows])
+    return kept
+
+
+def _executor():
+    """The module's block pool, one thread per core, made on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(_CORES, thread_name_prefix="qisim-block")
+    return _POOL
+
+
 def sample_counts(
     scenario: Scenario, seed: SeedSpec, memo: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -116,44 +171,46 @@ def sample_counts(
 
     Block b of `_BLOCK_FRAMES` rows draws from `seed.frame_rng(target_present, b)`:
     the pixel pairs, then the background on arm 2, then read noise on
-    arm 1 and on arm 2, each as one call over the whole block.
+    arm 1 and on arm 2, each as one call over the whole block.  With two
+    or more blocks and cores, the blocks are drawn concurrently on a pool
+    of one thread per core, each into its own rows; every block keeps its
+    own stream, so the counts do not depend on the number of cores.  An
+    error raised in a block is raised once every block has finished, the
+    lowest failing block's.
 
     `memo` maps each seed to the last call's source, channel and frame
     shape, with each block's pixel pairs and its stream right after them.
     A call that matches restores that stream and draws only the background
-    and read noise; any other call on the seed replaces what it holds.
-    Either way the counts are those of a call without a memo."""
-    sigma = scenario.read_noise_sigma
-    background = scenario.background
-    k = scenario.pixel_pairs
+    and read noise; any other call on the seed replaces what it holds, and
+    a call that raises adds no block to it.  Either way the counts are
+    those of a call without a memo."""
     target = scenario.channel.target_present
     pairs = []
     if memo is not None:
-        key = (scenario.source, scenario.channel, k, scenario.images)
+        key = (scenario.source, scenario.channel, scenario.pixel_pairs, scenario.images)
         if memo.get(seed, (None,))[0] != key:
             memo[seed] = (key, pairs)
         pairs = memo[seed][1]
-    n1 = np.empty((scenario.images, k), dtype=np.int64)
+    n1 = np.empty((scenario.images, scenario.pixel_pairs), dtype=np.int64)
     n2 = np.empty_like(n1)
-    for block, start in enumerate(range(0, scenario.images, _BLOCK_FRAMES)):
-        rows = slice(start, start + _BLOCK_FRAMES)
-        size = n1[rows].size
-        if block < len(pairs):
-            a1, a2, rng, state = pairs[block]
-            rng.bit_generator.state = state
-        else:
-            rng = seed.frame_rng(target, block)
-            a1, a2 = _sample_pair_counts(scenario.source, scenario.channel, rng, size)
-            if memo is not None:
-                pairs.append((a1, a2, rng, rng.bit_generator.state))
-        n1[rows] = a1.reshape(-1, k)
-        n2[rows] = a2.reshape(-1, k)
-        if background.mean_total > 0.0:
-            n2[rows] += _negbin(rng, background.modes_b, background.mean_total, size).reshape(-1, k)
-        if sigma > 0.0:
-            for n in (n1, n2):
-                n[rows] += np.rint(rng.normal(0.0, sigma, size)).astype(np.int64).reshape(-1, k)
-                np.maximum(n[rows], 0, out=n[rows])
+    starts = range(0, scenario.images, _BLOCK_FRAMES)
+    # streams are made on the calling thread: perfbench's tracer wraps
+    # `SeedSpec.frame_rng` on one span stack
+    streams = [pairs[b] if b < len(pairs) else seed.frame_rng(target, b) for b in range(len(starts))]
+    blocks = [
+        (scenario, n1, n2, slice(start, start + _BLOCK_FRAMES), stream, memo is not None)
+        for start, stream in zip(starts, streams)
+    ]
+    if len(blocks) < 2 or _CORES < 2:
+        drawn = [_fill_block(*block) for block in blocks]
+    else:
+        from concurrent.futures import wait
+
+        pool = _executor()
+        futures = [pool.submit(_fill_block, *block) for block in blocks]
+        wait(futures)
+        drawn = [future.result() for future in futures]
+    pairs.extend(drawn[len(pairs) :])
     return n1, n2
 
 

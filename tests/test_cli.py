@@ -375,6 +375,17 @@ def test_simulate_single_pixel_pair_exit_2(capsys, tmp_path):
     assert not (tmp_path / "run" / "frames.csv").exists()
 
 
+def test_simulate_background_past_the_sampling_limit_exit_2(capsys, tmp_path):
+    # all three blocks of each hypothesis raise in their background draw
+    code, _, err = run_cli(
+        capsys, "simulate", "--seed", "1", "--frames", "600", "--background", "1e30",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert err == "error: expected photon number 1e+30 exceeds sampling limit\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "1e20"])
 def test_invalid_read_noise_exit_2(capsys, tmp_path, sigma):
     analytic_csv = tmp_path / "analytic.csv"
@@ -688,6 +699,20 @@ def test_import_leaves_scipy_front_ends_out(module, absent):
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_and_analytic_start_no_thread():
+    # the sampler's block pool is made by the first draw of two or more blocks
+    code = (
+        "import sys, threading, qisim.cli\n"
+        "state = lambda: ('concurrent.futures' in sys.modules, threading.active_count())\n"
+        "imported = state()\n"
+        "qisim.cli.main(['analytic'])\n"
+        "print(imported, state())\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "(False, 1) (False, 1)"
 
 
 def test_cli_runs_with_scipy_blocked(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from scipy import stats
 
 from conftest import make_scenario
-from qisim import analytic, oracle
+from qisim import analytic, oracle, sampler
 from qisim.estimator import covariance_hat
-from qisim.sampler import hypothesis_stream, sample_counts
+from qisim.sampler import _negbin, _sample_pair_counts, hypothesis_stream, sample_counts
 from qisim.types import ParameterError, SeedSpec, SourceKind
 
 
@@ -286,3 +287,89 @@ def test_read_noise_keeps_counts_nonnegative_and_default_off():
     assert np.array_equal(clean[0], again[0])
     assert (noisy[0] >= 0).all() and (noisy[1] >= 0).all()
     assert not np.array_equal(clean[0], noisy[0])
+
+
+# ---------------------------------------------------------------------------
+# the block pool
+# ---------------------------------------------------------------------------
+def serial_counts(scenario, seed):
+    """The stream format drawn block after block on this thread, for a
+    scenario with a background and read noise."""
+    k, target = scenario.pixel_pairs, scenario.channel.target_present
+    n1 = np.empty((scenario.images, k), np.int64)
+    n2 = np.empty_like(n1)
+    for block, start in enumerate(range(0, scenario.images, 256)):
+        rng = seed.frame_rng(target, block)
+        rows = slice(start, start + 256)
+        size = n1[rows].size
+        a1, a2 = _sample_pair_counts(scenario.source, scenario.channel, rng, size)
+        n1[rows], n2[rows] = a1.reshape(-1, k), a2.reshape(-1, k)
+        background = scenario.background
+        n2[rows] += _negbin(rng, background.modes_b, background.mean_total, size).reshape(-1, k)
+        for n in (n1, n2):
+            noise = np.rint(rng.normal(0.0, scenario.read_noise_sigma, size)).astype(np.int64)
+            n[rows] += noise.reshape(-1, k)
+            np.maximum(n[rows], 0, out=n[rows])
+    return n1, n2
+
+
+def pool_scenario(kind=SourceKind.TWIN_BEAM, background_mean=300.0, images=700):
+    # 700 frames are three blocks, the last one partial
+    return make_scenario(
+        kind=kind, background_mean=background_mean, mode_match=0.7, read_noise_sigma=1.5,
+        pixel_pairs=6, images=images,
+    )
+
+
+@pytest.mark.parametrize("cores", ["pooled", "one core"])
+@pytest.mark.parametrize("memo", ["none", "cold", "warm"])
+@pytest.mark.parametrize("target", [True, False])
+@pytest.mark.parametrize("kind", [SourceKind.TWIN_BEAM, SourceKind.SPLIT_THERMAL])
+def test_pooled_blocks_are_the_serial_draws(monkeypatch, kind, target, memo, cores):
+    monkeypatch.setattr(sampler, "_CORES", max(sampler._CORES, 2) if cores == "pooled" else 1)
+    if cores == "one core":
+        monkeypatch.setattr(sampler, "_POOL", None)
+    scn = pool_scenario(kind).with_target(target)
+    seed = SeedSpec(2026)
+    memos = {"none": None, "cold": {}, "warm": {}}[memo]
+    if memo == "warm":
+        # the first point of a background series fills the memo
+        sample_counts(pool_scenario(kind, background_mean=30.0).with_target(target), seed, memos)
+    n1, n2 = sample_counts(scn, seed, memos)
+    e1, e2 = serial_counts(scn, seed)
+    assert np.array_equal(n1, e1) and np.array_equal(n2, e2)
+    if memos is not None:
+        (key, pairs), = memos.values()
+        assert key == (scn.source, scn.channel, scn.pixel_pairs, scn.images)
+        for block, (a1, a2, _, _) in enumerate(pairs):
+            direct = _sample_pair_counts(scn.source, scn.channel, seed.frame_rng(target, block), a1.size)
+            assert np.array_equal(a1, direct[0]) and np.array_equal(a2, direct[1])
+        assert len(pairs) == 3
+    if cores == "one core":
+        assert sampler._POOL is None
+
+
+def test_pooled_error_is_the_lowest_failing_block_after_every_block(monkeypatch):
+    # blocks 1 and 2 fail, block 2 first; block 3 finishes last
+    monkeypatch.setattr(sampler, "_CORES", max(sampler._CORES, 2))
+    scn = pool_scenario(images=1000)
+    seed = SeedSpec(7)
+    # each block is told apart by the first number of its stream
+    first = {seed.frame_rng(True, b).integers(1 << 62): b for b in range(4)}
+    finished = []
+
+    def failing_pairs(source, channel, rng, size):
+        block = first[rng.integers(1 << 62)]
+        time.sleep({1: 0.1, 3: 0.2}.get(block, 0.0))
+        finished.append(block)
+        if block in (1, 2):
+            raise ParameterError(f"block {block}")
+        return np.zeros(size, np.int64), np.zeros(size, np.int64)
+
+    monkeypatch.setattr(sampler, "_sample_pair_counts", failing_pairs)
+    memo = {}
+    with pytest.raises(ParameterError, match="block 1"):
+        sample_counts(scn, seed, memo)
+    assert sorted(finished) == [0, 1, 2, 3]
+    # the memo keeps the series' key and no block of it
+    assert [pairs for _, pairs in memo.values()] == [[]]
