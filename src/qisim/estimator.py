@@ -1,16 +1,16 @@
 """Measurement pipeline on count arrays: covariance, epsilon, SNR, error rate.
 
 Each hypothesis's counts arrive as two (images, K) int64 arrays n1 and
-n2, one row per frame.  `covariance_hat` turns them into one covariance
-per frame, which SNR and the error rate read; epsilon pools the integer
-sufficient statistics of all frames.
+n2, one row per frame, which `frame_stats` turns into one integer table,
+(S1, S2, S11, S22, S12, K) per frame.  Epsilon pools the table over all
+frames; SNR and the error rate read its `frame_covariance` per frame.
 
 Each statistic has one row-wise form (`epsilon_rows`, `snr_rows`,
 `perr_rows`): its samples carry the frames on their last axis and one
 row per resample before it, and it returns one value per row, NaN where
 the row is degenerate.  Its point estimate is `one_row`, its one-row case
 on the samples themselves (`perr_hat` for the error rate, with its
-threshold), and `bootstrap` evaluates it on a block of resamples at once.
+threshold).
 
 Conventions follow the receiver definition: the per-frame covariance uses
 the plug-in estimator with divisor K, while SNR sample variances use
@@ -19,12 +19,22 @@ counts, so results are independent of summation order by construction
 (we never accumulate in floating point until the final division); counts
 large enough to wrap those int64 sums raise ParameterError.
 
-Every uncertainty comes from `bootstrap`, which resamples whole frames.
-Drawing the resamples is apart from evaluating them: `resample_indices`
-draws their frame indices, and `bootstrap` and `bootstrap_epsilon` take
-either those indices or the Generator to draw them from, so a caller may
-draw a stream's indices once and evaluate them on several samples of the
-same sizes.
+Epsilon, SNR and the mean covariance are smooth functions of frame
+means, so `delta_method` gives their sigma as sqrt(sum over samples of
+sd(IF)^2 / n), IF being each frame's influence on the estimate:
+- mean covariance: the per-frame covariance, up to an offset;
+- epsilon = g = cov / r, from the pooled means (a, b, A, B, C) of x = (S1,
+  S2, S11, S22, S12) / K, with cov = C - ab, nv1 = A - a^2 - a, nv2 =
+  B - b^2 - b, r = sqrt(nv1 nv2): IF = (-b/r + g(2a+1)/(2 nv1), -a/r +
+  g(2b+1)/(2 nv2), -g/(2 nv1), -g/(2 nv2), 1/r) . (x - (a, b, A, B, C));
+- SNR f = |m_in - m_out| / sqrt(V) with V = v_in + v_out: on each
+  hypothesis's covariances d, IF = s(d - m)/sqrt(V) - f((d - m)^2 - v)/(2V),
+  s being the sign of m_in - m_out for "in" and its opposite for "out".
+
+The error rate's sigma comes from `bootstrap`, which resamples whole
+frames from a Generator or from the indices `resample_indices` drew from
+one, so a caller may draw a stream's indices once and evaluate them on
+several samples of the same sizes.
 """
 from __future__ import annotations
 
@@ -77,75 +87,64 @@ def _counts(n1, n2) -> tuple[np.ndarray, np.ndarray]:
     return n1, n2
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
-
-
-def covariance_hat(n1, n2) -> np.ndarray:
-    """Plug-in covariance over the K pixel pairs of each frame (row):
-    E[N1 N2] - E[N1] E[N2] with divisor K."""
+def frame_stats(n1, n2) -> np.ndarray:
+    """The statistics table of a hypothesis: the integers (S1, S2, S11,
+    S22, S12, K) of each frame, as a (6, images) int64 array."""
     n1, n2 = _counts(n1, n2)
-    k = n1.shape[1]
-    if k < 2:
-        raise InsufficientDataError(f"need at least 2 pixel pairs (got {k})")
-    numerator = k * _row_dot(n1, n2) - n1.sum(axis=1) * n2.sum(axis=1)
-    out = numerator / k**2
-    # numerators past 2**53 round on conversion to float; divide those exactly
-    for i in np.flatnonzero(np.abs(numerator) > 2**53):
-        out[i] = int(numerator[i]) / k**2
-    return out
-
-
-def _frame_stats(n1, n2) -> np.ndarray:
-    """Integer sufficient statistics (S1, S2, S11, S22, S12, K) of each of
-    at least 2 frames, as a (6, images) array."""
-    n1, n2 = _counts(n1, n2)
-    if n1.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 frames")
-    dots = (_row_dot(n1, n1), _row_dot(n2, n2), _row_dot(n1, n2))
+    dots = (np.einsum("ij,ij->i", x, y) for x, y in ((n1, n1), (n2, n2), (n1, n2)))
     pixels = np.full(n1.shape[0], n1.shape[1], dtype=np.int64)
     return np.stack((n1.sum(axis=1), n2.sum(axis=1), *dots, pixels))
 
 
-def _epsilon_from_sums(sums: np.ndarray) -> np.ndarray:
-    """Vectorized epsilon over rows of pooled sufficient statistics."""
-    s1, s2, s11, s22, s12, n = (sums[..., i].astype(float) for i in range(6))
-    mean1 = s1 / n
-    mean2 = s2 / n
-    var1 = s11 / n - mean1**2
-    var2 = s22 / n - mean2**2
-    cov = s12 / n - mean1 * mean2
-    nv1 = var1 - mean1
-    nv2 = var2 - mean2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where((nv1 > 0) & (nv2 > 0), cov / np.sqrt(nv1 * nv2), np.nan)
+def frame_covariance(stats: np.ndarray) -> np.ndarray:
+    """Plug-in covariance of each frame of a statistics table, (K S12 -
+    S1 S2) / K^2: E[N1 N2] - E[N1] E[N2] over its K pixel pairs."""
+    s1, s2, s12, k = stats[0], stats[1], stats[4], stats[5]
+    if k.min() < 2:
+        raise InsufficientDataError(f"need at least 2 pixel pairs (got {k.min()})")
+    numerator = k * s12 - s1 * s2
+    out = numerator / k**2
+    # numerators past 2**53 round on conversion to float; divide those exactly
+    for i in np.flatnonzero(np.abs(numerator) > 2**53):
+        out[i] = int(numerator[i]) / int(k[i]) ** 2
     return out
 
 
-def epsilon_rows(frame_stats: np.ndarray) -> np.ndarray:
+def covariance_hat(n1, n2) -> np.ndarray:
+    """`frame_covariance` of each frame (row) of the counts."""
+    return frame_covariance(frame_stats(n1, n2))
+
+
+def _epsilon_parts(sums: np.ndarray) -> tuple:
+    """Of rows of pooled sums (S1, S2, S11, S22, S12, K): the means (a, b,
+    A, B, C) per pixel, cov = C - ab, nv1 = A - a^2 - a, nv2 = B - b^2 - b."""
+    a, b, aa, bb, c = means = [sums[..., i] / sums[..., 5] for i in range(5)]
+    return means, c - a * b, aa - a**2 - a, bb - b**2 - b
+
+
+def _epsilon_from_sums(sums: np.ndarray) -> np.ndarray:
+    """Vectorized epsilon over rows of pooled sufficient statistics."""
+    _, cov, nv1, nv2 = _epsilon_parts(sums)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where((nv1 > 0) & (nv2 > 0), cov / np.sqrt(nv1 * nv2), np.nan)
+
+
+def epsilon_rows(stats: np.ndarray) -> np.ndarray:
     """Epsilon of each row of (6, rows, images) frame statistics, pooled
     over the row's frames in exact int64 sums; NaN where a normally
     ordered variance is not positive."""
-    return _epsilon_from_sums(frame_stats.sum(axis=-1).T)
+    return _epsilon_from_sums(stats.sum(axis=-1).T)
 
 
-def bootstrap_epsilon(n1, n2, rng) -> tuple[float, float]:
-    """(epsilon, bootstrap sigma), resampling whole frames: the values of
-    `bootstrap(epsilon_rows, [_frame_stats(n1, n2)], rng)`.
-
-    Each resample's pooled sums are its frame multiplicities (a bincount of
-    its indices) contracted with the frame statistics in exact int64, so
-    no (6, rows, frames) gather is made."""
-    stats = _frame_stats(n1, n2)
-    frames = stats.shape[-1]
-    estimate = one_row(epsilon_rows, stats)
-    values = []
-    # the blocks `bootstrap` would gather, which bound the int64 temporaries
-    for (pick,) in _index_blocks([frames], rng, _RESAMPLES, _BOOTSTRAP_BLOCK_CELLS // stats.size):
-        flat = (pick + frames * np.arange(len(pick))[:, None]).ravel()
-        counts = np.bincount(flat, minlength=pick.size).reshape(pick.shape)
-        values.append(_epsilon_from_sums(np.einsum("rn,sn->rs", counts, stats)))
-    return estimate, _spread(values)
+def epsilon_influence(stats: np.ndarray) -> list:
+    """[IF] of a statistics table whose epsilon is not NaN (module docstring)."""
+    means, cov, nv1, nv2 = _epsilon_parts(stats.sum(axis=-1))
+    a, b = means[:2]
+    r = math.sqrt(nv1 * nv2)
+    g = cov / r
+    da, db = g * (2 * a + 1) / (2 * nv1) - b / r, g * (2 * b + 1) / (2 * nv2) - a / r
+    centred = stats[:5] / stats[5] - np.array(means)[:, None]
+    return [np.dot((da, db, -g / (2 * nv1), -g / (2 * nv2), 1 / r), centred)]
 
 
 def one_row(stat, *samples) -> float:
@@ -186,39 +185,38 @@ def _index_blocks(sizes, rng, resamples: int, rows: int):
             yield [pick[start : start + rows] for pick in rng]
 
 
-def _spread(values) -> float:
-    """Sample standard deviation of the finite bootstrap values."""
-    draws = np.concatenate(values)
-    draws = draws[np.isfinite(draws)]
-    if draws.size < 2:
-        raise DegenerateStatisticError("bootstrap resamples all degenerate")
-    return float(np.std(draws, ddof=1))
-
-
 def bootstrap(stat, samples, rng, resamples: int = _RESAMPLES) -> tuple[float, float]:
-    """(estimate, bootstrap sigma) of the row-wise statistic `stat`.
-
-    Each sample is an array whose last axis runs over its n items
-    (frames).  `stat` takes every sample with that axis replaced by
-    (rows, n), one row per resample, and returns one value per row, NaN
-    where the row is degenerate; the estimate is its one-row case on the
-    samples themselves, and raises DegenerateStatisticError if that is
-    NaN.  `rng` is the Generator that `resample_indices` draws the
-    resamples from, or the indices it drew.  Resamples are evaluated in
-    blocks of at most `_BOOTSTRAP_BLOCK_CELLS` resampled cells; values
-    that are not finite are dropped, and at least 2 must remain.
-    """
+    """(estimate, bootstrap sigma) of the row-wise statistic `stat`,
+    resampling the last axis of each sample (its n items) from `rng`, a
+    Generator or the indices `resample_indices` drew from one.  Resamples
+    are evaluated in blocks of at most `_BOOTSTRAP_BLOCK_CELLS` resampled
+    cells; values that are not finite are dropped, and at least 2 must
+    remain."""
     samples = [np.asarray(sample) for sample in samples]
     sizes = [sample.shape[-1] for sample in samples]
     if min(sizes) < 2:
         raise InsufficientDataError("need at least 2 values per sample to bootstrap")
     estimate = one_row(stat, *samples)
     rows = _BOOTSTRAP_BLOCK_CELLS // sum(sample.size for sample in samples)
-    values = [
+    values = np.concatenate([
         stat(*(np.take(sample, pick, axis=-1) for sample, pick in zip(samples, picks)))
         for picks in _index_blocks(sizes, rng, resamples, rows)
-    ]
-    return estimate, _spread(values)
+    ])
+    values = values[np.isfinite(values)]
+    if values.size < 2:
+        raise DegenerateStatisticError("bootstrap resamples all degenerate")
+    return estimate, float(np.std(values, ddof=1))
+
+
+def delta_method(stat, influence, *samples) -> tuple[float, float]:
+    """(estimate, sigma) of the row-wise `stat`: its one-row case, and
+    sqrt(sum of sd(IF)^2 / n) over the per-item influences IF of each
+    sample that `influence` returns, sd with divisor n-1."""
+    if min(sample.shape[-1] for sample in samples) < 2:
+        raise InsufficientDataError("need at least 2 values per sample")
+    estimate = one_row(stat, *samples)
+    sds = (np.std(values, ddof=1) / math.sqrt(values.size) for values in influence(*samples))
+    return estimate, math.hypot(*sds)
 
 
 def snr_rows(in_values: np.ndarray, out_values: np.ndarray) -> np.ndarray:
@@ -232,6 +230,18 @@ def snr_rows(in_values: np.ndarray, out_values: np.ndarray) -> np.ndarray:
     contrast = np.abs(in_values.mean(axis=-1) - out_values.mean(axis=-1))
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom_sq > 0.0, contrast / np.sqrt(denom_sq), np.nan)
+
+
+def snr_influence(in_values: np.ndarray, out_values: np.ndarray) -> list:
+    """[IF_in, IF_out] of one row per hypothesis whose SNR is not NaN
+    (module docstring)."""
+    (m_in, v_in), (m_out, v_out) = ((d.mean(), d.var(ddof=1)) for d in (in_values, out_values))
+    total = v_in + v_out
+    snr, sign = abs(m_in - m_out) / math.sqrt(total), np.sign(m_in - m_out)
+    return [
+        s * (d - m) / math.sqrt(total) - snr * ((d - m) ** 2 - v) / (2 * total)
+        for d, m, v, s in ((in_values, m_in, v_in, sign), (out_values, m_out, v_out, -sign))
+    ]
 
 
 def _batch_means(values: np.ndarray, batches: int, images_per_decision: int) -> np.ndarray:

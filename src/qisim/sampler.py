@@ -10,24 +10,19 @@ full-experiment mode counts (~1e5 modes per pixel) affordable.
 Stream format: pixel pairs are i.i.d. across pixels and frames, so frames
 are drawn in blocks of `_BLOCK_FRAMES`.  Block b holds frames 256*b to
 256*b + 255 (the last block may be shorter) and draws from its own child
-stream keyed by (master_seed, hypothesis, b), in one fixed vectorized
-sequence: the source pixel pairs, the background on arm 2, then read
-noise.  So a block's counts do not depend on how many frames follow it
-or on which block is drawn first.  `sample_counts` draws the blocks of a
-call concurrently, on a pool of one thread per core this process may
-use (numpy releases the GIL while it draws), each block into its own
-rows, so the bytes do not depend on the number of cores.  A sweep draws
-every point of a series on the series seed (`scenario.sweep_spec`), so
-points that share the source and channel share their pixel pairs.
+stream keyed by (master_seed, hypothesis, b), in the fixed sequence that
+`sample_counts` states.  So a block's counts do not depend on how many
+frames follow it, on which block is drawn first or on the number of
+cores.  A sweep draws every point of a series on the series seed
+(`scenario.sweep_spec`), so points that share the source and channel
+share their pixel pairs.
 
 `sample_counts` fills the counts of the hypothesis its `Scenario` names
 (`channel.target_present`), read noise included, into two preallocated
 (images, K) int64 arrays n1 and n2, row i holding frame i; the
-estimators take those arrays directly.  Given a memo, it draws the pixel
-pairs of a stream it has seen once and restores the stream state after
-them, so the bytes stay those of a call without it.  `hypothesis_stream`
-names the (scenario, seed) each of a point's hypotheses, "in" and "out",
-is drawn on.
+estimators take those arrays directly.  `hypothesis_stream` names the
+(scenario, seed) each of a point's hypotheses, "in" and "out", is drawn
+on.
 """
 from __future__ import annotations
 

@@ -4,11 +4,11 @@
 kind, swept value) point is the configuration with `source.kind` and the
 swept key set, built by `config.build_scenario` before anything is
 drawn.  Every point of a series (one source kind) draws on the series
-seed, its frames and its bootstrap streams alike, so points share random
-numbers, but a point's rows do not depend on which other points run.
-`run_sweep` runs one `PointPipeline` per point, with two memos per
-series: the source draws of `sample_counts`, and each bootstrap stream's
-resample indices, which every point of the series with the same frame
+seed, its frames and perr's bootstrap stream alike, so points share
+random numbers, but a point's rows do not depend on which other points
+run.  `run_sweep` runs one `PointPipeline` per point, with two memos per
+series: the source draws of `sample_counts`, and the resample indices
+of perr's bootstrap, which every point of the series with the same frame
 counts reuses.  `simulate` is one point on the master seed, without
 memos.
 `METRICS` defines each figure of merit once.  Estimator failures flag
@@ -26,12 +26,16 @@ from . import analytic
 from .config import CONFIG_SCHEMA, apply, build_scenario
 from .estimator import (
     bootstrap,
-    bootstrap_epsilon,
-    covariance_hat,
+    delta_method,
+    epsilon_influence,
+    epsilon_rows,
+    frame_covariance,
+    frame_stats,
     one_row,
     perr_batches,
     perr_rows,
     resample_indices,
+    snr_influence,
     snr_rows,
 )
 from .sampler import hypothesis_stream, sample_counts
@@ -151,8 +155,17 @@ def _mean(scn: Scenario, ipd: int, values):
     return values.mean(axis=-1)
 
 
+def _own(scn: Scenario, ipd: int, values):
+    # each value's influence on their mean, up to an offset that sd ignores
+    return [values]
+
+
 def _snr(scn: Scenario, ipd: int, in_values, out_values):
     return snr_rows(in_values, out_values) / math.sqrt(scn.pixel_pairs)
+
+
+def _snr_influence(scn: Scenario, ipd: int, in_values, out_values):
+    return [f / math.sqrt(scn.pixel_pairs) for f in snr_influence(in_values, out_values)]
 
 
 def _perr(scn: Scenario, ipd: int, in_values, out_values):
@@ -160,32 +173,42 @@ def _perr(scn: Scenario, ipd: int, in_values, out_values):
 
 
 class _Metric(NamedTuple):
-    tag: int  # its bootstrap stream, `seed.rng(STREAM_BOOTSTRAP, tag)`
+    samples: str  # what it reads of each hypothesis: "table" or "deltas"
     hypotheses: tuple  # the hypotheses it reads
-    # row-wise, of (scenario, images per decision, the per-frame covariances
-    # of `hypotheses`); None for epsilon, which `bootstrap_epsilon` pools
-    # from the counts
-    stat: Callable | None
+    stat: Callable  # row-wise, of (scenario, images per decision, its samples)
+    # each sample's per-frame influence on `stat`, of the same arguments;
+    # None for perr, whose sigma is bootstrapped
+    influence: Callable | None
     closed_form: Callable  # of (scenario, images per decision)
 
 
 # closed forms look `analytic` up per call, so perfbench's tracer sees them
 METRICS = {
-    "epsilon": _Metric(0, ("in",), None, lambda scn, ipd: analytic.epsilon(scn)),
-    "covariance_in": _Metric(1, ("in",), _mean, lambda scn, ipd: analytic.moments(scn).cov),
-    "covariance_out": _Metric(2, ("out",), _mean, lambda scn, ipd: 0.0),
-    "snr": _Metric(3, ("in", "out"), _snr, lambda scn, ipd: analytic.snr(scn)),
-    "perr": _Metric(4, ("in", "out"), _perr, lambda scn, ipd: analytic.error_probability(scn, ipd)),
+    "epsilon": _Metric(
+        "table", ("in",), lambda scn, ipd, table: epsilon_rows(table),
+        lambda scn, ipd, table: epsilon_influence(table), lambda scn, ipd: analytic.epsilon(scn),
+    ),
+    "covariance_in": _Metric(
+        "deltas", ("in",), _mean, _own, lambda scn, ipd: analytic.moments(scn).cov
+    ),
+    "covariance_out": _Metric("deltas", ("out",), _mean, _own, lambda scn, ipd: 0.0),
+    "snr": _Metric(
+        "deltas", ("in", "out"), _snr, _snr_influence, lambda scn, ipd: analytic.snr(scn)
+    ),
+    "perr": _Metric(
+        "deltas", ("in", "out"), _perr, None, lambda scn, ipd: analytic.error_probability(scn, ipd)
+    ),
 }
+_PERR_TAG = 4  # perr's bootstrap stream is `seed.rng(STREAM_BOOTSTRAP, _PERR_TAG)`
 
 
 class PointPipeline:
     """The Monte Carlo estimates of one point: a scenario on one seed, with
     `images_per_decision` frames per perr decision.  Each hypothesis is
-    drawn, and its per-frame covariances computed, at most once and only
-    when a metric first needs it.  `memo` is `sample_counts`' memo and
-    `resamples` the memo of bootstrap indices, each shared by the points of
-    a series; neither changes an estimate."""
+    drawn, and its table and covariances computed, once and only when a
+    metric first needs them.  `memo` and `resamples`, the memos of
+    `sample_counts` and of perr's bootstrap indices, are shared by the
+    points of a series; neither changes an estimate."""
 
     def __init__(
         self, scenario: Scenario, seed: SeedSpec, images_per_decision: int,
@@ -195,55 +218,60 @@ class PointPipeline:
         self.seed = seed
         self.images_per_decision = images_per_decision
         self._memo = memo
-        self._resamples = resamples
-        self._counts: dict = {}
-        self._deltas: dict = {}
+        self._resamples = {} if resamples is None else resamples
+        self._made: dict = {}
+
+    def _once(self, key: tuple, make: Callable):
+        if key not in self._made:
+            self._made[key] = make()
+        return self._made[key]
 
     def counts(self, label: str):
         """(n1, n2) of hypothesis `label`, drawn as `hypothesis_stream` says."""
-        if label not in self._counts:
-            stream = hypothesis_stream(self.scenario, self.seed, label)
-            self._counts[label] = sample_counts(*stream, self._memo)
-        return self._counts[label]
+        return self._once(("counts", label), lambda: sample_counts(
+            *hypothesis_stream(self.scenario, self.seed, label), self._memo
+        ))
+
+    def table(self, label: str):
+        """The statistics table (`frame_stats`) of hypothesis `label`."""
+        return self._once(("table", label), lambda: frame_stats(*self.counts(label)))
 
     def deltas(self, label: str):
         """Per-frame covariances of hypothesis `label`."""
-        if label not in self._deltas:
-            self._deltas[label] = covariance_hat(*self.counts(label))
-        return self._deltas[label]
+        return self._once(("deltas", label), lambda: frame_covariance(self.table(label)))
 
     def _inputs(self, metric: str):
-        """The row-wise statistic of `metric` and the covariances it reads."""
+        """The row-wise statistic of `metric`, its influence (None for
+        perr) and the samples they read."""
         if metric == "perr":
             # too few batches are refused before any frame is drawn
             perr_batches(self.scenario.images, self.scenario.images, self.images_per_decision)
-        stat = functools.partial(METRICS[metric].stat, self.scenario, self.images_per_decision)
-        return stat, [self.deltas(label) for label in METRICS[metric].hypotheses]
+        reads, hypotheses, stat, influence, _ = METRICS[metric]
+        at = (self.scenario, self.images_per_decision)
+        samples = [getattr(self, reads)(label) for label in hypotheses]
+        if influence is not None:
+            influence = functools.partial(influence, *at)
+        return functools.partial(stat, *at), influence, samples
 
-    def _draws(self, tag: int, sizes: tuple):
-        """What the bootstrap of stream `tag` on samples of `sizes` draws
-        from: the stream itself, or with a memo the indices
-        `resample_indices` drew from it.  The memo holds one entry per tag
-        and replaces it when the sizes differ."""
-        if self._resamples is None:
-            return self.seed.rng(STREAM_BOOTSTRAP, tag)
-        if self._resamples.get(tag, (None,))[0] != sizes:
-            rng = self.seed.rng(STREAM_BOOTSTRAP, tag)
-            self._resamples[tag] = (sizes, resample_indices(sizes, rng))
-        return self._resamples[tag][1]
+    def _draws(self, sizes: tuple):
+        """The indices `resample_indices` draws for perr's bootstrap on
+        samples of `sizes`, kept until a point asks for other sizes."""
+        if self._resamples.get("sizes") != sizes:
+            rng = self.seed.rng(STREAM_BOOTSTRAP, _PERR_TAG)
+            self._resamples.update(sizes=sizes, indices=resample_indices(sizes, rng))
+        return self._resamples["indices"]
 
     def estimate(self, metric: str) -> tuple[float, float]:
-        """(estimate, bootstrap sigma) of `metric`."""
-        tag, hypotheses, stat, _ = METRICS[metric]
-        if stat is None:
-            n1, n2 = self.counts(*hypotheses)
-            return bootstrap_epsilon(n1, n2, self._draws(tag, (len(n1),)))
-        stat, samples = self._inputs(metric)
-        return bootstrap(stat, samples, self._draws(tag, tuple(len(s) for s in samples)))
+        """(estimate, sigma) of `metric`: the delta method's sigma, or for
+        perr the bootstrap's."""
+        stat, influence, samples = self._inputs(metric)
+        if influence is None:
+            return bootstrap(stat, samples, self._draws(tuple(len(s) for s in samples)))
+        return delta_method(stat, influence, *samples)
 
     def value(self, metric: str) -> float:
-        """The estimate of `metric`, epsilon aside, without its bootstrap."""
-        stat, samples = self._inputs(metric)
+        """The estimate of `metric`, without its sigma."""
+        stat, _, samples = self._inputs(metric)
         return one_row(stat, *samples)
 
 
@@ -280,10 +308,7 @@ def _point_rows(
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run every point in grid order.  The points of a series share one
-    memo of source draws and one of bootstrap indices, dropped when the
-    series ends; each point's rows are those of its own `PointPipeline`
-    without them."""
+    """Run every point in grid order, with one pair of memos per series."""
     rows: list[SweepRow] = []
     for _, series in itertools.groupby(spec.points, key=lambda point: point.seed):
         memo: dict = {}

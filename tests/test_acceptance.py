@@ -15,9 +15,18 @@ import pytest
 from conftest import make_scenario, rel_err
 from qisim import analytic, oracle
 from qisim.cli import main as cli_main
-from qisim.estimator import bootstrap_epsilon, covariance_hat, one_row, perr_hat, snr_rows
+from qisim.estimator import (
+    covariance_hat,
+    delta_method,
+    epsilon_influence,
+    epsilon_rows,
+    frame_stats,
+    one_row,
+    perr_hat,
+    snr_rows,
+)
 from qisim.sampler import hypothesis_stream, sample_counts
-from qisim.types import SeedSpec, SourceKind, STREAM_BOOTSTRAP
+from qisim.types import SeedSpec, SourceKind
 
 MOMENT_FIELDS = ("mean1", "mean2", "var1", "var2", "cov", "m22")
 
@@ -87,7 +96,7 @@ def test_criterion_1_oracle_equivalence():
 # 2. nonclassicality parameter: exact values and Monte Carlo
 # ---------------------------------------------------------------------------
 def test_criterion_2_epsilon_ideal_values():
-    with criterion(2, "epsilon ideal values exact to 1e-12; MC within 3 bootstrap sigma") as details:
+    with criterion(2, "epsilon ideal values exact to 1e-12; MC within 3 delta-method sigma") as details:
         for mu in (0.01, 0.075, 1.0):
             twin = analytic.epsilon(reference_scenario(mu=mu))
             assert rel_err(twin, (1.0 + mu) / mu) <= 1e-12
@@ -96,12 +105,12 @@ def test_criterion_2_epsilon_ideal_values():
 
         scn = reference_scenario(images=2000)
         in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(2024), "in"))
-        eps_q, sig_q = bootstrap_epsilon(*in_counts, rng=SeedSpec(2024).rng(STREAM_BOOTSTRAP))
+        eps_q, sig_q = delta_method(epsilon_rows, epsilon_influence, frame_stats(*in_counts))
         assert abs(eps_q - 14.333333333333334) <= 3.0 * sig_q
 
         scn_ci = reference_scenario(kind=SourceKind.SPLIT_THERMAL, images=2000)
         in_counts = sample_counts(*hypothesis_stream(scn_ci, SeedSpec(2025), "in"))
-        eps_c, sig_c = bootstrap_epsilon(*in_counts, rng=SeedSpec(2025).rng(STREAM_BOOTSTRAP))
+        eps_c, sig_c = delta_method(epsilon_rows, epsilon_influence, frame_stats(*in_counts))
         assert abs(eps_c - 1.0) <= 3.0 * sig_c
         details.append(
             f"MC: twin {eps_q:.2f}+-{sig_q:.2f}, split {eps_c:.3f}+-{sig_c:.3f}"

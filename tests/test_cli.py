@@ -220,7 +220,7 @@ def test_simulate_deterministic_outputs(capsys, tmp_path):
 SIMULATE_SHA256 = {
     "frames.csv": "1711f7d47df4ff2c6bf8729acaad6ff24d0205ff81854d017e0d356d86ab0d2d",
     "records.csv": "909c4b42bedff21cf48bd3fe46207b70bb68acc793f456994b6411c43d59e555",
-    "summary.txt": "dfe06f6bb15cf0042bf026f08670d3367ac8abe3aebea7f4d50cef3e8055db15",
+    "summary.txt": "6c3cbb509f7f008c8bf4bb5455648da2e4d95b59710ea65e7a998d8b279c95b5",
 }
 
 
@@ -235,28 +235,29 @@ def test_simulate_outputs_are_pinned(capsys, tmp_path):
 
 
 # sha256 of each CSV and sidecar of `reproduce fig2..fig5 --frames 300 --seed 3`:
-# 28 files, the bytes every figure sweep writes in stream format 3.
+# 28 files, the bytes every figure sweep writes in stream format 3, with
+# delta-method uncertainties on every metric but perr.
 FIGURE_SHA256 = {
     "fig2": {
-        "fig2_mb1300.csv": "0a3cad020fd3ca99986c2af0ef6d01769f7b95a702353168b736010b42d5b35d",
+        "fig2_mb1300.csv": "8c4dc51afc67722020cf0d81fdb958697f9c50ccfbea64a1bcbc9a027720c7e0",
         "fig2_mb1300.csv.meta.txt": "4a5b4a35390895a6b87816d9d0888bf9c5c4c346b0a45a811e3b4b8102b5256e",
-        "fig2_mb57.csv": "f2212b53f692ef957e76589547833e2f5b6e635fec08ed965bb291175dd87b04",
+        "fig2_mb57.csv": "8864806c59e940056bafdaf6c932b1c5329e2a1784c36ff1cf1cea5635e72b57",
         "fig2_mb57.csv.meta.txt": "968e12b51d2bbe4d4381328f7d37dc22797c00e8e22c7b2e5d84eef2908afa12",
     },
     "fig3": {
-        "fig3_split_mb1300.csv": "a774090860118b895b3c172a124952fa61243135dedf236f73f000bf4fa3beb0",
+        "fig3_split_mb1300.csv": "875b55d5fc62de514bb916ab8c030133de1b0b00e19d5de8fc2af9af36792d13",
         "fig3_split_mb1300.csv.meta.txt": "db39d8773f470cf080d1991bb388000acf0d8d7ec239b32092f5aa50cca4921c",
-        "fig3_twin_mb1300.csv": "7e63fa3158911036954f6ef0fd07ef75c93a9f9e89f210c20571117f605cbc17",
+        "fig3_twin_mb1300.csv": "40b2789a18c8bac85beab1ac1f5bfb980ab9993471fdb7513a4e41ce45786a7f",
         "fig3_twin_mb1300.csv.meta.txt": "8a272615e5d78e824e410c53277b0eb9a940fc99829a590652b66efee9ce681d",
-        "fig3_twin_mb57.csv": "fc70c56780b06f6eebbca02e10f9638deb13c8877d99d2f018b7bc3b2184bcde",
+        "fig3_twin_mb57.csv": "4fda34057fd709d77e83ee06e9dad9daef72a703943e522f9c89d1924af5723c",
         "fig3_twin_mb57.csv.meta.txt": "5bd9514b01e8b28bd206af1f2ea9bf3aeea794cd78a3f56b22b7fc2ef0e6e34d",
     },
     "fig4": {
-        "fig4_split_mb1300.csv": "7d0ef8cf25c05aeaed6f1af92c15b72d163db81939811dba9f880348a3db82c4",
+        "fig4_split_mb1300.csv": "0279cbd1a30ccb54b8b27b482aaa7669d1a93c80665d5269a3c3cdbc512a013f",
         "fig4_split_mb1300.csv.meta.txt": "85221bb420e45f3752f369c1de632140a72c9beb98d8a730218df3a7ec7912eb",
-        "fig4_twin_mb1300.csv": "c148b2e40d1ba7975fd9eb10024e7479c8a6cc957684bfcafcab9e78f463f0e5",
+        "fig4_twin_mb1300.csv": "9dfdbe586458bf76da0d80d0f020f3ed18d5b77102ee5d3749a918780cf36302",
         "fig4_twin_mb1300.csv.meta.txt": "0d2b3ada6c2e479fabe6a443c0787a2b8f2a85c20ed62f88e87387e295de8de5",
-        "fig4_twin_mb57.csv": "fb02badb8f682bb6731e99238125af9ad14c001bb5d28a579a9be9ae9c3bda98",
+        "fig4_twin_mb57.csv": "ae17af97cba248aa68063c6708eb847e60ded5030ada0432e24e241513c96405",
         "fig4_twin_mb57.csv.meta.txt": "aac167571d85f4a73906c2f6f72efa32b4fded1bff2f1a434d0b327e104b7ac7",
     },
     "fig5": {

@@ -2,12 +2,14 @@
 
 The references are the straightforward forms: a Python loop over every
 candidate threshold for perr_hat, Python-int arithmetic for the
-per-frame covariance, and one index draw per sample per iteration for
-the bootstrap.
+per-frame covariance, one index draw per sample per iteration for the
+bootstrap, and finite-difference gradients for the delta-method sigmas.
 """
 from __future__ import annotations
 
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,17 +19,21 @@ from hypothesis import strategies as st
 from qisim.estimator import (
     PerrEstimate,
     _epsilon_from_sums,
-    _frame_stats,
     bootstrap,
-    bootstrap_epsilon,
     covariance_hat,
+    delta_method,
+    epsilon_influence,
     epsilon_rows,
+    frame_covariance,
+    frame_stats,
     one_row,
     perr_hat,
     perr_rows,
     resample_indices,
+    snr_influence,
     snr_rows,
 )
+from qisim.scenario import METRICS
 from qisim.types import DegenerateStatisticError, ParameterError
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -183,7 +189,7 @@ def test_counts_past_int64_limit_are_rejected():
     with pytest.raises(ParameterError):
         covariance_hat(past, below)
     with pytest.raises(ParameterError):
-        bootstrap_epsilon(past, below, np.random.default_rng(0))
+        frame_stats(past, below)
 
 
 # ---------------------------------------------------------------------------
@@ -278,25 +284,6 @@ def test_bootstrap_blocks_match_per_iteration_draws(sizes):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(2, 40), st.integers(2, 6), _seeds)
-def test_bootstrap_epsilon_matches_one_index_matrix(frames, k, seed):
-    # the former vectorized form: one (resamples, frames) index draw
-    counts = np.random.default_rng(seed).negative_binomial(3, 0.2, size=(2, frames, k))
-    n1, n2 = counts.astype(np.int64)
-    stats = np.column_stack(
-        (n1.sum(1), n2.sum(1), (n1 * n1).sum(1), (n2 * n2).sum(1), (n1 * n2).sum(1),
-         np.full(frames, k))
-    )
-    assume(_sigma_or_error(lambda: one_row(epsilon_rows, stats.T)) != "degenerate")
-    idx = np.random.default_rng(seed + 1).integers(0, frames, size=(200, frames))
-    values = _epsilon_from_sums(stats[idx].sum(axis=1))
-    good = values[np.isfinite(values)]
-    want = float(np.std(good, ddof=1)) if good.size >= 2 else "degenerate"
-    got = _sigma_or_error(lambda: bootstrap_epsilon(n1, n2, np.random.default_rng(seed + 1))[1])
-    assert got == want
-
-
-@PROPERTY_SETTINGS
 @given(st.integers(2, 40), st.integers(2, 6), st.sampled_from((0.2, 0.6, 0.95)), _seeds,
        st.integers(2, 40))
 def test_bootstrap_epsilon_matches_per_iteration_draws(frames, k, p, seed, resamples):
@@ -317,34 +304,6 @@ def test_bootstrap_epsilon_matches_per_iteration_draws(frames, k, p, seed, resam
         )
     )
     assert got == want
-
-
-@st.composite
-def frame_counts(draw):
-    """(n1, n2) of 2 to 40 frames of 2 to 6 pixels, up to a peak that is at
-    times the largest the int64 guard accepts, and then reached."""
-    images = draw(st.integers(2, 40))
-    k = draw(st.integers(2, 6))
-    guard = math.isqrt((2**63 - 1) // (k * max(images, k)))
-    top = draw(st.sampled_from((3, 50, 10**6, guard)))
-    rng = np.random.default_rng(draw(_seeds))
-    n1, n2 = rng.integers(0, top, (2, images, k), endpoint=True)
-    n1[0, 0] = top
-    return n1, n2
-
-
-@PROPERTY_SETTINGS
-@given(frame_counts(), _seeds)
-def test_bootstrap_epsilon_equals_bootstrap_of_epsilon_rows(counts, seed):
-    # its bincount contraction against the gather, bit for bit, on a
-    # Generator and on the indices drawn from the same one
-    n1, n2 = counts
-    want = _sigma_or_error(
-        lambda: bootstrap(epsilon_rows, [_frame_stats(n1, n2)], np.random.default_rng(seed))
-    )
-    indices = resample_indices([len(n1)], np.random.default_rng(seed))
-    for draws in (np.random.default_rng(seed), indices):
-        assert _sigma_or_error(lambda: bootstrap_epsilon(n1, n2, draws)) == want
 
 
 @pytest.mark.parametrize("sizes", [(2,), (255, 256), (65535, 65536)])
@@ -406,6 +365,137 @@ def test_bootstrap_on_drawn_indices_equals_bootstrap_on_their_stream(case, seed,
         rng = np.random.default_rng(seed)
         want = _sigma_or_error(lambda: bootstrap(stat, samples, rng, resamples))
         assert _sigma_or_error(lambda: bootstrap(stat, samples, indices)) == want
+
+
+# ---------------------------------------------------------------------------
+# delta-method sigmas against finite-difference gradients
+# ---------------------------------------------------------------------------
+def _central_gradient(f, point, steps) -> np.ndarray:
+    """Central differences of the scalar f at `point`, one step per axis."""
+    gradient = []
+    for axis, step in enumerate(steps):
+        up, down = np.array(point, dtype=float), np.array(point, dtype=float)
+        up[axis] += step
+        down[axis] -= step
+        gradient.append((f(up) - f(down)) / (2 * step))
+    return np.array(gradient)
+
+
+def _sd_of_mean(influence) -> float:
+    return float(np.std(influence, ddof=1) / math.sqrt(influence.size))
+
+
+@st.composite
+def correlated_counts(draw):
+    """(n1, n2) of 3 to 80 frames of 2 to 10 pixels: thermal-like counts
+    with a shared part, so both normally ordered variances and the
+    covariance are resolved."""
+    frames, k = draw(st.integers(3, 80)), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(_seeds))
+    shape, mean = draw(st.sampled_from((1, 3, 10))), draw(st.sampled_from((2.0, 20.0, 300.0)))
+    shared = rng.gamma(shape, mean / shape, (frames, k))
+    own = rng.gamma(shape, mean / shape, (2, frames, k))
+    return rng.poisson(shared + own)
+
+
+@PROPERTY_SETTINGS
+@given(correlated_counts())
+def test_epsilon_sigma_is_the_finite_difference_delta_method(counts):
+    # the gradient of epsilon in the pooled means of x = (S1, S2, S11, S22,
+    # S12) / K, taken by differences of `_epsilon_from_sums`, dotted with
+    # each frame's centred x
+    stats = frame_stats(*counts)
+    estimate = float(epsilon_rows(stats[:, None])[0])
+    assume(not math.isnan(estimate))
+    sums = stats.sum(axis=-1)
+    means = sums[:5] / sums[5]
+    x = stats[:5] / stats[5]
+    a, b, aa, bb, _ = means
+    scale = min(aa - a**2 - a, bb - b**2 - b)
+    # differences resolve the gradient only where the normally ordered
+    # variances are not lost to cancellation
+    assume(scale > 1e-4 * max(aa, bb))
+
+    def epsilon_at(m):
+        # pooled sums over one pixel are the means themselves
+        return float(_epsilon_from_sums(np.append(m, 1.0)[None])[0])
+
+    # each step moves a normally ordered variance by about 1e-4 of itself
+    steps = [1e-4 * scale / (2 * abs(a) + 1), 1e-4 * scale / (2 * abs(b) + 1)] + [1e-4 * scale] * 3
+    gradient = _central_gradient(epsilon_at, means, steps)
+    centred = x - means[:, None]
+    want = _sd_of_mean(gradient @ centred)
+    # 1e-6 of the terms of the dot product, which may cancel
+    terms = math.sqrt(np.mean((np.abs(gradient) @ np.abs(centred)) ** 2) / x.shape[1])
+    got = delta_method(epsilon_rows, epsilon_influence, stats)
+    assert got[0] == estimate
+    assert got[1] == pytest.approx(want, rel=1e-6, abs=1e-6 * terms)
+
+
+_snr_samples = st.builds(
+    lambda n, shift, scale, seed: np.random.default_rng(seed).gamma(2.0, scale, n) + shift,
+    st.integers(3, 80), st.floats(-5.0, 5.0), st.sampled_from((0.01, 1.0, 100.0)), _seeds,
+)
+
+
+@PROPERTY_SETTINGS
+@given(_snr_samples, _snr_samples, st.integers(2, 100))
+def test_snr_sigma_is_the_finite_difference_delta_method(in_values, out_values, pixel_pairs):
+    # the gradient of `snr_rows` in each sample's mean and variance (ddof
+    # 1), evaluated on two-value rows that have them, dotted with each
+    # frame's (d - m, (d - m)^2 - v)
+    samples = (in_values, out_values)
+    moments = [(values.mean(), values.var(ddof=1)) for values in samples]
+    total = moments[0][1] + moments[1][1]
+    # away from the kink of |m_in - m_out|
+    assume(abs(moments[0][0] - moments[1][0]) > 1e-3 * math.sqrt(total))
+
+    def snr_at(p):
+        rows = [np.array([[m - math.sqrt(v / 2), m + math.sqrt(v / 2)]]) for m, v in (p[:2], p[2:])]
+        return float(snr_rows(*rows)[0])
+
+    point = [c for pair in moments for c in pair]
+    steps = [c for _, v in moments for c in (1e-6 * math.sqrt(total), 1e-6 * v)]
+    gradient = _central_gradient(snr_at, point, steps).reshape(2, 2)
+    want = math.hypot(*(
+        _sd_of_mean(g[0] * (values - m) + g[1] * ((values - m) ** 2 - v))
+        for g, values, (m, v) in zip(gradient, samples, moments)
+    ))
+    estimate, sigma = delta_method(snr_rows, snr_influence, in_values, out_values)
+    assert estimate == one_row(snr_rows, in_values, out_values)
+    assert sigma == pytest.approx(want, rel=1e-6)
+    # the sweep metric is the per-pixel-pair SNR: both over sqrt(K)
+    scn = SimpleNamespace(pixel_pairs=pixel_pairs)
+    snr = METRICS["snr"]
+    metric = [functools.partial(f, scn, 10) for f in (snr.stat, snr.influence)]
+    root = math.sqrt(pixel_pairs)
+    assert delta_method(*metric, in_values, out_values) == pytest.approx(
+        (estimate / root, sigma / root), rel=1e-12
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300).map(np.asarray))
+def test_covariance_sigma_is_the_standard_error(deltas):
+    for metric in ("covariance_in", "covariance_out"):
+        entry = METRICS[metric]
+        stat, influence = (functools.partial(f, None, 10) for f in (entry.stat, entry.influence))
+        estimate, sigma = delta_method(stat, influence, deltas)
+        assert estimate == deltas.mean()
+        assert sigma == np.std(deltas, ddof=1) / math.sqrt(deltas.size)
+
+
+def test_table_covariance_divides_numerators_past_2_53_exactly():
+    # `test_covariance_hat_is_exact` holds the table path to the same
+    # reference on random counts, since covariance_hat goes through it
+    n1 = np.array([[2**29 + 3, 0, 1], [7, 7, 7]], dtype=np.int64)
+    n2 = np.array([[2**29 + 2, 0, 0], [1, 2, 3]], dtype=np.int64)
+    stats = frame_stats(n1, n2)
+    numerator = 3 * int(stats[4, 0]) - int(stats[0, 0]) * int(stats[1, 0])
+    # the numerator rounded to a double, then divided, rounds differently
+    assert numerator > 2**53 and float(numerator) / 9 != numerator / 9
+    assert frame_covariance(stats).tolist() == python_int_covariance(n1, n2)
+    assert frame_covariance(stats).tolist() == covariance_hat(n1, n2).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qisim.estimator import bootstrap_epsilon
+from qisim.estimator import delta_method, epsilon_influence, epsilon_rows, frame_stats
 from qisim.sampler import hypothesis_stream, sample_counts
 from qisim.config import apply, default_config, load_config_file, sidecar_text
 from qisim import analytic
@@ -156,7 +156,7 @@ def test_single_value_sweep_equals_direct_call():
     point_seed = SeedSpec(42).derive(0, 0)
     in_seed = point_seed.derive(1)
     n1, n2 = sample_counts(scn.with_target(True), in_seed)
-    eps, sigma = bootstrap_epsilon(n1, n2, rng=point_seed.rng(STREAM_BOOTSTRAP, 0))
+    eps, sigma = delta_method(epsilon_rows, epsilon_influence, frame_stats(n1, n2))
     assert row.estimate == eps
     assert row.uncertainty == sigma
 
@@ -283,18 +283,13 @@ def test_series_builds_each_bootstrap_stream_once(monkeypatch):
     spec = desk_spec({"sweep.outputs": ALL_OUTPUTS, "scenario.images_per_decision": "2"})
     rows = run_sweep(spec).rows
     assert len(rows) == 30 and not any(row.flag for row in rows)
-    # 2 series x 5 metrics, not 6 points x 5
-    assert sorted(built, key=repr) == sorted(
-        ((SeedSpec(42).derive(si), (STREAM_BOOTSTRAP, metric.tag))
-         for si in range(2) for metric in METRICS.values()),
-        key=repr,
-    )
+    # 2 series x perr, the one bootstrapped metric, not 6 points
+    assert built == [(SeedSpec(42).derive(si), (STREAM_BOOTSTRAP, 4)) for si in range(2)]
 
 
 def test_frame_count_sweep_rows_are_the_memoless_estimates():
-    # every point has its own frame counts, so each bootstrap stream's
-    # indices are drawn again and replace the ones the memo holds; with a
-    # background, every metric's uncertainty depends on its indices
+    # every point has its own frame counts, so perr's bootstrap indices
+    # are drawn again and replace the ones the memo holds
     spec = desk_spec({
         "sweep.parameter": "scenario.images", "sweep.values": "40,60,80",
         "sweep.outputs": ALL_OUTPUTS, "scenario.images_per_decision": "2",
