@@ -162,7 +162,7 @@ def _fmt(value: float) -> str:
 
 def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
     scenario = build_scenario(config)
-    ipd = config["scenario"]["images_per_decision"]
+    ipd = scenario.images_per_decision
     m = analytic.moments(scenario)
     fields = [
         ("kind", scenario.source.kind.value),
@@ -204,8 +204,8 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     and estimates, as frames.csv, records.csv and summary.txt."""
     scenario = build_scenario(config)
     seed = SeedSpec(config["run"]["seed"])
-    ipd = config["scenario"]["images_per_decision"]
-    point = PointPipeline(scenario, seed, ipd)
+    ipd = scenario.images_per_decision
+    point = PointPipeline(scenario, seed)
     # every estimator runs before the first output is opened, so a run that
     # exits with an error leaves no partial output behind
     in_deltas, out_deltas = point.deltas("in"), point.deltas("out")

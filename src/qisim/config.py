@@ -152,12 +152,8 @@ def sidecar_text(config: dict) -> str:
 
 
 def build_scenario(config: dict) -> Scenario:
-    """The scenario of a resolved configuration, whose frames per decision
-    are checked too; the source, channel and background sections each
-    hold exactly their spec's fields."""
-    ipd = config["scenario"]["images_per_decision"]
-    if ipd < 1:
-        raise ParameterError(f"images_per_decision must be >= 1 (got {ipd})")
+    """The scenario of a resolved configuration; the source, channel and
+    background sections each hold exactly their spec's fields."""
     return Scenario(
         source=SourceSpec(**dict(config["source"], kind=SourceKind.parse(config["source"]["kind"]))),
         channel=ChannelSpec(**config["channel"]),
@@ -165,4 +161,5 @@ def build_scenario(config: dict) -> Scenario:
         pixel_pairs=config["scenario"]["pixel_pairs"],
         images=config["scenario"]["images"],
         read_noise_sigma=config["sampler"]["read_noise_sigma"],
+        images_per_decision=config["scenario"]["images_per_decision"],
     )

@@ -32,9 +32,9 @@ sd(IF)^2 / n), IF being each frame's influence on the estimate:
   s being the sign of m_in - m_out for "in" and its opposite for "out".
 
 The error rate's sigma comes from `bootstrap`, which resamples whole
-frames from a Generator or from the indices `resample_indices` drew from
-one, so a caller may draw a stream's indices once and evaluate them on
-several samples of the same sizes.
+frames at the indices `resample_indices` drew, so a caller may draw a
+stream's indices once and evaluate them on several samples of the same
+sizes.
 """
 from __future__ import annotations
 
@@ -156,51 +156,35 @@ def one_row(stat, *samples) -> float:
     return value
 
 
-def resample_indices(
-    sizes, rng: np.random.Generator, resamples: int = _RESAMPLES, dtype=None
-) -> list:
+def resample_indices(sizes, rng: np.random.Generator, resamples: int = _RESAMPLES) -> list:
     """Frame indices of `resamples` bootstrap resamples of samples of n
-    items each, for n in `sizes`: per sample a (resamples, n) array of
-    `dtype`, by default the smallest unsigned dtype that holds n.  Each
-    resample draws, sample by sample, n indices with replacement, one
-    `rng.integers(0, n, n)` call each."""
-    picks = [np.empty((resamples, n), dtype or np.min_scalar_type(n)) for n in sizes]
+    items each, for n in `sizes`: per sample a (resamples, n) array of the
+    smallest unsigned dtype that holds n.  Each resample draws, sample by
+    sample, n indices with replacement, one `rng.integers(0, n, n)` call
+    each."""
+    picks = [np.empty((resamples, n), np.min_scalar_type(n)) for n in sizes]
     for row in range(resamples):
         for pick, n in zip(picks, sizes):
             pick[row] = rng.integers(0, n, n)
     return picks
 
 
-def _index_blocks(sizes, rng, resamples: int, rows: int):
-    """The resamples' indices, at most `rows` (at least 1) resamples a
-    block: drawn block by block if `rng` is a Generator, as intp, which
-    numpy gathers fastest; otherwise sliced from `rng`, indices that
-    `resample_indices` drew (whose length then overrides `resamples`)."""
-    rows = max(1, rows)
-    if isinstance(rng, np.random.Generator):
-        for start in range(0, resamples, rows):
-            yield resample_indices(sizes, rng, min(rows, resamples - start), np.intp)
-    else:
-        for start in range(0, len(rng[0]), rows):
-            yield [pick[start : start + rows] for pick in rng]
-
-
-def bootstrap(stat, samples, rng, resamples: int = _RESAMPLES) -> tuple[float, float]:
+def bootstrap(stat, samples, picks) -> tuple[float, float]:
     """(estimate, bootstrap sigma) of the row-wise statistic `stat`,
-    resampling the last axis of each sample (its n items) from `rng`, a
-    Generator or the indices `resample_indices` drew from one.  Resamples
-    are evaluated in blocks of at most `_BOOTSTRAP_BLOCK_CELLS` resampled
-    cells; values that are not finite are dropped, and at least 2 must
+    resampling the last axis of each sample at `picks`, what
+    `resample_indices` drew: one (resamples, n) array per sample of n
+    items.  Resamples are evaluated in blocks of at most
+    `_BOOTSTRAP_BLOCK_CELLS` resampled cells (at least one resample a
+    block); values that are not finite are dropped, and at least 2 must
     remain."""
     samples = [np.asarray(sample) for sample in samples]
-    sizes = [sample.shape[-1] for sample in samples]
-    if min(sizes) < 2:
+    if min(sample.shape[-1] for sample in samples) < 2:
         raise InsufficientDataError("need at least 2 values per sample to bootstrap")
     estimate = one_row(stat, *samples)
-    rows = _BOOTSTRAP_BLOCK_CELLS // sum(sample.size for sample in samples)
+    rows = max(1, _BOOTSTRAP_BLOCK_CELLS // sum(sample.size for sample in samples))
     values = np.concatenate([
-        stat(*(np.take(sample, pick, axis=-1) for sample, pick in zip(samples, picks)))
-        for picks in _index_blocks(sizes, rng, resamples, rows)
+        stat(*(np.take(s, pick[start : start + rows], axis=-1) for s, pick in zip(samples, picks)))
+        for start in range(0, len(picks[0]), rows)
     ])
     values = values[np.isfinite(values)]
     if values.size < 2:

@@ -2,15 +2,16 @@
 
 `sweep_spec` turns a resolved configuration into its grid: each (source
 kind, swept value) point is the configuration with `source.kind` and the
-swept key set, built by `config.build_scenario` before anything is
-drawn.  Every point of a series (one source kind) draws on the series
-seed, its frames and perr's bootstrap stream alike, so points share
-random numbers, but a point's rows do not depend on which other points
-run.  `run_sweep` runs one `PointPipeline` per point, with two memos per
-series: the source draws of `sample_counts`, and the resample indices
-of perr's bootstrap, which every point of the series with the same frame
-counts reuses.  `simulate` is one point on the master seed, without
-memos.
+swept key set, built by `config.build_scenario` into one `Scenario`
+(frames per decision included) before anything is drawn.  Every point
+of a series (one source kind) draws on the series seed, its frames and
+perr's bootstrap stream alike, so points share random numbers, but a
+point's rows do not depend on which other points run.  `run_sweep` runs
+one `PointPipeline` per point, with two memos per series: the source
+draws of `sample_counts`, and the resample indices of perr's bootstrap,
+which every point of the series with the same frame counts reuses.
+Neither memo reads the frames per decision.  `simulate` is one point on
+the master seed, without memos.
 `METRICS` defines each figure of merit once.  Estimator failures flag
 the affected row and never abort the sweep.
 """
@@ -65,11 +66,11 @@ _ALIASES = {
 
 
 class SweepPoint(NamedTuple):
-    """One grid point: its swept value and what its `PointPipeline` takes."""
+    """One grid point: its swept value, and the scenario and seed of its
+    `PointPipeline`."""
 
     value: float
     scenario: Scenario
-    images_per_decision: int
     seed: SeedSpec
 
 
@@ -117,8 +118,7 @@ def sweep_spec(config: dict) -> SweepSpec:
     for si, kind in enumerate(sweep["sources"]):
         for value in values:
             at = apply(config, {"source.kind": kind, key: value})
-            ipd = at["scenario"]["images_per_decision"]
-            points.append(SweepPoint(value, build_scenario(at), ipd, seed.derive(si)))
+            points.append(SweepPoint(value, build_scenario(at), seed.derive(si)))
     return SweepSpec(name, tuple(points), sweep["outputs"], sweep["emit_analytic"])
 
 
@@ -151,72 +151,67 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _mean(scn: Scenario, ipd: int, values):
+def _mean(scn: Scenario, values):
     return values.mean(axis=-1)
 
 
-def _own(scn: Scenario, ipd: int, values):
+def _own(scn: Scenario, values):
     # each value's influence on their mean, up to an offset that sd ignores
     return [values]
 
 
-def _snr(scn: Scenario, ipd: int, in_values, out_values):
+def _snr(scn: Scenario, in_values, out_values):
     return snr_rows(in_values, out_values) / math.sqrt(scn.pixel_pairs)
 
 
-def _snr_influence(scn: Scenario, ipd: int, in_values, out_values):
+def _snr_influence(scn: Scenario, in_values, out_values):
     return [f / math.sqrt(scn.pixel_pairs) for f in snr_influence(in_values, out_values)]
 
 
-def _perr(scn: Scenario, ipd: int, in_values, out_values):
-    return perr_rows(in_values, out_values, ipd).p_err
+def _perr(scn: Scenario, in_values, out_values):
+    return perr_rows(in_values, out_values, scn.images_per_decision).p_err
 
 
 class _Metric(NamedTuple):
     samples: str  # what it reads of each hypothesis: "table" or "deltas"
     hypotheses: tuple  # the hypotheses it reads
-    stat: Callable  # row-wise, of (scenario, images per decision, its samples)
+    stat: Callable  # row-wise, of (scenario, its samples)
     # each sample's per-frame influence on `stat`, of the same arguments;
     # None for perr, whose sigma is bootstrapped
     influence: Callable | None
-    closed_form: Callable  # of (scenario, images per decision)
+    closed_form: Callable  # of the scenario
 
 
 # closed forms look `analytic` up per call, so perfbench's tracer sees them
 METRICS = {
     "epsilon": _Metric(
-        "table", ("in",), lambda scn, ipd, table: epsilon_rows(table),
-        lambda scn, ipd, table: epsilon_influence(table), lambda scn, ipd: analytic.epsilon(scn),
+        "table", ("in",), lambda scn, table: epsilon_rows(table),
+        lambda scn, table: epsilon_influence(table), lambda scn: analytic.epsilon(scn),
     ),
-    "covariance_in": _Metric(
-        "deltas", ("in",), _mean, _own, lambda scn, ipd: analytic.moments(scn).cov
-    ),
-    "covariance_out": _Metric("deltas", ("out",), _mean, _own, lambda scn, ipd: 0.0),
-    "snr": _Metric(
-        "deltas", ("in", "out"), _snr, _snr_influence, lambda scn, ipd: analytic.snr(scn)
-    ),
+    "covariance_in": _Metric("deltas", ("in",), _mean, _own, lambda scn: analytic.moments(scn).cov),
+    "covariance_out": _Metric("deltas", ("out",), _mean, _own, lambda scn: 0.0),
+    "snr": _Metric("deltas", ("in", "out"), _snr, _snr_influence, lambda scn: analytic.snr(scn)),
     "perr": _Metric(
-        "deltas", ("in", "out"), _perr, None, lambda scn, ipd: analytic.error_probability(scn, ipd)
+        "deltas", ("in", "out"), _perr, None,
+        lambda scn: analytic.error_probability(scn, scn.images_per_decision),
     ),
 }
 _PERR_TAG = 4  # perr's bootstrap stream is `seed.rng(STREAM_BOOTSTRAP, _PERR_TAG)`
 
 
 class PointPipeline:
-    """The Monte Carlo estimates of one point: a scenario on one seed, with
-    `images_per_decision` frames per perr decision.  Each hypothesis is
-    drawn, and its table and covariances computed, once and only when a
-    metric first needs them.  `memo` and `resamples`, the memos of
-    `sample_counts` and of perr's bootstrap indices, are shared by the
-    points of a series; neither changes an estimate."""
+    """The Monte Carlo estimates of one point: a scenario on one seed.
+    Each hypothesis is drawn, and its table and covariances computed, once
+    and only when a metric first needs them.  `memo` and `resamples`, the
+    memos of `sample_counts` and of perr's bootstrap indices, are shared
+    by the points of a series; neither changes an estimate."""
 
     def __init__(
-        self, scenario: Scenario, seed: SeedSpec, images_per_decision: int,
+        self, scenario: Scenario, seed: SeedSpec,
         memo: dict | None = None, resamples: dict | None = None,
     ) -> None:
         self.scenario = scenario
         self.seed = seed
-        self.images_per_decision = images_per_decision
         self._memo = memo
         self._resamples = {} if resamples is None else resamples
         self._made: dict = {}
@@ -243,15 +238,15 @@ class PointPipeline:
     def _inputs(self, metric: str):
         """The row-wise statistic of `metric`, its influence (None for
         perr) and the samples they read."""
+        scn = self.scenario
         if metric == "perr":
             # too few batches are refused before any frame is drawn
-            perr_batches(self.scenario.images, self.scenario.images, self.images_per_decision)
+            perr_batches(scn.images, scn.images, scn.images_per_decision)
         reads, hypotheses, stat, influence, _ = METRICS[metric]
-        at = (self.scenario, self.images_per_decision)
         samples = [getattr(self, reads)(label) for label in hypotheses]
         if influence is not None:
-            influence = functools.partial(influence, *at)
-        return functools.partial(stat, *at), influence, samples
+            influence = functools.partial(influence, scn)
+        return functools.partial(stat, scn), influence, samples
 
     def _draws(self, sizes: tuple):
         """The indices `resample_indices` draws for perr's bootstrap on
@@ -281,8 +276,8 @@ _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterE
 def _point_rows(
     spec: SweepSpec, point: SweepPoint, memo: dict, resamples: dict
 ) -> list[SweepRow]:
-    scn, ipd = point.scenario, point.images_per_decision
-    pipeline = PointPipeline(scn, point.seed, ipd, memo, resamples)
+    scn = point.scenario
+    pipeline = PointPipeline(scn, point.seed, memo, resamples)
     rows: list[SweepRow] = []
     for output in spec.outputs:
         for metric in _OUTPUT_METRICS[output]:
@@ -294,7 +289,7 @@ def _point_rows(
                 flags.append(f"error:{type(exc).__name__}")
             if spec.emit_analytic:
                 try:
-                    reference = METRICS[metric].closed_form(scn, ipd)
+                    reference = METRICS[metric].closed_form(scn)
                 except _ESTIMATOR_ERRORS as exc:
                     flags.append(f"analytic_error:{type(exc).__name__}")
             if reference is not None and scn.read_noise_sigma > 0:

@@ -153,16 +153,13 @@ class BackgroundSpec:
         _require_finite("mean_total", self.mean_total)
         _require(self.mean_total >= 0.0, f"mean_total must be >= 0 (got {self.mean_total})")
 
-    @property
-    def mean_per_mode(self) -> float:
-        return self.mean_total / self.modes_b
-
 
 @dataclass(frozen=True)
 class Scenario:
     """A complete experiment configuration: source, channel (which sets the
     hypothesis), background, number of pixel pairs per frame (K), frames
-    per hypothesis and the detector read-noise sigma in electrons."""
+    per hypothesis, the detector read-noise sigma in electrons and the
+    frames averaged into one perr decision."""
 
     source: SourceSpec
     channel: ChannelSpec
@@ -170,8 +167,14 @@ class Scenario:
     pixel_pairs: int
     images: int
     read_noise_sigma: float = 0.0
+    images_per_decision: int = 10
 
     def __post_init__(self) -> None:
+        ipd = self.images_per_decision
+        _require(
+            isinstance(ipd, (int, np.integer)) and ipd >= 1,
+            f"images_per_decision must be >= 1 (got {ipd})",
+        )
         _require(
             isinstance(self.pixel_pairs, (int, np.integer)) and self.pixel_pairs >= 1,
             f"pixel_pairs must be a positive integer (got {self.pixel_pairs})",

@@ -24,7 +24,7 @@ from qisim.config import (
 )
 from qisim.estimator import perr_hat
 from qisim.scenario import KNOWN_OUTPUTS, PointPipeline
-from qisim.types import BackgroundSpec, ChannelSpec, SeedSpec, SourceSpec
+from qisim.types import BackgroundSpec, ChannelSpec, ParameterError, SeedSpec, SourceSpec
 
 
 def run_cli(capsys, *argv):
@@ -323,7 +323,8 @@ def test_simulate_summary_is_the_point_pipeline_on_the_master_seed(capsys, tmp_p
     config = default_config()
     config["scenario"].update(images=200, pixel_pairs=16)
     config["background"]["mean_total"] = 300.0
-    point = PointPipeline(build_scenario(config), SeedSpec(11), 4)
+    scenario = dataclasses.replace(build_scenario(config), images_per_decision=4)
+    point = PointPipeline(scenario, SeedSpec(11))
     epsilon, sigma = point.estimate("epsilon")
     perr = perr_hat(point.deltas("in"), point.deltas("out"), 4)
     expected = {
@@ -419,6 +420,20 @@ def test_simulate_images_per_decision_below_one_exit_2(capsys, tmp_path, ipd):
     assert code == 2
     assert "images_per_decision must be >= 1" in err
     assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize("ipd", [0, -3, 2.5])
+def test_scenario_rejects_images_per_decision_below_one(ipd):
+    scenario = build_scenario(default_config())
+    with pytest.raises(ParameterError, match="images_per_decision must be >= 1"):
+        dataclasses.replace(scenario, images_per_decision=ipd)
+
+
+def test_build_scenario_carries_images_per_decision():
+    config = default_config()
+    assert build_scenario(config).images_per_decision == 10
+    config["scenario"]["images_per_decision"] = 7
+    assert build_scenario(config).images_per_decision == 7
 
 
 def test_sweep_images_per_decision_below_one_exit_2(capsys, tmp_path):

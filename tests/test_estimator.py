@@ -19,6 +19,7 @@ from qisim.estimator import (
     frame_stats,
     one_row,
     perr_hat,
+    resample_indices,
     snr_rows,
     write_records_csv,
 )
@@ -109,7 +110,7 @@ def test_epsilon_hat_split_thermal_is_classical():
 
 def test_epsilon_hat_crosses_classical_bound_with_background():
     scn = make_scenario(background_mean=60000.0, images=400)
-    eps, _ = PointPipeline(scn, SeedSpec(2003), 10).estimate("epsilon")
+    eps, _ = PointPipeline(scn, SeedSpec(2003)).estimate("epsilon")
     assert eps < 1.0
 
 
@@ -218,7 +219,7 @@ def test_snr_hat_tracks_analytic_curve():
     for vi, nb in enumerate((1000.0, 5000.0, 30000.0)):
         scn = make_scenario(background_mean=nb, images=2000)
         seed = SeedSpec(606).derive(vi)
-        f_hat = PointPipeline(scn, seed, 10).value("snr")
+        f_hat = PointPipeline(scn, seed).value("snr")
         f_ref = analytic.snr(scn)
         assert abs(f_hat - f_ref) / f_ref < 0.15
 
@@ -269,12 +270,13 @@ def test_delta_sigmas_agree_with_the_bootstrap(kind, modes_b, background, frames
     # 0.04-0.06 and ranged 0.87-1.23, so the bounds sit 3.3-6 sds from 1.
     scn = make_scenario(kind=kind, modes_b=modes_b, background_mean=background, images=frames)
     for seed in (1, 2):
-        point = PointPipeline(scn, SeedSpec(seed), 10)
+        point = PointPipeline(scn, SeedSpec(seed))
         for metric in ("epsilon", "covariance_in", "covariance_out", "snr"):
             reads, hypotheses, stat, _, _ = METRICS[metric]
             samples = [getattr(point, reads)(label) for label in hypotheses]
-            stat = functools.partial(stat, scn, 10)
-            _, resampled = bootstrap(stat, samples, np.random.default_rng(seed))
+            stat = functools.partial(stat, scn)
+            picks = resample_indices([s.shape[-1] for s in samples], np.random.default_rng(seed))
+            _, resampled = bootstrap(stat, samples, picks)
             _, delta = point.estimate(metric)
             assert 0.8 <= delta / resampled <= 1.25, (metric, seed, delta / resampled)
 
@@ -285,7 +287,8 @@ def test_delta_sigmas_agree_with_the_bootstrap(kind, modes_b, background, frames
 def test_bootstrap_sigma_scales_like_standard_error():
     rng = np.random.default_rng(21)
     data = rng.normal(0.0, 2.0, 500)
-    point, sigma = bootstrap(lambda rows: rows.mean(axis=-1), [data], np.random.default_rng(0))
+    picks = resample_indices([data.size], np.random.default_rng(0))
+    point, sigma = bootstrap(lambda rows: rows.mean(axis=-1), [data], picks)
     assert point == pytest.approx(data.mean())
     se = data.std(ddof=1) / np.sqrt(data.size)
     assert 0.5 * se < sigma < 2.0 * se
@@ -293,7 +296,7 @@ def test_bootstrap_sigma_scales_like_standard_error():
 
 def test_records_csv_roundtrip(tmp_path):
     scn = make_scenario(images=4, pixel_pairs=8)
-    point = PointPipeline(scn, SeedSpec(3), 10)
+    point = PointPipeline(scn, SeedSpec(3))
     in_deltas, out_deltas = point.deltas("in"), point.deltas("out")
     records = [(i, "in", d) for i, d in enumerate(in_deltas)]
     records += [(i, "out", d) for i, d in enumerate(out_deltas)]

@@ -243,6 +243,11 @@ def _row_mean(rows):
     return rows.mean(axis=-1)
 
 
+def drawn(samples, seed, resamples):
+    """The bootstrap indices of `samples` on the stream of `seed`."""
+    return resample_indices([s.shape[-1] for s in samples], np.random.default_rng(seed), resamples)
+
+
 _seeds = st.integers(0, 2**32 - 1)
 _float_samples = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60).map(np.asarray)
 # few distinct values, so resamples with zero variance (degenerate SNR) occur
@@ -254,7 +259,7 @@ _coarse_samples = st.lists(st.integers(0, 2), min_size=2, max_size=6).map(
 @PROPERTY_SETTINGS
 @given(_float_samples, _seeds, st.integers(2, 40))
 def test_bootstrap_one_sample_matches_per_iteration_draws(sample, seed, resamples):
-    got = bootstrap(_row_mean, [sample], np.random.default_rng(seed), resamples)
+    got = bootstrap(_row_mean, [sample], drawn([sample], seed, resamples))
     want = per_iteration_bootstrap(np.mean, [sample], np.random.default_rng(seed), resamples)
     assert got == want
 
@@ -264,7 +269,7 @@ def test_bootstrap_one_sample_matches_per_iteration_draws(sample, seed, resample
        _seeds, st.integers(2, 40))
 def test_bootstrap_two_samples_matches_per_iteration_draws(a, b, seed, resamples):
     got = _sigma_or_error(
-        lambda: bootstrap(snr_rows, [a, b], np.random.default_rng(seed), resamples)
+        lambda: bootstrap(snr_rows, [a, b], drawn([a, b], seed, resamples))
     )
     want = _sigma_or_error(
         lambda: per_iteration_bootstrap(scalar_snr, [a, b], np.random.default_rng(seed), resamples)
@@ -279,7 +284,7 @@ def test_bootstrap_blocks_match_per_iteration_draws(sizes):
     rng = np.random.default_rng(17)
     samples = [rng.normal(0.3 * i, 1.0, n) for i, n in enumerate(sizes)]
     stat_rows, stat = (_row_mean, np.mean) if len(sizes) == 1 else (snr_rows, scalar_snr)
-    got = bootstrap(stat_rows, samples, np.random.default_rng(18), 7)
+    got = bootstrap(stat_rows, samples, drawn(samples, 18, 7))
     assert got == per_iteration_bootstrap(stat, samples, np.random.default_rng(18), 7)
 
 
@@ -296,7 +301,7 @@ def test_bootstrap_epsilon_matches_per_iteration_draws(frames, k, p, seed, resam
          np.full(frames, k))
     )
     got = _sigma_or_error(
-        lambda: bootstrap(epsilon_rows, [stats], np.random.default_rng(seed + 1), resamples)
+        lambda: bootstrap(epsilon_rows, [stats], drawn([stats], seed + 1, resamples))
     )
     want = _sigma_or_error(
         lambda: per_iteration_bootstrap(
@@ -343,28 +348,12 @@ def test_bootstrap_perr_matches_per_iteration_draws(case, seed, resamples):
     def scalar_perr(a, b):
         return brute_force_perr(a, b, ipd).p_err
 
-    got = bootstrap(row_perr, [in_values, out_values], np.random.default_rng(seed), resamples)
+    samples = [in_values, out_values]
+    got = bootstrap(row_perr, samples, drawn(samples, seed, resamples))
     want = per_iteration_bootstrap(
         scalar_perr, [in_values, out_values], np.random.default_rng(seed), resamples
     )
     assert got == want
-
-
-@PROPERTY_SETTINGS
-@given(perr_bootstrap_inputs(), _seeds, st.integers(2, 20))
-def test_bootstrap_on_drawn_indices_equals_bootstrap_on_their_stream(case, seed, resamples):
-    in_values, out_values, ipd = case
-
-    def row_perr(a, b):
-        return perr_rows(a, b, ipd).p_err
-
-    samples = [in_values, out_values]
-    sizes = [len(in_values), len(out_values)]
-    indices = resample_indices(sizes, np.random.default_rng(seed), resamples)
-    for stat in (row_perr, snr_rows):
-        rng = np.random.default_rng(seed)
-        want = _sigma_or_error(lambda: bootstrap(stat, samples, rng, resamples))
-        assert _sigma_or_error(lambda: bootstrap(stat, samples, indices)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +456,7 @@ def test_snr_sigma_is_the_finite_difference_delta_method(in_values, out_values, 
     # the sweep metric is the per-pixel-pair SNR: both over sqrt(K)
     scn = SimpleNamespace(pixel_pairs=pixel_pairs)
     snr = METRICS["snr"]
-    metric = [functools.partial(f, scn, 10) for f in (snr.stat, snr.influence)]
+    metric = [functools.partial(f, scn) for f in (snr.stat, snr.influence)]
     root = math.sqrt(pixel_pairs)
     assert delta_method(*metric, in_values, out_values) == pytest.approx(
         (estimate / root, sigma / root), rel=1e-12
@@ -479,7 +468,7 @@ def test_snr_sigma_is_the_finite_difference_delta_method(in_values, out_values, 
 def test_covariance_sigma_is_the_standard_error(deltas):
     for metric in ("covariance_in", "covariance_out"):
         entry = METRICS[metric]
-        stat, influence = (functools.partial(f, None, 10) for f in (entry.stat, entry.influence))
+        stat, influence = (functools.partial(f, None) for f in (entry.stat, entry.influence))
         estimate, sigma = delta_method(stat, influence, deltas)
         assert estimate == deltas.mean()
         assert sigma == np.std(deltas, ddof=1) / math.sqrt(deltas.size)

@@ -2,6 +2,7 @@
 error flagging, and output formats."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 
@@ -168,12 +169,12 @@ def test_sweep_rows_are_the_point_pipeline_estimates():
     })
     rows = run_sweep(spec).rows
     scn = spec.points[0].scenario
-    point = PointPipeline(scn, SeedSpec(42).derive(0, 0), 2)
+    point = PointPipeline(scn, SeedSpec(42).derive(0, 0))
     assert [r.metric for r in rows] == ["epsilon", "snr", "covariance_in", "covariance_out", "perr"]
     for row in rows:
         estimate, uncertainty = point.estimate(row.metric)
         assert (repr(row.estimate), repr(row.uncertainty)) == (repr(estimate), repr(uncertainty))
-        assert row.analytic == METRICS[row.metric].closed_form(scn, 2)
+        assert row.analytic == METRICS[row.metric].closed_form(scn)
 
 
 @pytest.mark.parametrize(
@@ -192,7 +193,7 @@ def test_every_point_of_a_series_draws_on_the_series_seed(grid):
     for index, point in enumerate(spec.points):
         si, vi = divmod(index, 3)
         assert point.seed == SeedSpec(42).derive(si)
-        pipeline = PointPipeline(point.scenario, SeedSpec(42).derive(si), 2)
+        pipeline = PointPipeline(point.scenario, SeedSpec(42).derive(si))
         for row in rows[index * per_point : (index + 1) * per_point]:
             estimate, uncertainty = pipeline.estimate(row.metric)
             assert row.value == point.value
@@ -200,7 +201,7 @@ def test_every_point_of_a_series_draws_on_the_series_seed(grid):
                 repr(estimate), repr(uncertainty)
             )
         if vi >= 1:
-            own = PointPipeline(point.scenario, SeedSpec(42).derive(si, vi), 2)
+            own = PointPipeline(point.scenario, SeedSpec(42).derive(si, vi))
             assert own.estimate("epsilon") != pipeline.estimate("epsilon")
 
 
@@ -208,15 +209,17 @@ def _distinct_preset_series(extra: dict):
     """Each distinct series of the fig2..fig5 presets at 300 frames, so the
     last 256-frame block is partial, as (series seed, scenarios).  fig3..fig5
     sweep the same three series, which differ there only in frames per
-    decision and seed, so each runs once."""
+    decision and seed, so each runs once: no draw reads the frames per
+    decision."""
     seen = {}
     for table in (table for figure in PRESETS.values() for table in figure.values()):
         keys = {"scenario.images": "300", "run.seed": "3"}
         config = apply(default_config(), _PRESET_BASE, table, keys, extra)
         for seed, points in itertools.groupby(sweep_spec(config).points, lambda p: p.seed):
             scenarios = tuple(point.scenario for point in points)
-            seen.setdefault(scenarios, seed)
-    return [(seed, scenarios) for scenarios, seed in seen.items()]
+            drawn = tuple(dataclasses.replace(scn, images_per_decision=1) for scn in scenarios)
+            seen.setdefault(drawn, (seed, scenarios))
+    return list(seen.values())
 
 
 @pytest.mark.parametrize(
@@ -298,7 +301,7 @@ def test_frame_count_sweep_rows_are_the_memoless_estimates():
     rows = run_sweep(spec).rows
     assert len(rows) == 30 and not any(row.flag for row in rows)
     for index, point in enumerate(spec.points):
-        pipeline = PointPipeline(point.scenario, point.seed, 2)
+        pipeline = PointPipeline(point.scenario, point.seed)
         for row in rows[index * 5 : (index + 1) * 5]:
             estimate, uncertainty = pipeline.estimate(row.metric)
             assert row.value == point.scenario.images and uncertainty > 0.0
@@ -429,16 +432,35 @@ def test_read_noise_flags_every_analytic_row():
     assert all(r.flag == "" for r in rows(ipd2, noise, {"sweep.emit_analytic": "false"}))
 
 
-def test_images_per_decision_sweep():
+def test_images_per_decision_sweep(monkeypatch):
+    streams, built = [], []
+    frame_rng, rng = SeedSpec.frame_rng, SeedSpec.rng
+
+    def counted_frames(self, target_present, block):
+        streams.append((self, target_present, block))
+        return frame_rng(self, target_present, block)
+
+    def counted(self, *tags):
+        if tags[0] == STREAM_BOOTSTRAP:
+            built.append((self, tags))
+        return rng(self, *tags)
+
+    monkeypatch.setattr(SeedSpec, "frame_rng", counted_frames)
+    monkeypatch.setattr(SeedSpec, "rng", counted)
     spec = desk_spec({
         "scenario.images": "300", "scenario.pixel_pairs": "16", "background.mean_total": "300",
         "sweep.parameter": "images_per_decision", "sweep.values": "1,5",
         "sweep.sources": "twin_beam", "sweep.outputs": "perr",
     })
+    assert [point.scenario.images_per_decision for point in spec.points] == [1, 5]
     rows = run_sweep(spec).rows
     assert all(r.estimate is not None for r in rows)
     # averaging more frames per decision cannot hurt the analytic error rate
     assert rows[1].analytic <= rows[0].analytic + 1e-12
+    # neither memo reads the frames per decision: 2 hypotheses x 2 blocks
+    # of source draws, and one bootstrap stream for the series
+    assert len(streams) == len(set(streams)) == 4
+    assert built == [(SeedSpec(42).derive(0), (STREAM_BOOTSTRAP, 4))]
 
 
 def test_mu_sweep_tracks_ideal_epsilon():
