@@ -14,15 +14,23 @@ table sums over the photons that miss arm 1, and a thinned component is
 w B.  The convolutions are direct shift-and-add sums.  Every
 intermediate is at most (size, size); no (n, a, b) cube is built.
 
+The laws are built from log-factorials and log-gammas, one `math.lgamma`
+call per count, and need numpy alone.  Each negative-binomial law (shared
+beam, mode-mismatched light, background) is cut where its upper tail,
+summed from its own pmf, falls below `_CUTOFF_TAIL`, plus a margin.  These
+cuts are the only truncation: thinning and convolution are exact.  So
+`tail_bound`, the summed mass the cuts leave out, bounds the mass missing
+from the table.
+
 Instances are small by contract; full-experiment mode counts are rejected by
 the state budget guard.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .types import (
     BackgroundSpec,
@@ -46,7 +54,9 @@ _NEGLIGIBLE = 1e-300
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Probability table over (n1, n2); index equals count."""
+    """Probability table over (n1, n2); index equals count.  `tail_bound`
+    is the summed upper-tail mass the truncated photon-number laws leave
+    out, which is all the mass missing from the table."""
 
     probs: np.ndarray
     tail_bound: float
@@ -59,39 +69,48 @@ class JointDistribution:
             raise AssertionError(f"mass {total} + tail {self.tail_bound} not ~1")
 
 
-def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> np.ndarray:
-    """pmf of an `modes`-mode thermal beam with the given total mean,
-    truncated where the upper tail falls below `cutoff` (plus margin so
-    that fourth moments are unaffected by the truncation)."""
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.array([math.lgamma(v) for v in x.tolist()])
+
+
+def _xlogs(k, lost, p: float) -> np.ndarray:
+    """k log p + lost log(1 - p), where 0 log 0 = 0 (also at p = 0 or 1)."""
+    log_p = math.log(p) if p > 0.0 else -math.inf
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
+    terms = ((k, log_p), (lost, log_q))
+    return sum(np.multiply(x, y, out=np.zeros(np.shape(x)), where=x != 0) for x, y in terms)
+
+
+def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> tuple[np.ndarray, float]:
+    """pmf of an `modes`-mode thermal beam with the given total mean, and
+    the upper-tail mass it leaves out.  It is cut where P(N > n), summed
+    from the pmf over twice the kept range, falls below `cutoff`, plus
+    margin so that fourth moments are unaffected by the truncation."""
     if total_mean == 0.0 or modes < _NEGLIGIBLE:
-        return np.ones(1)
+        return np.ones(1), 0.0
     mean_per_mode = total_mean / modes
     p = 1.0 / (1.0 + mean_per_mode)
-    variance = total_mean * (1.0 + mean_per_mode)
-    # P(N > n) = I_{1-p}(n + 1, modes), the regularized incomplete beta
-    n = np.arange(int(total_mean + 10.0 * np.sqrt(variance)) + 10)
-    while special.betainc(n[-1] + 1.0, modes, 1.0 - p) > cutoff:
-        n = np.arange(2 * n.size)
-    n_hi = int(np.argmax(special.betainc(n + 1.0, modes, 1.0 - p) <= cutoff))
-    n_hi += 30 + int(6.0 * np.sqrt(variance))
-    n = np.arange(n_hi + 1)
-    log_pmf = (
-        special.gammaln(n + modes) - special.gammaln(modes) - special.gammaln(n + 1.0)
-        + modes * np.log(p) + special.xlog1py(n, -p)
-    )
-    return np.exp(log_pmf)
+    sd = math.sqrt(total_mean * (1.0 + mean_per_mode))
+    size = int(total_mean + 10.0 * sd) + 10
+    while True:
+        n = np.arange(size)
+        log_pmf = _lgamma(n + modes) - math.lgamma(modes) - _lgamma(n + 1.0)
+        pmf = np.exp(log_pmf + _xlogs(modes, n, p))
+        at_least = np.cumsum(pmf[::-1])[::-1]  # P(n <= N < size)
+        n_hi = np.count_nonzero(at_least[1:] > cutoff) + 30 + int(6.0 * sd)
+        if 2 * (n_hi + 1) <= size:
+            return pmf[: n_hi + 1], float(at_least[n_hi + 1])
+        size *= 2
 
 
 def _binom_pmf(k, n, p: float) -> np.ndarray:
-    """P(k of n survive), each with probability p, from log-gamma; 0 where
-    k > n."""
-    k, n = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(n, dtype=float))
+    """P(k of n survive), each with probability p, from a log-factorial
+    table; 0 where k > n."""
+    k, n = np.broadcast_arrays(np.asarray(k, dtype=int), np.asarray(n, dtype=int))
     inside = k <= n
-    lost = np.where(inside, n - k, 0.0)
-    log_pmf = (
-        special.gammaln(n + 1.0) - special.gammaln(k + 1.0) - special.gammaln(lost + 1.0)
-        + special.xlogy(k, p) + special.xlog1py(lost, -p)
-    )
+    lost = np.where(inside, n - k, 0)
+    log_fact = _lgamma(np.arange(max(n.max(initial=0), k.max(initial=0)) + 1) + 1.0)
+    log_pmf = log_fact[n] - log_fact[k] - log_fact[lost] + _xlogs(k, lost, p)
     return np.where(inside, np.exp(log_pmf), 0.0)
 
 
@@ -127,11 +146,12 @@ def _pair_table_split(weights: np.ndarray, p1: float, p2: float) -> np.ndarray:
 
 def _thinned_component(
     modes: float, pre_detection_mean_per_mode: float, efficiency: float, cutoff: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """pmf of detected counts from `modes` thermal modes after binomial
-    thinning, computed by explicit mixing (no thinning-closure shortcut)."""
-    weights = _negbin_weights(modes, modes * pre_detection_mean_per_mode, cutoff)
-    return weights @ _binomial_table(weights.size, efficiency)
+    thinning, computed by explicit mixing (no thinning-closure shortcut),
+    and the tail mass of the photon-number law left out."""
+    weights, tail = _negbin_weights(modes, modes * pre_detection_mean_per_mode, cutoff)
+    return weights @ _binomial_table(weights.size, efficiency), tail
 
 
 def _convolve_axis(table: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
@@ -166,39 +186,33 @@ def joint_distribution(
         pre_mean, p1, p2 = source.pre_split_mean, t * e1, (1.0 - t) * e2
         pair_table = _pair_table_split
 
-    shared_weights = _negbin_weights(matched, matched * pre_mean, _CUTOFF_TAIL)
+    shared_weights, tail_bound = _negbin_weights(matched, matched * pre_mean, _CUTOFF_TAIL)
     mix_cost = int(np.sum((np.arange(shared_weights.size) + 1.0) ** 2))
     if mix_cost > _MIX_COST_LIMIT:
         raise InfeasibleInstanceError(
             f"conditional mixture needs {mix_cost} terms (> {_MIX_COST_LIMIT})"
         )
 
-    kernels_axis0 = []
-    kernels_axis1 = []
+    laws = ([], [])  # (pmf, left-out tail) convolved along axis 0 and axis 1
     if unmatched > 0.0 and source.mu > 0.0:
-        kernels_axis0.append(_thinned_component(unmatched, pre_mean, p1, _CUTOFF_TAIL))
+        laws[0].append(_thinned_component(unmatched, pre_mean, p1, _CUTOFF_TAIL))
         if e2 > 0.0:
-            kernels_axis1.append(_thinned_component(unmatched, pre_mean, p2, _CUTOFF_TAIL))
+            laws[1].append(_thinned_component(unmatched, pre_mean, p2, _CUTOFF_TAIL))
     if background.mean_total > 0.0:
-        kernels_axis1.append(
-            _negbin_weights(background.modes_b, background.mean_total, _CUTOFF_TAIL)
-        )
+        laws[1].append(_negbin_weights(background.modes_b, background.mean_total, _CUTOFF_TAIL))
 
-    size1 = shared_weights.size + sum(k.size - 1 for k in kernels_axis0)
-    size2 = shared_weights.size + sum(k.size - 1 for k in kernels_axis1)
+    size1, size2 = (shared_weights.size + sum(k.size - 1 for k, _ in axis) for axis in laws)
     if size1 * size2 > _MAX_STATES:
         raise InfeasibleInstanceError(
             f"joint support {size1}x{size2} exceeds {_MAX_STATES} states"
         )
 
     table = pair_table(shared_weights, p1, p2)
-    for kernel in kernels_axis0:
-        table = _convolve_axis(table, kernel, axis=0)
-    for kernel in kernels_axis1:
-        table = _convolve_axis(table, kernel, axis=1)
-
-    tail = max(0.0, 1.0 - float(table.sum()))
-    return JointDistribution(probs=table, tail_bound=tail)
+    for axis, axis_laws in enumerate(laws):
+        for kernel, tail in axis_laws:
+            table = _convolve_axis(table, kernel, axis)
+            tail_bound += tail
+    return JointDistribution(probs=table, tail_bound=tail_bound)
 
 
 def enumerate_moments(

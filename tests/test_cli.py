@@ -703,7 +703,8 @@ def run_python(code):
     [
         # the closed forms carry their own normal CDF: the CLI loads no scipy at all
         ("qisim.cli", ("scipy",)),
-        ("qisim.oracle", ("scipy.stats", "scipy.signal")),
+        # the oracle builds its laws from math.lgamma
+        ("qisim.oracle", ("scipy",)),
     ],
 )
 def test_import_leaves_scipy_front_ends_out(module, absent):
@@ -745,3 +746,28 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0]", result.stdout + result.stderr
+
+
+def test_oracle_runs_with_scipy_blocked():
+    # a criterion-1 instance and a mid-size one with mode mismatch and background
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from qisim import analytic, oracle\n"
+        "from qisim.types import BackgroundSpec, ChannelSpec, Scenario, SourceKind, SourceSpec\n"
+        "cases = [(SourceKind.TWIN_BEAM, 2, 0.25, 0.7, 0.3, 1.0, 1.0, 2, 2.0),\n"
+        "         (SourceKind.SPLIT_THERMAL, 20, 0.25, 0.62, 0.62, 0.5, 0.8, 5, 2.0)]\n"
+        "worst = 0.0\n"
+        "for kind, modes, mu, e1, e2, r, mm, modes_b, mean_b in cases:\n"
+        "    scn = Scenario(SourceSpec(kind=kind, mu=mu, modes=modes),\n"
+        "                   ChannelSpec(eta1=e1, eta2=e2, reflectivity=r, mode_match=mm),\n"
+        "                   BackgroundSpec(modes_b=modes_b, mean_total=mean_b), 2, 1)\n"
+        "    exact = oracle.enumerate_moments(scn.source, scn.channel, scn.background)\n"
+        "    closed = analytic.moments(scn)\n"
+        "    for f in ('mean1', 'mean2', 'var1', 'var2', 'cov', 'm22'):\n"
+        "        a, b = getattr(closed, f), getattr(exact, f)\n"
+        "        worst = max(worst, abs(a - b) / max(abs(a), abs(b)))\n"
+        "print(worst)\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout.strip().splitlines()[-1]) < 1e-9

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal, stats
 
@@ -116,6 +116,24 @@ def test_distribution_is_normalized():
     assert joint.tail_bound < 1e-12
 
 
+def test_validate_rejects_mass_missing_from_the_table(monkeypatch):
+    # P(N1 = 1) = 0.294 here; the tail bound must not absorb its loss
+    convolve = oracle._convolve_axis
+
+    def lossy_convolve(table, kernel, axis):
+        out = convolve(table, kernel, axis)
+        out[1] = 0.0
+        return out
+
+    monkeypatch.setattr(oracle, "_convolve_axis", lossy_convolve)
+    joint = oracle.joint_distribution(
+        *specs(SourceKind.TWIN_BEAM, 0.3, 3, e1=0.7, e2=0.5, bg=(2, 1.5))
+    )
+    assert joint.probs.sum() < 0.71
+    with pytest.raises(AssertionError, match="not ~1"):
+        joint.validate()
+
+
 def test_support_guard_rejects_full_scale():
     with pytest.raises(InfeasibleInstanceError):
         oracle.enumerate_moments(
@@ -173,8 +191,17 @@ _weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).map(
 )
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_binom_pmf_puts_all_mass_on_the_certain_count(p):
+    # all the mass sits at k = p n: none survive at p = 0, all n at p = 1
+    k = np.arange(8)[None, :]
+    n = np.arange(6)[:, None]
+    np.testing.assert_array_equal(oracle._binom_pmf(k, n, p), k == p * n)
+
+
 @TABLE_SETTINGS
 @given(weights=_weights, e1=_probabilities, e2=_probabilities)
+@example(weights=np.array([0.2, 0.3, 0.5]), e1=0.0, e2=1.0)
 def test_twin_table_equals_per_n_loop(weights, e1, e2):
     table = oracle._pair_table_twin(weights, e1, e2)
     np.testing.assert_allclose(table, loop_pair_table_twin(weights, e1, e2), rtol=0, atol=TABLE_ATOL)
@@ -200,9 +227,11 @@ def test_split_table_equals_per_n_loop(weights, t, e1, e2):
     mean_per_mode=st.floats(0.0, 1.0),
     efficiency=_probabilities,
 )
+# p = 1 / (1 + mean_per_mode) rounds to 1, where log1p(-p) is -inf
+@example(modes=1.0, mean_per_mode=4.2e-134, efficiency=0.0)
 def test_thinned_component_equals_per_n_loop(modes, mean_per_mode, efficiency):
-    pmf = oracle._thinned_component(modes, mean_per_mode, efficiency, 1e-12)
-    weights = oracle._negbin_weights(modes, modes * mean_per_mode, 1e-12)
+    pmf, _ = oracle._thinned_component(modes, mean_per_mode, efficiency, 1e-12)
+    weights, _ = oracle._negbin_weights(modes, modes * mean_per_mode, 1e-12)
     np.testing.assert_allclose(pmf, loop_thinned(weights, efficiency), rtol=0, atol=TABLE_ATOL)
 
 
