@@ -23,7 +23,16 @@ cuts are the only truncation: thinning and convolution are exact.  So
 from the table.
 
 Instances are small by contract; full-experiment mode counts are rejected by
-the state budget guard.
+the state budget guard.  `_negbin_weights` refuses a law before it
+evaluates a range once the counts the law must keep exceed `_MAX_STATES`:
+such a law spans an axis of the joint table, which would then exceed
+`_MAX_STATES` cells, so no feasible instance is refused.  Before the first
+range, mean + 10 sd + 10, the law must keep more than max(mean - sd - 1, 0)
++ 6 sd + 30 counts: it keeps 30 + int(6 sd) counts past the last n whose
+mass in n <= N < range is above the cut, and by Cantelli's inequality
+every n up to mean - sd has more than 1/2 - 1/101 there.  Before a doubled
+range, it must keep what the range before it kept, more than that range's
+half.  So no range over `4 * _MAX_STATES` counts is ever evaluated.
 """
 from __future__ import annotations
 
@@ -92,7 +101,9 @@ def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> tuple[np.
     p = 1.0 / (1.0 + mean_per_mode)
     sd = math.sqrt(total_mean * (1.0 + mean_per_mode))
     size = int(total_mean + 10.0 * sd) + 10
-    while True:
+    # counts the law must keep, as the module docstring derives
+    kept = max(total_mean - sd - 1.0, 0.0) + 6.0 * sd + 30.0
+    while kept <= _MAX_STATES:
         n = np.arange(size)
         log_pmf = _lgamma(n + modes) - math.lgamma(modes) - _lgamma(n + 1.0)
         pmf = np.exp(log_pmf + _xlogs(modes, n, p))
@@ -100,7 +111,12 @@ def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> tuple[np.
         n_hi = np.count_nonzero(at_least[1:] > cutoff) + 30 + int(6.0 * sd)
         if 2 * (n_hi + 1) <= size:
             return pmf[: n_hi + 1], float(at_least[n_hi + 1])
+        kept = n_hi + 1
         size *= 2
+    raise InfeasibleInstanceError(
+        f"photon-number law of mean {total_mean:g} must keep at least {kept:.0f} counts"
+        f" (> {_MAX_STATES} states)"
+    )
 
 
 def _binom_pmf(k, n, p: float) -> np.ndarray:

@@ -59,6 +59,18 @@ _POOL = None
 _POOL_LOCK = threading.Lock()
 
 
+def _forget_pool() -> None:
+    """Drop the parent's pool in a forked child, whose copy of it has no
+    worker threads; the child makes its own on first use."""
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _negbin(
     rng: np.random.Generator, modes: float, total_mean: float, size: int
 ) -> np.ndarray:
@@ -173,17 +185,19 @@ def sample_counts(
     error raised in a block is raised once every block has finished, the
     lowest failing block's.
 
-    `memo` maps each seed to the last call's source, channel and frame
-    shape, with each block's pixel pairs and its stream right after them.
-    A call that matches restores that stream and draws only the background
-    and read noise; any other call on the seed replaces what it holds, and
-    a call that raises adds no block to it.  Either way the counts are
-    those of a call without a memo."""
+    `memo` holds the last call's draw as one entry `{seed: (key, pairs)}`:
+    key is the source, channel and frame shape, pairs each block's pixel
+    pairs with its stream right after them.  A call on the same seed and
+    key restores that stream and draws only the background and read noise;
+    any other call empties the memo before it draws.  A call that raises
+    adds no block.  The reuse rule is README "Reproducibility"'s, so the
+    counts are those of a call without a memo."""
     target = scenario.channel.target_present
     pairs = []
     if memo is not None:
         key = (scenario.source, scenario.channel, scenario.pixel_pairs, scenario.images)
         if memo.get(seed, (None,))[0] != key:
+            memo.clear()
             memo[seed] = (key, pairs)
         pairs = memo[seed][1]
     n1 = np.empty((scenario.images, scenario.pixel_pairs), dtype=np.int64)

@@ -7,18 +7,15 @@ swept key set, built by `config.build_scenario` into one `Scenario`
 of a series (one source kind) draws on the series seed, its frames and
 perr's bootstrap stream alike, so points share random numbers, but a
 point's rows do not depend on which other points run.  `run_sweep` runs
-one `PointPipeline` per point, with two memos per series: the source
-draws of `sample_counts`, and the resample indices of perr's bootstrap,
-which every point of the series with the same frame counts reuses.
-Neither memo reads the frames per decision.  `simulate` is one point on
-the master seed, without memos.
+one `PointPipeline` per point, all on one memo of the sweep, which
+reuses a draw only as README "Reproducibility" states.  `simulate` is
+one point on the master seed, without a memo.
 `METRICS` defines each figure of merit once.  Estimator failures flag
 the affected row and never abort the sweep.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -202,18 +199,15 @@ _PERR_TAG = 4  # perr's bootstrap stream is `seed.rng(STREAM_BOOTSTRAP, _PERR_TA
 class PointPipeline:
     """The Monte Carlo estimates of one point: a scenario on one seed.
     Each hypothesis is drawn, and its table and covariances computed, once
-    and only when a metric first needs them.  `memo` and `resamples`, the
-    memos of `sample_counts` and of perr's bootstrap indices, are shared
-    by the points of a series; neither changes an estimate."""
+    and only when a metric first needs them.  `memo`, shared by the points
+    of a sweep, holds the last source draw of each hypothesis label and
+    the last perr bootstrap indices, under the rule of README
+    "Reproducibility"; it changes no estimate."""
 
-    def __init__(
-        self, scenario: Scenario, seed: SeedSpec,
-        memo: dict | None = None, resamples: dict | None = None,
-    ) -> None:
+    def __init__(self, scenario: Scenario, seed: SeedSpec, memo: dict | None = None) -> None:
         self.scenario = scenario
         self.seed = seed
         self._memo = memo
-        self._resamples = {} if resamples is None else resamples
         self._made: dict = {}
 
     def _once(self, key: tuple, make: Callable):
@@ -223,8 +217,9 @@ class PointPipeline:
 
     def counts(self, label: str):
         """(n1, n2) of hypothesis `label`, drawn as `hypothesis_stream` says."""
+        memo = None if self._memo is None else self._memo.setdefault(label, {})
         return self._once(("counts", label), lambda: sample_counts(
-            *hypothesis_stream(self.scenario, self.seed, label), self._memo
+            *hypothesis_stream(self.scenario, self.seed, label), memo
         ))
 
     def table(self, label: str):
@@ -250,11 +245,14 @@ class PointPipeline:
 
     def _draws(self, sizes: tuple):
         """The indices `resample_indices` draws for perr's bootstrap on
-        samples of `sizes`, kept until a point asks for other sizes."""
-        if self._resamples.get("sizes") != sizes:
-            rng = self.seed.rng(STREAM_BOOTSTRAP, _PERR_TAG)
-            self._resamples.update(sizes=sizes, indices=resample_indices(sizes, rng))
-        return self._resamples["indices"]
+        samples of `sizes`, held in the memo's "perr" slot, keyed by the
+        seed and `sizes`, until another key replaces them."""
+        slot = {} if self._memo is None else self._memo.setdefault("perr", {})
+        key = (self.seed, sizes)
+        if key not in slot:
+            slot.clear()
+            slot[key] = resample_indices(sizes, self.seed.rng(STREAM_BOOTSTRAP, _PERR_TAG))
+        return slot[key]
 
     def estimate(self, metric: str) -> tuple[float, float]:
         """(estimate, sigma) of `metric`: the delta method's sigma, or for
@@ -273,11 +271,9 @@ class PointPipeline:
 _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)
 
 
-def _point_rows(
-    spec: SweepSpec, point: SweepPoint, memo: dict, resamples: dict
-) -> list[SweepRow]:
+def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow]:
     scn = point.scenario
-    pipeline = PointPipeline(scn, point.seed, memo, resamples)
+    pipeline = PointPipeline(scn, point.seed, memo)
     rows: list[SweepRow] = []
     for output in spec.outputs:
         for metric in _OUTPUT_METRICS[output]:
@@ -303,13 +299,9 @@ def _point_rows(
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run every point in grid order, with one pair of memos per series."""
-    rows: list[SweepRow] = []
-    for _, series in itertools.groupby(spec.points, key=lambda point: point.seed):
-        memo: dict = {}
-        resamples: dict = {}
-        for point in series:
-            rows.extend(_point_rows(spec, point, memo, resamples))
+    """Run every point in grid order, all on one memo."""
+    memo: dict = {}
+    rows = [row for point in spec.points for row in _point_rows(spec, point, memo)]
     return SweepResult(rows=tuple(rows))
 
 

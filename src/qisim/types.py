@@ -47,6 +47,13 @@ def _require_finite(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite (got {value!r})")
 
 
+def _require_count(name: str, value: int) -> None:
+    _require(
+        isinstance(value, (int, np.integer)) and value >= 1,
+        f"{name} must be a positive integer (got {value})",
+    )
+
+
 class SourceKind(enum.Enum):
     """Illumination source: entangled pair or classically split thermal beam."""
 
@@ -82,10 +89,7 @@ class SourceSpec:
     def __post_init__(self) -> None:
         _require_finite("mu", self.mu)
         _require(self.mu >= 0.0, f"mu must be >= 0 (got {self.mu})")
-        _require(
-            isinstance(self.modes, (int, np.integer)) and self.modes >= 1,
-            f"modes must be a positive integer (got {self.modes})",
-        )
+        _require_count("modes", self.modes)
         _require_finite("split_ratio", self.split_ratio)
         _require(
             0.0 < self.split_ratio < 1.0,
@@ -146,10 +150,7 @@ class BackgroundSpec:
     mean_total: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.modes_b, (int, np.integer)) and self.modes_b >= 1,
-            f"modes_b must be a positive integer (got {self.modes_b})",
-        )
+        _require_count("modes_b", self.modes_b)
         _require_finite("mean_total", self.mean_total)
         _require(self.mean_total >= 0.0, f"mean_total must be >= 0 (got {self.mean_total})")
 
@@ -175,14 +176,8 @@ class Scenario:
             isinstance(ipd, (int, np.integer)) and ipd >= 1,
             f"images_per_decision must be >= 1 (got {ipd})",
         )
-        _require(
-            isinstance(self.pixel_pairs, (int, np.integer)) and self.pixel_pairs >= 1,
-            f"pixel_pairs must be a positive integer (got {self.pixel_pairs})",
-        )
-        _require(
-            isinstance(self.images, (int, np.integer)) and self.images >= 1,
-            f"images must be a positive integer (got {self.images})",
-        )
+        _require_count("pixel_pairs", self.pixel_pairs)
+        _require_count("images", self.images)
         sigma = self.read_noise_sigma
         _require(
             math.isfinite(sigma) and 0.0 <= sigma <= _MEAN_PHOTON_LIMIT,

@@ -7,6 +7,8 @@ components.
 """
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -139,6 +141,25 @@ def test_support_guard_rejects_full_scale():
         oracle.enumerate_moments(
             *specs(SourceKind.TWIN_BEAM, mu=0.075, modes=90000, e1=0.62, e2=0.62)
         )
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda: oracle.enumerate_moments(
+            *specs(SourceKind.TWIN_BEAM, mu=1e7, modes=1, e1=0.5, e2=0.5)
+        ),
+        lambda: oracle._negbin_weights(0.1, 1e6, 1e-12),
+        lambda: oracle._negbin_weights(1e4, 1e8, 1e-12),
+    ],
+    ids=["twin mu 1e7", "0.1 modes", "mean 1e8"],
+)
+def test_law_past_the_state_budget_is_refused_before_it_is_evaluated(law):
+    # each would evaluate tens of millions of counts before the table guard
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleInstanceError, match="photon-number law"):
+        law()
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

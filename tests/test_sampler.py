@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +15,7 @@ import pytest
 from scipy import stats
 
 from conftest import make_scenario
+import qisim
 from qisim import analytic, oracle, sampler
 from qisim.estimator import covariance_hat
 from qisim.sampler import _negbin, _sample_pair_counts, hypothesis_stream, sample_counts
@@ -347,6 +352,39 @@ def test_pooled_blocks_are_the_serial_draws(monkeypatch, kind, target, memo, cor
         assert len(pairs) == 3
     if cores == "one core":
         assert sampler._POOL is None
+
+
+# the parent draws 3 blocks on its pool, forks, and the child draws them
+# again under an alarm; exit code 0 if the child returned the parent's bytes
+_FORKED_DRAW = textwrap.dedent("""
+    import os, signal
+    from qisim import sampler
+    from qisim.types import BackgroundSpec, ChannelSpec, Scenario, SeedSpec, SourceKind, SourceSpec
+
+    sampler._CORES = 2
+    scn = Scenario(
+        SourceSpec(SourceKind.TWIN_BEAM, 0.3, 60), ChannelSpec(0.9, 0.9),
+        BackgroundSpec(1, 200.0), pixel_pairs=4, images=600,
+    )
+    drawn = lambda: b"".join(n.tobytes() for n in sampler.sample_counts(scn, SeedSpec(5)))
+    parent = drawn()
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(5)
+        os._exit(0 if drawn() == parent else 1)
+    raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_draws_on_a_pool_of_its_own():
+    # the child inherits the parent's pool object but none of its threads
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qisim.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", _FORKED_DRAW],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_pooled_error_is_the_lowest_failing_block_after_every_block(monkeypatch):

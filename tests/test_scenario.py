@@ -13,6 +13,7 @@ from qisim.estimator import delta_method, epsilon_influence, epsilon_rows, frame
 from qisim.sampler import hypothesis_stream, sample_counts
 from qisim.config import apply, default_config, load_config_file, sidecar_text
 from qisim import analytic
+from qisim import scenario as scenario_module
 from qisim.cli import PRESETS, _PRESET_BASE
 from qisim.scenario import (
     METRICS,
@@ -228,24 +229,26 @@ def _distinct_preset_series(extra: dict):
 def test_memoized_counts_are_the_direct_draws_on_every_preset(extra):
     series = _distinct_preset_series(extra)
     assert len(series) == 7
+    # one memo per hypothesis label across every series, as a sweep keeps
+    memos: dict = {"in": {}, "out": {}}
     for seed, scenarios in series:
-        memo: dict = {}
         for scn in scenarios:
-            for label in ("in", "out"):
+            for label, memo in memos.items():
                 stream = hypothesis_stream(scn, seed, label)
                 memoized, direct = sample_counts(*stream, memo), sample_counts(*stream)
                 assert [n.tobytes() for n in memoized] == [n.tobytes() for n in direct]
 
 
 def test_memo_holds_one_point_per_hypothesis_on_a_mu_sweep(monkeypatch):
-    # after every draw, the frame blocks of source draws the memo holds for
-    # each seed: 600 frames are 3 blocks, and each point's draws miss
+    # after every draw, the memo it was given and the frame blocks of
+    # source draws that memo holds: 600 frames are 3 blocks, and each
+    # point's draws miss
     held = []
 
     def watched(scn, seed, memo):
         counts = sample_counts(scn, seed, memo)
         assert memo[seed][0] == (scn.source, scn.channel, scn.pixel_pairs, scn.images)
-        held.append(sorted(len(blocks) for _, blocks in memo.values()))
+        held.append((id(memo), [len(blocks) for _, blocks in memo.values()]))
         return counts
 
     monkeypatch.setattr("qisim.scenario.sample_counts", watched)
@@ -254,8 +257,9 @@ def test_memo_holds_one_point_per_hypothesis_on_a_mu_sweep(monkeypatch):
         "scenario.images": "600",
     })).rows
     assert len(rows) == 6 and not any(row.flag for row in rows)
-    # a new series starts from an empty memo
-    assert held == ([[3]] + [[3, 3]] * 5) * 2
+    # one memo per hypothesis for the whole sweep, each holding one point
+    assert len(held) == 12 and len({memo for memo, _ in held}) == 2
+    assert [blocks for _, blocks in held] == [[3]] * 12
 
 
 def test_background_series_draws_its_source_pairs_once(monkeypatch):
@@ -271,6 +275,48 @@ def test_background_series_draws_its_source_pairs_once(monkeypatch):
     run_sweep(spec)
     # 2 series x 2 hypotheses x 3 blocks, not 3 points x 12
     assert len(streams) == len(set(streams)) == 12
+
+
+def test_target_absent_sweep_memo_holds_one_draw_per_slot(monkeypatch):
+    streams, memos, held, drawing = [], [], [], []
+    frame_rng, point_rows, resample_indices = (
+        SeedSpec.frame_rng, scenario_module._point_rows, scenario_module.resample_indices
+    )
+
+    def counted(self, target_present, block):
+        streams.append((self, target_present, block))
+        return frame_rng(self, target_present, block)
+
+    def watched_rows(spec, point, memo):
+        memos.append(memo)
+        rows = point_rows(spec, point, memo)
+        held.append({slot: len(entries) for slot, entries in memo.items()})
+        return rows
+
+    def watched_indices(sizes, rng):
+        drawing.append(len(memos[-1].get("perr", {})))
+        return resample_indices(sizes, rng)
+
+    monkeypatch.setattr(SeedSpec, "frame_rng", counted)
+    monkeypatch.setattr(scenario_module, "_point_rows", watched_rows)
+    monkeypatch.setattr(scenario_module, "resample_indices", watched_indices)
+    spec = desk_spec({
+        "sweep.values": "200,2000,20000", "sweep.outputs": "snr,perr",
+        "channel.target_present": "false", "scenario.images": "600",
+        "scenario.images_per_decision": "2",
+    })
+    rows = run_sweep(spec).rows
+    assert len(rows) == 12 and not any(row.flag for row in rows)
+    # 2 series x 2 hypotheses x 3 blocks, each stream built once
+    assert len(streams) == len(set(streams)) == 12
+    assert {target for _, target, _ in streams} == {False}
+    # one memo for the sweep, holding one source draw per hypothesis label
+    # and one set of perr indices after every point
+    assert len(memos) == 6 and len({id(memo) for memo in memos}) == 1
+    assert held == [{"in": 1, "out": 1, "perr": 1}] * 6
+    # perr's indices are drawn once per series, each time after the old
+    # ones were released
+    assert drawing == [0, 0]
 
 
 def test_series_builds_each_bootstrap_stream_once(monkeypatch):
