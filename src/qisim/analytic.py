@@ -30,15 +30,6 @@ give results of different types, so they get separate entries.  0.0 and
 -0.0 share an entry, which is safe because `_pair_cumulants` adds 0.0 to
 every cumulant it returns, which turns a signed zero into +0.0.
 
-The normal CDF `_ndtr` is a port of the Cephes `ndtr`/`erf`/`erfc` that
-`scipy.special.ndtr` runs, with the same constants, branches and operation
-order (the polynomials are unrolled Horner forms of `polevl`/`p1evl`), so it
-returns scipy's bits for every double, nan and +-inf included, while this
-module and the CLI that imports it load no scipy.  The shorter
-`0.5 * math.erfc(-a / math.sqrt(2))` is not used: it rounds differently from
-scipy's ndtr on about a third of arguments and underflows differently in the
-far lower tail, which would move every printed `error_probability`.
-
 All functions are pure and operate on immutable specs.
 """
 from __future__ import annotations
@@ -128,7 +119,7 @@ def _moments(scenario: Scenario, arm2_efficiency: float) -> MomentSet:
         var1=k20,
         var2=k02,
         cov=k11,
-        m22=k22 + k20 * k02 + 2.0 * k11**2,
+        m22=k22 + k20 * k02 + 2.0 * k11 * k11,
     )
 
 
@@ -145,7 +136,7 @@ def epsilon(scenario: Scenario) -> float:
         source.kind, source.mu, source.split_ratio, channel.eta1, channel.arm2_efficiency
     )
     nv1 = source.modes * f20
-    nv2 = source.modes * f02 + background.mean_total**2 / background.modes_b
+    nv2 = source.modes * f02 + background.mean_total * background.mean_total / background.modes_b
     if nv1 <= 0.0 or nv2 <= 0.0:
         raise DegenerateStatisticError(
             f"normally ordered variances must be positive (got {nv1}, {nv2})"
@@ -185,51 +176,9 @@ def enhancement(mu: float) -> float:
     return (1.0 + mu) / mu
 
 
-def _erf_small(x: float) -> float:
-    """Cephes erf for abs(x) <= 1: x T(x^2) / U(x^2)."""
-    z = x * x
-    p = (((9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z
-          + 2.23200534594684319226e3) * z + 7.00332514112805075473e3) * z + 5.55923013010394962768e4
-    q = ((((z + 3.35617141647503099647e1) * z + 5.21357949780152679795e2) * z
-          + 4.59432382970980127987e3) * z + 2.26290000613890934246e4) * z + 4.92673942608635921086e4
-    return x * p / q
-
-
-def _erfc_large(x: float) -> float:
-    """Cephes erfc for x >= 1 (and nan): exp(-x^2) P(x) / Q(x), or R / S from 8 up."""
-    z = -x * x
-    if z < -7.09782712893383996843e2:  # MAXLOG: exp(z) underflows
-        return 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        p = ((((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x
-                  + 7.46321056442269912687e0) * x + 4.86371970985681366614e1) * x
-                + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
-              + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x
-             + 5.57535335369399327526e2)
-        q = (((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x
-                 + 3.54937778887819891062e2) * x + 9.75708501743205489753e2) * x
-               + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
-             + 1.65666309194161350182e3) * x + 5.57535340817727675546e2
-    else:
-        p = ((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x
-               + 5.01905042251180477414e0) * x + 6.16021097993053585195e0) * x
-             + 7.40974269950448939160e0) * x + 2.97886665372100240670e0
-        q = (((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x
-               + 1.20489539808096656605e1) * x + 1.70814450747565897222e1) * x
-             + 9.60896809063285878198e0) * x + 3.36907645100081516050e0
-    return (z * p) / q
-
-
 def _ndtr(a: float) -> float:
-    """Standard normal CDF, bit-identical to `scipy.special.ndtr`."""
-    x = a * 0.70710678118654752440  # SQRT1_2
-    z = abs(x)
-    if z < 0.70710678118654752440:
-        return 0.5 + 0.5 * _erf_small(x)
-    # Cephes erfc(z) is 1 - erf(z) below 1
-    y = 0.5 * ((1.0 - _erf_small(z)) if z < 1.0 else _erfc_large(z))
-    return 1.0 - y if x > 0 else y
+    """Standard normal CDF, from libm's erfc so that no scipy is loaded."""
+    return 0.5 * math.erfc(-a * math.sqrt(0.5))
 
 
 def _min_error_two_gaussians(
@@ -237,41 +186,43 @@ def _min_error_two_gaussians(
 ) -> tuple[float, float]:
     """Minimum equal-prior error of a threshold test between
     Normal(m0, s0^2) (declare below) and Normal(m1, s1^2) (declare above),
-    with the optimum at a likelihood-ratio crossing."""
+    with the optimum at a likelihood-ratio crossing.
+
+    Mirroring tau -> -tau swaps the roles of the laws, p(m0, s0, m1, s1) =
+    p(-m1, s1, -m0, s0), so s1 <= s0 below.  The crossing is solved in the
+    units of the narrower law, y = (tau - m1)/s1.  With r = s1/s0 <= 1 and
+    d = (m1 - m0)/s0 > 0 it solves (1 - r^2) y^2 - 2 r d y - d^2 + 2 log r
+    = 0, whose discriminant / 4, d^2 - 2 (1 - r^2) log r, is at least d^2.
+    So the roots are real, and q = r d + sqrt(discriminant / 4) forms
+    without cancellation.  They are (2 log r - d^2)/q and, for r < 1,
+    q/(1 - r^2).  The error (Phi(-(d + r y)) + Phi(y))/2 falls to the first
+    root, rises to the second and falls back towards 1/2 beyond it, so the
+    first is the minimum.
+    """
     if m1 <= m0:
         return 0.5, m0
     if s0 == 0.0 and s1 == 0.0:
         return 0.0, 0.5 * (m0 + m1)
-    # a width whose square underflows is taken as 0 (an exact-zero s1 goes below)
-    if s0**2 == 0.0 and s1 != 0.0:
+    if s0 == 0.0:
         return 0.5 * _ndtr((m0 - m1) / s1), m0
-    if s1**2 == 0.0:
+    if s1 == 0.0:
         return 0.5 * _ndtr(-((m1 - m0) / s0)), m1
+    if s1 > s0:
+        p, tau = _min_error_two_gaussians(-m1, s1, -m0, s0)
+        return p, -tau
 
-    a = 1.0 / s1**2 - 1.0 / s0**2
-    b = -2.0 * (m1 / s1**2 - m0 / s0**2)
-    c = m1**2 / s1**2 - m0**2 / s0**2 - 2.0 * math.log(s0 / s1)
-    if abs(a) < 1e-300:
-        # equal widths: one crossing, none once b underflows (means a subnormal apart)
-        candidates = [-c / b] if b != 0.0 else []
-    else:
-        disc = b * b - 4.0 * a * c
-        if not math.isfinite(disc):
-            # b*b or 4ac overflows: the narrower width is negligible, take it as 0
-            narrow0 = s0 < s1
-            return _min_error_two_gaussians(m0, 0.0 if narrow0 else s0, m1, s1 if narrow0 else 0.0)
-        if disc < 0.0:
-            candidates = [0.5 * (m0 + m1)]
-        else:
-            root = math.sqrt(disc)
-            candidates = [(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)]
-
-    best_p, best_tau = 0.5, m1
-    for tau in candidates:
-        p = 0.5 * (_ndtr(-((tau - m0) / s0)) + _ndtr((tau - m1) / s1))
-        if p < best_p:
-            best_p, best_tau = float(p), float(tau)
-    return best_p, best_tau
+    d = (m1 - m0) / s0
+    r = s1 / s0
+    log_r = math.log(s1) - math.log(s0)  # finite where r underflows to 0
+    q = r * d + math.sqrt(d * d - 2.0 * (1.0 - r * r) * log_r)
+    if not math.isfinite(q):
+        # d^2 overflows: the narrower width is negligible, take it as 0
+        return _min_error_two_gaussians(m0, s0, m1, 0.0)
+    if q == 0.0:
+        # equal widths, and d underflows to 0: the laws cannot be told apart
+        return 0.5, m1
+    y = (2.0 * log_r - d * d) / q
+    return 0.5 * (_ndtr(-(d + r * y)) + _ndtr(y)), m1 + s1 * y
 
 
 def error_probability(scenario: Scenario, images_per_decision: int) -> float:

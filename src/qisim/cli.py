@@ -178,11 +178,14 @@ def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
         fields.append(("epsilon", _fmt(analytic.epsilon(scenario))))
     except DegenerateStatisticError:
         fields.append(("epsilon", "nan"))
+    try:
+        enhancement = _fmt(analytic.enhancement(scenario.source.mu))
+    except ParameterError:  # mu = 0: a source without photons has no ratio
+        enhancement = "nan"
     # the source's own lossless epsilon; a split beam reaches only 1
-    enhancement = analytic.enhancement(scenario.source.mu)
     twin = scenario.source.kind is SourceKind.TWIN_BEAM
-    fields.append(("epsilon_ideal", _fmt(enhancement if twin else 1.0)))
-    fields.append(("enhancement", _fmt(enhancement)))
+    fields.append(("epsilon_ideal", enhancement if twin else _fmt(1.0)))
+    fields.append(("enhancement", enhancement))
     fields.append(("snr", _fmt(analytic.snr(scenario))))
     try:
         fields.append(("snr_dominant_background", _fmt(analytic.snr_dominant_background(scenario))))

@@ -23,16 +23,19 @@ cuts are the only truncation: thinning and convolution are exact.  So
 from the table.
 
 Instances are small by contract; full-experiment mode counts are rejected by
-the state budget guard.  `_negbin_weights` refuses a law before it
-evaluates a range once the counts the law must keep exceed `_MAX_STATES`:
-such a law spans an axis of the joint table, which would then exceed
-`_MAX_STATES` cells, so no feasible instance is refused.  Before the first
-range, mean + 10 sd + 10, the law must keep more than max(mean - sd - 1, 0)
-+ 6 sd + 30 counts: it keeps 30 + int(6 sd) counts past the last n whose
-mass in n <= N < range is above the cut, and by Cantelli's inequality
-every n up to mean - sd has more than 1/2 - 1/101 there.  Before a doubled
-range, it must keep what the range before it kept, more than that range's
-half.  So no range over `4 * _MAX_STATES` counts is ever evaluated.
+the budget guards.  `_negbin_weights` refuses a law before it evaluates a
+range once the counts the law must keep exceed its budget.  Every law
+spans an axis of the joint table, so its budget is `_MAX_STATES`.  The
+shared law also sets the conditional mixture's cost, the sum of (n+1)^2
+over its counts, so its budget is `_MIX_MAX_COUNTS`, the most counts that
+keep that cost within `_MIX_COST_LIMIT`.  Neither refuses a feasible
+instance.  Before the first range, mean + 10 sd + 10, the law must keep
+more than max(mean - sd - 1, 0) + 6 sd + 30 counts: it keeps 30 + int(6 sd)
+counts past the last n whose mass in n <= N < range is above the cut, and
+by Cantelli's inequality every n up to mean - sd has more than
+1/2 - 1/101 there.  Before a doubled range, it must keep what the range
+before it kept, more than that range's half.  So no range over four times
+the budget is ever evaluated, and no law is returned past its budget.
 """
 from __future__ import annotations
 
@@ -52,6 +55,9 @@ from .types import (
 
 # Cap on the terms of the conditional mixture (sum over n of (n+1)^2).
 _MIX_COST_LIMIT = 2 * 10**8
+# Most counts of the shared law within that cap: the largest N with
+# sum over n < N of (n+1)^2 = N (N+1) (2N+1) / 6 <= _MIX_COST_LIMIT.
+_MIX_MAX_COUNTS = 842
 # Cap on the cells of the joint table.
 _MAX_STATES = 10**7
 # Upper-tail mass of each enumerated photon-number law left out of it.
@@ -90,11 +96,15 @@ def _xlogs(k, lost, p: float) -> np.ndarray:
     return sum(np.multiply(x, y, out=np.zeros(np.shape(x)), where=x != 0) for x, y in terms)
 
 
-def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> tuple[np.ndarray, float]:
+def _negbin_weights(
+    modes: float, total_mean: float, cutoff: float,
+    max_counts: int = _MAX_STATES, limit: str = f"a joint table of {_MAX_STATES} states",
+) -> tuple[np.ndarray, float]:
     """pmf of an `modes`-mode thermal beam with the given total mean, and
     the upper-tail mass it leaves out.  It is cut where P(N > n), summed
     from the pmf over twice the kept range, falls below `cutoff`, plus
-    margin so that fourth moments are unaffected by the truncation."""
+    margin so that fourth moments are unaffected by the truncation.  It
+    keeps at most `max_counts` counts, the most that `limit` allows."""
     if total_mean == 0.0 or modes < _NEGLIGIBLE:
         return np.ones(1), 0.0
     mean_per_mode = total_mean / modes
@@ -103,19 +113,18 @@ def _negbin_weights(modes: float, total_mean: float, cutoff: float) -> tuple[np.
     size = int(total_mean + 10.0 * sd) + 10
     # counts the law must keep, as the module docstring derives
     kept = max(total_mean - sd - 1.0, 0.0) + 6.0 * sd + 30.0
-    while kept <= _MAX_STATES:
+    while kept <= max_counts:
         n = np.arange(size)
         log_pmf = _lgamma(n + modes) - math.lgamma(modes) - _lgamma(n + 1.0)
         pmf = np.exp(log_pmf + _xlogs(modes, n, p))
         at_least = np.cumsum(pmf[::-1])[::-1]  # P(n <= N < size)
-        n_hi = np.count_nonzero(at_least[1:] > cutoff) + 30 + int(6.0 * sd)
-        if 2 * (n_hi + 1) <= size:
-            return pmf[: n_hi + 1], float(at_least[n_hi + 1])
-        kept = n_hi + 1
+        kept = np.count_nonzero(at_least[1:] > cutoff) + 31 + int(6.0 * sd)
+        if 2 * kept <= size and kept <= max_counts:
+            return pmf[:kept], float(at_least[kept])
         size *= 2
     raise InfeasibleInstanceError(
-        f"photon-number law of mean {total_mean:g} must keep at least {kept:.0f} counts"
-        f" (> {_MAX_STATES} states)"
+        f"photon-number law of mean {total_mean:g} must keep at least {kept:.0f} counts,"
+        f" more than the {max_counts} that {limit} allows"
     )
 
 
@@ -202,12 +211,10 @@ def joint_distribution(
         pre_mean, p1, p2 = source.pre_split_mean, t * e1, (1.0 - t) * e2
         pair_table = _pair_table_split
 
-    shared_weights, tail_bound = _negbin_weights(matched, matched * pre_mean, _CUTOFF_TAIL)
-    mix_cost = int(np.sum((np.arange(shared_weights.size) + 1.0) ** 2))
-    if mix_cost > _MIX_COST_LIMIT:
-        raise InfeasibleInstanceError(
-            f"conditional mixture needs {mix_cost} terms (> {_MIX_COST_LIMIT})"
-        )
+    shared_weights, tail_bound = _negbin_weights(
+        matched, matched * pre_mean, _CUTOFF_TAIL,
+        _MIX_MAX_COUNTS, f"a conditional mixture of {_MIX_COST_LIMIT} terms",
+    )
 
     laws = ([], [])  # (pmf, left-out tail) convolved along axis 0 and axis 1
     if unmatched > 0.0 and source.mu > 0.0:

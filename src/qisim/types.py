@@ -89,6 +89,7 @@ class SourceSpec:
     def __post_init__(self) -> None:
         _require_finite("mu", self.mu)
         _require(self.mu >= 0.0, f"mu must be >= 0 (got {self.mu})")
+        object.__setattr__(self, "mu", self.mu + 0.0)  # -0.0 -> +0.0
         _require_count("modes", self.modes)
         _require_finite("split_ratio", self.split_ratio)
         _require(
@@ -209,7 +210,7 @@ class MomentSet:
 
     @property
     def delta_product_variance(self) -> float:
-        return self.m22 - self.cov**2
+        return self.m22 - self.cov * self.cov
 
     def check_consistency(self) -> None:
         """Assert the defining inequalities, tolerating float roundoff."""

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, overrides, validation, determinism."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -195,6 +197,26 @@ def test_sidecar_roundtrip_over_config_space(tmp_path_factory, config):
     assert scenario.read_noise_sigma == config["sampler"]["read_noise_sigma"]
 
 
+ANALYTIC_FIELDS = (
+    "kind", "mu", "mean1", "mean2", "var1", "var2", "cov", "m22", "epsilon", "epsilon_ideal",
+    "enhancement", "snr", "snr_dominant_background", "images_per_decision", "error_probability",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=resolved_configs())
+def test_analytic_prints_every_field_over_config_space(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("analytic") / "run.ini"
+    path.write_text(sidecar_text(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analytic", "--config", str(path)])
+    assert code == 0, err.getvalue()
+    printed = dict(line.split(" = ", 1) for line in out.getvalue().splitlines())
+    assert tuple(printed) == ANALYTIC_FIELDS
+    assert 0.0 <= float(printed["error_probability"]) <= 0.5
+
+
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     config_path = tmp_path / "bad.ini"
     config_path.write_text("[source]\nwibble = 1\n")
@@ -236,7 +258,10 @@ def test_simulate_outputs_are_pinned(capsys, tmp_path):
 
 # sha256 of each CSV and sidecar of `reproduce fig2..fig5 --frames 300 --seed 3`:
 # 28 files, the bytes every figure sweep writes in stream format 3, with
-# delta-method uncertainties on every metric but perr.
+# delta-method uncertainties on every metric but perr.  fig5 was re-pinned
+# when the closed-form normal CDF moved to libm erfc and the threshold
+# crossing to the narrower law's units: 26 `analytic` perr values moved, by
+# at most 7.6e-14 relative, and every other byte stayed.
 FIGURE_SHA256 = {
     "fig2": {
         "fig2_mb1300.csv": "8c4dc51afc67722020cf0d81fdb958697f9c50ccfbea64a1bcbc9a027720c7e0",
@@ -261,17 +286,17 @@ FIGURE_SHA256 = {
         "fig4_twin_mb57.csv.meta.txt": "aac167571d85f4a73906c2f6f72efa32b4fded1bff2f1a434d0b327e104b7ac7",
     },
     "fig5": {
-        "fig5_inset_split_mb1300.csv": "49cedc40f13951cca917b5cafc1fba687dab15dc1606dab3a475a42ff0716f18",
+        "fig5_inset_split_mb1300.csv": "ef28fd36ce33430e3661ac050b08d165f98266902225c0e85e92b7dd27f955f6",
         "fig5_inset_split_mb1300.csv.meta.txt": "e2ce594b5b1b88312a6c30e922101308668c82fed9d9b4120cbc86926ef3ff37",
-        "fig5_inset_twin_mb1300.csv": "a9e23b41f5fb91231e9945ddb71bcc55f4a15b4ed5b2983016615bd4b0b0302d",
+        "fig5_inset_twin_mb1300.csv": "ed990f32f1fe8ab945935141b5ff19cef6731661d16c141da5a031f398a4637d",
         "fig5_inset_twin_mb1300.csv.meta.txt": "9642d0cee832a9ad2abc5c9b7570bf35f33944142076d31d01aaaef88a9b67ba",
-        "fig5_inset_twin_mb57.csv": "ae0c8f9cc6fcb09044506412aaa6c95e9c2e7a02d73c7aa7b9f7f9d48db97076",
+        "fig5_inset_twin_mb57.csv": "72893791ea8a20dd18e69cd90dda246923f2ae2b363508162f7b97a48704a030",
         "fig5_inset_twin_mb57.csv.meta.txt": "a7ab79d65ae581ca1d6357fee24e875d54c98758ac4ce55636b290fcdfb62bbc",
-        "fig5_split_mb1300.csv": "5b19bff3fed5c0df5f2ecfcf0b8479cff39a58311a5d06bc3aaeb26f619e1405",
+        "fig5_split_mb1300.csv": "49141ca5ca38de003326e13b22acc674b561b463254b2cf21969c5e8fd2706ad",
         "fig5_split_mb1300.csv.meta.txt": "946adfe9ea0378e760e0e7263bdee60d879fb3f981c568037bc0a0cfced01458",
-        "fig5_twin_mb1300.csv": "65049f532c312b120260088a5dc9044172717e2ec6204694e232de3d52b57949",
+        "fig5_twin_mb1300.csv": "0697fb824019ade777f62acb23e0d7d99add68e419fb4d899b1f9305dcb5d954",
         "fig5_twin_mb1300.csv.meta.txt": "765f22a471b71221486dd5ea4e3581ffdabc7d9fd772e402dca1eb74b941ffc5",
-        "fig5_twin_mb57.csv": "f05cb8dfab653debfdfbc672f12d5ad90a7fdf55c8b3ce3e67a5657e51dd07c5",
+        "fig5_twin_mb57.csv": "96c0efe4cdbe3a4456113a8305c04c7557f874a3b7968e94a573c8164346ade4",
         "fig5_twin_mb57.csv.meta.txt": "7cdf9cd13b84119120cca46b796b21557b09d97a5f8509a0c72a92c9d9f7055c",
     },
 }

@@ -162,6 +162,23 @@ def test_law_past_the_state_budget_is_refused_before_it_is_evaluated(law):
     assert time.perf_counter() - start < 1.0
 
 
+def test_mix_max_counts_is_the_most_counts_within_the_mixture_cost_limit():
+    def cost(counts):
+        return sum((n + 1) ** 2 for n in range(counts))
+
+    assert cost(oracle._MIX_MAX_COUNTS) <= oracle._MIX_COST_LIMIT < cost(oracle._MIX_MAX_COUNTS + 1)
+
+
+def test_mixture_past_its_budget_is_refused_before_the_law_is_evaluated():
+    # the shared law of mean 1e6 must keep about 1.05e6 counts: within
+    # _MAX_STATES, far past _MIX_MAX_COUNTS.  Evaluated before the mixture
+    # check, it took 3.8 s and 573 MB
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleInstanceError, match="conditional mixture"):
+        oracle.enumerate_moments(*specs(SourceKind.TWIN_BEAM, mu=100.0, modes=10000, e1=0.5, e2=0.5))
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # table builders against per-n loops and scipy's direct convolution
 # ---------------------------------------------------------------------------
