@@ -1,13 +1,14 @@
 """Command-line entry point: subcommands, flags, seeds, outputs.
 
 A run resolves one configuration (see `config`) in layers: the defaults
-or ``--config FILE``, then, for ``reproduce``, the keys of the figure
-preset's series, then every key given on the command line, so explicit
-flags win over presets.  Each key is one option, spelled
-``--section.key`` or by its shortcut (``--mu``, ``--seed``, ...);
-``--target present|absent`` sets ``channel.target_present``.  A key
-given more than once takes the value of its last flag, before or after
-the subcommand.
+or ``--config FILE``, then every key given on the command line.  Each
+key is one option, spelled ``--section.key`` or by its shortcut
+(``--mu``, ``--seed``, ...); ``--target present|absent`` sets
+``channel.target_present``.  A key given more than once takes the value
+of its last flag, before or after the subcommand.  The figure presets
+live in the library: ``reproduce`` hands both layers to
+`scenario.run_figure`, which puts each series' keys between them, so
+explicit flags win over presets, and writes what it returns.
 
 Every sweep writes its CSV and, next to it, a sidecar: the resolved
 configuration rendered from the schema, seed included.  ``qisim sweep
@@ -35,7 +36,7 @@ from .config import (
 )
 from .estimator import perr_hat, write_records_csv
 from .sampler import write_frames_csv
-from .scenario import PointPipeline, run_sweep, sweep_spec, write_sweep_csv
+from .scenario import PRESETS, PointPipeline, run_figure, run_sweep, sweep_spec, write_sweep_csv
 from .types import (
     DegenerateStatisticError,
     InsufficientDataError,
@@ -45,16 +46,13 @@ from .types import (
 )
 
 
-def _write_sweeps(out: str, configs: dict) -> int:
-    """Run the sweep each config describes on its seed `run.seed`; write
-    `out`/<stem>.csv and the sidecar that replays it, with source.kind =
-    sweep.sources[0].  Every point of every sweep is built before `out` is made."""
-    specs = {stem: sweep_spec(config) for stem, config in configs.items()}
+def _write_sweeps(out: str, sweeps: dict) -> int:
+    """Write each (config, result) of `sweeps` as `out`/<stem>.csv and,
+    next to it, the sidecar rendered from its config."""
     os.makedirs(out, exist_ok=True)
-    for stem, config in configs.items():
+    for stem, (config, result) in sweeps.items():
         csv_path = os.path.join(out, f"{stem}.csv")
-        write_sweep_csv(run_sweep(specs[stem]), csv_path)
-        config = apply(config, {"source.kind": config["sweep"]["sources"][0]})
+        write_sweep_csv(result, csv_path)
         with open(csv_path + ".meta.txt", "w") as handle:
             handle.write(sidecar_text(config))
         print(f"wrote {csv_path}")
@@ -216,9 +214,10 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     lines = [f"seed = {seed.master_seed}", f"frames_per_hypothesis = {scenario.images}"]
     for keys, compute in (
         (("epsilon_hat", "epsilon_sigma"), lambda: point.estimate("epsilon")),
-        (("covariance_in",), lambda: [point.value("covariance_in")]),
-        (("covariance_out",), lambda: [point.value("covariance_out")]),
-        (("snr_per_sqrt_pair",), lambda: [point.value("snr")]),
+        # zip below keeps only the estimate of a metric printed without its sigma
+        (("covariance_in",), lambda: point.estimate("covariance_in")),
+        (("covariance_out",), lambda: point.estimate("covariance_out")),
+        (("snr_per_sqrt_pair",), lambda: point.estimate("snr")),
         (("perr_hat", "perr_threshold", "perr_batches"), lambda: perr_hat(in_deltas, out_deltas, ipd)),
     ):
         try:
@@ -242,66 +241,6 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-_DECADES = "100,316,1000,3162,10000,31623,100000"
-
-# Keys every preset series sets; the series' own table adds to them.
-_PRESET_BASE = {
-    "sweep.parameter": "background_mean",
-    "sweep.values": _DECADES,
-    "scenario.images": "2000",
-    "scenario.images_per_decision": "10",
-}
-
-# The (source, M_b) pairs of the fig3..fig5 series, named as in their file
-# stems, and the frames per hypothesis each gets in fig3 and fig4.
-_SERIES = {
-    "twin_mb57": {"sweep.sources": "twin_beam", "background.modes_b": "57"},
-    "twin_mb1300": {"sweep.sources": "twin_beam", "background.modes_b": "1300"},
-    "split_mb1300": {"sweep.sources": "split_thermal", "background.modes_b": "1300"},
-}
-_FRAMES = {"twin_mb57": "4000", "twin_mb1300": "2000", "split_mb1300": "6000"}
-
-# Figure presets: per series, its output file stem and its config keys.
-PRESETS = {
-    "fig2": {
-        f"fig2_mb{mb}": {
-            "sweep.outputs": "epsilon",
-            "sweep.sources": "twin_beam,split_thermal",
-            "sweep.values": "0," + _DECADES,
-            "background.modes_b": mb,
-        }
-        for mb in ("57", "1300")
-    },
-    "fig3": {
-        f"fig3_{name}": {**_SERIES[name], "sweep.outputs": "snr", "scenario.images": _FRAMES[name]}
-        for name in ("twin_mb1300", "twin_mb57", "split_mb1300")
-    },
-    "fig4": {
-        f"fig4_{name}": {
-            **_SERIES[name], "sweep.outputs": "covariance", "scenario.images": _FRAMES[name]
-        }
-        for name in ("twin_mb1300", "split_mb1300", "twin_mb57")
-    },
-    "fig5": {
-        f"fig5{tag}_{name}": {**keys, "sweep.outputs": "perr", "scenario.images_per_decision": ipd}
-        for tag, ipd in (("", "10"), ("_inset", "100"))
-        for name, keys in _SERIES.items()
-    },
-}
-
-
-def cmd_reproduce(base: dict, overrides: dict, seed: SeedSpec, args: argparse.Namespace) -> int:
-    """One sweep per series of the preset, configured by `base`, then the
-    series' keys, then the command-line `overrides`; series i runs on the
-    seed derived from the master seed with tag i."""
-    configs = {}
-    for index, (stem, table) in enumerate(PRESETS[args.figure].items()):
-        config = apply(base, _PRESET_BASE, table, overrides)
-        config["run"]["seed"] = seed.derive(index).master_seed
-        configs[stem] = config
-    return _write_sweeps(args.out, configs)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -323,8 +262,10 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config, args)
         if args.command == "sweep":
-            return _write_sweeps(args.out, {"sweep": config})
-        return cmd_reproduce(base, overrides, SeedSpec(config["run"]["seed"]), args)
+            # the sidecar names the source the sweep runs first
+            config["source"]["kind"] = config["sweep"]["sources"][0]
+            return _write_sweeps(args.out, {"sweep": (config, run_sweep(sweep_spec(config)))})
+        return _write_sweeps(args.out, run_figure(args.figure, config["run"]["seed"], overrides, base))
     except (ParameterError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,11 @@ reuses a draw only as README "Reproducibility" states.  `simulate` is
 one point on the master seed, without a memo.
 `METRICS` defines each figure of merit once.  Estimator failures flag
 the affected row and never abort the sweep.
+
+`PRESETS` holds the paper's figures fig2..fig5: per series, its file
+stem and its config keys.  `run_figure` resolves the config of each
+series of one figure and runs it, and returns the (config, result)
+pairs; it writes nothing, and `qisim reproduce` writes what it returns.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import analytic
-from .config import CONFIG_SCHEMA, apply, build_scenario
+from .config import CONFIG_SCHEMA, apply, build_scenario, default_config
 from .estimator import (
     bootstrap,
     delta_method,
@@ -29,7 +34,6 @@ from .estimator import (
     epsilon_rows,
     frame_covariance,
     frame_stats,
-    one_row,
     perr_batches,
     perr_rows,
     resample_indices,
@@ -230,19 +234,6 @@ class PointPipeline:
         """Per-frame covariances of hypothesis `label`."""
         return self._once(("deltas", label), lambda: frame_covariance(self.table(label)))
 
-    def _inputs(self, metric: str):
-        """The row-wise statistic of `metric`, its influence (None for
-        perr) and the samples they read."""
-        scn = self.scenario
-        if metric == "perr":
-            # too few batches are refused before any frame is drawn
-            perr_batches(scn.images, scn.images, scn.images_per_decision)
-        reads, hypotheses, stat, influence, _ = METRICS[metric]
-        samples = [getattr(self, reads)(label) for label in hypotheses]
-        if influence is not None:
-            influence = functools.partial(influence, scn)
-        return functools.partial(stat, scn), influence, samples
-
     def _draws(self, sizes: tuple):
         """The indices `resample_indices` draws for perr's bootstrap on
         samples of `sizes`, held in the memo's "perr" slot, keyed by the
@@ -257,15 +248,16 @@ class PointPipeline:
     def estimate(self, metric: str) -> tuple[float, float]:
         """(estimate, sigma) of `metric`: the delta method's sigma, or for
         perr the bootstrap's."""
-        stat, influence, samples = self._inputs(metric)
+        scn = self.scenario
+        if metric == "perr":
+            # too few batches are refused before any frame is drawn
+            perr_batches(scn.images, scn.images, scn.images_per_decision)
+        reads, hypotheses, stat, influence, _ = METRICS[metric]
+        samples = [getattr(self, reads)(label) for label in hypotheses]
+        stat = functools.partial(stat, scn)
         if influence is None:
             return bootstrap(stat, samples, self._draws(tuple(len(s) for s in samples)))
-        return delta_method(stat, influence, *samples)
-
-    def value(self, metric: str) -> float:
-        """The estimate of `metric`, without its sigma."""
-        stat, _, samples = self._inputs(metric)
-        return one_row(stat, *samples)
+        return delta_method(stat, functools.partial(influence, scn), *samples)
 
 
 _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)
@@ -309,3 +301,71 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(result.to_csv_text())
 
+
+_DECADES = "100,316,1000,3162,10000,31623,100000"
+
+# Keys every preset series sets; the series' own table adds to them.
+_PRESET_BASE = {
+    "sweep.parameter": "background_mean",
+    "sweep.values": _DECADES,
+    "scenario.images": "2000",
+    "scenario.images_per_decision": "10",
+}
+
+# The (source, M_b) pairs of the fig3..fig5 series, named as in their file
+# stems, and the frames per hypothesis each gets in fig3 and fig4.
+_SERIES = {
+    "twin_mb57": {"sweep.sources": "twin_beam", "background.modes_b": "57"},
+    "twin_mb1300": {"sweep.sources": "twin_beam", "background.modes_b": "1300"},
+    "split_mb1300": {"sweep.sources": "split_thermal", "background.modes_b": "1300"},
+}
+_FRAMES = {"twin_mb57": "4000", "twin_mb1300": "2000", "split_mb1300": "6000"}
+
+# Figure presets: per series, its output file stem and its config keys.
+PRESETS = {
+    "fig2": {
+        f"fig2_mb{mb}": {
+            "sweep.outputs": "epsilon",
+            "sweep.sources": "twin_beam,split_thermal",
+            "sweep.values": "0," + _DECADES,
+            "background.modes_b": mb,
+        }
+        for mb in ("57", "1300")
+    },
+    "fig3": {
+        f"fig3_{name}": {**_SERIES[name], "sweep.outputs": "snr", "scenario.images": _FRAMES[name]}
+        for name in ("twin_mb1300", "twin_mb57", "split_mb1300")
+    },
+    "fig4": {
+        f"fig4_{name}": {
+            **_SERIES[name], "sweep.outputs": "covariance", "scenario.images": _FRAMES[name]
+        }
+        for name in ("twin_mb1300", "split_mb1300", "twin_mb57")
+    },
+    "fig5": {
+        f"fig5{tag}_{name}": {**keys, "sweep.outputs": "perr", "scenario.images_per_decision": ipd}
+        for tag, ipd in (("", "10"), ("_inset", "100"))
+        for name, keys in _SERIES.items()
+    },
+}
+
+
+def run_figure(figure: str, seed: int, overrides: dict | None = None, base: dict | None = None) -> dict:
+    """{stem: (config, result)} of each series of the preset `figure`.
+    Series i is configured by `base` (the defaults if None), then
+    `_PRESET_BASE`, then the series' keys, then `overrides`, a
+    {"section.key": raw} dict; it runs on the seed derived from the master
+    seed `seed` with tag i, and its config names sweep.sources[0] as
+    source.kind, so that `sidecar_text(config)` replays `result`.  Every
+    point of every series is built before the first is drawn, and nothing
+    is written."""
+    if figure not in PRESETS:
+        raise ParameterError(f"unknown figure {figure!r}; known: {list(PRESETS)}")
+    configs = {}
+    for index, (stem, table) in enumerate(PRESETS[figure].items()):
+        config = apply(base or default_config(), _PRESET_BASE, table, overrides or {})
+        config["run"]["seed"] = SeedSpec(seed).derive(index).master_seed
+        config["source"]["kind"] = config["sweep"]["sources"][0]
+        configs[stem] = config
+    specs = {stem: sweep_spec(config) for stem, config in configs.items()}
+    return {stem: (config, run_sweep(specs[stem])) for stem, config in configs.items()}

@@ -25,7 +25,7 @@ from qisim.config import (
     sidecar_text,
 )
 from qisim.estimator import perr_hat
-from qisim.scenario import KNOWN_OUTPUTS, PointPipeline
+from qisim.scenario import KNOWN_OUTPUTS, PointPipeline, run_figure
 from qisim.types import BackgroundSpec, ChannelSpec, ParameterError, SeedSpec, SourceSpec
 
 
@@ -310,6 +310,12 @@ def test_figure_sweeps_are_pinned(capsys, tmp_path, figure):
     assert code == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == FIGURE_SHA256[figure]
+    # the library call returns the same bytes
+    returned = {}
+    for stem, (config, result) in run_figure(figure, 3, {"scenario.images": "300"}).items():
+        for name, text in ((".csv", result.to_csv_text()), (".csv.meta.txt", sidecar_text(config))):
+            returned[stem + name] = hashlib.sha256(text.encode()).hexdigest()
+    assert returned == FIGURE_SHA256[figure]
 
 
 # `simulate --seed 1 --frames 20 --pixel-pairs 2 --target absent --background 0`:
@@ -355,9 +361,9 @@ def test_simulate_summary_is_the_point_pipeline_on_the_master_seed(capsys, tmp_p
     expected = {
         "epsilon_hat": repr(epsilon),
         "epsilon_sigma": repr(sigma),
-        "covariance_in": repr(point.value("covariance_in")),
-        "covariance_out": repr(point.value("covariance_out")),
-        "snr_per_sqrt_pair": repr(point.value("snr")),
+        "covariance_in": repr(point.estimate("covariance_in")[0]),
+        "covariance_out": repr(point.estimate("covariance_out")[0]),
+        "snr_per_sqrt_pair": repr(point.estimate("snr")[0]),
         "perr_hat": repr(perr.p_err),
         "perr_threshold": repr(perr.threshold),
         "perr_batches": "50",
@@ -723,16 +729,23 @@ def run_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
 
 
+# what a sweep loads beside the closed forms
+_SWEEP_MODULES = ("qisim.scenario", "qisim.config", "qisim.sampler", "qisim.estimator")
+
+
 @pytest.mark.parametrize(
     "module, absent",
     [
         # the closed forms carry their own normal CDF: the CLI loads no scipy at all
-        ("qisim.cli", ("scipy",)),
-        # the oracle builds its laws from math.lgamma
-        ("qisim.oracle", ("scipy",)),
+        pytest.param("qisim.cli", ("scipy",), id="qisim.cli"),
+        # the oracle builds its laws from math.lgamma; neither it nor the
+        # closed forms load the sweep machinery, whose import would count in
+        # the start-up time of every caller that only evaluates them
+        pytest.param("qisim.oracle", ("scipy",) + _SWEEP_MODULES, id="qisim.oracle"),
+        pytest.param("qisim.analytic", ("scipy",) + _SWEEP_MODULES, id="qisim.analytic"),
     ],
 )
-def test_import_leaves_scipy_front_ends_out(module, absent):
+def test_import_leaves_unused_modules_out(module, absent):
     # scipy.stats alone costs about a second of every CLI start, scipy.special 0.3 s
     code = (
         f"import sys, {module}; print(sorted(m for m in sys.modules "

@@ -219,7 +219,7 @@ def test_snr_hat_tracks_analytic_curve():
     for vi, nb in enumerate((1000.0, 5000.0, 30000.0)):
         scn = make_scenario(background_mean=nb, images=2000)
         seed = SeedSpec(606).derive(vi)
-        f_hat = PointPipeline(scn, seed).value("snr")
+        f_hat = PointPipeline(scn, seed).estimate("snr")[0]
         f_ref = analytic.snr(scn)
         assert abs(f_hat - f_ref) / f_ref < 0.15
 

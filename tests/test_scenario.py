@@ -14,12 +14,12 @@ from qisim.sampler import hypothesis_stream, sample_counts
 from qisim.config import apply, default_config, load_config_file, sidecar_text
 from qisim import analytic
 from qisim import scenario as scenario_module
-from qisim.cli import PRESETS, _PRESET_BASE
 from qisim.scenario import (
     METRICS,
     PointPipeline,
     SweepRow,
     SweepSpec,
+    run_figure,
     run_sweep,
     sweep_spec,
     write_sweep_csv,
@@ -206,28 +206,30 @@ def test_every_point_of_a_series_draws_on_the_series_seed(grid):
             assert own.estimate("epsilon") != pipeline.estimate("epsilon")
 
 
-def _distinct_preset_series(extra: dict):
+def _distinct_preset_series(monkeypatch, extra: dict):
     """Each distinct series of the fig2..fig5 presets at 300 frames, so the
     last 256-frame block is partial, as (series seed, scenarios).  fig3..fig5
     sweep the same three series, which differ there only in frames per
     decision and seed, so each runs once: no draw reads the frames per
-    decision."""
+    decision.  The configs are `run_figure`'s, taken without running a
+    sweep."""
+    monkeypatch.setattr(scenario_module, "run_sweep", lambda spec: None)
+    overrides = {"scenario.images": "300", **extra}
     seen = {}
-    for table in (table for figure in PRESETS.values() for table in figure.values()):
-        keys = {"scenario.images": "300", "run.seed": "3"}
-        config = apply(default_config(), _PRESET_BASE, table, keys, extra)
-        for seed, points in itertools.groupby(sweep_spec(config).points, lambda p: p.seed):
-            scenarios = tuple(point.scenario for point in points)
-            drawn = tuple(dataclasses.replace(scn, images_per_decision=1) for scn in scenarios)
-            seen.setdefault(drawn, (seed, scenarios))
+    for figure in scenario_module.PRESETS:
+        for config, _ in run_figure(figure, 3, overrides).values():
+            for seed, points in itertools.groupby(sweep_spec(config).points, lambda p: p.seed):
+                scenarios = tuple(point.scenario for point in points)
+                drawn = tuple(dataclasses.replace(scn, images_per_decision=1) for scn in scenarios)
+                seen.setdefault(drawn, (seed, scenarios))
     return list(seen.values())
 
 
 @pytest.mark.parametrize(
     "extra", [{}, {"channel.mode_match": "0.7", "sampler.read_noise_sigma": "1.5"}]
 )
-def test_memoized_counts_are_the_direct_draws_on_every_preset(extra):
-    series = _distinct_preset_series(extra)
+def test_memoized_counts_are_the_direct_draws_on_every_preset(monkeypatch, extra):
+    series = _distinct_preset_series(monkeypatch, extra)
     assert len(series) == 7
     # one memo per hypothesis label across every series, as a sweep keeps
     memos: dict = {"in": {}, "out": {}}
@@ -534,3 +536,16 @@ def test_background_sweep_reproduces_nonclassicality_transition():
     ci0 = by_key[("split_thermal", 0.0)]
     assert abs(ci0.estimate - 1.0) <= 3.0 * ci0.uncertainty
     assert by_key[("split_thermal", 60000.0)].estimate < ci0.estimate
+
+
+def test_run_figure_rejects_an_unknown_figure():
+    with pytest.raises(ParameterError, match="unknown figure 'fig9'"):
+        run_figure("fig9", 1)
+
+
+def test_run_figure_builds_every_series_before_the_first_draw(monkeypatch):
+    calls = []
+    monkeypatch.setattr(scenario_module, "sweep_spec", lambda config: calls.append("build"))
+    monkeypatch.setattr(scenario_module, "run_sweep", lambda spec: calls.append("run"))
+    run_figure("fig5", 1)
+    assert calls == ["build"] * 6 + ["run"] * 6
