@@ -59,8 +59,9 @@ def _pair_cumulants(
     if kind is SourceKind.TWIN_BEAM:
         a, b, c = mu * e1, mu * e2, mu * e1 * e2
     else:
-        nu = mu / split_ratio  # the pre-split mean, as in SourceSpec
-        a, b, c = nu * (split_ratio * e1), nu * ((1.0 - split_ratio) * e2), 0.0
+        # mu is arm 1's share t of the pre-split mean, so arm 2 gets mu (1 - t)/t;
+        # dividing by t last keeps b = 0 where mu e2 = 0, whatever t
+        a, b, c = mu * e1, mu * e2 * (1.0 - split_ratio) / split_ratio, 0.0
     ab = a * b
     cumulants = (
         a, b,  # k10, k01
@@ -239,8 +240,10 @@ def error_probability(scenario: Scenario, images_per_decision: int) -> float:
         )
     m_in = moments(scenario)
     m_out = _moments(scenario, scenario.channel.arm2_efficiency_given(False))
+    variances = (m_out.delta_product_variance, m_in.delta_product_variance)
+    if any(math.isnan(v) for v in variances):
+        return math.nan  # moments past the double range
     n_eff = scenario.pixel_pairs * images_per_decision
-    s_in = math.sqrt(max(0.0, m_in.delta_product_variance) / n_eff)
-    s_out = math.sqrt(max(0.0, m_out.delta_product_variance) / n_eff)
+    s_out, s_in = (math.sqrt(max(0.0, v) / n_eff) for v in variances)
     p_err, _ = _min_error_two_gaussians(0.0, s_out, m_in.cov, s_in)
     return p_err

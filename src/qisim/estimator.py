@@ -5,13 +5,6 @@ n2, one row per frame, which `frame_stats` turns into one integer table,
 (S1, S2, S11, S22, S12, K) per frame.  Epsilon pools the table over all
 frames; SNR and the error rate read its `frame_covariance` per frame.
 
-Each statistic has one row-wise form (`epsilon_rows`, `snr_rows`,
-`perr_rows`): its samples carry the frames on their last axis and one
-row per resample before it, and it returns one value per row, NaN where
-the row is degenerate.  Its point estimate is `one_row`, its one-row case
-on the samples themselves (`perr_hat` for the error rate, with its
-threshold).
-
 Conventions follow the receiver definition: the per-frame covariance uses
 the plug-in estimator with divisor K, while SNR sample variances use
 divisor n-1.  All pooled reductions run on exact integer sums of the
@@ -31,10 +24,22 @@ sd(IF)^2 / n), IF being each frame's influence on the estimate:
   hypothesis's covariances d, IF = s(d - m)/sqrt(V) - f((d - m)^2 - v)/(2V),
   s being the sign of m_in - m_out for "in" and its opposite for "out".
 
-The error rate's sigma comes from `bootstrap`, which resamples whole
-frames at the indices `resample_indices` drew, so a caller may draw a
-stream's indices once and evaluate them on several samples of the same
-sizes.
+The error rate (`perr_hat`) is not smooth in the frames: it counts
+decisions.  The per-frame covariances of each hypothesis are averaged
+over batches of `images_per_decision` frames, one batch per decision.
+The threshold tau is where two normal laws fitted to the batch means
+cross at equal priors (`analytic._min_error_two_gaussians`, the Gaussian
+receiver of Tan et al., PRL 101, 253601 (2008)): each law takes the mean
+and the sd (divisor n-1) of its hypothesis's batch means, both correctly
+rounded by `statistics`, so equal batch means fit a width of exactly 0.
+An "in" mean at or below tau is a miss and an "out" mean above it a
+false alarm.  With p_m and p_f those shares of B_in and B_out batches,
+the estimate is (p_m + p_f)/2 and its binomial sigma is
+sqrt(p_m(1 - p_m)/B_in + p_f(1 - p_f)/B_out)/2.  Two parameters fitted
+from all batches barely bias the count, unlike a threshold chosen to
+minimise the errors on the same batches.  Where the hypotheses cannot be
+told apart, the estimate may exceed 0.5; where no batch is misclassified,
+it is 0 with sigma 0.
 """
 from __future__ import annotations
 
@@ -44,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analytic import _min_error_two_gaussians
 from .types import (
     DegenerateStatisticError,
     InsufficientDataError,
@@ -51,11 +57,6 @@ from .types import (
 )
 
 
-# Bootstrap resamples per uncertainty.
-_RESAMPLES = 200
-# Resampled cells (resamples times sample items) that `bootstrap` holds
-# at once; bounds its memory whatever the sample size.
-_BOOTSTRAP_BLOCK_CELLS = 2**16
 # Frames of records.csv formatted by one `%` operation.
 _WRITE_RECORDS = 1024
 
@@ -65,14 +66,15 @@ class PerrEstimate(NamedTuple):
     threshold: float
     batches_in: int
     batches_out: int
+    sigma: float
 
 
 def _counts(n1, n2) -> tuple[np.ndarray, np.ndarray]:
     """n1 and n2 as (images, K) int64 arrays whose sums cannot wrap.
 
-    Within a frame s1*s2 reaches K^2 max^2; pooled over the frames (or a
-    bootstrap resample of them) S22 reaches images*K*max^2.  The bound is
-    checked in Python ints, so the check itself cannot wrap.
+    Within a frame s1*s2 reaches K^2 max^2; pooled over the frames S22
+    reaches images*K*max^2.  The bound is checked in Python ints, so the
+    check itself cannot wrap.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     n2 = np.asarray(n2, dtype=np.int64)
@@ -116,28 +118,29 @@ def covariance_hat(n1, n2) -> np.ndarray:
 
 
 def _epsilon_parts(sums: np.ndarray) -> tuple:
-    """Of rows of pooled sums (S1, S2, S11, S22, S12, K): the means (a, b,
-    A, B, C) per pixel, cov = C - ab, nv1 = A - a^2 - a, nv2 = B - b^2 - b."""
-    a, b, aa, bb, c = means = [sums[..., i] / sums[..., 5] for i in range(5)]
-    return means, c - a * b, aa - a**2 - a, bb - b**2 - b
+    """Of pooled sums (S1, S2, S11, S22, S12, K): the means (a, b, A, B,
+    C) per pixel, cov = C - ab, nv1 = A - a^2 - a, nv2 = B - b^2 - b."""
+    a, b, aa, bb, c = means = [sums[i] / sums[5] for i in range(5)]
+    return means, c - a * b, aa - a * a - a, bb - b * b - b
 
 
-def _epsilon_from_sums(sums: np.ndarray) -> np.ndarray:
-    """Vectorized epsilon over rows of pooled sufficient statistics."""
+def _epsilon_from_sums(sums: np.ndarray) -> float:
+    """Epsilon of pooled sufficient statistics; a normally ordered
+    variance that is not positive raises DegenerateStatisticError."""
     _, cov, nv1, nv2 = _epsilon_parts(sums)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where((nv1 > 0) & (nv2 > 0), cov / np.sqrt(nv1 * nv2), np.nan)
+    if not (nv1 > 0 and nv2 > 0):
+        raise DegenerateStatisticError("a normally ordered variance is not positive")
+    return float(cov / math.sqrt(nv1 * nv2))
 
 
-def epsilon_rows(stats: np.ndarray) -> np.ndarray:
-    """Epsilon of each row of (6, rows, images) frame statistics, pooled
-    over the row's frames in exact int64 sums; NaN where a normally
-    ordered variance is not positive."""
-    return _epsilon_from_sums(stats.sum(axis=-1).T)
+def epsilon_hat(stats: np.ndarray) -> float:
+    """Epsilon of a (6, images) statistics table, pooled over its frames
+    in exact int64 sums."""
+    return _epsilon_from_sums(stats.sum(axis=-1))
 
 
 def epsilon_influence(stats: np.ndarray) -> list:
-    """[IF] of a statistics table whose epsilon is not NaN (module docstring)."""
+    """[IF] of a statistics table whose epsilon is defined (module docstring)."""
     means, cov, nv1, nv2 = _epsilon_parts(stats.sum(axis=-1))
     a, b = means[:2]
     r = math.sqrt(nv1 * nv2)
@@ -147,77 +150,32 @@ def epsilon_influence(stats: np.ndarray) -> list:
     return [np.dot((da, db, -g / (2 * nv1), -g / (2 * nv2), 1 / r), centred)]
 
 
-def one_row(stat, *samples) -> float:
-    """The row-wise `stat` on the samples themselves, as one row; a
-    degenerate sample raises DegenerateStatisticError."""
-    value = float(stat(*(sample[..., None, :] for sample in samples))[0])
-    if math.isnan(value):
-        raise DegenerateStatisticError("a denominator of the statistic is not positive")
-    return value
-
-
-def resample_indices(sizes, rng: np.random.Generator, resamples: int = _RESAMPLES) -> list:
-    """Frame indices of `resamples` bootstrap resamples of samples of n
-    items each, for n in `sizes`: per sample a (resamples, n) array of the
-    smallest unsigned dtype that holds n.  Each resample draws, sample by
-    sample, n indices with replacement, one `rng.integers(0, n, n)` call
-    each."""
-    picks = [np.empty((resamples, n), np.min_scalar_type(n)) for n in sizes]
-    for row in range(resamples):
-        for pick, n in zip(picks, sizes):
-            pick[row] = rng.integers(0, n, n)
-    return picks
-
-
-def bootstrap(stat, samples, picks) -> tuple[float, float]:
-    """(estimate, bootstrap sigma) of the row-wise statistic `stat`,
-    resampling the last axis of each sample at `picks`, what
-    `resample_indices` drew: one (resamples, n) array per sample of n
-    items.  Resamples are evaluated in blocks of at most
-    `_BOOTSTRAP_BLOCK_CELLS` resampled cells (at least one resample a
-    block); values that are not finite are dropped, and at least 2 must
-    remain."""
-    samples = [np.asarray(sample) for sample in samples]
-    if min(sample.shape[-1] for sample in samples) < 2:
-        raise InsufficientDataError("need at least 2 values per sample to bootstrap")
-    estimate = one_row(stat, *samples)
-    rows = max(1, _BOOTSTRAP_BLOCK_CELLS // sum(sample.size for sample in samples))
-    values = np.concatenate([
-        stat(*(np.take(s, pick[start : start + rows], axis=-1) for s, pick in zip(samples, picks)))
-        for start in range(0, len(picks[0]), rows)
-    ])
-    values = values[np.isfinite(values)]
-    if values.size < 2:
-        raise DegenerateStatisticError("bootstrap resamples all degenerate")
-    return estimate, float(np.std(values, ddof=1))
-
-
 def delta_method(stat, influence, *samples) -> tuple[float, float]:
-    """(estimate, sigma) of the row-wise `stat`: its one-row case, and
-    sqrt(sum of sd(IF)^2 / n) over the per-item influences IF of each
-    sample that `influence` returns, sd with divisor n-1."""
+    """(estimate, sigma) of `stat` on the samples, and sqrt(sum of
+    sd(IF)^2 / n) over the per-item influences IF of each sample that
+    `influence` returns, sd with divisor n-1."""
     if min(sample.shape[-1] for sample in samples) < 2:
         raise InsufficientDataError("need at least 2 values per sample")
-    estimate = one_row(stat, *samples)
+    estimate = float(stat(*samples))
     sds = (np.std(values, ddof=1) / math.sqrt(values.size) for values in influence(*samples))
     return estimate, math.hypot(*sds)
 
 
-def snr_rows(in_values: np.ndarray, out_values: np.ndarray) -> np.ndarray:
-    """|mean(in) - mean(out)| / sqrt(var(in) + var(out)) of each row of
-    (rows, n) per-frame covariances, variances with divisor n-1; NaN where
-    both variances are 0.  This is the per-frame SNR; divide by sqrt(K)
-    to compare against the per-pixel-pair analytic value."""
-    if in_values.shape[-1] < 2 or out_values.shape[-1] < 2:
+def snr_hat(in_values: np.ndarray, out_values: np.ndarray) -> float:
+    """|mean(in) - mean(out)| / sqrt(var(in) + var(out)) of per-frame
+    covariances, variances with divisor n-1; both variances 0 raise
+    DegenerateStatisticError.  This is the per-frame SNR; divide by
+    sqrt(K) to compare against the per-pixel-pair analytic value."""
+    if in_values.size < 2 or out_values.size < 2:
         raise InsufficientDataError("need at least 2 records per hypothesis")
-    denom_sq = in_values.var(axis=-1, ddof=1) + out_values.var(axis=-1, ddof=1)
-    contrast = np.abs(in_values.mean(axis=-1) - out_values.mean(axis=-1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom_sq > 0.0, contrast / np.sqrt(denom_sq), np.nan)
+    denom_sq = in_values.var(ddof=1) + out_values.var(ddof=1)
+    if not denom_sq > 0.0:
+        raise DegenerateStatisticError("zero sample variance in both hypotheses")
+    return float(abs(in_values.mean() - out_values.mean()) / math.sqrt(denom_sq))
 
 
 def snr_influence(in_values: np.ndarray, out_values: np.ndarray) -> list:
-    """[IF_in, IF_out] of one row per hypothesis whose SNR is not NaN
+    """[IF_in, IF_out] of one sample per hypothesis whose SNR is defined
     (module docstring)."""
     (m_in, v_in), (m_out, v_out) = ((d.mean(), d.var(ddof=1)) for d in (in_values, out_values))
     total = v_in + v_out
@@ -229,15 +187,14 @@ def snr_influence(in_values: np.ndarray, out_values: np.ndarray) -> list:
 
 
 def _batch_means(values: np.ndarray, batches: int, images_per_decision: int) -> np.ndarray:
-    """Mean of each run of `images_per_decision` frames of each row."""
-    frames = values[:, : batches * images_per_decision]
-    frames = frames.reshape(len(values), batches, images_per_decision)
+    """Mean of each run of `images_per_decision` frames."""
+    frames = values[: batches * images_per_decision].reshape(batches, images_per_decision)
     # the sum and division of .mean(), without its overhead
     return frames.sum(axis=-1) / images_per_decision
 
 
 def perr_batches(frames_in: int, frames_out: int, images_per_decision: int) -> tuple[int, int]:
-    """Batches per hypothesis that `perr_rows` forms from these frame counts,
+    """Batches per hypothesis that `perr_hat` forms from these frame counts,
     checked before any frame is drawn: fewer than 10 raise InsufficientDataError."""
     if images_per_decision < 1:
         raise ParameterError(f"images_per_decision must be >= 1 (got {images_per_decision})")
@@ -250,72 +207,29 @@ def perr_batches(frames_in: int, frames_out: int, images_per_decision: int) -> t
     return batches_in, batches_out
 
 
-def perr_rows(
-    in_values: np.ndarray, out_values: np.ndarray, images_per_decision: int
-) -> PerrEstimate:
-    """Empirical minimum error probability of the threshold receiver on
-    each row of (rows, n) per-frame covariances; p_err and threshold are
-    arrays with one value per row.
-
-    Per-frame covariances are batched into decisions of
-    `images_per_decision` frames, batch covariances averaged, and every
-    midpoint between adjacent pooled batch means is scanned; ties resolve
-    to the smallest threshold.  The batch counts are reported alongside.
-    """
-    batches_in, batches_out = perr_batches(
-        in_values.shape[-1], out_values.shape[-1], images_per_decision
-    )
-    means = np.concatenate(
-        (
-            _batch_means(in_values, batches_in, images_per_decision),
-            _batch_means(out_values, batches_out, images_per_decision),
-        ),
-        axis=1,
-    )
-    order = np.argsort(means, axis=1)
-    pooled = np.take_along_axis(means, order, axis=1)
-    candidates = np.concatenate(
-        (pooled[:, :1] - 1.0, 0.5 * (pooled[:, :-1] + pooled[:, 1:]), pooled[:, -1:] + 1.0),
-        axis=1,
-    )
-    tied = pooled[:, 1:] == pooled[:, :-1]
-    # Candidate j lies between the j lowest means and the rest, so j means
-    # are at or below it and the misses are the "in" means among those j;
-    # j never splits a run of equal means, so their sort order cannot
-    # matter.  A candidate that rounds onto the mean above it (adjacent
-    # doubles, or m - 1 == m past 2**53) or below the one under it (a sum
-    # that overflows) is counted exactly instead.
-    outside = np.zeros(candidates.shape, dtype=bool)
-    outside[:, :-1] = candidates[:, :-1] >= pooled
-    outside[:, 1:] |= candidates[:, 1:] < pooled
-    outside[:, 1:-1] &= ~tied
-    misses = np.zeros(candidates.shape, dtype=np.int64)
-    np.cumsum(order < batches_in, axis=1, out=misses[:, 1:])
-    at_or_below = np.arange(candidates.shape[1])
-    fixes = np.nonzero(outside)
-    if len(fixes[0]):
-        at_or_below = np.repeat(at_or_below[None], len(candidates), axis=0)
-        for row, j in zip(*fixes):
-            at_or_below[row, j] = np.searchsorted(pooled[row], candidates[row, j], side="right")
-        misses = np.take_along_axis(misses, at_or_below, axis=1)
-    false_alarms = batches_out - (at_or_below - misses)
-    risk = 0.5 * (false_alarms / batches_out + misses / batches_in)
-    # candidates lie between distinct means, not between equal ones
-    risk[:, 1:-1][tied] = np.inf
-    best = np.argmin(risk, axis=1)[:, None]
-    return PerrEstimate(
-        np.take_along_axis(risk, best, axis=1)[:, 0],
-        np.take_along_axis(candidates, best, axis=1)[:, 0],
-        batches_in,
-        batches_out,
-    )
-
-
 def perr_hat(in_values, out_values, images_per_decision: int) -> PerrEstimate:
-    """`perr_rows` of one row of per-frame covariances per hypothesis."""
-    rows = (np.asarray(values, dtype=float)[None] for values in (in_values, out_values))
-    p_err, threshold, *batches = perr_rows(*rows, images_per_decision)
-    return PerrEstimate(float(p_err[0]), float(threshold[0]), *batches)
+    """Error probability of the threshold receiver on per-frame covariances,
+    with its threshold, the batch counts and its binomial sigma (module
+    docstring)."""
+    # imported here: with fractions and decimal it costs about 5 ms and
+    # 0.5 MB, which only perr needs
+    import statistics
+
+    in_values, out_values = (np.asarray(values, dtype=float) for values in (in_values, out_values))
+    batches_in, batches_out = perr_batches(in_values.size, out_values.size, images_per_decision)
+    in_means = _batch_means(in_values, batches_in, images_per_decision)
+    out_means = _batch_means(out_values, batches_out, images_per_decision)
+    (m_out, s_out), (m_in, s_in) = (
+        (statistics.mean(means), statistics.stdev(means))
+        for means in (out_means.tolist(), in_means.tolist())
+    )
+    _, tau = _min_error_two_gaussians(m_out, s_out, m_in, s_in)
+    miss = int(np.count_nonzero(in_means <= tau)) / batches_in
+    false_alarm = int(np.count_nonzero(out_means > tau)) / batches_out
+    sigma = 0.5 * math.sqrt(
+        miss * (1.0 - miss) / batches_in + false_alarm * (1.0 - false_alarm) / batches_out
+    )
+    return PerrEstimate(0.5 * (miss + false_alarm), tau, batches_in, batches_out, sigma)
 
 
 def write_records_csv(path: str, in_values, out_values) -> None:

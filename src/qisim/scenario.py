@@ -4,14 +4,17 @@
 kind, swept value) point is the configuration with `source.kind` and the
 swept key set, built by `config.build_scenario` into one `Scenario`
 (frames per decision included) before anything is drawn.  Every point
-of a series (one source kind) draws on the series seed, its frames and
-perr's bootstrap stream alike, so points share random numbers, but a
-point's rows do not depend on which other points run.  `run_sweep` runs
-one `PointPipeline` per point, all on one memo of the sweep, which
-reuses a draw only as README "Reproducibility" states.  `simulate` is
-one point on the master seed, without a memo.
-`METRICS` defines each figure of merit once.  Estimator failures flag
-the affected row and never abort the sweep.
+of a series (one source kind) draws its frames on the series seed, so
+points share random numbers, but a point's rows do not depend on which
+other points run.  `run_sweep` runs one `PointPipeline` per point, all
+on one memo of the sweep, which reuses a draw only as README
+"Reproducibility" states.  `simulate` is one point on the master seed,
+without a memo.
+`METRICS` defines each figure of merit once, with one (estimate, sigma)
+path: the delta method, or for perr errors counted at a fitted
+threshold with a binomial sigma (see `estimator`); no metric draws
+random numbers of its own.  Estimator failures flag the affected row and
+never abort the sweep.
 
 `PRESETS` holds the paper's figures fig2..fig5: per series, its file
 stem and its config keys.  `run_figure` resolves the config of each
@@ -28,17 +31,15 @@ from typing import Callable, NamedTuple
 from . import analytic
 from .config import CONFIG_SCHEMA, apply, build_scenario, default_config
 from .estimator import (
-    bootstrap,
     delta_method,
+    epsilon_hat,
     epsilon_influence,
-    epsilon_rows,
     frame_covariance,
     frame_stats,
     perr_batches,
-    perr_rows,
-    resample_indices,
+    perr_hat,
+    snr_hat,
     snr_influence,
-    snr_rows,
 )
 from .sampler import hypothesis_stream, sample_counts
 from .types import (
@@ -47,7 +48,6 @@ from .types import (
     ParameterError,
     Scenario,
     SeedSpec,
-    STREAM_BOOTSTRAP,
 )
 
 # sweep output -> the metrics it emits, one row each
@@ -153,7 +153,7 @@ class SweepResult:
 
 
 def _mean(scn: Scenario, values):
-    return values.mean(axis=-1)
+    return values.mean()
 
 
 def _own(scn: Scenario, values):
@@ -162,51 +162,60 @@ def _own(scn: Scenario, values):
 
 
 def _snr(scn: Scenario, in_values, out_values):
-    return snr_rows(in_values, out_values) / math.sqrt(scn.pixel_pairs)
+    return snr_hat(in_values, out_values) / math.sqrt(scn.pixel_pairs)
 
 
 def _snr_influence(scn: Scenario, in_values, out_values):
     return [f / math.sqrt(scn.pixel_pairs) for f in snr_influence(in_values, out_values)]
 
 
+def _delta(stat: Callable, influence: Callable) -> Callable:
+    """The delta method's (estimate, sigma) of `stat`, given each
+    sample's per-frame influence on it; both of (scenario, its samples)."""
+    return lambda scn, *samples: delta_method(
+        functools.partial(stat, scn), functools.partial(influence, scn), *samples
+    )
+
+
 def _perr(scn: Scenario, in_values, out_values):
-    return perr_rows(in_values, out_values, scn.images_per_decision).p_err
+    estimate = perr_hat(in_values, out_values, scn.images_per_decision)
+    return estimate.p_err, estimate.sigma
 
 
 class _Metric(NamedTuple):
     samples: str  # what it reads of each hypothesis: "table" or "deltas"
     hypotheses: tuple  # the hypotheses it reads
-    stat: Callable  # row-wise, of (scenario, its samples)
-    # each sample's per-frame influence on `stat`, of the same arguments;
-    # None for perr, whose sigma is bootstrapped
-    influence: Callable | None
+    estimate: Callable  # (estimate, sigma) of (scenario, its samples)
     closed_form: Callable  # of the scenario
 
 
 # closed forms look `analytic` up per call, so perfbench's tracer sees them
 METRICS = {
     "epsilon": _Metric(
-        "table", ("in",), lambda scn, table: epsilon_rows(table),
-        lambda scn, table: epsilon_influence(table), lambda scn: analytic.epsilon(scn),
+        "table", ("in",),
+        _delta(lambda scn, table: epsilon_hat(table), lambda scn, table: epsilon_influence(table)),
+        lambda scn: analytic.epsilon(scn),
     ),
-    "covariance_in": _Metric("deltas", ("in",), _mean, _own, lambda scn: analytic.moments(scn).cov),
-    "covariance_out": _Metric("deltas", ("out",), _mean, _own, lambda scn: 0.0),
-    "snr": _Metric("deltas", ("in", "out"), _snr, _snr_influence, lambda scn: analytic.snr(scn)),
+    "covariance_in": _Metric(
+        "deltas", ("in",), _delta(_mean, _own), lambda scn: analytic.moments(scn).cov
+    ),
+    "covariance_out": _Metric("deltas", ("out",), _delta(_mean, _own), lambda scn: 0.0),
+    "snr": _Metric(
+        "deltas", ("in", "out"), _delta(_snr, _snr_influence), lambda scn: analytic.snr(scn)
+    ),
     "perr": _Metric(
-        "deltas", ("in", "out"), _perr, None,
+        "deltas", ("in", "out"), _perr,
         lambda scn: analytic.error_probability(scn, scn.images_per_decision),
     ),
 }
-_PERR_TAG = 4  # perr's bootstrap stream is `seed.rng(STREAM_BOOTSTRAP, _PERR_TAG)`
 
 
 class PointPipeline:
     """The Monte Carlo estimates of one point: a scenario on one seed.
     Each hypothesis is drawn, and its table and covariances computed, once
     and only when a metric first needs them.  `memo`, shared by the points
-    of a sweep, holds the last source draw of each hypothesis label and
-    the last perr bootstrap indices, under the rule of README
-    "Reproducibility"; it changes no estimate."""
+    of a sweep, holds the last source draw of each hypothesis label, under
+    the rule of README "Reproducibility"; it changes no estimate."""
 
     def __init__(self, scenario: Scenario, seed: SeedSpec, memo: dict | None = None) -> None:
         self.scenario = scenario
@@ -234,30 +243,15 @@ class PointPipeline:
         """Per-frame covariances of hypothesis `label`."""
         return self._once(("deltas", label), lambda: frame_covariance(self.table(label)))
 
-    def _draws(self, sizes: tuple):
-        """The indices `resample_indices` draws for perr's bootstrap on
-        samples of `sizes`, held in the memo's "perr" slot, keyed by the
-        seed and `sizes`, until another key replaces them."""
-        slot = {} if self._memo is None else self._memo.setdefault("perr", {})
-        key = (self.seed, sizes)
-        if key not in slot:
-            slot.clear()
-            slot[key] = resample_indices(sizes, self.seed.rng(STREAM_BOOTSTRAP, _PERR_TAG))
-        return slot[key]
-
     def estimate(self, metric: str) -> tuple[float, float]:
         """(estimate, sigma) of `metric`: the delta method's sigma, or for
-        perr the bootstrap's."""
+        perr the binomial one."""
         scn = self.scenario
         if metric == "perr":
             # too few batches are refused before any frame is drawn
             perr_batches(scn.images, scn.images, scn.images_per_decision)
-        reads, hypotheses, stat, influence, _ = METRICS[metric]
-        samples = [getattr(self, reads)(label) for label in hypotheses]
-        stat = functools.partial(stat, scn)
-        if influence is None:
-            return bootstrap(stat, samples, self._draws(tuple(len(s) for s in samples)))
-        return delta_method(stat, functools.partial(influence, scn), *samples)
+        reads, hypotheses, estimate, _ = METRICS[metric]
+        return estimate(scn, *(getattr(self, reads)(label) for label in hypotheses))
 
 
 _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)

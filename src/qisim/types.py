@@ -228,7 +228,6 @@ class MomentSet:
 # hypothesis frames can never collide on the same random stream.
 STREAM_OUT = 0
 STREAM_IN = 1
-STREAM_BOOTSTRAP = 2
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
-"""Shared factories for test scenarios."""
+"""Shared factories for test scenarios, and a reference bootstrap."""
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from qisim.types import (
     BackgroundSpec,
     ChannelSpec,
+    DegenerateStatisticError,
     Scenario,
     SourceKind,
     SourceSpec,
@@ -45,3 +50,23 @@ def make_scenario(
 def rel_err(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0.0 else abs(a - b)
+
+
+def per_iteration_bootstrap(stat, samples, rng, resamples):
+    """(stat on the samples, sigma over resamples) of the scalar `stat`:
+    each resample draws, sample by sample, n indices with replacement,
+    one `rng.integers(0, n, n)` call each.  Resamples where `stat` raises
+    DegenerateStatisticError or is not finite are dropped."""
+    estimate = stat(*samples)
+    draws = []
+    for _ in range(resamples):
+        picked = [s[..., rng.integers(0, s.shape[-1], s.shape[-1])] for s in samples]
+        try:
+            value = stat(*picked)
+        except DegenerateStatisticError:
+            continue
+        if math.isfinite(value):
+            draws.append(value)
+    if len(draws) < 2:
+        raise DegenerateStatisticError("bootstrap resamples all degenerate")
+    return estimate, float(np.std(draws, ddof=1))

@@ -18,12 +18,11 @@ from qisim.cli import main as cli_main
 from qisim.estimator import (
     covariance_hat,
     delta_method,
+    epsilon_hat,
     epsilon_influence,
-    epsilon_rows,
     frame_stats,
-    one_row,
     perr_hat,
-    snr_rows,
+    snr_hat,
 )
 from qisim.sampler import hypothesis_stream, sample_counts
 from qisim.types import SeedSpec, SourceKind
@@ -105,12 +104,12 @@ def test_criterion_2_epsilon_ideal_values():
 
         scn = reference_scenario(images=2000)
         in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(2024), "in"))
-        eps_q, sig_q = delta_method(epsilon_rows, epsilon_influence, frame_stats(*in_counts))
+        eps_q, sig_q = delta_method(epsilon_hat, epsilon_influence, frame_stats(*in_counts))
         assert abs(eps_q - 14.333333333333334) <= 3.0 * sig_q
 
         scn_ci = reference_scenario(kind=SourceKind.SPLIT_THERMAL, images=2000)
         in_counts = sample_counts(*hypothesis_stream(scn_ci, SeedSpec(2025), "in"))
-        eps_c, sig_c = delta_method(epsilon_rows, epsilon_influence, frame_stats(*in_counts))
+        eps_c, sig_c = delta_method(epsilon_hat, epsilon_influence, frame_stats(*in_counts))
         assert abs(eps_c - 1.0) <= 3.0 * sig_c
         details.append(
             f"MC: twin {eps_q:.2f}+-{sig_q:.2f}, split {eps_c:.3f}+-{sig_c:.3f}"
@@ -159,12 +158,10 @@ def test_criterion_4_enhancement_window():
 
         seed = SeedSpec(20240805)
         frames = 2000
-        ratio = one_row(
-            snr_rows,
+        ratio = snr_hat(
             records_for(qi, True, seed.derive(1, 1), frames),
             records_for(qi, False, seed.derive(1, 0), frames),
-        ) / one_row(
-            snr_rows,
+        ) / snr_hat(
             records_for(ci, True, seed.derive(2, 1), frames),
             records_for(ci, False, seed.derive(2, 0), frames),
         )

@@ -3,24 +3,21 @@ agreement with the closed forms on simulated data."""
 from __future__ import annotations
 
 import csv
-import functools
+import math
 
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import make_scenario, per_iteration_bootstrap
 from qisim import analytic
 from qisim.estimator import (
-    bootstrap,
     covariance_hat,
     delta_method,
+    epsilon_hat,
     epsilon_influence,
-    epsilon_rows,
     frame_stats,
-    one_row,
     perr_hat,
-    resample_indices,
-    snr_rows,
+    snr_hat,
     write_records_csv,
 )
 from qisim.sampler import hypothesis_stream, sample_counts
@@ -89,22 +86,22 @@ def test_covariance_statistics_match_moments():
 # ---------------------------------------------------------------------------
 # epsilon_hat
 # ---------------------------------------------------------------------------
-def epsilon_hat(n1, n2) -> tuple[float, float]:
+def epsilon_of_counts(n1, n2) -> tuple[float, float]:
     """(epsilon, delta-method sigma) of the counts."""
-    return delta_method(epsilon_rows, epsilon_influence, frame_stats(n1, n2))
+    return delta_method(epsilon_hat, epsilon_influence, frame_stats(n1, n2))
 
 
 def test_epsilon_hat_twin_beam_reaches_ideal():
     scn = make_scenario(images=2000)
     in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(2001), "in"))
-    eps, sigma = epsilon_hat(*in_counts)
+    eps, sigma = epsilon_of_counts(*in_counts)
     assert abs(eps - 14.333333333333334) <= 3.0 * sigma
 
 
 def test_epsilon_hat_split_thermal_is_classical():
     scn = make_scenario(kind=SourceKind.SPLIT_THERMAL, images=2000)
     in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(2002), "in"))
-    eps, sigma = epsilon_hat(*in_counts)
+    eps, sigma = epsilon_of_counts(*in_counts)
     assert abs(eps - 1.0) <= 3.0 * sigma
 
 
@@ -117,52 +114,49 @@ def test_epsilon_hat_crosses_classical_bound_with_background():
 def test_epsilon_hat_degenerate_raises():
     n1 = n2 = np.zeros((4, 3), dtype=np.int64)
     with pytest.raises(DegenerateStatisticError):
-        epsilon_hat(n1, n2)
+        epsilon_of_counts(n1, n2)
     with pytest.raises(InsufficientDataError):
-        epsilon_hat(n1[:1], n2[:1])
+        epsilon_of_counts(n1[:1], n2[:1])
 
 
 def test_epsilon_sigma_where_every_resample_is_degenerate():
     # two frames, each degenerate alone (a normally ordered variance of 0)
     # but not pooled: epsilon 3.  A bootstrap whose resamples all repeat one
-    # frame raised "bootstrap resamples all degenerate", and its row was
-    # flagged; the delta method gives the estimate its sigma
+    # frame has no resample to take a spread from; the delta method gives
+    # the estimate its sigma
     n1 = n2 = np.array([[0, 0], [0, 2]])
     stats = frame_stats(n1, n2)
     for f in (0, 1):
         with pytest.raises(DegenerateStatisticError):
-            one_row(epsilon_rows, stats[:, [f, f]])
-    repeats = [np.array([[0, 0], [1, 1]] * 100)]
-    with pytest.raises(DegenerateStatisticError, match="all degenerate"):
-        bootstrap(epsilon_rows, [stats], repeats)
-    eps, sigma = epsilon_hat(n1, n2)
+            epsilon_hat(stats[:, [f, f]])
+    eps, sigma = epsilon_of_counts(n1, n2)
     assert eps == 3.0 and 0.0 < sigma < np.inf
 
 
 # ---------------------------------------------------------------------------
-# snr_rows, one row per hypothesis
+# snr_hat, one sample per hypothesis
 # ---------------------------------------------------------------------------
 def test_snr_hat_identical_distributions_is_small():
     rng = np.random.default_rng(9)
     a = rng.normal(0.0, 1.0, 4000)
     b = rng.normal(0.0, 1.0, 4000)
-    assert one_row(snr_rows, a, b) < 5.0 * np.sqrt(2.0 / 4000.0)
+    assert snr_hat(a, b) < 5.0 * np.sqrt(2.0 / 4000.0)
 
 
 def test_snr_hat_constant_records_degenerate():
     with pytest.raises(DegenerateStatisticError):
-        one_row(snr_rows, np.array([3.0, 3.0, 3.0]), np.array([1.0, 1.0, 1.0]))
+        snr_hat(np.array([3.0, 3.0, 3.0]), np.array([1.0, 1.0, 1.0]))
 
 
 def test_snr_hat_needs_two_records():
     with pytest.raises(InsufficientDataError):
-        one_row(snr_rows, np.array([1.0]), np.array([0.0, 0.1]))
+        snr_hat(np.array([1.0]), np.array([0.0, 0.1]))
 
 
 def test_snr_hat_accepts_records():
     recs_in = np.array([5.0, 6.0, 7.0])
     recs_out = np.array([0.0, 1.0, -1.0])
-    assert one_row(snr_rows, recs_in, recs_out) == pytest.approx(6.0 / np.sqrt(2.0))
+    assert snr_hat(recs_in, recs_out) == pytest.approx(6.0 / np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -172,35 +166,16 @@ def test_perr_perfectly_separated_batches():
     in_records = [10.0 + i * 0.01 for i in range(40)]
     out_records = [0.0 + i * 0.01 for i in range(40)]
     est = perr_hat(in_records, out_records, 2)
-    assert est.p_err == 0.0
+    assert est.p_err == 0.0 and est.sigma == 0.0
     assert est.batches_in == 20 and est.batches_out == 20
 
 
 def test_perr_identical_distributions_is_half():
     values = [float(v) for v in range(30)]
     est = perr_hat(values, list(values), 1)
-    assert est.p_err == 0.5
-
-
-def test_perr_tie_breaks_to_smallest_threshold():
-    out_records = [0.0, 2.0] * 5
-    in_records = [1.0, 3.0] * 5
-    est = perr_hat(in_records, out_records, 1)
-    assert est.p_err == 0.25
-    assert est.threshold == 0.5  # 2.5 achieves the same risk but is larger
-
-
-def test_perr_threshold_is_scan_optimal():
-    rng = np.random.default_rng(12)
-    in_records = rng.normal(1.0, 1.0, 60)
-    out_records = rng.normal(0.0, 1.0, 60)
-    est = perr_hat(in_records, out_records, 3)
-    in_means = in_records[:60].reshape(20, 3).mean(axis=1)
-    out_means = out_records[:60].reshape(20, 3).mean(axis=1)
-    pooled = np.unique(np.concatenate([in_means, out_means]))
-    for tau in np.concatenate([[pooled[0] - 1], 0.5 * (pooled[:-1] + pooled[1:]), [pooled[-1] + 1]]):
-        risk = 0.5 * (np.mean(out_means > tau) + np.mean(in_means <= tau))
-        assert est.p_err <= risk + 1e-12
+    # equal fits put the threshold at their mean, 14.5: half of each side errs
+    assert est.p_err == 0.5 and est.threshold == 14.5
+    assert est.sigma == 0.5 * math.sqrt(0.5 * 0.5 / 30 + 0.5 * 0.5 / 30)
 
 
 def test_perr_requires_ten_batches():
@@ -241,7 +216,7 @@ def test_snr_ratio_stable_under_doubled_background():
             for hyp_tag, target in ((1, True), (0, False)):
                 s = seed.derive(kind_tag, hyp_tag)
                 recs[target] = covariance_hat(*sample_counts(scen(kind, nb).with_target(target), s))
-            out.append(one_row(snr_rows, recs[True], recs[False]))
+            out.append(snr_hat(recs[True], recs[False]))
         return out[0] / out[1]
 
     base_nb = 10.0 * analytic.moments(scen(SourceKind.TWIN_BEAM, 0.0)).mean2
@@ -256,6 +231,15 @@ def test_snr_ratio_stable_under_doubled_background():
 # ---------------------------------------------------------------------------
 # delta-method sigmas against a bootstrap of the same statistic
 # ---------------------------------------------------------------------------
+def scalar_statistic(metric: str, scn):
+    """The estimate of a delta-method sweep metric, of its samples."""
+    if metric == "epsilon":
+        return epsilon_hat
+    if metric == "snr":
+        return lambda a, b: snr_hat(a, b) / math.sqrt(scn.pixel_pairs)
+    return np.mean
+
+
 @pytest.mark.parametrize(
     "kind, modes_b, background, frames",
     [
@@ -272,23 +256,23 @@ def test_delta_sigmas_agree_with_the_bootstrap(kind, modes_b, background, frames
     for seed in (1, 2):
         point = PointPipeline(scn, SeedSpec(seed))
         for metric in ("epsilon", "covariance_in", "covariance_out", "snr"):
-            reads, hypotheses, stat, _, _ = METRICS[metric]
+            reads, hypotheses, _, _ = METRICS[metric]
             samples = [getattr(point, reads)(label) for label in hypotheses]
-            stat = functools.partial(stat, scn)
-            picks = resample_indices([s.shape[-1] for s in samples], np.random.default_rng(seed))
-            _, resampled = bootstrap(stat, samples, picks)
+            _, resampled = per_iteration_bootstrap(
+                scalar_statistic(metric, scn), samples, np.random.default_rng(seed), 200
+            )
             _, delta = point.estimate(metric)
             assert 0.8 <= delta / resampled <= 1.25, (metric, seed, delta / resampled)
 
 
 # ---------------------------------------------------------------------------
-# bootstrap and CSV plumbing
+# the reference bootstrap and CSV plumbing
 # ---------------------------------------------------------------------------
 def test_bootstrap_sigma_scales_like_standard_error():
+    # the reference that the delta-method sigmas are checked against above
     rng = np.random.default_rng(21)
     data = rng.normal(0.0, 2.0, 500)
-    picks = resample_indices([data.size], np.random.default_rng(0))
-    point, sigma = bootstrap(lambda rows: rows.mean(axis=-1), [data], picks)
+    point, sigma = per_iteration_bootstrap(np.mean, [data], np.random.default_rng(0), 200)
     assert point == pytest.approx(data.mean())
     se = data.std(ddof=1) / np.sqrt(data.size)
     assert 0.5 * se < sigma < 2.0 * se

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qisim.estimator import delta_method, epsilon_influence, epsilon_rows, frame_stats
+from qisim.estimator import delta_method, epsilon_hat, epsilon_influence, frame_stats
 from qisim.sampler import hypothesis_stream, sample_counts
 from qisim.config import apply, default_config, load_config_file, sidecar_text
 from qisim import analytic
@@ -28,7 +28,6 @@ from qisim.types import (
     ParameterError,
     SeedSpec,
     SourceKind,
-    STREAM_BOOTSTRAP,
     STREAM_IN,
     STREAM_OUT,
 )
@@ -158,7 +157,7 @@ def test_single_value_sweep_equals_direct_call():
     point_seed = SeedSpec(42).derive(0, 0)
     in_seed = point_seed.derive(1)
     n1, n2 = sample_counts(scn.with_target(True), in_seed)
-    eps, sigma = delta_method(epsilon_rows, epsilon_influence, frame_stats(n1, n2))
+    eps, sigma = delta_method(epsilon_hat, epsilon_influence, frame_stats(n1, n2))
     assert row.estimate == eps
     assert row.uncertainty == sigma
 
@@ -280,10 +279,8 @@ def test_background_series_draws_its_source_pairs_once(monkeypatch):
 
 
 def test_target_absent_sweep_memo_holds_one_draw_per_slot(monkeypatch):
-    streams, memos, held, drawing = [], [], [], []
-    frame_rng, point_rows, resample_indices = (
-        SeedSpec.frame_rng, scenario_module._point_rows, scenario_module.resample_indices
-    )
+    streams, memos, held = [], [], []
+    frame_rng, point_rows = SeedSpec.frame_rng, scenario_module._point_rows
 
     def counted(self, target_present, block):
         streams.append((self, target_present, block))
@@ -295,13 +292,8 @@ def test_target_absent_sweep_memo_holds_one_draw_per_slot(monkeypatch):
         held.append({slot: len(entries) for slot, entries in memo.items()})
         return rows
 
-    def watched_indices(sizes, rng):
-        drawing.append(len(memos[-1].get("perr", {})))
-        return resample_indices(sizes, rng)
-
     monkeypatch.setattr(SeedSpec, "frame_rng", counted)
     monkeypatch.setattr(scenario_module, "_point_rows", watched_rows)
-    monkeypatch.setattr(scenario_module, "resample_indices", watched_indices)
     spec = desk_spec({
         "sweep.values": "200,2000,20000", "sweep.outputs": "snr,perr",
         "channel.target_present": "false", "scenario.images": "600",
@@ -313,34 +305,14 @@ def test_target_absent_sweep_memo_holds_one_draw_per_slot(monkeypatch):
     assert len(streams) == len(set(streams)) == 12
     assert {target for _, target, _ in streams} == {False}
     # one memo for the sweep, holding one source draw per hypothesis label
-    # and one set of perr indices after every point
+    # after every point
     assert len(memos) == 6 and len({id(memo) for memo in memos}) == 1
-    assert held == [{"in": 1, "out": 1, "perr": 1}] * 6
-    # perr's indices are drawn once per series, each time after the old
-    # ones were released
-    assert drawing == [0, 0]
-
-
-def test_series_builds_each_bootstrap_stream_once(monkeypatch):
-    built = []
-    rng = SeedSpec.rng
-
-    def counted(self, *tags):
-        if tags[0] == STREAM_BOOTSTRAP:
-            built.append((self, tags))
-        return rng(self, *tags)
-
-    monkeypatch.setattr(SeedSpec, "rng", counted)
-    spec = desk_spec({"sweep.outputs": ALL_OUTPUTS, "scenario.images_per_decision": "2"})
-    rows = run_sweep(spec).rows
-    assert len(rows) == 30 and not any(row.flag for row in rows)
-    # 2 series x perr, the one bootstrapped metric, not 6 points
-    assert built == [(SeedSpec(42).derive(si), (STREAM_BOOTSTRAP, 4)) for si in range(2)]
+    assert held == [{"in": 1, "out": 1}] * 6
 
 
 def test_frame_count_sweep_rows_are_the_memoless_estimates():
-    # every point has its own frame counts, so perr's bootstrap indices
-    # are drawn again and replace the ones the memo holds
+    # every point has its own frame counts, so each draws its own frames
+    # and replaces the draw the memo holds
     spec = desk_spec({
         "sweep.parameter": "scenario.images", "sweep.values": "40,60,80",
         "sweep.outputs": ALL_OUTPUTS, "scenario.images_per_decision": "2",
@@ -370,7 +342,6 @@ def test_series_streams_are_distinct_and_trailing_zero_tags_ignored(master_seed)
     for si in range(4):
         series = root.derive(si)
         sequences = [series.child_sequence(STREAM_IN), series.child_sequence(STREAM_OUT)]
-        sequences += [series.child_sequence(STREAM_BOOTSTRAP, tag) for tag in range(5)]
         for hypothesis in (series.derive(STREAM_IN), series.derive(STREAM_OUT)):
             sequences += [
                 hypothesis.child_sequence(domain, block)
@@ -378,7 +349,7 @@ def test_series_streams_are_distinct_and_trailing_zero_tags_ignored(master_seed)
                 for block in range(24)  # 6,000 frames
             ]
         states = {tuple(sequence.pool) for sequence in sequences}
-        assert len(states) == len(sequences) == 2 + 5 + 2 * 2 * 24
+        assert len(states) == len(sequences) == 2 + 2 * 2 * 24
 
 
 @pytest.mark.parametrize("target_present", [True, False])
@@ -489,8 +460,7 @@ def test_images_per_decision_sweep(monkeypatch):
         return frame_rng(self, target_present, block)
 
     def counted(self, *tags):
-        if tags[0] == STREAM_BOOTSTRAP:
-            built.append((self, tags))
+        built.append((self, tags))
         return rng(self, *tags)
 
     monkeypatch.setattr(SeedSpec, "frame_rng", counted_frames)
@@ -505,10 +475,9 @@ def test_images_per_decision_sweep(monkeypatch):
     assert all(r.estimate is not None for r in rows)
     # averaging more frames per decision cannot hurt the analytic error rate
     assert rows[1].analytic <= rows[0].analytic + 1e-12
-    # neither memo reads the frames per decision: 2 hypotheses x 2 blocks
-    # of source draws, and one bootstrap stream for the series
-    assert len(streams) == len(set(streams)) == 4
-    assert built == [(SeedSpec(42).derive(0), (STREAM_BOOTSTRAP, 4))]
+    # the memo does not read the frames per decision: 2 hypotheses x 2
+    # blocks of source draws, and perr builds no stream of its own
+    assert len(streams) == len(set(streams)) == len(built) == 4
 
 
 def test_mu_sweep_tracks_ideal_epsilon():
