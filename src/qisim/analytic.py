@@ -207,7 +207,8 @@ def _min_error_two_gaussians(
     if s0 == 0.0:
         return 0.5 * _ndtr((m0 - m1) / s1), m0
     if s1 == 0.0:
-        return 0.5 * _ndtr(-((m1 - m0) / s0)), m1
+        # just below m1, so that "at or below tau" takes no batch at m1
+        return 0.5 * _ndtr(-((m1 - m0) / s0)), math.nextafter(m1, -math.inf)
     if s1 > s0:
         p, tau = _min_error_two_gaussians(-m1, s1, -m0, s0)
         return p, -tau

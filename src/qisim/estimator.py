@@ -13,8 +13,10 @@ counts, so results are independent of summation order by construction
 large enough to wrap those int64 sums raise ParameterError.
 
 Epsilon, SNR and the mean covariance are smooth functions of frame
-means, so `delta_method` gives their sigma as sqrt(sum over samples of
-sd(IF)^2 / n), IF being each frame's influence on the estimate:
+means.  Each of `epsilon_hat`, `snr_hat` and `mean_covariance` returns
+(estimate, sigma) in one pass, the delta method's sigma being sqrt(sum
+over samples of sd(IF)^2 / n), sd with divisor n-1, IF being each frame's
+influence on the estimate:
 - mean covariance: the per-frame covariance, up to an offset;
 - epsilon = g = cov / r, from the pooled means (a, b, A, B, C) of x = (S1,
   S2, S11, S22, S12) / K, with cov = C - ab, nv1 = A - a^2 - a, nv2 =
@@ -22,7 +24,8 @@ sd(IF)^2 / n), IF being each frame's influence on the estimate:
   g(2b+1)/(2 nv2), -g/(2 nv1), -g/(2 nv2), 1/r) . (x - (a, b, A, B, C));
 - SNR f = |m_in - m_out| / sqrt(V) with V = v_in + v_out: on each
   hypothesis's covariances d, IF = s(d - m)/sqrt(V) - f((d - m)^2 - v)/(2V),
-  s being the sign of m_in - m_out for "in" and its opposite for "out".
+  s being the sign of m_in - m_out for "in" and its opposite for "out";
+  the per-pixel-pair SNR f / sqrt(K) has IF / sqrt(K).
 
 The error rate (`perr_hat`) is not smooth in the frames: it counts
 decisions.  The per-frame covariances of each hypothesis are averaged
@@ -33,8 +36,10 @@ receiver of Tan et al., PRL 101, 253601 (2008)): each law takes the mean
 and the sd (divisor n-1) of its hypothesis's batch means, both correctly
 rounded by `statistics`, so equal batch means fit a width of exactly 0.
 An "in" mean at or below tau is a miss and an "out" mean above it a
-false alarm.  With p_m and p_f those shares of B_in and B_out batches,
-the estimate is (p_m + p_f)/2 and its binomial sigma is
+false alarm; a fit of width 0 puts tau just below its "in" mean, or at
+its "out" mean, so no batch at that mean counts as an error.  With p_m
+and p_f those shares of B_in and B_out batches, the estimate is
+(p_m + p_f)/2 and its binomial sigma is
 sqrt(p_m(1 - p_m)/B_in + p_f(1 - p_f)/B_out)/2.  Two parameters fitted
 from all batches barely bias the count, unlike a threshold chosen to
 minimise the errors on the same batches.  Where the hypotheses cannot be
@@ -112,78 +117,55 @@ def frame_covariance(stats: np.ndarray) -> np.ndarray:
     return out
 
 
-def covariance_hat(n1, n2) -> np.ndarray:
-    """`frame_covariance` of each frame (row) of the counts."""
-    return frame_covariance(frame_stats(n1, n2))
+def _need_two(*samples) -> None:
+    if min(sample.shape[-1] for sample in samples) < 2:
+        raise InsufficientDataError("need at least 2 values per sample")
 
 
-def _epsilon_parts(sums: np.ndarray) -> tuple:
-    """Of pooled sums (S1, S2, S11, S22, S12, K): the means (a, b, A, B,
-    C) per pixel, cov = C - ab, nv1 = A - a^2 - a, nv2 = B - b^2 - b."""
+def _sigma(*influences) -> float:
+    """sqrt(sum of sd(IF)^2 / n) over each sample's per-frame influences
+    IF, sd with divisor n-1."""
+    return math.hypot(*(np.std(f, ddof=1) / math.sqrt(f.size) for f in influences))
+
+
+def mean_covariance(deltas: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error) of per-frame covariances."""
+    _need_two(deltas)
+    return float(deltas.mean()), _sigma(deltas)
+
+
+def epsilon_hat(stats: np.ndarray) -> tuple[float, float]:
+    """(epsilon, sigma) of a (6, images) statistics table, pooled over its
+    frames in exact int64 sums; a normally ordered variance that is not
+    positive raises DegenerateStatisticError."""
+    _need_two(stats)
+    sums = stats.sum(axis=-1)
     a, b, aa, bb, c = means = [sums[i] / sums[5] for i in range(5)]
-    return means, c - a * b, aa - a * a - a, bb - b * b - b
-
-
-def _epsilon_from_sums(sums: np.ndarray) -> float:
-    """Epsilon of pooled sufficient statistics; a normally ordered
-    variance that is not positive raises DegenerateStatisticError."""
-    _, cov, nv1, nv2 = _epsilon_parts(sums)
+    cov, nv1, nv2 = c - a * b, aa - a * a - a, bb - b * b - b
     if not (nv1 > 0 and nv2 > 0):
         raise DegenerateStatisticError("a normally ordered variance is not positive")
-    return float(cov / math.sqrt(nv1 * nv2))
-
-
-def epsilon_hat(stats: np.ndarray) -> float:
-    """Epsilon of a (6, images) statistics table, pooled over its frames
-    in exact int64 sums."""
-    return _epsilon_from_sums(stats.sum(axis=-1))
-
-
-def epsilon_influence(stats: np.ndarray) -> list:
-    """[IF] of a statistics table whose epsilon is defined (module docstring)."""
-    means, cov, nv1, nv2 = _epsilon_parts(stats.sum(axis=-1))
-    a, b = means[:2]
     r = math.sqrt(nv1 * nv2)
     g = cov / r
     da, db = g * (2 * a + 1) / (2 * nv1) - b / r, g * (2 * b + 1) / (2 * nv2) - a / r
     centred = stats[:5] / stats[5] - np.array(means)[:, None]
-    return [np.dot((da, db, -g / (2 * nv1), -g / (2 * nv2), 1 / r), centred)]
+    return float(g), _sigma(np.dot((da, db, -g / (2 * nv1), -g / (2 * nv2), 1 / r), centred))
 
 
-def delta_method(stat, influence, *samples) -> tuple[float, float]:
-    """(estimate, sigma) of `stat` on the samples, and sqrt(sum of
-    sd(IF)^2 / n) over the per-item influences IF of each sample that
-    `influence` returns, sd with divisor n-1."""
-    if min(sample.shape[-1] for sample in samples) < 2:
-        raise InsufficientDataError("need at least 2 values per sample")
-    estimate = float(stat(*samples))
-    sds = (np.std(values, ddof=1) / math.sqrt(values.size) for values in influence(*samples))
-    return estimate, math.hypot(*sds)
-
-
-def snr_hat(in_values: np.ndarray, out_values: np.ndarray) -> float:
-    """|mean(in) - mean(out)| / sqrt(var(in) + var(out)) of per-frame
-    covariances, variances with divisor n-1; both variances 0 raise
-    DegenerateStatisticError.  This is the per-frame SNR; divide by
-    sqrt(K) to compare against the per-pixel-pair analytic value."""
-    if in_values.size < 2 or out_values.size < 2:
-        raise InsufficientDataError("need at least 2 records per hypothesis")
-    denom_sq = in_values.var(ddof=1) + out_values.var(ddof=1)
-    if not denom_sq > 0.0:
-        raise DegenerateStatisticError("zero sample variance in both hypotheses")
-    return float(abs(in_values.mean() - out_values.mean()) / math.sqrt(denom_sq))
-
-
-def snr_influence(in_values: np.ndarray, out_values: np.ndarray) -> list:
-    """[IF_in, IF_out] of one sample per hypothesis whose SNR is defined
-    (module docstring)."""
+def snr_hat(in_values: np.ndarray, out_values: np.ndarray, pixel_pairs: int) -> tuple[float, float]:
+    """(SNR, sigma) per pixel pair: |mean(in) - mean(out)| / sqrt(var(in) +
+    var(out)) of per-frame covariances, variances with divisor n-1, over
+    sqrt(pixel_pairs); both variances 0 raise DegenerateStatisticError."""
+    _need_two(in_values, out_values)
     (m_in, v_in), (m_out, v_out) = ((d.mean(), d.var(ddof=1)) for d in (in_values, out_values))
     total = v_in + v_out
+    if not total > 0.0:
+        raise DegenerateStatisticError("zero sample variance in both hypotheses")
     snr, sign = abs(m_in - m_out) / math.sqrt(total), np.sign(m_in - m_out)
-    return [
-        s * (d - m) / math.sqrt(total) - snr * ((d - m) ** 2 - v) / (2 * total)
+    root = math.sqrt(pixel_pairs)
+    return float(snr) / root, _sigma(*(
+        (s * (d - m) / math.sqrt(total) - snr * ((d - m) ** 2 - v) / (2 * total)) / root
         for d, m, v, s in ((in_values, m_in, v_in, sign), (out_values, m_out, v_out, -sign))
-    ]
+    ))
 
 
 def _batch_means(values: np.ndarray, batches: int, images_per_decision: int) -> np.ndarray:

@@ -10,11 +10,11 @@ other points run.  `run_sweep` runs one `PointPipeline` per point, all
 on one memo of the sweep, which reuses a draw only as README
 "Reproducibility" states.  `simulate` is one point on the master seed,
 without a memo.
-`METRICS` defines each figure of merit once, with one (estimate, sigma)
-path: the delta method, or for perr errors counted at a fitted
-threshold with a binomial sigma (see `estimator`); no metric draws
-random numbers of its own.  Estimator failures flag the affected row and
-never abort the sweep.
+`METRICS` defines each figure of merit once, as one `estimator` call
+that returns (estimate, sigma): the delta method's sigma, or for perr
+errors counted at a fitted threshold with a binomial sigma; no metric
+draws random numbers of its own.  Estimator failures flag the affected
+row and never abort the sweep.
 
 `PRESETS` holds the paper's figures fig2..fig5: per series, its file
 stem and its config keys.  `run_figure` resolves the config of each
@@ -23,23 +23,19 @@ pairs; it writes nothing, and `qisim reproduce` writes what it returns.
 """
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import analytic
 from .config import CONFIG_SCHEMA, apply, build_scenario, default_config
 from .estimator import (
-    delta_method,
     epsilon_hat,
-    epsilon_influence,
     frame_covariance,
     frame_stats,
+    mean_covariance,
     perr_batches,
     perr_hat,
     snr_hat,
-    snr_influence,
 )
 from .sampler import hypothesis_stream, sample_counts
 from .types import (
@@ -152,31 +148,6 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _mean(scn: Scenario, values):
-    return values.mean()
-
-
-def _own(scn: Scenario, values):
-    # each value's influence on their mean, up to an offset that sd ignores
-    return [values]
-
-
-def _snr(scn: Scenario, in_values, out_values):
-    return snr_hat(in_values, out_values) / math.sqrt(scn.pixel_pairs)
-
-
-def _snr_influence(scn: Scenario, in_values, out_values):
-    return [f / math.sqrt(scn.pixel_pairs) for f in snr_influence(in_values, out_values)]
-
-
-def _delta(stat: Callable, influence: Callable) -> Callable:
-    """The delta method's (estimate, sigma) of `stat`, given each
-    sample's per-frame influence on it; both of (scenario, its samples)."""
-    return lambda scn, *samples: delta_method(
-        functools.partial(stat, scn), functools.partial(influence, scn), *samples
-    )
-
-
 def _perr(scn: Scenario, in_values, out_values):
     estimate = perr_hat(in_values, out_values, scn.images_per_decision)
     return estimate.p_err, estimate.sigma
@@ -185,23 +156,25 @@ def _perr(scn: Scenario, in_values, out_values):
 class _Metric(NamedTuple):
     samples: str  # what it reads of each hypothesis: "table" or "deltas"
     hypotheses: tuple  # the hypotheses it reads
-    estimate: Callable  # (estimate, sigma) of (scenario, its samples)
+    estimate: Callable  # (scenario, its samples) -> the estimator's (estimate, sigma)
     closed_form: Callable  # of the scenario
 
 
 # closed forms look `analytic` up per call, so perfbench's tracer sees them
 METRICS = {
     "epsilon": _Metric(
-        "table", ("in",),
-        _delta(lambda scn, table: epsilon_hat(table), lambda scn, table: epsilon_influence(table)),
-        lambda scn: analytic.epsilon(scn),
+        "table", ("in",), lambda scn, table: epsilon_hat(table), lambda scn: analytic.epsilon(scn)
     ),
     "covariance_in": _Metric(
-        "deltas", ("in",), _delta(_mean, _own), lambda scn: analytic.moments(scn).cov
+        "deltas", ("in",), lambda scn, deltas: mean_covariance(deltas),
+        lambda scn: analytic.moments(scn).cov,
     ),
-    "covariance_out": _Metric("deltas", ("out",), _delta(_mean, _own), lambda scn: 0.0),
+    "covariance_out": _Metric(
+        "deltas", ("out",), lambda scn, deltas: mean_covariance(deltas), lambda scn: 0.0
+    ),
     "snr": _Metric(
-        "deltas", ("in", "out"), _delta(_snr, _snr_influence), lambda scn: analytic.snr(scn)
+        "deltas", ("in", "out"), lambda scn, d_in, d_out: snr_hat(d_in, d_out, scn.pixel_pairs),
+        lambda scn: analytic.snr(scn),
     ),
     "perr": _Metric(
         "deltas", ("in", "out"), _perr,

@@ -16,10 +16,8 @@ from conftest import make_scenario, rel_err
 from qisim import analytic, oracle
 from qisim.cli import main as cli_main
 from qisim.estimator import (
-    covariance_hat,
-    delta_method,
     epsilon_hat,
-    epsilon_influence,
+    frame_covariance,
     frame_stats,
     perr_hat,
     snr_hat,
@@ -50,7 +48,7 @@ def reference_scenario(**overrides):
 
 def records_for(scn, target, seed, count):
     scn = dataclasses.replace(scn, images=count).with_target(target)
-    return covariance_hat(*sample_counts(scn, seed))
+    return frame_covariance(frame_stats(*sample_counts(scn, seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +102,12 @@ def test_criterion_2_epsilon_ideal_values():
 
         scn = reference_scenario(images=2000)
         in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(2024), "in"))
-        eps_q, sig_q = delta_method(epsilon_hat, epsilon_influence, frame_stats(*in_counts))
+        eps_q, sig_q = epsilon_hat(frame_stats(*in_counts))
         assert abs(eps_q - 14.333333333333334) <= 3.0 * sig_q
 
         scn_ci = reference_scenario(kind=SourceKind.SPLIT_THERMAL, images=2000)
         in_counts = sample_counts(*hypothesis_stream(scn_ci, SeedSpec(2025), "in"))
-        eps_c, sig_c = delta_method(epsilon_hat, epsilon_influence, frame_stats(*in_counts))
+        eps_c, sig_c = epsilon_hat(frame_stats(*in_counts))
         assert abs(eps_c - 1.0) <= 3.0 * sig_c
         details.append(
             f"MC: twin {eps_q:.2f}+-{sig_q:.2f}, split {eps_c:.3f}+-{sig_c:.3f}"
@@ -160,11 +158,11 @@ def test_criterion_4_enhancement_window():
         frames = 2000
         ratio = snr_hat(
             records_for(qi, True, seed.derive(1, 1), frames),
-            records_for(qi, False, seed.derive(1, 0), frames),
-        ) / snr_hat(
+            records_for(qi, False, seed.derive(1, 0), frames), 1,
+        )[0] / snr_hat(
             records_for(ci, True, seed.derive(2, 1), frames),
-            records_for(ci, False, seed.derive(2, 0), frames),
-        )
+            records_for(ci, False, seed.derive(2, 0), frames), 1,
+        )[0]
         assert 11.5 <= ratio <= 17.2
 
         # frames needed to reach unit SNR scale as 1/f^2, so the classical

@@ -380,6 +380,29 @@ def test_simulate_error_lines_are_pinned(capsys, tmp_path):
     assert out.startswith(DEGENERATE_SUMMARY)
 
 
+def test_simulate_one_frame_prints_every_estimate_as_insufficient_data(capsys, tmp_path):
+    # README "Outputs": too few frames is reported before a degenerate statistic
+    code, out, _ = run_cli(
+        capsys, "simulate", "--frames", "1", "--seed", "1", "--out", str(tmp_path)
+    )
+    assert code == 0
+    keys = ("epsilon_hat", "covariance_in", "covariance_out", "snr_per_sqrt_pair", "perr_hat")
+    lines = out.splitlines()
+    assert lines[2:7] == [f"{key} = nan  # InsufficientDataError" for key in keys]
+
+
+def test_sweep_one_frame_flags_every_row_insufficient_data(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "sweep", "--frames", "1", "--seed", "1",
+        "--sweep.outputs", "epsilon,snr,covariance,perr", "--sweep.values", "100",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10
+    assert all(row.endswith(",error:InsufficientDataError") for row in rows)
+
+
 def test_simulate_summary_is_the_point_pipeline_on_the_master_seed(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "simulate", "--seed", "11", "--frames", "200", "--pixel-pairs", "16",

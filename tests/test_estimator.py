@@ -11,10 +11,8 @@ import pytest
 from conftest import make_scenario, per_iteration_bootstrap
 from qisim import analytic
 from qisim.estimator import (
-    covariance_hat,
-    delta_method,
     epsilon_hat,
-    epsilon_influence,
+    frame_covariance,
     frame_stats,
     perr_hat,
     snr_hat,
@@ -31,26 +29,26 @@ from qisim.types import (
 )
 
 
-def frame_of(n1, n2) -> tuple[np.ndarray, np.ndarray]:
-    """(n1, n2) count arrays holding one frame."""
-    return np.asarray([n1]), np.asarray([n2])
+def frame_of(n1, n2) -> np.ndarray:
+    """The statistics table of one frame of counts n1, n2."""
+    return frame_stats(np.asarray([n1]), np.asarray([n2]))
 
 
 # ---------------------------------------------------------------------------
-# covariance_hat
+# frame_covariance
 # ---------------------------------------------------------------------------
 def test_covariance_hand_example():
     # E[N1 N2] = 7, E[N1] = 2, E[N2] = 3 -> 1
-    assert covariance_hat(*frame_of([1, 3], [2, 4]))[0] == 1.0
+    assert frame_covariance(frame_of([1, 3], [2, 4]))[0] == 1.0
 
 
 def test_covariance_constant_arm_is_zero():
-    assert covariance_hat(*frame_of([1, 5, 2, 9], [4, 4, 4, 4]))[0] == 0.0
+    assert frame_covariance(frame_of([1, 5, 2, 9], [4, 4, 4, 4]))[0] == 0.0
 
 
 def test_covariance_rejects_single_pixel():
     with pytest.raises(InsufficientDataError):
-        covariance_hat(*frame_of([1], [2]))
+        frame_covariance(frame_of([1], [2]))
 
 
 def test_covariance_permutation_invariant():
@@ -58,16 +56,16 @@ def test_covariance_permutation_invariant():
     n1 = rng.integers(0, 50, 40)
     n2 = rng.integers(0, 50, 40)
     perm = rng.permutation(40)
-    assert covariance_hat(*frame_of(n1, n2)) == covariance_hat(*frame_of(n1[perm], n2[perm]))
+    assert frame_covariance(frame_of(n1, n2)) == frame_covariance(frame_of(n1[perm], n2[perm]))
 
 
 def test_covariance_shift_invariant():
     rng = np.random.default_rng(6)
     n1 = rng.integers(0, 50, 40)
     n2 = rng.integers(0, 50, 40)
-    base = covariance_hat(*frame_of(n1, n2))
-    assert covariance_hat(*frame_of(n1 + 13, n2)) == base
-    assert covariance_hat(*frame_of(n1, n2 + 7)) == base
+    base = frame_covariance(frame_of(n1, n2))
+    assert frame_covariance(frame_of(n1 + 13, n2)) == base
+    assert frame_covariance(frame_of(n1, n2 + 7)) == base
 
 
 def test_covariance_statistics_match_moments():
@@ -75,7 +73,7 @@ def test_covariance_statistics_match_moments():
     # 10% of sqrt(var(dN1 dN2)/K)
     scn = make_scenario(background_mean=3000.0, images=2000)
     in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(404), "in"))
-    deltas = covariance_hat(*in_counts)
+    deltas = frame_covariance(frame_stats(*in_counts))
     m = analytic.moments(scn)
     se = deltas.std(ddof=1) / np.sqrt(deltas.size)
     assert abs(deltas.mean() - m.cov) <= 3.0 * se
@@ -88,7 +86,7 @@ def test_covariance_statistics_match_moments():
 # ---------------------------------------------------------------------------
 def epsilon_of_counts(n1, n2) -> tuple[float, float]:
     """(epsilon, delta-method sigma) of the counts."""
-    return delta_method(epsilon_hat, epsilon_influence, frame_stats(n1, n2))
+    return epsilon_hat(frame_stats(n1, n2))
 
 
 def test_epsilon_hat_twin_beam_reaches_ideal():
@@ -140,23 +138,23 @@ def test_snr_hat_identical_distributions_is_small():
     rng = np.random.default_rng(9)
     a = rng.normal(0.0, 1.0, 4000)
     b = rng.normal(0.0, 1.0, 4000)
-    assert snr_hat(a, b) < 5.0 * np.sqrt(2.0 / 4000.0)
+    assert snr_hat(a, b, 1)[0] < 5.0 * np.sqrt(2.0 / 4000.0)
 
 
 def test_snr_hat_constant_records_degenerate():
     with pytest.raises(DegenerateStatisticError):
-        snr_hat(np.array([3.0, 3.0, 3.0]), np.array([1.0, 1.0, 1.0]))
+        snr_hat(np.array([3.0, 3.0, 3.0]), np.array([1.0, 1.0, 1.0]), 1)
 
 
 def test_snr_hat_needs_two_records():
     with pytest.raises(InsufficientDataError):
-        snr_hat(np.array([1.0]), np.array([0.0, 0.1]))
+        snr_hat(np.array([1.0]), np.array([0.0, 0.1]), 1)
 
 
 def test_snr_hat_accepts_records():
     recs_in = np.array([5.0, 6.0, 7.0])
     recs_out = np.array([0.0, 1.0, -1.0])
-    assert snr_hat(recs_in, recs_out) == pytest.approx(6.0 / np.sqrt(2.0))
+    assert snr_hat(recs_in, recs_out, 1)[0] == pytest.approx(6.0 / np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +174,14 @@ def test_perr_identical_distributions_is_half():
     # equal fits put the threshold at their mean, 14.5: half of each side errs
     assert est.p_err == 0.5 and est.threshold == 14.5
     assert est.sigma == 0.5 * math.sqrt(0.5 * 0.5 / 30 + 0.5 * 0.5 / 30)
+
+
+def test_perr_zero_spread_batches_are_not_errors():
+    # a width-0 fit puts tau just below its "in" mean, or at its "out"
+    # mean, so the separated hypotheses do not err, whichever has zero spread
+    for in_values, out_values in (([1.0] * 12, [0.0, 0.5] * 6), ([0.0, 0.5] * 6, [-1.0] * 12)):
+        est = perr_hat(in_values, out_values, 1)
+        assert est.p_err == 0.0 and est.sigma == 0.0
 
 
 def test_perr_requires_ten_batches():
@@ -215,8 +221,9 @@ def test_snr_ratio_stable_under_doubled_background():
             recs = {}
             for hyp_tag, target in ((1, True), (0, False)):
                 s = seed.derive(kind_tag, hyp_tag)
-                recs[target] = covariance_hat(*sample_counts(scen(kind, nb).with_target(target), s))
-            out.append(snr_hat(recs[True], recs[False]))
+                counts = sample_counts(scen(kind, nb).with_target(target), s)
+                recs[target] = frame_covariance(frame_stats(*counts))
+            out.append(snr_hat(recs[True], recs[False], 1)[0])
         return out[0] / out[1]
 
     base_nb = 10.0 * analytic.moments(scen(SourceKind.TWIN_BEAM, 0.0)).mean2
@@ -234,9 +241,9 @@ def test_snr_ratio_stable_under_doubled_background():
 def scalar_statistic(metric: str, scn):
     """The estimate of a delta-method sweep metric, of its samples."""
     if metric == "epsilon":
-        return epsilon_hat
+        return lambda table: epsilon_hat(table)[0]
     if metric == "snr":
-        return lambda a, b: snr_hat(a, b) / math.sqrt(scn.pixel_pairs)
+        return lambda a, b: snr_hat(a, b, scn.pixel_pairs)[0]
     return np.mean
 
 

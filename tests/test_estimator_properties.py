@@ -18,16 +18,11 @@ from hypothesis import strategies as st
 from qisim.analytic import _min_error_two_gaussians
 from qisim.estimator import (
     PerrEstimate,
-    _epsilon_from_sums,
-    covariance_hat,
-    delta_method,
     epsilon_hat,
-    epsilon_influence,
     frame_covariance,
     frame_stats,
     perr_hat,
     snr_hat,
-    snr_influence,
 )
 from qisim.scenario import METRICS
 from qisim.types import DegenerateStatisticError, ParameterError
@@ -95,7 +90,7 @@ def test_perr_hat_equals_brute_force_on_tied_batches():
 
 
 # ---------------------------------------------------------------------------
-# covariance_hat against Python-int arithmetic
+# frame_covariance against Python-int arithmetic
 # ---------------------------------------------------------------------------
 @st.composite
 def count_arrays(draw):
@@ -123,18 +118,17 @@ def python_int_covariance(n1: np.ndarray, n2: np.ndarray) -> list:
 @PROPERTY_SETTINGS
 @given(count_arrays())
 def test_covariance_hat_is_exact(counts):
-    assert covariance_hat(*counts).tolist() == python_int_covariance(*counts)
+    assert frame_covariance(frame_stats(*counts)).tolist() == python_int_covariance(*counts)
 
 
 def test_counts_past_int64_limit_are_rejected():
     # rows x K = 2 x 2, so the limit is peak**2 * 2 * 2 < 2**63
     peak = math.isqrt((2**63 - 1) // 4)
     below = np.array([[peak, 1], [0, peak]], dtype=np.int64)
-    assert covariance_hat(below, below).tolist() == python_int_covariance(below, below)
+    covariances = frame_covariance(frame_stats(below, below))
+    assert covariances.tolist() == python_int_covariance(below, below)
     past = below.copy()
     past[0, 0] = peak + 1
-    with pytest.raises(ParameterError):
-        covariance_hat(past, below)
     with pytest.raises(ParameterError):
         frame_stats(past, below)
 
@@ -177,11 +171,11 @@ def correlated_counts(draw):
 @given(correlated_counts())
 def test_epsilon_sigma_is_the_finite_difference_delta_method(counts):
     # the gradient of epsilon in the pooled means of x = (S1, S2, S11, S22,
-    # S12) / K, taken by differences of `_epsilon_from_sums`, dotted with
-    # each frame's centred x
+    # S12) / K, taken by differences of `epsilon_hat`, dotted with each
+    # frame's centred x
     stats = frame_stats(*counts)
     try:
-        estimate = epsilon_hat(stats)
+        estimate, sigma = epsilon_hat(stats)
     except DegenerateStatisticError:
         assume(False)
     sums = stats.sum(axis=-1)
@@ -194,8 +188,8 @@ def test_epsilon_sigma_is_the_finite_difference_delta_method(counts):
     assume(scale > 1e-4 * max(aa, bb))
 
     def epsilon_at(m):
-        # pooled sums over one pixel are the means themselves
-        return _epsilon_from_sums(np.append(m, 1.0))
+        # two equal one-pixel frames pool to the means themselves
+        return epsilon_hat(np.repeat(np.append(m, 1.0)[:, None], 2, axis=1))[0]
 
     # each step moves a normally ordered variance by about 1e-4 of itself
     steps = [1e-4 * scale / (2 * abs(a) + 1), 1e-4 * scale / (2 * abs(b) + 1)] + [1e-4 * scale] * 3
@@ -204,9 +198,8 @@ def test_epsilon_sigma_is_the_finite_difference_delta_method(counts):
     want = _sd_of_mean(gradient @ centred)
     # 1e-6 of the terms of the dot product, which may cancel
     terms = math.sqrt(np.mean((np.abs(gradient) @ np.abs(centred)) ** 2) / x.shape[1])
-    got = delta_method(epsilon_hat, epsilon_influence, stats)
-    assert got[0] == estimate
-    assert got[1] == pytest.approx(want, rel=1e-6, abs=1e-6 * terms)
+    assert epsilon_at(means) == estimate
+    assert sigma == pytest.approx(want, rel=1e-6, abs=1e-6 * terms)
 
 
 _snr_samples = st.builds(
@@ -218,9 +211,9 @@ _snr_samples = st.builds(
 @PROPERTY_SETTINGS
 @given(_snr_samples, _snr_samples, st.integers(2, 100))
 def test_snr_sigma_is_the_finite_difference_delta_method(in_values, out_values, pixel_pairs):
-    # the gradient of `snr_hat` in each sample's mean and variance (ddof
-    # 1), evaluated on two-value samples that have them, dotted with each
-    # frame's (d - m, (d - m)^2 - v)
+    # the gradient of the per-frame `snr_hat` (pixel_pairs 1) in each
+    # sample's mean and variance (ddof 1), evaluated on two-value samples
+    # that have them, dotted with each frame's (d - m, (d - m)^2 - v)
     samples = (in_values, out_values)
     moments = [(values.mean(), values.var(ddof=1)) for values in samples]
     total = moments[0][1] + moments[1][1]
@@ -229,7 +222,7 @@ def test_snr_sigma_is_the_finite_difference_delta_method(in_values, out_values, 
 
     def snr_at(p):
         pairs = [np.array([m - math.sqrt(v / 2), m + math.sqrt(v / 2)]) for m, v in (p[:2], p[2:])]
-        return snr_hat(*pairs)
+        return snr_hat(*pairs, 1)[0]
 
     point = [c for pair in moments for c in pair]
     steps = [c for _, v in moments for c in (1e-6 * math.sqrt(total), 1e-6 * v)]
@@ -238,15 +231,16 @@ def test_snr_sigma_is_the_finite_difference_delta_method(in_values, out_values, 
         _sd_of_mean(g[0] * (values - m) + g[1] * ((values - m) ** 2 - v))
         for g, values, (m, v) in zip(gradient, samples, moments)
     ))
-    estimate, sigma = delta_method(snr_hat, snr_influence, in_values, out_values)
-    assert estimate == snr_hat(in_values, out_values)
+    estimate, sigma = snr_hat(in_values, out_values, 1)
     assert sigma == pytest.approx(want, rel=1e-6)
     # the sweep metric is the per-pixel-pair SNR: both over sqrt(K)
+    per_pair = snr_hat(in_values, out_values, pixel_pairs)
     scn = SimpleNamespace(pixel_pairs=pixel_pairs)
+    assert METRICS["snr"].estimate(scn, in_values, out_values) == per_pair
     root = math.sqrt(pixel_pairs)
-    assert METRICS["snr"].estimate(scn, in_values, out_values) == pytest.approx(
-        (estimate / root, sigma / root), rel=1e-12
-    )
+    assert per_pair[0] == estimate / root
+    # the influences are divided before their sd is taken: the last bits differ
+    assert per_pair[1] == pytest.approx(sigma / root, rel=1e-12)
 
 
 @PROPERTY_SETTINGS
@@ -259,8 +253,8 @@ def test_covariance_sigma_is_the_standard_error(deltas):
 
 
 def test_table_covariance_divides_numerators_past_2_53_exactly():
-    # `test_covariance_hat_is_exact` holds the table path to the same
-    # reference on random counts, since covariance_hat goes through it
+    # `test_covariance_hat_is_exact` holds the same path to the same
+    # reference on random counts
     n1 = np.array([[2**29 + 3, 0, 1], [7, 7, 7]], dtype=np.int64)
     n2 = np.array([[2**29 + 2, 0, 0], [1, 2, 3]], dtype=np.int64)
     stats = frame_stats(n1, n2)
@@ -268,7 +262,6 @@ def test_table_covariance_divides_numerators_past_2_53_exactly():
     # the numerator rounded to a double, then divided, rounds differently
     assert numerator > 2**53 and float(numerator) / 9 != numerator / 9
     assert frame_covariance(stats).tolist() == python_int_covariance(n1, n2)
-    assert frame_covariance(stats).tolist() == covariance_hat(n1, n2).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from scipy import stats
 from conftest import make_scenario
 import qisim
 from qisim import analytic, oracle, sampler
-from qisim.estimator import covariance_hat
+from qisim.estimator import frame_covariance, frame_stats
 from qisim.sampler import _negbin, _sample_pair_counts, hypothesis_stream, sample_counts
 from qisim.types import ParameterError, SeedSpec, SourceKind
 
@@ -277,7 +277,7 @@ def test_thinning_law_two_sample_chisquare():
 def test_frame_covariances_uncorrelated_between_frames():
     scn = make_scenario(background_mean=2000.0, images=2000)
     in_counts = sample_counts(*hypothesis_stream(scn, SeedSpec(555), "in"))
-    deltas = covariance_hat(*in_counts)
+    deltas = frame_covariance(frame_stats(*in_counts))
     x, y = deltas[:-1] - deltas.mean(), deltas[1:] - deltas.mean()
     lag1 = float(np.sum(x * y) / np.sum((deltas - deltas.mean()) ** 2))
     assert abs(lag1) <= 3.0 / np.sqrt(deltas.size)

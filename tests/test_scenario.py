@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qisim.estimator import delta_method, epsilon_hat, epsilon_influence, frame_stats
+from qisim.estimator import epsilon_hat, frame_stats
 from qisim.sampler import hypothesis_stream, sample_counts
 from qisim.config import apply, default_config, load_config_file, sidecar_text
 from qisim import analytic
@@ -157,7 +157,7 @@ def test_single_value_sweep_equals_direct_call():
     point_seed = SeedSpec(42).derive(0, 0)
     in_seed = point_seed.derive(1)
     n1, n2 = sample_counts(scn.with_target(True), in_seed)
-    eps, sigma = delta_method(epsilon_hat, epsilon_influence, frame_stats(n1, n2))
+    eps, sigma = epsilon_hat(frame_stats(n1, n2))
     assert row.estimate == eps
     assert row.uncertainty == sigma
 
