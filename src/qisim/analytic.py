@@ -242,8 +242,8 @@ def error_probability(scenario: Scenario, images_per_decision: int) -> float:
     m_in = moments(scenario)
     m_out = _moments(scenario, scenario.channel.arm2_efficiency_given(False))
     variances = (m_out.delta_product_variance, m_in.delta_product_variance)
-    if any(math.isnan(v) for v in variances):
-        return math.nan  # moments past the double range
+    if not all(math.isfinite(v) for v in variances):
+        return math.nan  # moments past the double range: laws this wide are not told apart
     n_eff = scenario.pixel_pairs * images_per_decision
     s_out, s_in = (math.sqrt(max(0.0, v) / n_eff) for v in variances)
     p_err, _ = _min_error_two_gaussians(0.0, s_out, m_in.cov, s_in)

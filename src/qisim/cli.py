@@ -20,6 +20,7 @@ printed so the run stays reproducible after the fact.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import secrets
 import sys
@@ -158,39 +159,35 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _or_nan(closed_form) -> str:
+    """`closed_form()` formatted, or nan where the figure has no value: a
+    degenerate epsilon or dominant-background SNR, or the enhancement at
+    mu = 0, where a source without photons has no ratio."""
+    try:
+        return _fmt(closed_form())
+    except (DegenerateStatisticError, ParameterError):
+        return "nan"
+
+
 def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
     scenario = build_scenario(config)
     ipd = scenario.images_per_decision
     m = analytic.moments(scenario)
+    enhancement = _or_nan(lambda: analytic.enhancement(scenario.source.mu))
+    # the source's own lossless epsilon; a split beam reaches only 1
+    twin = scenario.source.kind is SourceKind.TWIN_BEAM
     fields = [
         ("kind", scenario.source.kind.value),
         ("mu", _fmt(scenario.source.mu)),
-        ("mean1", _fmt(m.mean1)),
-        ("mean2", _fmt(m.mean2)),
-        ("var1", _fmt(m.var1)),
-        ("var2", _fmt(m.var2)),
-        ("cov", _fmt(m.cov)),
-        ("m22", _fmt(m.m22)),
+        *((f.name, _fmt(getattr(m, f.name))) for f in dataclasses.fields(m)),
+        ("epsilon", _or_nan(lambda: analytic.epsilon(scenario))),
+        ("epsilon_ideal", enhancement if twin else _fmt(1.0)),
+        ("enhancement", enhancement),
+        ("snr", _fmt(analytic.snr(scenario))),
+        ("snr_dominant_background", _or_nan(lambda: analytic.snr_dominant_background(scenario))),
+        ("images_per_decision", str(ipd)),
+        ("error_probability", _fmt(analytic.error_probability(scenario, ipd))),
     ]
-    try:
-        fields.append(("epsilon", _fmt(analytic.epsilon(scenario))))
-    except DegenerateStatisticError:
-        fields.append(("epsilon", "nan"))
-    try:
-        enhancement = _fmt(analytic.enhancement(scenario.source.mu))
-    except ParameterError:  # mu = 0: a source without photons has no ratio
-        enhancement = "nan"
-    # the source's own lossless epsilon; a split beam reaches only 1
-    twin = scenario.source.kind is SourceKind.TWIN_BEAM
-    fields.append(("epsilon_ideal", enhancement if twin else _fmt(1.0)))
-    fields.append(("enhancement", enhancement))
-    fields.append(("snr", _fmt(analytic.snr(scenario))))
-    try:
-        fields.append(("snr_dominant_background", _fmt(analytic.snr_dominant_background(scenario))))
-    except DegenerateStatisticError:
-        fields.append(("snr_dominant_background", "nan"))
-    fields.append(("images_per_decision", str(ipd)))
-    fields.append(("error_probability", _fmt(analytic.error_probability(scenario, ipd))))
     for key, value in fields:
         print(f"{key} = {value}")
     if args.csv:
@@ -262,9 +259,10 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config, args)
         if args.command == "sweep":
+            spec = sweep_spec(config)  # checks sweep.sources before it is read below
             # the sidecar names the source the sweep runs first
             config["source"]["kind"] = config["sweep"]["sources"][0]
-            return _write_sweeps(args.out, {"sweep": (config, run_sweep(sweep_spec(config)))})
+            return _write_sweeps(args.out, {"sweep": (config, run_sweep(spec))})
         return _write_sweeps(args.out, run_figure(args.figure, config["run"]["seed"], overrides, base))
     except (ParameterError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,10 +74,11 @@ if hasattr(os, "register_at_fork"):
 def _negbin(
     rng: np.random.Generator, modes: float, total_mean: float, size: int
 ) -> np.ndarray:
-    """Total counts of `modes` i.i.d. thermal modes with the given total mean."""
-    if total_mean == 0.0:
+    """Total counts of `modes` i.i.d. thermal modes with the given total
+    mean: zeros, drawing nothing, when there are no modes or no photons."""
+    if modes == 0.0 or total_mean == 0.0:
         return np.zeros(size, dtype=np.int64)
-    if total_mean > _MEAN_PHOTON_LIMIT:
+    if not total_mean <= _MEAN_PHOTON_LIMIT:  # a nan mean (0 * inf) too
         raise ParameterError(
             f"expected photon number {total_mean} exceeds sampling limit"
         )
@@ -105,9 +106,7 @@ def _sample_pair_counts(
     unmatched = source.modes - matched
     twin = source.kind is SourceKind.TWIN_BEAM
     nu = source.mu if twin else source.pre_split_mean
-    shared = (
-        _negbin(rng, matched, matched * nu, size) if matched > 0 else np.zeros(size, np.int64)
-    )
+    shared = _negbin(rng, matched, matched * nu, size)
 
     if twin:
         n1 = rng.binomial(shared, e1)

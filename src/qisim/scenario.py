@@ -10,11 +10,12 @@ other points run.  `run_sweep` runs one `PointPipeline` per point, all
 on one memo of the sweep, which reuses a draw only as README
 "Reproducibility" states.  `simulate` is one point on the master seed,
 without a memo.
-`METRICS` defines each figure of merit once, as one `estimator` call
-that returns (estimate, sigma): the delta method's sigma, or for perr
-errors counted at a fitted threshold with a binomial sigma; no metric
-draws random numbers of its own.  Estimator failures flag the affected
-row and never abort the sweep.
+`METRICS` defines each figure of merit once, as a function of the
+point: it reads the point's statistics tables or per-frame covariances
+and makes one `estimator` call that returns (estimate, sigma): the delta
+method's sigma, or for perr errors counted at a fitted threshold with a
+binomial sigma; no metric draws random numbers of its own.  Estimator
+failures flag the affected row and never abort the sweep.
 
 `PRESETS` holds the paper's figures fig2..fig5: per series, its file
 stem and its config keys.  `run_figure` resolves the config of each
@@ -89,16 +90,15 @@ def sweep_spec(config: dict) -> SweepSpec:
     on the seed of series i, derived from run.seed with tag i.  Every point
     is built, and so checked, here."""
     sweep = config["sweep"]
+    for listed in ("values", "sources", "outputs"):
+        if len(sweep[listed]) == 0:
+            raise ParameterError(f"{listed} must be non-empty")
     values = sweep["values"]
-    if len(values) == 0:
-        raise ParameterError("values must be non-empty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterError("values must be strictly increasing")
     unknown = [o for o in sweep["outputs"] if o not in KNOWN_OUTPUTS]
     if unknown:
         raise ParameterError(f"unknown outputs {unknown}; known: {KNOWN_OUTPUTS}")
-    if len(sweep["sources"]) == 0:
-        raise ParameterError("sources must be non-empty")
     name = sweep["parameter"]
     key = _ALIASES.get(name, name)
     section, _, field = key.partition(".")
@@ -148,38 +148,31 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _perr(scn: Scenario, in_values, out_values):
-    estimate = perr_hat(in_values, out_values, scn.images_per_decision)
-    return estimate.p_err, estimate.sigma
-
-
 class _Metric(NamedTuple):
-    samples: str  # what it reads of each hypothesis: "table" or "deltas"
-    hypotheses: tuple  # the hypotheses it reads
-    estimate: Callable  # (scenario, its samples) -> the estimator's (estimate, sigma)
+    estimate: Callable  # of the point: reads its tables or deltas, returns (estimate, sigma)
     closed_form: Callable  # of the scenario
+
+
+def _perr(point: PointPipeline) -> tuple[float, float]:
+    scn = point.scenario
+    # too few batches are refused before any frame is drawn
+    perr_batches(scn.images, scn.images, scn.images_per_decision)
+    estimate = perr_hat(point.deltas("in"), point.deltas("out"), scn.images_per_decision)
+    return estimate.p_err, estimate.sigma
 
 
 # closed forms look `analytic` up per call, so perfbench's tracer sees them
 METRICS = {
-    "epsilon": _Metric(
-        "table", ("in",), lambda scn, table: epsilon_hat(table), lambda scn: analytic.epsilon(scn)
-    ),
+    "epsilon": _Metric(lambda point: epsilon_hat(point.table("in")), lambda scn: analytic.epsilon(scn)),
     "covariance_in": _Metric(
-        "deltas", ("in",), lambda scn, deltas: mean_covariance(deltas),
-        lambda scn: analytic.moments(scn).cov,
+        lambda point: mean_covariance(point.deltas("in")), lambda scn: analytic.moments(scn).cov
     ),
-    "covariance_out": _Metric(
-        "deltas", ("out",), lambda scn, deltas: mean_covariance(deltas), lambda scn: 0.0
-    ),
+    "covariance_out": _Metric(lambda point: mean_covariance(point.deltas("out")), lambda scn: 0.0),
     "snr": _Metric(
-        "deltas", ("in", "out"), lambda scn, d_in, d_out: snr_hat(d_in, d_out, scn.pixel_pairs),
+        lambda point: snr_hat(point.deltas("in"), point.deltas("out"), point.scenario.pixel_pairs),
         lambda scn: analytic.snr(scn),
     ),
-    "perr": _Metric(
-        "deltas", ("in", "out"), _perr,
-        lambda scn: analytic.error_probability(scn, scn.images_per_decision),
-    ),
+    "perr": _Metric(_perr, lambda scn: analytic.error_probability(scn, scn.images_per_decision)),
 }
 
 
@@ -219,12 +212,7 @@ class PointPipeline:
     def estimate(self, metric: str) -> tuple[float, float]:
         """(estimate, sigma) of `metric`: the delta method's sigma, or for
         perr the binomial one."""
-        scn = self.scenario
-        if metric == "perr":
-            # too few batches are refused before any frame is drawn
-            perr_batches(scn.images, scn.images, scn.images_per_decision)
-        reads, hypotheses, estimate, _ = METRICS[metric]
-        return estimate(scn, *(getattr(self, reads)(label) for label in hypotheses))
+        return METRICS[metric].estimate(self)
 
 
 _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)
@@ -328,11 +316,11 @@ def run_figure(figure: str, seed: int, overrides: dict | None = None, base: dict
     is written."""
     if figure not in PRESETS:
         raise ParameterError(f"unknown figure {figure!r}; known: {list(PRESETS)}")
-    configs = {}
+    series = {}
     for index, (stem, table) in enumerate(PRESETS[figure].items()):
         config = apply(base or default_config(), _PRESET_BASE, table, overrides or {})
         config["run"]["seed"] = SeedSpec(seed).derive(index).master_seed
+        spec = sweep_spec(config)  # checks sweep.sources before it is read below
         config["source"]["kind"] = config["sweep"]["sources"][0]
-        configs[stem] = config
-    specs = {stem: sweep_spec(config) for stem, config in configs.items()}
-    return {stem: (config, run_sweep(specs[stem])) for stem, config in configs.items()}
+        series[stem] = (config, spec)
+    return {stem: (config, run_sweep(spec)) for stem, (config, spec) in series.items()}

@@ -68,6 +68,12 @@ def test_analytic_split_ratio_past_the_double_range(capsys):
         "--eta1", "0",
     )
     assert code == 0 and summary_value(out, "mean1") == "0.0"
+    # a background past the double range's square root: the product
+    # variances are inf, and two laws that wide are not told apart
+    code, out, _ = run_cli(capsys, "analytic", "--background", "1e160")
+    assert code == 0
+    assert summary_value(out, "var2") == "inf" and summary_value(out, "m22") == "inf"
+    assert summary_value(out, "error_probability") == "nan"
 
 
 @pytest.mark.parametrize(
@@ -94,12 +100,22 @@ def test_analytic_signed_zero_mode_match_prints_as_zero(capsys):
 
 
 def test_analytic_csv_output(capsys, tmp_path):
+    # the CSV holds the printed fields, in their printed order.  Without a
+    # background the dominant-background SNR is nan; at mu = 0 the source
+    # has no photons, and the figures that divide by them are nan too
     path = tmp_path / "row.csv"
-    code, _, _ = run_cli(capsys, "analytic", "--csv", str(path))
-    assert code == 0
-    header, row = path.read_text().splitlines()
-    assert header.split(",")[0] == "kind"
-    assert row.split(",")[0] == "twin_beam"
+    for flags, nan_fields in (
+        ((), ["snr_dominant_background"]),
+        (("--mu", "0"), ["epsilon", "epsilon_ideal", "enhancement", "snr_dominant_background"]),
+    ):
+        code, out, _ = run_cli(capsys, "analytic", *flags, "--csv", str(path))
+        assert code == 0
+        printed = dict(line.split(" = ", 1) for line in out.splitlines())
+        header, row = path.read_text().splitlines()
+        assert header.split(",") == list(printed)
+        assert row.split(",") == list(printed.values())
+        assert printed["kind"] == "twin_beam"
+        assert [key for key, value in printed.items() if value == "nan"] == nan_fields
 
 
 def test_out_of_range_flag_names_field(capsys):
@@ -233,15 +249,16 @@ def test_analytic_prints_every_field_over_config_space(tmp_path_factory, config)
     assert code == 0, err.getvalue()
     printed = dict(line.split(" = ", 1) for line in out.getvalue().splitlines())
     assert tuple(printed) == ANALYTIC_FIELDS
-    # moments past the double range (a tiny split ratio) have no finite
-    # product variance, and then no error rate either; error_probability
-    # pairs the configured hypothesis with the target-absent one
+    # moments past the double range (a tiny split ratio, a huge background)
+    # have no finite product variance, and then no error rate either;
+    # error_probability pairs the configured hypothesis with the
+    # target-absent one
     scenario = build_scenario(config)
     widths = [
         analytic.moments(s).delta_product_variance for s in (scenario, scenario.with_target(False))
     ]
     perr = float(printed["error_probability"])
-    if any(math.isnan(v) for v in widths):
+    if not all(math.isfinite(v) for v in widths):
         assert math.isnan(perr)
     else:
         assert 0.0 <= perr <= 0.5
@@ -550,6 +567,10 @@ _NOT_SWEEPABLE = "sweep.parameter must be a numeric section.key outside run and 
         (["sweep", "--sweep.parameter", "run.seed"], _NOT_SWEEPABLE),
         (["sweep", "--sweep.parameter", "sweep.values"], _NOT_SWEEPABLE),
         (["sweep", "--sweep.parameter", "wibble"], _NOT_SWEEPABLE),
+        # an empty list is refused before its first entry is read
+        (["sweep", "--sweep.sources", ""], "sources must be non-empty"),
+        (["reproduce", "fig2", "--sweep.sources", ""], "sources must be non-empty"),
+        (["sweep", "--sweep.outputs", "", "--frames", "20"], "outputs must be non-empty"),
     ],
 )
 def test_bad_sweep_exits_2_before_out_exists(capsys, tmp_path, argv, message):

@@ -19,7 +19,7 @@ from qisim.estimator import (
     write_records_csv,
 )
 from qisim.sampler import hypothesis_stream, sample_counts
-from qisim.scenario import METRICS, PointPipeline
+from qisim.scenario import PointPipeline
 from qisim.types import (
     DegenerateStatisticError,
     InsufficientDataError,
@@ -238,6 +238,16 @@ def test_snr_ratio_stable_under_doubled_background():
 # ---------------------------------------------------------------------------
 # delta-method sigmas against a bootstrap of the same statistic
 # ---------------------------------------------------------------------------
+# what each delta-method sweep metric reads of the point, in the order its
+# estimator takes them
+SAMPLES = {
+    "epsilon": lambda point: [point.table("in")],
+    "covariance_in": lambda point: [point.deltas("in")],
+    "covariance_out": lambda point: [point.deltas("out")],
+    "snr": lambda point: [point.deltas("in"), point.deltas("out")],
+}
+
+
 def scalar_statistic(metric: str, scn):
     """The estimate of a delta-method sweep metric, of its samples."""
     if metric == "epsilon":
@@ -262,11 +272,9 @@ def test_delta_sigmas_agree_with_the_bootstrap(kind, modes_b, background, frames
     scn = make_scenario(kind=kind, modes_b=modes_b, background_mean=background, images=frames)
     for seed in (1, 2):
         point = PointPipeline(scn, SeedSpec(seed))
-        for metric in ("epsilon", "covariance_in", "covariance_out", "snr"):
-            reads, hypotheses, _, _ = METRICS[metric]
-            samples = [getattr(point, reads)(label) for label in hypotheses]
+        for metric, samples in SAMPLES.items():
             _, resampled = per_iteration_bootstrap(
-                scalar_statistic(metric, scn), samples, np.random.default_rng(seed), 200
+                scalar_statistic(metric, scn), samples(point), np.random.default_rng(seed), 200
             )
             _, delta = point.estimate(metric)
             assert 0.8 <= delta / resampled <= 1.25, (metric, seed, delta / resampled)

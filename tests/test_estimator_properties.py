@@ -30,6 +30,13 @@ from qisim.types import DegenerateStatisticError, ParameterError
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
 
+def point_of(in_deltas, out_deltas=None, pixel_pairs=1):
+    """A stand-in for a sweep point: its per-frame covariances and its
+    pixel pairs, all that the covariance and snr metrics read of it."""
+    deltas = {"in": in_deltas, "out": in_deltas if out_deltas is None else out_deltas}
+    return SimpleNamespace(deltas=deltas.get, scenario=SimpleNamespace(pixel_pairs=pixel_pairs))
+
+
 # ---------------------------------------------------------------------------
 # perr_hat against a count in Python, batch by batch
 # ---------------------------------------------------------------------------
@@ -235,8 +242,7 @@ def test_snr_sigma_is_the_finite_difference_delta_method(in_values, out_values, 
     assert sigma == pytest.approx(want, rel=1e-6)
     # the sweep metric is the per-pixel-pair SNR: both over sqrt(K)
     per_pair = snr_hat(in_values, out_values, pixel_pairs)
-    scn = SimpleNamespace(pixel_pairs=pixel_pairs)
-    assert METRICS["snr"].estimate(scn, in_values, out_values) == per_pair
+    assert METRICS["snr"].estimate(point_of(in_values, out_values, pixel_pairs)) == per_pair
     root = math.sqrt(pixel_pairs)
     assert per_pair[0] == estimate / root
     # the influences are divided before their sd is taken: the last bits differ
@@ -247,7 +253,7 @@ def test_snr_sigma_is_the_finite_difference_delta_method(in_values, out_values, 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300).map(np.asarray))
 def test_covariance_sigma_is_the_standard_error(deltas):
     for metric in ("covariance_in", "covariance_out"):
-        estimate, sigma = METRICS[metric].estimate(None, deltas)
+        estimate, sigma = METRICS[metric].estimate(point_of(deltas))
         assert estimate == deltas.mean()
         assert sigma == np.std(deltas, ddof=1) / math.sqrt(deltas.size)
 
@@ -279,4 +285,4 @@ def test_one_row_mean_equals_mean(length, magnitude, seed):
     # bit, across numpy's pairwise-summation blocks
     v = np.random.default_rng(seed).normal(0.5, 1.0, length) * magnitude
     for metric in ("covariance_in", "covariance_out"):
-        assert METRICS[metric].estimate(None, v)[0] == v.mean()
+        assert METRICS[metric].estimate(point_of(v))[0] == v.mean()

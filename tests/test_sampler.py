@@ -84,6 +84,19 @@ def test_overflow_guard():
         sample_counts(scn.with_target(True), SeedSpec(1))
 
 
+@pytest.mark.parametrize("target", [True, False])
+def test_overflowed_pre_split_mean_is_refused(target):
+    # at t = 5e-324 the pre-split mean mu / t is inf.  With no mode matched
+    # the shared draw takes nothing (its mean 0 * inf is nan); arm 2's
+    # unmatched mean is inf with the target, and 0 * inf = nan without it:
+    # both are refused, not handed to numpy
+    scn = make_scenario(
+        kind=SourceKind.SPLIT_THERMAL, split_ratio=5e-324, mode_match=0.0, pixel_pairs=4
+    )
+    with pytest.raises(ParameterError, match="exceeds sampling limit"):
+        sample_counts(scn.with_target(target), SeedSpec(1))
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
