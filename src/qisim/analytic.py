@@ -150,7 +150,7 @@ def snr(scenario: Scenario) -> float:
     """Contrast-to-noise ratio of the covariance receiver, per single
     pixel pair; multiply by sqrt(K * frames averaged) for an acquisition."""
     m_in = moments(scenario)
-    m_out = _moments(scenario, scenario.channel.arm2_efficiency_given(False))
+    m_out = _moments(scenario, 0.0)  # target absent: `arm2_efficiency` is 0
     numerator = abs(m_in.cov)
     denom_sq = m_in.delta_product_variance + m_out.delta_product_variance
     if denom_sq <= 0.0:
@@ -240,7 +240,7 @@ def error_probability(scenario: Scenario, images_per_decision: int) -> float:
             f"images_per_decision must be >= 1 (got {images_per_decision})"
         )
     m_in = moments(scenario)
-    m_out = _moments(scenario, scenario.channel.arm2_efficiency_given(False))
+    m_out = _moments(scenario, 0.0)  # target absent: `arm2_efficiency` is 0
     variances = (m_out.delta_product_variance, m_in.delta_product_variance)
     if not all(math.isfinite(v) for v in variances):
         return math.nan  # moments past the double range: laws this wide are not told apart

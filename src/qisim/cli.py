@@ -259,10 +259,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config, args)
         if args.command == "sweep":
-            spec = sweep_spec(config)  # checks sweep.sources before it is read below
-            # the sidecar names the source the sweep runs first
-            config["source"]["kind"] = config["sweep"]["sources"][0]
-            return _write_sweeps(args.out, {"sweep": (config, run_sweep(spec))})
+            spec = sweep_spec(config)
+            return _write_sweeps(args.out, {"sweep": (spec.config, run_sweep(spec))})
         return _write_sweeps(args.out, run_figure(args.figure, config["run"]["seed"], overrides, base))
     except (ParameterError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

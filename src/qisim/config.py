@@ -115,10 +115,21 @@ def apply(config: dict, *layers) -> dict:
 
 
 def load_config_file(path: str) -> dict:
+    """The defaults with the keys of the config file `path` applied.  A file
+    that is not UTF-8 INI text, repeats a key or a section, or has keys in
+    a [DEFAULT] section raises `ParameterError`; one that cannot be opened
+    raises `OSError`."""
     config = default_config()
     ini = configparser.ConfigParser(interpolation=None)
-    with open(path) as handle:
-        ini.read_file(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            ini.read_file(handle)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span lines; an error is one line
+        raise ParameterError(f"config file {path}: {' '.join(str(exc).split())}") from exc
+    if ini.defaults():
+        # configparser would copy its keys into every other section
+        raise ParameterError(f"unknown config section: {ini.default_section}")
     for section in ini.sections():
         if section not in CONFIG_SCHEMA:
             raise ParameterError(f"unknown config section: {section}")

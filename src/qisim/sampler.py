@@ -26,8 +26,8 @@ on.
 """
 from __future__ import annotations
 
+import functools
 import os
-import threading
 
 import numpy as np
 
@@ -55,20 +55,6 @@ _WRITE_FRAMES = 256
 # Cores this process may run on: the width of the block pool, which
 # `_executor` makes on the first call with two or more blocks.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """Drop the parent's pool in a forked child, whose copy of it has no
-    worker threads; the child makes its own on first use."""
-    global _POOL, _POOL_LOCK
-    _POOL = None
-    _POOL_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _negbin(
@@ -126,25 +112,25 @@ def _sample_pair_counts(
 
 
 def _fill_block(
-    scenario: Scenario, n1: np.ndarray, n2: np.ndarray, rows: slice, stream, keep: bool
+    scenario: Scenario, n1: np.ndarray, n2: np.ndarray, rows: slice, rng, pairs, keep: bool
 ) -> tuple | None:
-    """Fill rows `rows` of n1 and n2 with one block's counts: its pixel pairs,
-    then the background on arm 2, then read noise on arm 1 and on arm 2.
+    """Fill rows `rows` of n1 and n2 with one block's counts, drawn on its
+    Generator `rng`: its pixel pairs, then the background on arm 2, then
+    read noise on arm 1 and on arm 2.
 
-    `stream` is the block's Generator, or the memo entry of pairs already
-    drawn on it, which restores them and the stream right after them.
-    Returns the memo entry of freshly drawn pairs if `keep`, else None."""
+    `pairs` is None, or the block's memo entry (a1, a2, rng, state): its
+    pixel pairs and the state of `rng` right after them, which is restored
+    in place of a draw.  Returns the block's entry: `pairs` as given, or
+    one made from the fresh draw if `keep`, else None, so that no second
+    copy of the counts lives on."""
     k = scenario.pixel_pairs
     size = n1[rows].size
-    kept = None
-    if isinstance(stream, tuple):
-        a1, a2, rng, state = stream
-        rng.bit_generator.state = state
-    else:
-        rng = stream
+    if pairs is None:
         a1, a2 = _sample_pair_counts(scenario.source, scenario.channel, rng, size)
-        if keep:
-            kept = (a1, a2, rng, rng.bit_generator.state)
+        pairs = (a1, a2, rng, rng.bit_generator.state) if keep else None
+    else:
+        a1, a2, _, state = pairs
+        rng.bit_generator.state = state
     n1[rows] = a1.reshape(-1, k)
     n2[rows] = a2.reshape(-1, k)
     background = scenario.background
@@ -155,18 +141,26 @@ def _fill_block(
         for n in (n1, n2):
             n[rows] += np.rint(rng.normal(0.0, sigma, size)).astype(np.int64).reshape(-1, k)
             np.maximum(n[rows], 0, out=n[rows])
-    return kept
+    return pairs
 
 
+@functools.cache
 def _executor():
-    """The module's block pool, one thread per core, made on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
+    """The module's block pool, one thread per core, made on first use.
 
-            _POOL = ThreadPoolExecutor(_CORES, thread_name_prefix="qisim-block")
-    return _POOL
+    A forked child drops the cached pool, whose copy has no worker
+    threads, and makes its own on first use.  If two threads make the
+    very first call at once, each may make a pool; the one not cached
+    serves its caller and is then garbage-collected, and its workers
+    exit.  qisim calls this only from the thread that calls
+    `sample_counts`."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_CORES, thread_name_prefix="qisim-block")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 def sample_counts(
@@ -184,30 +178,29 @@ def sample_counts(
     error raised in a block is raised once every block has finished, the
     lowest failing block's.
 
-    `memo` holds the last call's draw as one entry `{seed: (key, pairs)}`:
-    key is the source, channel and frame shape, pairs each block's pixel
-    pairs with its stream right after them.  A call on the same seed and
-    key restores that stream and draws only the background and read noise;
-    any other call empties the memo before it draws.  A call that raises
-    adds no block.  The reuse rule is README "Reproducibility"'s, so the
-    counts are those of a call without a memo."""
+    `memo` maps the draw key (seed, source, channel, pixel_pairs, images),
+    everything a block's pixel pairs depend on, to the `_fill_block` memo
+    entry of each block.  A call on a key the memo holds reuses its
+    Generators, restores each stream right after its pairs and draws only
+    the background and read noise; a call on any other key empties the
+    memo before it draws.  The memo is written only after a draw that
+    returns, so a call that misses and raises leaves it empty.  The reuse
+    rule is README "Reproducibility"'s, so the counts are those of a call
+    without a memo."""
     target = scenario.channel.target_present
-    pairs = []
-    if memo is not None:
-        key = (scenario.source, scenario.channel, scenario.pixel_pairs, scenario.images)
-        if memo.get(seed, (None,))[0] != key:
-            memo.clear()
-            memo[seed] = (key, pairs)
-        pairs = memo[seed][1]
+    key = (seed, scenario.source, scenario.channel, scenario.pixel_pairs, scenario.images)
+    if memo is not None and key not in memo:
+        memo.clear()
     n1 = np.empty((scenario.images, scenario.pixel_pairs), dtype=np.int64)
     n2 = np.empty_like(n1)
     starts = range(0, scenario.images, _BLOCK_FRAMES)
-    # streams are made on the calling thread: perfbench's tracer wraps
-    # `SeedSpec.frame_rng` on one span stack
-    streams = [pairs[b] if b < len(pairs) else seed.frame_rng(target, b) for b in range(len(starts))]
+    held = memo[key] if memo else [None] * len(starts)
+    # streams are made on the calling thread, and only on a miss: perfbench's
+    # tracer wraps `SeedSpec.frame_rng` on one span stack
     blocks = [
-        (scenario, n1, n2, slice(start, start + _BLOCK_FRAMES), stream, memo is not None)
-        for start, stream in zip(starts, streams)
+        (scenario, n1, n2, slice(start, start + _BLOCK_FRAMES),
+         seed.frame_rng(target, b) if pairs is None else pairs[2], pairs, memo is not None)
+        for b, (start, pairs) in enumerate(zip(starts, held))
     ]
     if len(blocks) < 2 or _CORES < 2:
         drawn = [_fill_block(*block) for block in blocks]
@@ -218,7 +211,8 @@ def sample_counts(
         futures = [pool.submit(_fill_block, *block) for block in blocks]
         wait(futures)
         drawn = [future.result() for future in futures]
-    pairs.extend(drawn[len(pairs) :])
+    if memo is not None:
+        memo[key] = drawn
     return n1, n2
 
 

@@ -72,23 +72,24 @@ class SweepPoint(NamedTuple):
     seed: SeedSpec
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One experiment grid: the swept key as written, its points in grid
-    order (source by source, then value by value), and the figures of
-    merit to emit."""
+class SweepSpec(NamedTuple):
+    """One experiment grid: the resolved configuration that replays it,
+    source.kind naming the first series' source, and its points in grid
+    order (source by source, then value by value).  The swept key as
+    written and the figures of merit to emit are read from
+    config["sweep"]."""
 
-    parameter: str
+    config: dict
     points: tuple
-    outputs: tuple
-    emit_analytic: bool = True
 
 
 def sweep_spec(config: dict) -> SweepSpec:
     """The grid of a resolved configuration.  Point (i, j) is the config
     with source.kind = sweep.sources[i] and the swept key = sweep.values[j],
     on the seed of series i, derived from run.seed with tag i.  Every point
-    is built, and so checked, here."""
+    is built, and so checked, here.  The spec's config is `config` with
+    source.kind = sweep.sources[0], so that `sidecar_text` of it replays
+    the sweep."""
     sweep = config["sweep"]
     for listed in ("values", "sources", "outputs"):
         if len(sweep[listed]) == 0:
@@ -116,7 +117,7 @@ def sweep_spec(config: dict) -> SweepSpec:
         for value in values:
             at = apply(config, {"source.kind": kind, key: value})
             points.append(SweepPoint(value, build_scenario(at), seed.derive(si)))
-    return SweepSpec(name, tuple(points), sweep["outputs"], sweep["emit_analytic"])
+    return SweepSpec(apply(config, {"source.kind": sweep["sources"][0]}), tuple(points))
 
 
 @dataclass(frozen=True)
@@ -220,9 +221,10 @@ _ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterE
 
 def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow]:
     scn = point.scenario
+    sweep = spec.config["sweep"]
     pipeline = PointPipeline(scn, point.seed, memo)
     rows: list[SweepRow] = []
-    for output in spec.outputs:
+    for output in sweep["outputs"]:
         for metric in _OUTPUT_METRICS[output]:
             estimate = uncertainty = reference = None
             flags = []
@@ -230,7 +232,7 @@ def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow
                 estimate, uncertainty = pipeline.estimate(metric)
             except _ESTIMATOR_ERRORS as exc:
                 flags.append(f"error:{type(exc).__name__}")
-            if spec.emit_analytic:
+            if sweep["emit_analytic"]:
                 try:
                     reference = METRICS[metric].closed_form(scn)
                 except _ESTIMATOR_ERRORS as exc:
@@ -239,7 +241,7 @@ def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow
                 # the closed forms have no read-noise term
                 flags.append("analytic_ignores_read_noise")
             rows.append(SweepRow(
-                scn.source.kind.value, spec.parameter, point.value, metric,
+                scn.source.kind.value, sweep["parameter"], point.value, metric,
                 estimate, uncertainty, reference, ";".join(flags),
             ))
     return rows
@@ -310,17 +312,14 @@ def run_figure(figure: str, seed: int, overrides: dict | None = None, base: dict
     Series i is configured by `base` (the defaults if None), then
     `_PRESET_BASE`, then the series' keys, then `overrides`, a
     {"section.key": raw} dict; it runs on the seed derived from the master
-    seed `seed` with tag i, and its config names sweep.sources[0] as
-    source.kind, so that `sidecar_text(config)` replays `result`.  Every
-    point of every series is built before the first is drawn, and nothing
-    is written."""
+    seed `seed` with tag i, and its config is its `SweepSpec`'s, so that
+    `sidecar_text(config)` replays `result`.  Every point of every series
+    is built before the first is drawn, and nothing is written."""
     if figure not in PRESETS:
         raise ParameterError(f"unknown figure {figure!r}; known: {list(PRESETS)}")
-    series = {}
+    specs = {}
     for index, (stem, table) in enumerate(PRESETS[figure].items()):
         config = apply(base or default_config(), _PRESET_BASE, table, overrides or {})
         config["run"]["seed"] = SeedSpec(seed).derive(index).master_seed
-        spec = sweep_spec(config)  # checks sweep.sources before it is read below
-        config["source"]["kind"] = config["sweep"]["sources"][0]
-        series[stem] = (config, spec)
-    return {stem: (config, run_sweep(spec)) for stem, (config, spec) in series.items()}
+        specs[stem] = sweep_spec(config)
+    return {stem: (spec.config, run_sweep(spec)) for stem, spec in specs.items()}

@@ -132,14 +132,11 @@ class ChannelSpec:
 
     @property
     def arm2_efficiency(self) -> float:
-        """Detected fraction of probe-arm light under this channel's hypothesis."""
-        return self.arm2_efficiency_given(self.target_present)
-
-    def arm2_efficiency_given(self, target_present: bool) -> float:
-        """Detected fraction of probe-arm light under either hypothesis:
-        exactly 0 when the target is absent, since then no source light
-        reaches arm 2 at all."""
-        return self.eta2 * self.reflectivity if target_present else 0.0
+        """Detected fraction of probe-arm light under this channel's
+        hypothesis: eta2 * reflectivity with the target present, and
+        exactly 0 with it absent, since then no source light reaches arm 2
+        at all."""
+        return self.eta2 * self.reflectivity if self.target_present else 0.0
 
 
 @dataclass(frozen=True)

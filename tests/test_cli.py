@@ -272,6 +272,31 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "wibble" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"[source]\nmu = 0.1\nmu = 0.2\n", "option 'mu' in section 'source' already exists"),
+        (b"mu = 0.1\n", "no section headers"),
+        (b"[source]\nmu 0.1\n", "parsing errors"),
+        (b"[source]\nmu = 0.1\n[source]\nmodes = 3\n", "section 'source' already exists"),
+        (b"[source]\nmu = 0.\xb51\n", "can't decode byte 0xb5"),
+        # configparser reads [DEFAULT] keys into every section, or none
+        (b"[DEFAULT]\nmu = 0.3\n", "unknown config section: DEFAULT"),
+        (b"[DEFAULT]\nmodes = 3\n[source]\n[channel]\n", "unknown config section: DEFAULT"),
+    ],
+)
+@pytest.mark.parametrize("command", ["analytic", "sweep"])
+def test_malformed_config_file_exits_2(capsys, tmp_path, text, message, command):
+    config_path = tmp_path / "bad.ini"
+    config_path.write_bytes(text)
+    code, out, err = run_cli(
+        capsys, command, "--config", str(config_path), "--out", str(tmp_path / "run")
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_deterministic_outputs(capsys, tmp_path):
     args = ["simulate", "--seed", "7", "--frames", "40", "--background", "100",
             "--pixel-pairs", "16"]

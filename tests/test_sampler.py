@@ -346,7 +346,7 @@ def pool_scenario(kind=SourceKind.TWIN_BEAM, background_mean=300.0, images=700):
 def test_pooled_blocks_are_the_serial_draws(monkeypatch, kind, target, memo, cores):
     monkeypatch.setattr(sampler, "_CORES", max(sampler._CORES, 2) if cores == "pooled" else 1)
     if cores == "one core":
-        monkeypatch.setattr(sampler, "_POOL", None)
+        monkeypatch.setattr(sampler, "_executor", lambda: pytest.fail("a pool was asked for"))
     scn = pool_scenario(kind).with_target(target)
     seed = SeedSpec(2026)
     memos = {"none": None, "cold": {}, "warm": {}}[memo]
@@ -357,14 +357,12 @@ def test_pooled_blocks_are_the_serial_draws(monkeypatch, kind, target, memo, cor
     e1, e2 = serial_counts(scn, seed)
     assert np.array_equal(n1, e1) and np.array_equal(n2, e2)
     if memos is not None:
-        (key, pairs), = memos.values()
-        assert key == (scn.source, scn.channel, scn.pixel_pairs, scn.images)
+        (key, pairs), = memos.items()
+        assert key == (seed, scn.source, scn.channel, scn.pixel_pairs, scn.images)
         for block, (a1, a2, _, _) in enumerate(pairs):
             direct = _sample_pair_counts(scn.source, scn.channel, seed.frame_rng(target, block), a1.size)
             assert np.array_equal(a1, direct[0]) and np.array_equal(a2, direct[1])
         assert len(pairs) == 3
-    if cores == "one core":
-        assert sampler._POOL is None
 
 
 # the parent draws 3 blocks on its pool, forks, and the child draws them
@@ -422,5 +420,5 @@ def test_pooled_error_is_the_lowest_failing_block_after_every_block(monkeypatch)
     with pytest.raises(ParameterError, match="block 1"):
         sample_counts(scn, seed, memo)
     assert sorted(finished) == [0, 1, 2, 3]
-    # the memo keeps the series' key and no block of it
-    assert [pairs for _, pairs in memo.values()] == [[]]
+    # the memo holds no draw that raised
+    assert memo == {}

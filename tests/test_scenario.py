@@ -248,8 +248,8 @@ def test_memo_holds_one_point_per_hypothesis_on_a_mu_sweep(monkeypatch):
 
     def watched(scn, seed, memo):
         counts = sample_counts(scn, seed, memo)
-        assert memo[seed][0] == (scn.source, scn.channel, scn.pixel_pairs, scn.images)
-        held.append((id(memo), [len(blocks) for _, blocks in memo.values()]))
+        assert list(memo) == [(seed, scn.source, scn.channel, scn.pixel_pairs, scn.images)]
+        held.append((id(memo), [len(blocks) for blocks in memo.values()]))
         return counts
 
     monkeypatch.setattr("qisim.scenario.sample_counts", watched)
@@ -514,7 +514,9 @@ def test_run_figure_rejects_an_unknown_figure():
 
 def test_run_figure_builds_every_series_before_the_first_draw(monkeypatch):
     calls = []
-    monkeypatch.setattr(scenario_module, "sweep_spec", lambda config: calls.append("build"))
+    monkeypatch.setattr(
+        scenario_module, "sweep_spec", lambda config: calls.append("build") or SweepSpec(config, ())
+    )
     monkeypatch.setattr(scenario_module, "run_sweep", lambda spec: calls.append("run"))
     run_figure("fig5", 1)
     assert calls == ["build"] * 6 + ["run"] * 6
