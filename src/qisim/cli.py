@@ -60,24 +60,6 @@ def _write_sweeps(out: str, sweeps: dict) -> int:
     return 0
 
 
-# config key -> its shortcut flag
-_SHORTCUTS = {
-    "source.mu": "mu",
-    "source.modes": "modes",
-    "channel.eta1": "eta1",
-    "channel.eta2": "eta2",
-    "channel.reflectivity": "reflectivity",
-    "channel.mode_match": "mode-match",
-    "background.mean_total": "background",
-    "background.modes_b": "modes-b",
-    "scenario.pixel_pairs": "pixel-pairs",
-    "scenario.images": "frames",
-    "scenario.images_per_decision": "images-per-decision",
-    "sampler.read_noise_sigma": "read-noise",
-    "run.seed": "seed",
-}
-
-
 # Values of the shared flags when given neither before nor after the
 # subcommand.  The flags default to SUPPRESS, so a subcommand parser never
 # writes a default over a value parsed before the subcommand.
@@ -101,13 +83,14 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--out", metavar="DIR", default=argparse.SUPPRESS, help="output directory"
     )
     for section, keys in CONFIG_SCHEMA.items():
-        for key, (_, default, text) in keys.items():
-            name = f"{section}.{key}"
-            flags = [f"--{flag}" for flag in (name, _SHORTCUTS.get(name)) if flag]
-            if default is not None:
-                text = f"{text} (default: {render(default)})"
+        for name, key in keys.items():
+            dest = f"{section}.{name}"
+            flags = [f"--{flag}" for flag in (dest, key.shortcut) if flag]
+            text = ", ".join(part for part in (key.help, key.range_text()) if part)
+            if key.default is not None:
+                text = f"{text} (default: {render(key.default)})"
             parser.add_argument(
-                *flags, dest=name, metavar="V", default=argparse.SUPPRESS, help=text
+                *flags, dest=dest, metavar="V", default=argparse.SUPPRESS, help=text
             )
     parser.add_argument(
         "--target",

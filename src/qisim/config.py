@@ -1,15 +1,20 @@
 """Configuration: flat key-value text with one section per module (INI
-syntax), described by ``CONFIG_SCHEMA``.  A resolved configuration holds
-every key of the schema; `apply` layers {"section.key": raw} overrides
-onto it, `sidecar_text` renders it as `load_config_file` reads it back,
-and `build_scenario` is the one place that turns it into a `Scenario`.
+syntax), described by ``CONFIG_SCHEMA``.  A key that a `Scenario` holds
+is declared by the spec field holding it (see `types.Key`), and the sweep
+and run keys, which no spec holds, in `_schema`; ``CONFIG_SCHEMA``
+collects them once, at import.  Sections and keys are case-sensitive.
+A resolved configuration holds every key of the schema; `apply` layers
+{"section.key": raw} overrides onto it, `sidecar_text` renders it as
+`load_config_file` reads it back, and `build_scenario` is the one place
+that turns it into a `Scenario`.
 """
 from __future__ import annotations
 
 import configparser
+import dataclasses
 
 from .sampler import STREAM_FORMAT
-from .types import BackgroundSpec, ChannelSpec, ParameterError, Scenario, SourceKind, SourceSpec
+from .types import Key, ParameterError, Scenario
 
 
 def _parse_bool(text: str) -> bool:
@@ -29,66 +34,48 @@ def _parse_str_list(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# section -> key -> (parser, default, help text with symbol and units)
-CONFIG_SCHEMA = {
-    "source": {
-        "kind": (
-            str,
-            "twin_beam",
-            "source type: twin_beam or split_thermal; analytic and simulate only, sweeps use sweep.sources",
-        ),
-        "mu": (float, 0.075, "mean photons per mode, symbol mu (dimensionless)"),
-        "modes": (int, 90000, "spatiotemporal modes per pixel pair, symbol M"),
-        "split_ratio": (float, 0.5, "classical splitter transmittance, symbol t, in (0,1)"),
-    },
-    "channel": {
-        "eta1": (float, 0.62, "reference-arm detection efficiency, symbol eta_1, in [0,1]"),
-        "eta2": (float, 0.62, "probe-arm detection efficiency, symbol eta_2, in [0,1]"),
-        "reflectivity": (float, 0.5, "target reflectivity, symbol r, in [0,1]"),
-        "target_present": (_parse_bool, True, "whether the target is in the probe path"),
-        "mode_match": (float, 1.0, "fraction of probe modes correlated with the paired pixel, in [0,1]"),
-    },
-    "background": {
-        "modes_b": (int, 1300, "background mode count, symbol M_b"),
-        "mean_total": (float, 0.0, "detected background photons per pixel, symbol N_b"),
-    },
-    "scenario": {
-        "pixel_pairs": (int, 80, "correlated pixel pairs per frame, symbol K"),
-        "images": (int, 2000, "frames generated per hypothesis, symbol N_img"),
-        "images_per_decision": (int, 10, "frames averaged per detection decision"),
-    },
-    "sampler": {
-        "read_noise_sigma": (float, 0.0, "additive detector read noise sigma, electrons, 0 to 1e6"),
-    },
-    "sweep": {
-        "parameter": (
-            str, "background_mean", "swept key: any numeric section.key outside run and sweep, "
+def _schema() -> dict:
+    """section -> key -> `Key`, in the order sidecars render them: the
+    keys `Scenario` holds, its specs' included, in field order, then the
+    sweep and run keys, which no spec holds."""
+    schema: dict = {}
+    for outer in dataclasses.fields(Scenario):
+        if "key" in outer.metadata:
+            key = outer.metadata["key"]
+            schema.setdefault(key.section, {})[outer.name] = key
+        else:
+            spec_fields = dataclasses.fields(outer.default_factory)
+            schema[outer.name] = {f.name: f.metadata["key"] for f in spec_fields}
+    schema["sweep"] = {
+        "parameter": Key(
+            "background_mean", "swept key: any numeric section.key outside run and sweep, "
             "e.g. channel.eta2, or the alias background_mean, mu or images_per_decision",
         ),
-        "values": (
-            _parse_float_list,
+        "values": Key(
             (100.0, 316.0, 1000.0, 3162.0, 10000.0, 31623.0, 100000.0),
-            "comma-separated increasing values",
+            "comma-separated increasing values", parse=_parse_float_list,
         ),
-        "sources": (
-            _parse_str_list,
-            ("twin_beam", "split_thermal"),
-            "comma-separated source kinds to compare",
+        "sources": Key(
+            ("twin_beam", "split_thermal"), "comma-separated source kinds to compare",
+            parse=_parse_str_list,
         ),
-        "outputs": (
-            _parse_str_list, ("epsilon",), "comma-separated metrics: epsilon,snr,covariance,perr"
+        "outputs": Key(
+            ("epsilon",), "comma-separated metrics: epsilon,snr,covariance,perr", parse=_parse_str_list
         ),
-        "emit_analytic": (_parse_bool, True, "also emit closed-form curve values"),
-    },
-    "run": {
-        "seed": (int, None, "master seed (default: drawn and printed)"),
-    },
-}
+        "emit_analytic": Key(True, "also emit closed-form curve values"),
+    }
+    schema["run"] = {
+        "seed": Key(None, "master seed (default: drawn and printed)", shortcut="seed", parse=int)
+    }
+    return schema
+
+
+CONFIG_SCHEMA = _schema()
 
 
 def default_config() -> dict:
     return {
-        section: {key: entry[1] for key, entry in keys.items()}
+        section: {name: key.default for name, key in keys.items()}
         for section, keys in CONFIG_SCHEMA.items()
     }
 
@@ -96,7 +83,9 @@ def default_config() -> dict:
 def _set_key(config: dict, section: str, key: str, raw) -> None:
     if section not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[section]:
         raise ParameterError(f"unknown config key: {section}.{key}")
-    parser = CONFIG_SCHEMA[section][key][0]
+    declared = CONFIG_SCHEMA[section][key]
+    kind = type(declared.default)
+    parser = declared.parse or (_parse_bool if kind is bool else kind)
     try:
         config[section][key] = parser(raw)
     except (ValueError, ParameterError) as exc:
@@ -121,6 +110,7 @@ def load_config_file(path: str) -> dict:
     raises `OSError`."""
     config = default_config()
     ini = configparser.ConfigParser(interpolation=None)
+    ini.optionxform = str  # keys are case-sensitive, like sections
     try:
         with open(path, encoding="utf-8") as handle:
             ini.read_file(handle)
@@ -163,14 +153,10 @@ def sidecar_text(config: dict) -> str:
 
 
 def build_scenario(config: dict) -> Scenario:
-    """The scenario of a resolved configuration; the source, channel and
-    background sections each hold exactly their spec's fields."""
-    return Scenario(
-        source=SourceSpec(**dict(config["source"], kind=SourceKind.parse(config["source"]["kind"]))),
-        channel=ChannelSpec(**config["channel"]),
-        background=BackgroundSpec(**config["background"]),
-        pixel_pairs=config["scenario"]["pixel_pairs"],
-        images=config["scenario"]["images"],
-        read_noise_sigma=config["sampler"]["read_noise_sigma"],
-        images_per_decision=config["scenario"]["images_per_decision"],
-    )
+    """The scenario of a resolved configuration: each spec takes its
+    section as keywords, and `Scenario` its own keys."""
+    return Scenario(**{
+        f.name: config[f.metadata["key"].section][f.name]
+        if "key" in f.metadata else f.default_factory(**config[f.name])
+        for f in dataclasses.fields(Scenario)
+    })

@@ -103,14 +103,16 @@ def sweep_spec(config: dict) -> SweepSpec:
     name = sweep["parameter"]
     key = _ALIASES.get(name, name)
     section, _, field = key.partition(".")
-    parser = CONFIG_SCHEMA.get(section, {}).get(field, (None,))[0]
-    if section in ("run", "sweep") or parser not in (int, float):
+    declared = CONFIG_SCHEMA.get(section, {}).get(field)
+    key_type = type(declared.default) if declared else None
+    if key_type not in (int, float):  # the sweep and run keys hold no number
         raise ParameterError(
             "sweep.parameter must be a numeric section.key outside run and sweep, or one of "
             f"{list(_ALIASES)} (got {name!r})"
         )
-    if parser is int and not all(float(v).is_integer() and v >= 1 for v in values):
-        raise ParameterError(f"{name} values must be integers >= 1 (got {values})")
+    # an int key's parser would truncate a fractional value
+    if key_type is int and not all(float(v).is_integer() and declared.admits(v) for v in values):
+        raise ParameterError(f"{name} values must be integers {declared.range_text()} (got {values})")
     seed = SeedSpec(config["run"]["seed"])
     points = []
     for si, kind in enumerate(sweep["sources"]):

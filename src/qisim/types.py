@@ -3,13 +3,23 @@
 All value types are frozen dataclasses validated at construction, so any
 function receiving one can trust the physical ranges.  Everything here is
 immutable; the same objects may be read from several threads at once.
+
+Each config key is declared once, by the spec field that holds it: `_key`
+gives the field its default and a `Key` with the range, help text and
+shortcut.  A spec checks its fields against their declarations when it
+is built; `config` derives the schema, the parsers and `build_scenario`
+from them, and `cli` the flags and ``--help``.  Checks that are not
+ranges (the source kind, signed zeros, `SeedSpec`) stay in the
+``__post_init__`` of what they guard.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,6 +29,8 @@ import numpy as np
 _MEAN_PHOTON_LIMIT = 1e6
 # Relative roundoff `MomentSet.check_consistency` forgives.
 _CONSISTENCY_RTOL = 1e-9
+# the types an integer key (and a seed) takes
+_INTEGERS = (int, np.integer)
 
 
 class ParameterError(ValueError):
@@ -37,21 +49,64 @@ class InfeasibleInstanceError(ValueError):
     """Exact enumeration would exceed the configured state budget."""
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParameterError(message)
+@dataclass(frozen=True)
+class Key:
+    """The one declaration of a config key.  The default's type is the
+    key's type.  A number lies in [lo, hi], or in (lo, hi) if `open`; a
+    missing bound is no bound, and a float must also be finite.  `section`
+    places a key that `Scenario` holds itself; a spec's keys sit in the
+    section named after the `Scenario` field holding the spec.  `parse`
+    reads the key's config text when the default's type cannot."""
+
+    default: object
+    help: str
+    lo: float | None = None
+    hi: float | None = None
+    open: bool = False
+    shortcut: str | None = None
+    section: str = "scenario"
+    parse: Callable[[str], object] | None = None
+
+    def range_text(self) -> str:
+        """The range as help text and messages print it: ">= 0",
+        "in [0, 1]", "in (0, 1)", or "" for a key without bounds."""
+        if self.hi is None:
+            return "" if self.lo is None else f"{'>' if self.open else '>='} {self.lo:g}"
+        ends = "()" if self.open else "[]"
+        return f"in {ends[0]}{self.lo:g}, {self.hi:g}{ends[1]}"
+
+    def admits(self, value) -> bool:
+        """Whether `value` lies within the bounds."""
+        if self.open:
+            return (self.lo is None or value > self.lo) and (self.hi is None or value < self.hi)
+        return (self.lo is None or value >= self.lo) and (self.hi is None or value <= self.hi)
+
+    def check(self, name: str, value) -> None:
+        """Raise `ParameterError`, naming the key `name`, unless `value`
+        has the key's type and lies in its range."""
+        kind = type(self.default)
+        if kind is float and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite (got {value!r})")
+        if (kind is int and not isinstance(value, _INTEGERS)) or not self.admits(value):
+            raise ParameterError(f"{name} must be {self.range_text()} (got {value})")
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite (got {value!r})")
+def _key(default, help: str, **declared):
+    """A spec field holding a config key: `Key(default, help, **declared)`."""
+    return dataclasses.field(default=default, metadata={"key": Key(default, help, **declared)})
 
 
-def _require_count(name: str, value: int) -> None:
-    _require(
-        isinstance(value, (int, np.integer)) and value >= 1,
-        f"{name} must be a positive integer (got {value})",
-    )
+@functools.cache
+def _declared(cls) -> tuple:
+    """(name, `Key`) of each key field of the spec class `cls`, in field
+    order; built once per class, so building a spec allocates no tuple."""
+    return tuple((f.name, f.metadata["key"]) for f in dataclasses.fields(cls) if "key" in f.metadata)
+
+
+def _check_keys(spec) -> None:
+    """Check every key field of `spec` against its declaration."""
+    for name, key in _declared(type(spec)):
+        key.check(name, getattr(spec, name))
 
 
 class SourceKind(enum.Enum):
@@ -61,13 +116,14 @@ class SourceKind(enum.Enum):
     SPLIT_THERMAL = "split_thermal"
 
     @classmethod
-    def parse(cls, text: str) -> "SourceKind":
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise ParameterError(
-            f"kind must be one of {[k.value for k in cls]} (got {text!r})"
-        )
+    def parse(cls, text) -> "SourceKind":
+        """The kind named `text`; a kind is returned as it is."""
+        try:
+            return cls(text)
+        except ValueError:
+            raise ParameterError(
+                f"kind must be one of {[k.value for k in cls]} (got {text!r})"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -78,24 +134,22 @@ class SourceSpec:
     modes is the number of modes collected per pixel pair.  For the split
     thermal source the pre-split beam carries mu/split_ratio photons per
     mode so that arm 1 keeps a per-mode mean of mu regardless of the
-    splitting ratio.
+    splitting ratio.  kind is a `SourceKind` or its name.
     """
 
-    kind: SourceKind
-    mu: float
-    modes: int
-    split_ratio: float = 0.5
+    kind: SourceKind = _key(
+        "twin_beam",
+        f"source type: {' or '.join(k.value for k in SourceKind)}; analytic and simulate only,"
+        " sweeps use sweep.sources",
+    )
+    mu: float = _key(0.075, "mean photons per mode, symbol mu (dimensionless)", lo=0.0, shortcut="mu")
+    modes: int = _key(90000, "spatiotemporal modes per pixel pair, symbol M", lo=1, shortcut="modes")
+    split_ratio: float = _key(0.5, "classical splitter transmittance, symbol t", lo=0.0, hi=1.0, open=True)
 
     def __post_init__(self) -> None:
-        _require_finite("mu", self.mu)
-        _require(self.mu >= 0.0, f"mu must be >= 0 (got {self.mu})")
+        object.__setattr__(self, "kind", SourceKind.parse(self.kind))
+        _check_keys(self)
         object.__setattr__(self, "mu", self.mu + 0.0)  # -0.0 -> +0.0
-        _require_count("modes", self.modes)
-        _require_finite("split_ratio", self.split_ratio)
-        _require(
-            0.0 < self.split_ratio < 1.0,
-            f"split_ratio must lie strictly inside (0, 1) (got {self.split_ratio})",
-        )
 
     @property
     def pre_split_mean(self) -> float:
@@ -116,19 +170,26 @@ class ChannelSpec:
     statistics).
     """
 
-    eta1: float
-    eta2: float
-    reflectivity: float = 0.5
-    target_present: bool = True
-    mode_match: float = 1.0
+    eta1: float = _key(
+        0.62, "reference-arm detection efficiency, symbol eta_1", lo=0.0, hi=1.0, shortcut="eta1"
+    )
+    eta2: float = _key(
+        0.62, "probe-arm detection efficiency, symbol eta_2", lo=0.0, hi=1.0, shortcut="eta2"
+    )
+    reflectivity: float = _key(
+        0.5, "target reflectivity, symbol r", lo=0.0, hi=1.0, shortcut="reflectivity"
+    )
+    target_present: bool = _key(True, "whether the target is in the probe path")
+    mode_match: float = _key(
+        1.0, "fraction of probe modes correlated with the paired pixel", lo=0.0, hi=1.0,
+        shortcut="mode-match",
+    )
 
     def __post_init__(self) -> None:
+        _check_keys(self)
         for name in ("eta1", "eta2", "reflectivity", "mode_match"):
-            value = getattr(self, name)
-            _require_finite(name, value)
-            _require(0.0 <= value <= 1.0, f"{name} must lie in [0, 1] (got {value})")
             # a signed zero reads +0.0 on every route
-            object.__setattr__(self, name, value + 0.0)
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
 
     @property
     def arm2_efficiency(self) -> float:
@@ -144,13 +205,13 @@ class BackgroundSpec:
     """Multithermal background on the probe arm: modes_b modes, total
     detected mean mean_total, variance mean_total * (1 + mean_total/modes_b)."""
 
-    modes_b: int = 1
-    mean_total: float = 0.0
+    modes_b: int = _key(1300, "background mode count, symbol M_b", lo=1, shortcut="modes-b")
+    mean_total: float = _key(
+        0.0, "detected background photons per pixel, symbol N_b", lo=0.0, shortcut="background"
+    )
 
     def __post_init__(self) -> None:
-        _require_count("modes_b", self.modes_b)
-        _require_finite("mean_total", self.mean_total)
-        _require(self.mean_total >= 0.0, f"mean_total must be >= 0 (got {self.mean_total})")
+        _check_keys(self)
 
 
 @dataclass(frozen=True)
@@ -158,30 +219,24 @@ class Scenario:
     """A complete experiment configuration: source, channel (which sets the
     hypothesis), background, number of pixel pairs per frame (K), frames
     per hypothesis, the detector read-noise sigma in electrons and the
-    frames averaged into one perr decision."""
+    frames averaged into one perr decision.  Every field has the default
+    of its config key, so `Scenario()` is the default configuration."""
 
-    source: SourceSpec
-    channel: ChannelSpec
-    background: BackgroundSpec
-    pixel_pairs: int
-    images: int
-    read_noise_sigma: float = 0.0
-    images_per_decision: int = 10
+    source: SourceSpec = dataclasses.field(default_factory=SourceSpec)
+    channel: ChannelSpec = dataclasses.field(default_factory=ChannelSpec)
+    background: BackgroundSpec = dataclasses.field(default_factory=BackgroundSpec)
+    pixel_pairs: int = _key(80, "correlated pixel pairs per frame, symbol K", lo=1, shortcut="pixel-pairs")
+    images: int = _key(2000, "frames generated per hypothesis, symbol N_img", lo=1, shortcut="frames")
+    read_noise_sigma: float = _key(
+        0.0, "additive detector read noise sigma, electrons", lo=0.0, hi=_MEAN_PHOTON_LIMIT,
+        shortcut="read-noise", section="sampler",
+    )
+    images_per_decision: int = _key(
+        10, "frames averaged per detection decision", lo=1, shortcut="images-per-decision"
+    )
 
     def __post_init__(self) -> None:
-        ipd = self.images_per_decision
-        _require(
-            isinstance(ipd, (int, np.integer)) and ipd >= 1,
-            f"images_per_decision must be >= 1 (got {ipd})",
-        )
-        _require_count("pixel_pairs", self.pixel_pairs)
-        _require_count("images", self.images)
-        sigma = self.read_noise_sigma
-        _require(
-            math.isfinite(sigma) and 0.0 <= sigma <= _MEAN_PHOTON_LIMIT,
-            f"read_noise_sigma must be finite and >= 0, and at most {_MEAN_PHOTON_LIMIT:g}"
-            f" (got {sigma!r})",
-        )
+        _check_keys(self)
 
     def with_target(self, present: bool) -> "Scenario":
         return dataclasses.replace(
@@ -240,10 +295,9 @@ class SeedSpec:
     master_seed: int
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.master_seed, (int, np.integer)) and 0 <= self.master_seed < 2**64,
-            f"master_seed must be an unsigned 64-bit integer (got {self.master_seed})",
-        )
+        seed = self.master_seed
+        if not (isinstance(seed, _INTEGERS) and 0 <= seed < 2**64):
+            raise ParameterError(f"master_seed must be an unsigned 64-bit integer (got {seed})")
 
     def child_sequence(self, *tags: int) -> np.random.SeedSequence:
         """The SeedSequence of (master_seed, *tags).  It pads its entropy,

@@ -27,8 +27,16 @@ from qisim.config import (
     sidecar_text,
 )
 from qisim.estimator import perr_hat
-from qisim.scenario import KNOWN_OUTPUTS, PointPipeline, run_figure
-from qisim.types import BackgroundSpec, ChannelSpec, ParameterError, SeedSpec, SourceSpec
+from qisim.scenario import _ALIASES, KNOWN_OUTPUTS, PointPipeline, run_figure
+from qisim.types import (
+    BackgroundSpec,
+    ChannelSpec,
+    ParameterError,
+    Scenario,
+    SeedSpec,
+    SourceKind,
+    SourceSpec,
+)
 
 
 def run_cli(capsys, *argv):
@@ -172,48 +180,58 @@ def test_config_file_roundtrip(capsys, tmp_path):
     assert summary_value(out, "mu") == "0.2"
 
 
+# the draw of a declared key without an upper bound stops here
+_DRAW_CAPS = {
+    "source.mu": 1e6,
+    "source.modes": 10**6,
+    "background.modes_b": 10**6,
+    "background.mean_total": 1e6,
+    "scenario.pixel_pairs": 10**4,
+    "scenario.images": 10**6,
+    "scenario.images_per_decision": 10**4,
+}
+_KINDS = tuple(kind.value for kind in SourceKind)
+
+
+def declared_strategy(name: str):
+    """Values of the declared key `name` ("section.key") within its range."""
+    section, key = name.split(".")
+    declared = CONFIG_SCHEMA[section][key]
+    kind = type(declared.default)
+    if kind is bool:
+        return st.booleans()
+    if kind is str:  # source.kind, the one text key a spec holds
+        return st.sampled_from(_KINDS)
+    hi = _DRAW_CAPS[name] if declared.hi is None else declared.hi
+    if kind is int:
+        return st.integers(declared.lo, hi)
+    return st.floats(
+        declared.lo, hi, exclude_min=declared.open, exclude_max=declared.open and declared.hi is not None
+    )
+
+
 @st.composite
 def resolved_configs(draw) -> dict:
     """A configuration as a sweep resolves it: every schema key set within
-    its valid range, the seed included."""
-    kinds = ("twin_beam", "split_thermal")
-    unit = st.floats(0.0, 1.0)
+    its valid range, the seed included; the declared keys, and the values
+    of the swept one, draw from their declarations."""
     parameter = draw(st.sampled_from(("background_mean", "images_per_decision", "mu")))
-    if parameter == "images_per_decision":
-        values = st.lists(st.integers(1, 10**4).map(float), min_size=1, max_size=8, unique=True)
-    else:
-        values = st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8, unique=True)
-    drawn = {
-        "source": {
-            "kind": st.sampled_from(kinds),
-            "mu": st.floats(0.0, 1e3),
-            "modes": st.integers(1, 10**6),
-            "split_ratio": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        },
-        "channel": {
-            "eta1": unit,
-            "eta2": unit,
-            "reflectivity": unit,
-            "target_present": st.booleans(),
-            "mode_match": unit,
-        },
-        "background": {"modes_b": st.integers(1, 10**6), "mean_total": st.floats(0.0, 1e6)},
-        "scenario": {
-            "pixel_pairs": st.integers(1, 10**4),
-            "images": st.integers(1, 10**6),
-            "images_per_decision": st.integers(1, 10**4),
-        },
-        "sampler": {"read_noise_sigma": st.floats(0.0, 1e6)},
-        "sweep": {
-            "parameter": st.just(parameter),
-            "values": values.map(sorted).map(tuple),
-            "sources": st.lists(st.sampled_from(kinds), min_size=1, unique=True).map(tuple),
-            "outputs": st.lists(st.sampled_from(KNOWN_OUTPUTS), min_size=1, unique=True).map(tuple),
-            "emit_analytic": st.booleans(),
-        },
-        "run": {"seed": st.integers(0, 2**64 - 1)},
+    swept = declared_strategy(_ALIASES[parameter]).map(float)
+    config = {
+        section: {key: draw(declared_strategy(f"{section}.{key}")) for key in keys}
+        for section, keys in CONFIG_SCHEMA.items()
+        if section not in ("sweep", "run")
     }
-    return {s: {k: draw(strategy) for k, strategy in keys.items()} for s, keys in drawn.items()}
+    sweep = {
+        "parameter": st.just(parameter),
+        "values": st.lists(swept, min_size=1, max_size=8, unique=True).map(sorted).map(tuple),
+        "sources": st.lists(st.sampled_from(_KINDS), min_size=1, unique=True).map(tuple),
+        "outputs": st.lists(st.sampled_from(KNOWN_OUTPUTS), min_size=1, unique=True).map(tuple),
+        "emit_analytic": st.booleans(),
+    }
+    config["sweep"] = {key: draw(strategy) for key, strategy in sweep.items()}
+    config["run"] = {"seed": draw(st.integers(0, 2**64 - 1))}
+    return config
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,6 +301,8 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
         # configparser reads [DEFAULT] keys into every section, or none
         (b"[DEFAULT]\nmu = 0.3\n", "unknown config section: DEFAULT"),
         (b"[DEFAULT]\nmodes = 3\n[source]\n[channel]\n", "unknown config section: DEFAULT"),
+        # keys are case-sensitive, like sections
+        (b"[source]\nMU = 0.3\n", "unknown config key: source.MU"),
     ],
 )
 @pytest.mark.parametrize("command", ["analytic", "sweep"])
@@ -480,6 +500,40 @@ def test_spec_sections_hold_exactly_their_fields(section, spec):
     assert list(CONFIG_SCHEMA[section]) == [field.name for field in dataclasses.fields(spec)]
 
 
+def test_default_config_builds_the_specs_defaults():
+    assert build_scenario(default_config()) == Scenario()
+    assert Scenario().background.modes_b == 1300
+
+
+def _outside(declared) -> list:
+    """The first values outside each declared bound, and for a float also
+    nan and inf."""
+    if type(declared.default) is int:
+        return [bound + step for bound, step in ((declared.lo, -1), (declared.hi, 1)) if bound is not None]
+    values = [math.nan, math.inf]
+    for bound, away in ((declared.lo, -math.inf), (declared.hi, math.inf)):
+        if bound is not None:
+            values.append(bound if declared.open else math.nextafter(bound, away))
+    return values
+
+
+_OUT_OF_RANGE = [
+    pytest.param(f"{section}.{key}", value, id=f"{section}.{key}={value!r}")
+    for section, keys in CONFIG_SCHEMA.items()
+    for key, declared in keys.items()
+    if type(declared.default) in (int, float)
+    for value in _outside(declared)
+]
+
+
+@pytest.mark.parametrize("name, value", _OUT_OF_RANGE)
+def test_value_outside_a_declared_range_exits_2(capsys, tmp_path, name, value):
+    code, out, err = run_cli(capsys, "analytic", f"--{name}={value!r}", "--csv", str(tmp_path / "a.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name.split('.')[1]} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_flags_before_subcommand_are_kept(capsys, tmp_path):
     flags = ["--seed", "5", "--frames", "30", "--pixel-pairs", "8"]
     code_a, _, _ = run_cli(capsys, *flags, "simulate", "--out", str(tmp_path / "a"))
@@ -519,7 +573,15 @@ def test_simulate_background_past_the_sampling_limit_exit_2(capsys, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "1e20"])
+_READ_NOISE_ERRORS = {
+    "-1": "must be in [0, 1e+06] (got -1.0)",
+    "nan": "must be finite (got nan)",
+    "inf": "must be finite (got inf)",
+    "1e20": "must be in [0, 1e+06] (got 1e+20)",
+}
+
+
+@pytest.mark.parametrize("sigma", list(_READ_NOISE_ERRORS))
 def test_invalid_read_noise_exit_2(capsys, tmp_path, sigma):
     analytic_csv = tmp_path / "analytic.csv"
     for command, extra, output in (
@@ -535,7 +597,7 @@ def test_invalid_read_noise_exit_2(capsys, tmp_path, sigma):
                 "--out", str(out),
             )
         assert code == 2, command
-        assert "read_noise_sigma must be finite and >= 0" in err
+        assert err == f"error: read_noise_sigma {_READ_NOISE_ERRORS[sigma]}\n"
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
         assert not output.exists()
