@@ -151,11 +151,10 @@ def snr(scenario: Scenario) -> float:
     pixel pair; multiply by sqrt(K * frames averaged) for an acquisition."""
     m_in = moments(scenario)
     m_out = _moments(scenario, 0.0)  # target absent: `arm2_efficiency` is 0
-    numerator = abs(m_in.cov)
     denom_sq = m_in.delta_product_variance + m_out.delta_product_variance
     if denom_sq <= 0.0:
         return 0.0
-    return numerator / math.sqrt(denom_sq)
+    return m_in.cov / math.sqrt(denom_sq)
 
 
 def snr_dominant_background(scenario: Scenario) -> float:
@@ -167,7 +166,7 @@ def snr_dominant_background(scenario: Scenario) -> float:
         raise DegenerateStatisticError(
             "dominant-background form needs fluctuating arm 1 and background"
         )
-    return abs(m_in.cov) / math.sqrt(denom_sq)
+    return m_in.cov / math.sqrt(denom_sq)
 
 
 def enhancement(mu: float) -> float:

@@ -3,10 +3,9 @@
 A run resolves one configuration (see `config`) in layers: the defaults
 or ``--config FILE``, then every key given on the command line.  Each
 key is one option, spelled ``--section.key`` or by its shortcut
-(``--mu``, ``--seed``, ...); ``--target present|absent`` sets
-``channel.target_present``.  A key given more than once takes the value
-of its last flag, before or after the subcommand.  The figure presets
-live in the library: ``reproduce`` hands both layers to
+(``--mu``, ``--seed``, ``--target``, ...).  A key given more than once
+takes the value of its last flag, before or after the subcommand.  The
+figure presets live in the library: ``reproduce`` hands both layers to
 `scenario.run_figure`, which puts each series' keys between them, so
 explicit flags win over presets, and writes what it returns.
 
@@ -66,12 +65,6 @@ def _write_sweeps(out: str, sweeps: dict) -> int:
 _FLAG_DEFAULTS = {"config": None, "out": "qisim-out"}
 
 
-def _target(text: str) -> str:
-    if text not in ("present", "absent"):
-        raise argparse.ArgumentTypeError(f"expected present or absent, got {text!r}")
-    return str(text == "present")
-
-
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     """Shared flags, accepted both before and after the subcommand: one
     option per config key, `--section.key` and its shortcut, storing the
@@ -92,14 +85,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(
                 *flags, dest=dest, metavar="V", default=argparse.SUPPRESS, help=text
             )
-    parser.add_argument(
-        "--target",
-        dest="channel.target_present",
-        type=_target,
-        metavar="{present,absent}",
-        default=argparse.SUPPRESS,
-        help="sets channel.target_present",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     usage = "%(prog)s [-h] [--section.key V | --shortcut V ...]"
     parser = argparse.ArgumentParser(
         prog="qisim",
-        usage=usage + " {analytic,simulate,sweep,reproduce} ...",
         description=(
             "Photon-counting target detection with correlated beams: "
             "closed forms, Monte Carlo simulation, and figure sweeps."
@@ -126,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_analytic.add_argument("--csv", metavar="PATH", help="also write a single-row CSV")
     add("simulate", "generate one image set, run all estimators, write records")
     add("sweep", "run the configured sweep; write sweep.csv and its sidecar")
-    p_rep = add("reproduce", "run a named figure sweep preset", " {fig2,fig3,fig4,fig5}")
+    p_rep = add("reproduce", "run a named figure sweep preset", " {" + ",".join(PRESETS) + "}")
     p_rep.add_argument("figure", choices=list(PRESETS))
+    parser.usage = usage + " {" + ",".join(sub.choices) + "} ..."
     return parser
 
 

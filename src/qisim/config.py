@@ -14,16 +14,7 @@ import configparser
 import dataclasses
 
 from .sampler import STREAM_FORMAT
-from .types import Key, ParameterError, Scenario
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ParameterError(f"expected a boolean, got {text!r}")
+from .types import Key, ParameterError, Scenario, parse_bool
 
 
 def _parse_float_list(text: str) -> tuple:
@@ -85,7 +76,7 @@ def _set_key(config: dict, section: str, key: str, raw) -> None:
         raise ParameterError(f"unknown config key: {section}.{key}")
     declared = CONFIG_SCHEMA[section][key]
     kind = type(declared.default)
-    parser = declared.parse or (_parse_bool if kind is bool else kind)
+    parser = declared.parse or (parse_bool if kind is bool else kind)
     try:
         config[section][key] = parser(raw)
     except (ValueError, ParameterError) as exc:

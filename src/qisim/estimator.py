@@ -22,10 +22,10 @@ influence on the estimate:
   S2, S11, S22, S12) / K, with cov = C - ab, nv1 = A - a^2 - a, nv2 =
   B - b^2 - b, r = sqrt(nv1 nv2): IF = (-b/r + g(2a+1)/(2 nv1), -a/r +
   g(2b+1)/(2 nv2), -g/(2 nv1), -g/(2 nv2), 1/r) . (x - (a, b, A, B, C));
-- SNR f = |m_in - m_out| / sqrt(V) with V = v_in + v_out: on each
-  hypothesis's covariances d, IF = s(d - m)/sqrt(V) - f((d - m)^2 - v)/(2V),
-  s being the sign of m_in - m_out for "in" and its opposite for "out";
-  the per-pixel-pair SNR f / sqrt(K) has IF / sqrt(K).
+- SNR f = (m_in - m_out) / sqrt(V) with V = v_in + v_out, signed so that
+  it has no kink at 0: on each hypothesis's covariances d, IF = s(d -
+  m)/sqrt(V) - f((d - m)^2 - v)/(2V), s being +1 for "in" and -1 for
+  "out"; the per-pixel-pair SNR f / sqrt(K) has IF / sqrt(K).
 
 The error rate (`perr_hat`) is not smooth in the frames: it counts
 decisions.  The per-frame covariances of each hypothesis are averaged
@@ -152,19 +152,20 @@ def epsilon_hat(stats: np.ndarray) -> tuple[float, float]:
 
 
 def snr_hat(in_values: np.ndarray, out_values: np.ndarray, pixel_pairs: int) -> tuple[float, float]:
-    """(SNR, sigma) per pixel pair: |mean(in) - mean(out)| / sqrt(var(in) +
+    """(SNR, sigma) per pixel pair: (mean(in) - mean(out)) / sqrt(var(in) +
     var(out)) of per-frame covariances, variances with divisor n-1, over
-    sqrt(pixel_pairs); both variances 0 raise DegenerateStatisticError."""
+    sqrt(pixel_pairs); negative where mean(in) < mean(out).  Both variances
+    0 raise DegenerateStatisticError."""
     _need_two(in_values, out_values)
     (m_in, v_in), (m_out, v_out) = ((d.mean(), d.var(ddof=1)) for d in (in_values, out_values))
     total = v_in + v_out
     if not total > 0.0:
         raise DegenerateStatisticError("zero sample variance in both hypotheses")
-    snr, sign = abs(m_in - m_out) / math.sqrt(total), np.sign(m_in - m_out)
+    snr = (m_in - m_out) / math.sqrt(total)
     root = math.sqrt(pixel_pairs)
     return float(snr) / root, _sigma(*(
         (s * (d - m) / math.sqrt(total) - snr * ((d - m) ** 2 - v) / (2 * total)) / root
-        for d, m, v, s in ((in_values, m_in, v_in, sign), (out_values, m_out, v_out, -sign))
+        for d, m, v, s in ((in_values, m_in, v_in, 1.0), (out_values, m_out, v_out, -1.0))
     ))
 
 

@@ -10,12 +10,14 @@ other points run.  `run_sweep` runs one `PointPipeline` per point, all
 on one memo of the sweep, which reuses a draw only as README
 "Reproducibility" states.  `simulate` is one point on the master seed,
 without a memo.
-`METRICS` defines each figure of merit once, as a function of the
-point: it reads the point's statistics tables or per-frame covariances
-and makes one `estimator` call that returns (estimate, sigma): the delta
-method's sigma, or for perr errors counted at a fitted threshold with a
-binomial sigma; no metric draws random numbers of its own.  Estimator
-failures flag the affected row and never abort the sweep.
+`_OUTPUTS` lists each sweep output's metrics in row order and defines
+each figure of merit once, as a function of the point; `METRICS` and
+`KNOWN_OUTPUTS` are read off it.  A metric reads the point's statistics
+tables or per-frame covariances and makes one `estimator` call that
+returns (estimate, sigma): the delta method's sigma, or for perr errors
+counted at a fitted threshold with a binomial sigma; no metric draws
+random numbers of its own.  Estimator failures flag the affected row
+and never abort the sweep.
 
 `PRESETS` holds the paper's figures fig2..fig5: per series, its file
 stem and its config keys.  `run_figure` resolves the config of each
@@ -24,7 +26,7 @@ pairs; it writes nothing, and `qisim reproduce` writes what it returns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from . import analytic
@@ -46,14 +48,6 @@ from .types import (
     Scenario,
     SeedSpec,
 )
-
-# sweep output -> the metrics it emits, one row each
-_OUTPUT_METRICS = {
-    "epsilon": ("epsilon",), "snr": ("snr",),
-    "covariance": ("covariance_in", "covariance_out"), "perr": ("perr",),
-}
-KNOWN_OUTPUTS = tuple(_OUTPUT_METRICS)
-
 
 # sweep.parameter aliases -> the config key each one sweeps
 _ALIASES = {
@@ -139,16 +133,17 @@ class SweepResult:
     rows: tuple
 
     def to_csv_text(self) -> str:
-        def fmt(x) -> str:
+        """The CSV of the rows: a header of `SweepRow`'s field names, then
+        one line per row; a number is its float repr, None an empty cell."""
+
+        def cell(x) -> str:
+            if isinstance(x, str):
+                return x
             return "" if x is None else repr(float(x))
 
-        lines = ["source,param,value,metric,estimate,uncertainty,analytic,flag"]
-        for r in self.rows:
-            lines.append(
-                f"{r.source},{r.param},{fmt(r.value)},{r.metric},"
-                f"{fmt(r.estimate)},{fmt(r.uncertainty)},{fmt(r.analytic)},{r.flag}"
-            )
-        return "\n".join(lines) + "\n"
+        names = [f.name for f in fields(SweepRow)]
+        lines = [names] + [[cell(getattr(row, name)) for name in names] for row in self.rows]
+        return "".join(",".join(line) + "\n" for line in lines)
 
 
 class _Metric(NamedTuple):
@@ -164,19 +159,26 @@ def _perr(point: PointPipeline) -> tuple[float, float]:
     return estimate.p_err, estimate.sigma
 
 
+# sweep output -> its metrics in row order -> (estimate, closed form);
 # closed forms look `analytic` up per call, so perfbench's tracer sees them
-METRICS = {
-    "epsilon": _Metric(lambda point: epsilon_hat(point.table("in")), lambda scn: analytic.epsilon(scn)),
-    "covariance_in": _Metric(
-        lambda point: mean_covariance(point.deltas("in")), lambda scn: analytic.moments(scn).cov
-    ),
-    "covariance_out": _Metric(lambda point: mean_covariance(point.deltas("out")), lambda scn: 0.0),
-    "snr": _Metric(
+_OUTPUTS = {
+    "epsilon": {"epsilon": _Metric(
+        lambda point: epsilon_hat(point.table("in")), lambda scn: analytic.epsilon(scn)
+    )},
+    "snr": {"snr": _Metric(
         lambda point: snr_hat(point.deltas("in"), point.deltas("out"), point.scenario.pixel_pairs),
         lambda scn: analytic.snr(scn),
-    ),
-    "perr": _Metric(_perr, lambda scn: analytic.error_probability(scn, scn.images_per_decision)),
+    )},
+    "covariance": {
+        "covariance_in": _Metric(
+            lambda point: mean_covariance(point.deltas("in")), lambda scn: analytic.moments(scn).cov
+        ),
+        "covariance_out": _Metric(lambda point: mean_covariance(point.deltas("out")), lambda scn: 0.0),
+    },
+    "perr": {"perr": _Metric(_perr, lambda scn: analytic.error_probability(scn, scn.images_per_decision))},
 }
+KNOWN_OUTPUTS = tuple(_OUTPUTS)
+METRICS = {name: metric for metrics in _OUTPUTS.values() for name, metric in metrics.items()}
 
 
 class PointPipeline:
@@ -227,7 +229,7 @@ def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow
     pipeline = PointPipeline(scn, point.seed, memo)
     rows: list[SweepRow] = []
     for output in sweep["outputs"]:
-        for metric in _OUTPUT_METRICS[output]:
+        for metric in _OUTPUTS[output]:
             estimate = uncertainty = reference = None
             flags = []
             try:

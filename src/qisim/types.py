@@ -109,6 +109,27 @@ def _check_keys(spec) -> None:
         key.check(name, getattr(spec, name))
 
 
+# lower-case word -> value, as every boolean key reads it in any case
+_BOOLEANS = {
+    "true": True, "yes": True, "1": True, "on": True, "false": False, "no": False, "0": False, "off": False
+}
+
+
+def parse_bool(text: str, words: dict = _BOOLEANS, expected: str = "a boolean") -> bool:
+    """The value of the word of `words` that `text` names in any case."""
+    try:
+        return words[text.strip().lower()]
+    except KeyError:
+        raise ParameterError(f"expected {expected}, got {text!r}") from None
+
+
+# the parser of `channel.target_present`, which also reads the hypothesis' name
+_parse_target = functools.partial(
+    parse_bool, words={"present": True, "absent": False, **_BOOLEANS},
+    expected=f"present or absent, or a boolean ({', '.join(_BOOLEANS)})",
+)
+
+
 class SourceKind(enum.Enum):
     """Illumination source: entangled pair or classically split thermal beam."""
 
@@ -179,7 +200,10 @@ class ChannelSpec:
     reflectivity: float = _key(
         0.5, "target reflectivity, symbol r", lo=0.0, hi=1.0, shortcut="reflectivity"
     )
-    target_present: bool = _key(True, "whether the target is in the probe path")
+    target_present: bool = _key(
+        True, "whether the target is in the probe path: present or absent, or a boolean",
+        shortcut="target", parse=_parse_target,
+    )
     mode_match: float = _key(
         1.0, "fraction of probe modes correlated with the paired pixel", lo=0.0, hi=1.0,
         shortcut="mode-match",

@@ -138,7 +138,24 @@ def test_snr_hat_identical_distributions_is_small():
     rng = np.random.default_rng(9)
     a = rng.normal(0.0, 1.0, 4000)
     b = rng.normal(0.0, 1.0, 4000)
-    assert snr_hat(a, b, 1)[0] < 5.0 * np.sqrt(2.0 / 4000.0)
+    assert abs(snr_hat(a, b, 1)[0]) < 5.0 * np.sqrt(2.0 / 4000.0)
+
+
+def test_snr_hat_swapped_hypotheses_negate_the_estimate():
+    rng = np.random.default_rng(4)
+    a = rng.normal(0.3, 1.0, 500)
+    b = rng.normal(0.0, 2.0, 700)
+    forward, backward = snr_hat(a, b, 80), snr_hat(b, a, 80)
+    assert forward[0] > 0.0
+    assert backward[0] == -forward[0]
+    assert backward[1] == forward[1]
+
+
+def test_snr_hat_equal_means_keep_their_sigma():
+    # the folded estimate gave each influence the sign of m_in - m_out, 0 here
+    estimate, sigma = snr_hat(np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0]), 1)
+    assert estimate == 0.0
+    assert sigma == pytest.approx(1.0 / np.sqrt(3.0))
 
 
 def test_snr_hat_constant_records_degenerate():
