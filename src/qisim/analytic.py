@@ -25,10 +25,8 @@ mode count, `mode_match` and the background stay outside the key,
 because `moments` applies them to the cached cumulants afterwards.
 A hit returns the tuple a cold call with the same key built, so results
 do not depend on the call history as long as equal keys compute equal
-bits.  The key is `typed`: `np.float64(0.5)` and `0.5` compare equal but
-give results of different types, so they get separate entries.  0.0 and
--0.0 share an entry, which is safe because `_pair_cumulants` adds 0.0 to
-every cumulant it returns, which turns a signed zero into +0.0.
+bits, which holds because the cache is keyed on the plain floats that
+specs hold (see `types`).
 
 All functions are pure and operate on immutable specs.
 """
@@ -49,7 +47,7 @@ from .types import (
 _PAIR_CACHE_SIZE = 256
 
 
-@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _pair_cumulants(
     kind: SourceKind, mu: float, split_ratio: float, e1: float, e2: float
 ) -> tuple:
@@ -63,14 +61,13 @@ def _pair_cumulants(
         # dividing by t last keeps b = 0 where mu e2 = 0, whatever t
         a, b, c = mu * e1, mu * e2 * (1.0 - split_ratio) / split_ratio, 0.0
     ab = a * b
-    cumulants = (
+    return (
         a, b,  # k10, k01
         a * a, b * b,  # k20, k02
         c + ab,  # k11
         2.0 * (b * c + ab * b), 2.0 * (a * c + a * ab),  # k12, k21
         2.0 * c * c + 8.0 * ab * c + 6.0 * ab * ab,  # k22
     )
-    return tuple(k + 0.0 for k in cumulants)  # -0.0 -> +0.0
 
 
 def variance_law(mean_total: float, modes: int) -> float:

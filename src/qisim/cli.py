@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import secrets
 import sys
@@ -123,18 +124,14 @@ def _overrides(args: argparse.Namespace, leftovers: list) -> dict:
     return {name: raw for name, raw in vars(args).items() if "." in name}
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _or_nan(closed_form) -> str:
-    """`closed_form()` formatted, or nan where the figure has no value: a
-    degenerate epsilon or dominant-background SNR, or the enhancement at
-    mu = 0, where a source without photons has no ratio."""
+def _or_nan(closed_form) -> float:
+    """`closed_form()`, or nan where the figure has no value: a degenerate
+    epsilon or dominant-background SNR, or the enhancement at mu = 0,
+    where a source without photons has no ratio."""
     try:
-        return _fmt(closed_form())
+        return closed_form()
     except (DegenerateStatisticError, ParameterError):
-        return "nan"
+        return math.nan
 
 
 def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
@@ -146,22 +143,22 @@ def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
     twin = scenario.source.kind is SourceKind.TWIN_BEAM
     fields = [
         ("kind", scenario.source.kind.value),
-        ("mu", _fmt(scenario.source.mu)),
-        *((f.name, _fmt(getattr(m, f.name))) for f in dataclasses.fields(m)),
+        ("mu", scenario.source.mu),
+        *((f.name, getattr(m, f.name)) for f in dataclasses.fields(m)),
         ("epsilon", _or_nan(lambda: analytic.epsilon(scenario))),
-        ("epsilon_ideal", enhancement if twin else _fmt(1.0)),
+        ("epsilon_ideal", enhancement if twin else 1.0),
         ("enhancement", enhancement),
-        ("snr", _fmt(analytic.snr(scenario))),
+        ("snr", analytic.snr(scenario)),
         ("snr_dominant_background", _or_nan(lambda: analytic.snr_dominant_background(scenario))),
-        ("images_per_decision", str(ipd)),
-        ("error_probability", _fmt(analytic.error_probability(scenario, ipd))),
+        ("images_per_decision", ipd),
+        ("error_probability", analytic.error_probability(scenario, ipd)),
     ]
     for key, value in fields:
-        print(f"{key} = {value}")
+        print(f"{key} = {render(value)}")
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             handle.write(",".join(key for key, _ in fields) + "\n")
-            handle.write(",".join(value for _, value in fields) + "\n")
+            handle.write(",".join(render(value) for _, value in fields) + "\n")
     return 0
 
 
@@ -190,7 +187,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
         except (DegenerateStatisticError, InsufficientDataError) as exc:
             lines.append(f"{keys[0]} = nan  # {type(exc).__name__}")
             continue
-        lines.extend(f"{key} = {v if isinstance(v, int) else _fmt(v)}" for key, v in zip(keys, values))
+        lines.extend(f"{key} = {render(v)}" for key, v in zip(keys, values))
     summary = "\n".join(lines) + "\n"
 
     os.makedirs(args.out, exist_ok=True)

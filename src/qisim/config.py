@@ -6,7 +6,8 @@ collects them once, at import.  Sections and keys are case-sensitive.
 A resolved configuration holds every key of the schema; `apply` layers
 {"section.key": raw} overrides onto it, `sidecar_text` renders it as
 `load_config_file` reads it back, and `build_scenario` is the one place
-that turns it into a `Scenario`.
+that turns it into a `Scenario`.  `render` is the one writer of values,
+in sidecars, sweep CSVs and printed figures alike.
 """
 from __future__ import annotations
 
@@ -72,21 +73,25 @@ def default_config() -> dict:
 
 
 def _set_key(config: dict, section: str, key: str, raw) -> None:
+    """Set `section.key` to the value its parser reads from `raw`, or from
+    `render(raw)` if `raw` is not text."""
     if section not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[section]:
         raise ParameterError(f"unknown config key: {section}.{key}")
     declared = CONFIG_SCHEMA[section][key]
     kind = type(declared.default)
     parser = declared.parse or (parse_bool if kind is bool else kind)
     try:
-        config[section][key] = parser(raw)
+        config[section][key] = parser(raw if isinstance(raw, str) else render(raw))
     except (ValueError, ParameterError) as exc:
         raise ParameterError(f"{section}.{key}: {exc}") from exc
 
 
 def apply(config: dict, *layers) -> dict:
     """A copy of `config` with each layer, a {"section.key": raw} dict,
-    applied in order, so a later layer wins.  A raw value is text, or a
-    number that the key's parser takes as it is."""
+    applied in order, so a later layer wins.  A raw value is text, or any
+    value, which is read as the text `render` writes for it: 300 and
+    "300" are the same override, and 300.0 for an integer key is refused,
+    as its text is on the command line."""
     config = {section: dict(keys) for section, keys in config.items()}
     for layer in layers:
         for name, raw in layer.items():
@@ -120,11 +125,17 @@ def load_config_file(path: str) -> dict:
 
 
 def render(value) -> str:
-    """A config value in the text form its schema parser reads back."""
+    """A value in the text form its schema parser reads back, as sidecars,
+    CSV cells and printed figures write it: None as an empty cell, a float
+    (an `np.float64` too) as the repr of the plain float, a bool as true or
+    false, a tuple as its items joined by commas, and anything else as
+    `str` writes it."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     if isinstance(value, tuple):
         return ",".join(render(item) for item in value)
     return str(value)

@@ -169,13 +169,6 @@ def snr_hat(in_values: np.ndarray, out_values: np.ndarray, pixel_pairs: int) -> 
     ))
 
 
-def _batch_means(values: np.ndarray, batches: int, images_per_decision: int) -> np.ndarray:
-    """Mean of each run of `images_per_decision` frames."""
-    frames = values[: batches * images_per_decision].reshape(batches, images_per_decision)
-    # the sum and division of .mean(), without its overhead
-    return frames.sum(axis=-1) / images_per_decision
-
-
 def perr_batches(frames_in: int, frames_out: int, images_per_decision: int) -> tuple[int, int]:
     """Batches per hypothesis that `perr_hat` forms from these frame counts,
     checked before any frame is drawn: fewer than 10 raise InsufficientDataError."""
@@ -200,8 +193,10 @@ def perr_hat(in_values, out_values, images_per_decision: int) -> PerrEstimate:
 
     in_values, out_values = (np.asarray(values, dtype=float) for values in (in_values, out_values))
     batches_in, batches_out = perr_batches(in_values.size, out_values.size, images_per_decision)
-    in_means = _batch_means(in_values, batches_in, images_per_decision)
-    out_means = _batch_means(out_values, batches_out, images_per_decision)
+    in_means, out_means = (
+        values[: batches * images_per_decision].reshape(batches, images_per_decision).mean(axis=-1)
+        for values, batches in ((in_values, batches_in), (out_values, batches_out))
+    )
     (m_out, s_out), (m_in, s_in) = (
         (statistics.mean(means), statistics.stdev(means))
         for means in (out_means.tolist(), in_means.tolist())

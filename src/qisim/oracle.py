@@ -97,12 +97,12 @@ def _xlogs(k, lost, p: float) -> np.ndarray:
 
 
 def _negbin_weights(
-    modes: float, total_mean: float, cutoff: float,
+    modes: float, total_mean: float,
     max_counts: int = _MAX_STATES, limit: str = f"a joint table of {_MAX_STATES} states",
 ) -> tuple[np.ndarray, float]:
     """pmf of an `modes`-mode thermal beam with the given total mean, and
     the upper-tail mass it leaves out.  It is cut where P(N > n), summed
-    from the pmf over twice the kept range, falls below `cutoff`, plus
+    from the pmf over twice the kept range, falls below `_CUTOFF_TAIL`, plus
     margin so that fourth moments are unaffected by the truncation.  It
     keeps at most `max_counts` counts, the most that `limit` allows."""
     if total_mean == 0.0 or modes < _NEGLIGIBLE:
@@ -118,7 +118,7 @@ def _negbin_weights(
         log_pmf = _lgamma(n + modes) - math.lgamma(modes) - _lgamma(n + 1.0)
         pmf = np.exp(log_pmf + _xlogs(modes, n, p))
         at_least = np.cumsum(pmf[::-1])[::-1]  # P(n <= N < size)
-        kept = np.count_nonzero(at_least[1:] > cutoff) + 31 + int(6.0 * sd)
+        kept = np.count_nonzero(at_least[1:] > _CUTOFF_TAIL) + 31 + int(6.0 * sd)
         if 2 * kept <= size and kept <= max_counts:
             return pmf[:kept], float(at_least[kept])
         size *= 2
@@ -170,12 +170,12 @@ def _pair_table_split(weights: np.ndarray, p1: float, p2: float) -> np.ndarray:
 
 
 def _thinned_component(
-    modes: float, pre_detection_mean_per_mode: float, efficiency: float, cutoff: float
+    modes: float, pre_detection_mean_per_mode: float, efficiency: float
 ) -> tuple[np.ndarray, float]:
     """pmf of detected counts from `modes` thermal modes after binomial
     thinning, computed by explicit mixing (no thinning-closure shortcut),
     and the tail mass of the photon-number law left out."""
-    weights, tail = _negbin_weights(modes, modes * pre_detection_mean_per_mode, cutoff)
+    weights, tail = _negbin_weights(modes, modes * pre_detection_mean_per_mode)
     return weights @ _binomial_table(weights.size, efficiency), tail
 
 
@@ -212,17 +212,17 @@ def joint_distribution(
         pair_table = _pair_table_split
 
     shared_weights, tail_bound = _negbin_weights(
-        matched, matched * pre_mean, _CUTOFF_TAIL,
+        matched, matched * pre_mean,
         _MIX_MAX_COUNTS, f"a conditional mixture of {_MIX_COST_LIMIT} terms",
     )
 
     laws = ([], [])  # (pmf, left-out tail) convolved along axis 0 and axis 1
     if unmatched > 0.0 and source.mu > 0.0:
-        laws[0].append(_thinned_component(unmatched, pre_mean, p1, _CUTOFF_TAIL))
+        laws[0].append(_thinned_component(unmatched, pre_mean, p1))
         if e2 > 0.0:
-            laws[1].append(_thinned_component(unmatched, pre_mean, p2, _CUTOFF_TAIL))
+            laws[1].append(_thinned_component(unmatched, pre_mean, p2))
     if background.mean_total > 0.0:
-        laws[1].append(_negbin_weights(background.modes_b, background.mean_total, _CUTOFF_TAIL))
+        laws[1].append(_negbin_weights(background.modes_b, background.mean_total))
 
     size1, size2 = (shared_weights.size + sum(k.size - 1 for k, _ in axis) for axis in laws)
     if size1 * size2 > _MAX_STATES:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from . import analytic
-from .config import CONFIG_SCHEMA, apply, build_scenario, default_config
+from .config import CONFIG_SCHEMA, apply, build_scenario, default_config, render
 from .estimator import (
     epsilon_hat,
     frame_covariance,
@@ -104,14 +104,14 @@ def sweep_spec(config: dict) -> SweepSpec:
             "sweep.parameter must be a numeric section.key outside run and sweep, or one of "
             f"{list(_ALIASES)} (got {name!r})"
         )
-    # an int key's parser would truncate a fractional value
+    # checked here, so that each value reaches `apply` as the int it names
     if key_type is int and not all(float(v).is_integer() and declared.admits(v) for v in values):
         raise ParameterError(f"{name} values must be integers {declared.range_text()} (got {values})")
     seed = SeedSpec(config["run"]["seed"])
     points = []
     for si, kind in enumerate(sweep["sources"]):
         for value in values:
-            at = apply(config, {"source.kind": kind, key: value})
+            at = apply(config, {"source.kind": kind, key: int(value) if key_type is int else value})
             points.append(SweepPoint(value, build_scenario(at), seed.derive(si)))
     return SweepSpec(apply(config, {"source.kind": sweep["sources"][0]}), tuple(points))
 
@@ -134,15 +134,9 @@ class SweepResult:
 
     def to_csv_text(self) -> str:
         """The CSV of the rows: a header of `SweepRow`'s field names, then
-        one line per row; a number is its float repr, None an empty cell."""
-
-        def cell(x) -> str:
-            if isinstance(x, str):
-                return x
-            return "" if x is None else repr(float(x))
-
+        one line per row, each cell as `config.render` writes it."""
         names = [f.name for f in fields(SweepRow)]
-        lines = [names] + [[cell(getattr(row, name)) for name in names] for row in self.rows]
+        lines = [names] + [[render(getattr(row, name)) for name in names] for row in self.rows]
         return "".join(",".join(line) + "\n" for line in lines)
 
 

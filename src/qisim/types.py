@@ -7,10 +7,11 @@ immutable; the same objects may be read from several threads at once.
 Each config key is declared once, by the spec field that holds it: `_key`
 gives the field its default and a `Key` with the range, help text and
 shortcut.  A spec checks its fields against their declarations when it
-is built; `config` derives the schema, the parsers and `build_scenario`
-from them, and `cli` the flags and ``--help``.  Checks that are not
-ranges (the source kind, signed zeros, `SeedSpec`) stay in the
-``__post_init__`` of what they guard.
+is built, and holds each float key as a plain `float`, a signed zero as
++0.0, so every route sees one form of each value; `config` derives the
+schema, the parsers and `build_scenario` from them, and `cli` the flags
+and ``--help``.  Checks that are not ranges (the source kind,
+`SeedSpec`) stay in the ``__post_init__`` of what they guard.
 """
 from __future__ import annotations
 
@@ -83,8 +84,11 @@ class Key:
 
     def check(self, name: str, value) -> None:
         """Raise `ParameterError`, naming the key `name`, unless `value`
-        has the key's type and lies in its range."""
+        has the key's type and lies in its range; a boolean key takes only
+        a `bool` or `numpy.bool_`."""
         kind = type(self.default)
+        if kind is bool and not isinstance(value, (bool, np.bool_)):
+            raise ParameterError(f"{name} must be a boolean (got {value!r})")
         if kind is float and not math.isfinite(value):
             raise ParameterError(f"{name} must be finite (got {value!r})")
         if (kind is int and not isinstance(value, _INTEGERS)) or not self.admits(value):
@@ -104,9 +108,13 @@ def _declared(cls) -> tuple:
 
 
 def _check_keys(spec) -> None:
-    """Check every key field of `spec` against its declaration."""
+    """Check every key field of `spec` against its declaration, and store
+    each float key as a plain `float`, with -0.0 read as +0.0."""
     for name, key in _declared(type(spec)):
-        key.check(name, getattr(spec, name))
+        value = getattr(spec, name)
+        key.check(name, value)
+        if type(key.default) is float:
+            object.__setattr__(spec, name, float(value) + 0.0)
 
 
 # lower-case word -> value, as every boolean key reads it in any case
@@ -170,7 +178,6 @@ class SourceSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", SourceKind.parse(self.kind))
         _check_keys(self)
-        object.__setattr__(self, "mu", self.mu + 0.0)  # -0.0 -> +0.0
 
     @property
     def pre_split_mean(self) -> float:
@@ -211,9 +218,6 @@ class ChannelSpec:
 
     def __post_init__(self) -> None:
         _check_keys(self)
-        for name in ("eta1", "eta2", "reflectivity", "mode_match"):
-            # a signed zero reads +0.0 on every route
-            object.__setattr__(self, name, getattr(self, name) + 0.0)
 
     @property
     def arm2_efficiency(self) -> float:

@@ -149,8 +149,8 @@ def test_support_guard_rejects_full_scale():
         lambda: oracle.enumerate_moments(
             *specs(SourceKind.TWIN_BEAM, mu=1e7, modes=1, e1=0.5, e2=0.5)
         ),
-        lambda: oracle._negbin_weights(0.1, 1e6, 1e-12),
-        lambda: oracle._negbin_weights(1e4, 1e8, 1e-12),
+        lambda: oracle._negbin_weights(0.1, 1e6),
+        lambda: oracle._negbin_weights(1e4, 1e8),
     ],
     ids=["twin mu 1e7", "0.1 modes", "mean 1e8"],
 )
@@ -268,8 +268,8 @@ def test_split_table_equals_per_n_loop(weights, t, e1, e2):
 # p = 1 / (1 + mean_per_mode) rounds to 1, where log1p(-p) is -inf
 @example(modes=1.0, mean_per_mode=4.2e-134, efficiency=0.0)
 def test_thinned_component_equals_per_n_loop(modes, mean_per_mode, efficiency):
-    pmf, _ = oracle._thinned_component(modes, mean_per_mode, efficiency, 1e-12)
-    weights, _ = oracle._negbin_weights(modes, modes * mean_per_mode, 1e-12)
+    pmf, _ = oracle._thinned_component(modes, mean_per_mode, efficiency)
+    weights, _ = oracle._negbin_weights(modes, modes * mean_per_mode)
     np.testing.assert_allclose(pmf, loop_thinned(weights, efficiency), rtol=0, atol=TABLE_ATOL)
 
 
