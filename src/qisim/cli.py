@@ -7,7 +7,10 @@ key is one option, spelled ``--section.key`` or by its shortcut
 takes the value of its last flag, before or after the subcommand.  The
 figure presets live in the library: ``reproduce`` hands both layers to
 `scenario.run_figure`, which puts each series' keys between them, so
-explicit flags win over presets, and writes what it returns.
+explicit flags win over presets, and writes what it returns.  `main`
+builds the run's `Scenario` once, checking every key before anything is
+drawn or written, and hands it to ``analytic`` and ``simulate``.
+`config.write_text` writes every text file but the byte tables.
 
 Every sweep writes its CSV and, next to it, a sidecar: the resolved
 configuration rendered from the schema, seed included.  ``qisim sweep
@@ -34,17 +37,14 @@ from .config import (
     load_config_file,
     render,
     sidecar_text,
+    write_text,
 )
 from .estimator import perr_hat, write_records_csv
 from .sampler import write_frames_csv
-from .scenario import PRESETS, PointPipeline, run_figure, run_sweep, sweep_spec, write_sweep_csv
-from .types import (
-    DegenerateStatisticError,
-    InsufficientDataError,
-    ParameterError,
-    SeedSpec,
-    SourceKind,
+from .scenario import (
+    NO_VALUE_ERRORS, PRESETS, PointPipeline, run_figure, run_sweep, sweep_spec, write_sweep_csv
 )
+from .types import InsufficientDataError, ParameterError, Scenario, SeedSpec, SourceKind
 
 
 def _write_sweeps(out: str, sweeps: dict) -> int:
@@ -54,8 +54,7 @@ def _write_sweeps(out: str, sweeps: dict) -> int:
     for stem, (config, result) in sweeps.items():
         csv_path = os.path.join(out, f"{stem}.csv")
         write_sweep_csv(result, csv_path)
-        with open(csv_path + ".meta.txt", "w") as handle:
-            handle.write(sidecar_text(config))
+        write_text(csv_path + ".meta.txt", sidecar_text(config))
         print(f"wrote {csv_path}")
     return 0
 
@@ -130,23 +129,21 @@ def _or_nan(closed_form) -> float:
     where a source without photons has no ratio."""
     try:
         return closed_form()
-    except (DegenerateStatisticError, ParameterError):
+    except NO_VALUE_ERRORS:
         return math.nan
 
 
-def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
-    scenario = build_scenario(config)
+def cmd_analytic(scenario: Scenario, args: argparse.Namespace) -> int:
     ipd = scenario.images_per_decision
     m = analytic.moments(scenario)
     enhancement = _or_nan(lambda: analytic.enhancement(scenario.source.mu))
-    # the source's own lossless epsilon; a split beam reaches only 1
-    twin = scenario.source.kind is SourceKind.TWIN_BEAM
     fields = [
         ("kind", scenario.source.kind.value),
         ("mu", scenario.source.mu),
         *((f.name, getattr(m, f.name)) for f in dataclasses.fields(m)),
         ("epsilon", _or_nan(lambda: analytic.epsilon(scenario))),
-        ("epsilon_ideal", enhancement if twin else 1.0),
+        # the source's own lossless epsilon; a split beam reaches only 1
+        ("epsilon_ideal", enhancement if scenario.source.kind is SourceKind.TWIN_BEAM else 1.0),
         ("enhancement", enhancement),
         ("snr", analytic.snr(scenario)),
         ("snr_dominant_background", _or_nan(lambda: analytic.snr_dominant_background(scenario))),
@@ -156,17 +153,14 @@ def cmd_analytic(config: dict, args: argparse.Namespace) -> int:
     for key, value in fields:
         print(f"{key} = {render(value)}")
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            handle.write(",".join(key for key, _ in fields) + "\n")
-            handle.write(",".join(render(value) for _, value in fields) + "\n")
+        keys, values = zip(*fields)
+        write_text(args.csv, f"{','.join(keys)}\n{','.join(map(render, values))}\n")
     return 0
 
 
-def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
+def cmd_simulate(scenario: Scenario, seed: SeedSpec, args: argparse.Namespace) -> int:
     """One sweep point on the master seed: its counts, per-frame covariances
     and estimates, as frames.csv, records.csv and summary.txt."""
-    scenario = build_scenario(config)
-    seed = SeedSpec(config["run"]["seed"])
     ipd = scenario.images_per_decision
     point = PointPipeline(scenario, seed)
     # every estimator runs before the first output is opened, so a run that
@@ -184,7 +178,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     ):
         try:
             values = compute()
-        except (DegenerateStatisticError, InsufficientDataError) as exc:
+        except NO_VALUE_ERRORS as exc:
             lines.append(f"{keys[0]} = nan  # {type(exc).__name__}")
             continue
         lines.extend(f"{key} = {render(v)}" for key, v in zip(keys, values))
@@ -195,8 +189,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     write_frames_csv(frames_path, point.counts("in"), point.counts("out"))
     records_path = os.path.join(args.out, "records.csv")
     write_records_csv(records_path, in_deltas, out_deltas)
-    with open(os.path.join(args.out, "summary.txt"), "w") as handle:
-        handle.write(summary)
+    write_text(os.path.join(args.out, "summary.txt"), summary)
     print(summary, end="")
     print(f"wrote {frames_path}")
     print(f"wrote {records_path}")
@@ -215,24 +208,22 @@ def main(argv=None) -> int:
         overrides = _overrides(args, leftovers)
         base = load_config_file(args.config) if args.config else default_config()
         config = apply(base, overrides)
-        build_scenario(config)
+        scenario = build_scenario(config)
         if args.command == "analytic":
-            return cmd_analytic(config, args)
+            return cmd_analytic(scenario, args)
         if config["run"]["seed"] is None:
             config["run"]["seed"] = secrets.randbits(64)
             print(f"seed = {config['run']['seed']}")
         if args.command == "simulate":
-            return cmd_simulate(config, args)
+            return cmd_simulate(scenario, SeedSpec(config["run"]["seed"]), args)
         if args.command == "sweep":
             spec = sweep_spec(config)
             return _write_sweeps(args.out, {"sweep": (spec.config, run_sweep(spec))})
         return _write_sweeps(args.out, run_figure(args.figure, config["run"]["seed"], overrides, base))
-    except (ParameterError, InsufficientDataError) as exc:
+    except (ParameterError, InsufficientDataError, OSError) as exc:
+        # a bad input exits 2, a file that cannot be read or written 1
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,10 @@ A resolved configuration holds every key of the schema; `apply` layers
 {"section.key": raw} overrides onto it, `sidecar_text` renders it as
 `load_config_file` reads it back, and `build_scenario` is the one place
 that turns it into a `Scenario`.  `render` is the one writer of values,
-in sidecars, sweep CSVs and printed figures alike.
+in sidecars, sweep CSVs and printed figures alike, and `write_text` the
+one writer of text files: sidecars, sweep CSVs, the ``analytic --csv``
+file and ``summary.txt``, each UTF-8 with ``\n`` line ends on every
+platform.
 """
 from __future__ import annotations
 
@@ -152,6 +155,12 @@ def sidecar_text(config: dict) -> str:
         lines.append(f"[{section}]")
         lines.extend(f"{key} = {render(config[section][key])}" for key in keys)
     return "\n".join(lines) + "\n"
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8, with its ``\n`` line ends kept."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 def build_scenario(config: dict) -> Scenario:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from . import analytic
-from .config import CONFIG_SCHEMA, apply, build_scenario, default_config, render
+from .config import CONFIG_SCHEMA, apply, build_scenario, default_config, render, write_text
 from .estimator import (
     epsilon_hat,
     frame_covariance,
@@ -214,7 +214,9 @@ class PointPipeline:
         return METRICS[metric].estimate(self)
 
 
-_ESTIMATOR_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)
+# The errors of an estimate or closed form that has no value at a point:
+# each flags its sweep row, and prints as nan in `analytic` and `simulate`.
+NO_VALUE_ERRORS = (DegenerateStatisticError, InsufficientDataError, ParameterError)
 
 
 def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow]:
@@ -228,12 +230,12 @@ def _point_rows(spec: SweepSpec, point: SweepPoint, memo: dict) -> list[SweepRow
             flags = []
             try:
                 estimate, uncertainty = pipeline.estimate(metric)
-            except _ESTIMATOR_ERRORS as exc:
+            except NO_VALUE_ERRORS as exc:
                 flags.append(f"error:{type(exc).__name__}")
             if sweep["emit_analytic"]:
                 try:
                     reference = METRICS[metric].closed_form(scn)
-                except _ESTIMATOR_ERRORS as exc:
+                except NO_VALUE_ERRORS as exc:
                     flags.append(f"analytic_error:{type(exc).__name__}")
             if reference is not None and scn.read_noise_sigma > 0:
                 # the closed forms have no read-noise term
@@ -253,8 +255,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(result.to_csv_text())
+    write_text(path, result.to_csv_text())
 
 
 _DECADES = "100,316,1000,3162,10000,31623,100000"

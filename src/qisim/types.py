@@ -30,8 +30,10 @@ import numpy as np
 _MEAN_PHOTON_LIMIT = 1e6
 # Relative roundoff `MomentSet.check_consistency` forgives.
 _CONSISTENCY_RTOL = 1e-9
-# the types an integer key (and a seed) takes
+# the types an integer key (and a seed) takes, `bool` aside
 _INTEGERS = (int, np.integer)
+# a number key takes an int, a float or one of these, but no bool
+_NUMPY_NUMBERS = (np.integer, np.floating)
 
 
 class ParameterError(ValueError):
@@ -85,10 +87,13 @@ class Key:
     def check(self, name: str, value) -> None:
         """Raise `ParameterError`, naming the key `name`, unless `value`
         has the key's type and lies in its range; a boolean key takes only
-        a `bool` or `numpy.bool_`."""
+        a `bool` or `numpy.bool_`, and a number key only a real number
+        that is not a `bool`."""
         kind = type(self.default)
         if kind is bool and not isinstance(value, (bool, np.bool_)):
             raise ParameterError(f"{name} must be a boolean (got {value!r})")
+        if kind in (int, float) and not (type(value) in (int, float) or isinstance(value, _NUMPY_NUMBERS)):
+            raise ParameterError(f"{name} must be a number (got {value!r})")
         if kind is float and not math.isfinite(value):
             raise ParameterError(f"{name} must be finite (got {value!r})")
         if (kind is int and not isinstance(value, _INTEGERS)) or not self.admits(value):
@@ -324,7 +329,7 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         seed = self.master_seed
-        if not (isinstance(seed, _INTEGERS) and 0 <= seed < 2**64):
+        if type(seed) is bool or not (isinstance(seed, _INTEGERS) and 0 <= seed < 2**64):
             raise ParameterError(f"master_seed must be an unsigned 64-bit integer (got {seed})")
 
     def child_sequence(self, *tags: int) -> np.random.SeedSequence:

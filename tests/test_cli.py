@@ -302,6 +302,7 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
         (b"[DEFAULT]\nmodes = 3\n[source]\n[channel]\n", "unknown config section: DEFAULT"),
         # keys are case-sensitive, like sections
         (b"[source]\nMU = 0.3\n", "unknown config key: source.MU"),
+        (b"[Source]\nmu = 0.3\n", "unknown config section: Source"),
     ],
 )
 @pytest.mark.parametrize("command", ["analytic", "sweep"])
@@ -314,6 +315,39 @@ def test_malformed_config_file_exits_2(capsys, tmp_path, text, message, command)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not (tmp_path / "run").exists()
+
+
+def test_unknown_source_kind_exits_2_and_lists_the_kinds(capsys):
+    code, out, err = run_cli(capsys, "analytic", "--source.kind", "foo")
+    assert (code, out) == (2, "")
+    assert err == "error: kind must be one of ['twin_beam', 'split_thermal'] (got 'foo')\n"
+
+
+def test_simulate_without_a_seed_prints_it_and_replays_with_it(capsys, tmp_path):
+    drawn, given = str(tmp_path / "drawn"), str(tmp_path / "given")
+    code, drawn_out, _ = run_cli(capsys, "simulate", "--frames", "50", "--out", drawn)
+    assert code == 0
+    seed = summary_value(drawn_out, "seed")
+    code, given_out, _ = run_cli(capsys, "simulate", "--frames", "50", "--seed", seed, "--out", given)
+    assert code == 0
+    # the drawn seed is printed first, then the summary names it again
+    assert drawn_out.replace(drawn, given) == f"seed = {seed}\n" + given_out
+    for name in ("frames.csv", "records.csv", "summary.txt"):
+        assert (tmp_path / "drawn" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--seed", "1", "--frames", "20", "--out"], ["analytic", "--csv"]],
+    ids=["simulate --out", "analytic --csv"],
+)
+def test_an_output_path_that_cannot_be_made_exits_1(capsys, tmp_path, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run_cli(capsys, *argv, str(blocker / "run"))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
 def test_simulate_deterministic_outputs(capsys, tmp_path):
@@ -770,7 +804,7 @@ def test_help_shows_each_shortcut_beside_its_key(capsys):
 def _analytic_scenario(capsys, monkeypatch, *argv) -> Scenario:
     """The scenario that `qisim *argv analytic` builds."""
     built = []
-    monkeypatch.setattr(cli, "cmd_analytic", lambda config, args: built.append(build_scenario(config)) or 0)
+    monkeypatch.setattr(cli, "cmd_analytic", lambda scenario, args: built.append(scenario) or 0)
     code, _, err = run_cli(capsys, *argv, "analytic")
     assert code == 0 and err == ""
     return built[0]

@@ -14,6 +14,7 @@ from qisim.types import (
     ChannelSpec,
     ParameterError,
     Scenario,
+    SeedSpec,
     SourceSpec,
 )
 
@@ -64,6 +65,25 @@ def test_channel_refuses_a_target_that_is_not_a_bool(value):
 
 def test_channel_takes_a_numpy_bool():
     assert ChannelSpec(target_present=np.bool_(False)).arm2_efficiency == 0.0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SourceSpec(mu="0.1"), "mu must be a number (got '0.1')"),
+        (lambda: SourceSpec(mu=True), "mu must be a number (got True)"),
+        (lambda: Scenario(images=True), "images must be a number (got True)"),
+        (lambda: BackgroundSpec(modes_b=True), "modes_b must be a number (got True)"),
+        (lambda: SeedSpec(True), "master_seed must be an unsigned 64-bit integer (got True)"),
+        (lambda: SeedSpec(-1), "master_seed must be an unsigned 64-bit integer (got -1)"),
+        (lambda: SeedSpec(2**64), f"master_seed must be an unsigned 64-bit integer (got {2**64})"),
+    ],
+    ids=["text mu", "bool mu", "bool images", "bool modes_b", "bool seed", "seed -1", "seed 2**64"],
+)
+def test_a_number_key_or_seed_refuses_what_is_not_a_number_of_its_kind(build, message):
+    with pytest.raises(ParameterError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 _FLOAT_KEYS = [

@@ -326,3 +326,16 @@ def test_records_csv_roundtrip(tmp_path):
     assert loaded == records
     header = path.read_text().splitlines()[0]
     assert header == "frame,hypothesis,delta12"
+
+
+@pytest.mark.parametrize(
+    "n1, n2, message",
+    [
+        (np.zeros((3, 2)), np.zeros((3, 3)), "of equal shape"),
+        (np.zeros((3, 2)), np.full((3, 2), -1), "counts must be non-negative"),
+    ],
+    ids=["unequal shapes", "negative count"],
+)
+def test_frame_stats_refuses_unequal_shapes_and_negative_counts(n1, n2, message):
+    with pytest.raises(ParameterError, match=message):
+        frame_stats(n1, n2)

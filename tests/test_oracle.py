@@ -179,6 +179,17 @@ def test_mixture_past_its_budget_is_refused_before_the_law_is_evaluated():
     assert time.perf_counter() - start < 1.0
 
 
+def test_joint_support_past_the_state_budget_is_refused_before_the_table_is_built():
+    # each law fits on its own: the shared one keeps 565 counts, the
+    # background 27,752; the 565 x 28,316 table would take 128 MB
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleInstanceError, match="joint support 565x28316 exceeds"):
+        oracle.joint_distribution(
+            *specs(SourceKind.TWIN_BEAM, mu=0.01, modes=30000, e1=0.5, e2=0.5, bg=(1300, 2e4))
+        )
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # table builders against per-n loops and scipy's direct convolution
 # ---------------------------------------------------------------------------
@@ -220,8 +231,24 @@ def direct_convolve(table, kernel, axis):
     return signal.convolve(table, kernel.reshape(shape), method="direct")
 
 
-# entries are probabilities; only the summation order differs
-TABLE_ATOL = 1e-15
+# Each side sums the same n nonnegative products of at most three factors,
+# in another order.  Every term passes through at most n + 1 roundings (two
+# in its product, n - 1 in the additions, in any order or blocking), so each
+# side is within gamma(n + 1) * S of the exact sum S of the terms, with
+# gamma(k) = k u / (1 - k u) and u = 2**-53 (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., Lemma 3.1 and eq. 3.4).  Below the
+# normal range each product may also be off by half the smallest subnormal,
+# absolutely, while sums of subnormals are exact (eq. 2.8): two products per
+# term give at most 2n such halves per side, n + 1 smallest subnormals
+# with the (1 + gamma) they meet in the sum.  The two sides differ by at
+# most twice the total.
+def table_atol(terms: int, total: float) -> float:
+    """Bound on the difference of two sums of `terms` nonnegative products
+    whose exact sum is at most `total`."""
+    ku = (terms + 1) * np.finfo(float).eps / 2
+    return 2 * (ku / (1 - ku) * total + (terms + 1) * np.finfo(float).smallest_subnormal)
+
+
 TABLE_SETTINGS = settings(max_examples=100, deadline=None)
 _probabilities = st.floats(0.0, 1.0)
 _weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).map(
@@ -242,7 +269,9 @@ def test_binom_pmf_puts_all_mass_on_the_certain_count(p):
 @example(weights=np.array([0.2, 0.3, 0.5]), e1=0.0, e2=1.0)
 def test_twin_table_equals_per_n_loop(weights, e1, e2):
     table = oracle._pair_table_twin(weights, e1, e2)
-    np.testing.assert_allclose(table, loop_pair_table_twin(weights, e1, e2), rtol=0, atol=TABLE_ATOL)
+    # entry (a, b) sums w[n] B1[n, a] B2[n, b] over n; each B is at most 1
+    atol = table_atol(weights.size, weights.sum())
+    np.testing.assert_allclose(table, loop_pair_table_twin(weights, e1, e2), rtol=0, atol=atol)
 
 
 @TABLE_SETTINGS
@@ -252,11 +281,13 @@ def test_twin_table_equals_per_n_loop(weights, e1, e2):
     e1=_probabilities,
     e2=_probabilities,
 )
+# subnormal weights: two entries differ by the smallest subnormal
+@example(weights=np.array([0.0, 0.0, 0.0, 2.770888466262e-311]), t=0.5, e1=1.0, e2=0.25)
 def test_split_table_equals_per_n_loop(weights, t, e1, e2):
     table = oracle._pair_table_split(weights, t * e1, (1.0 - t) * e2)
-    np.testing.assert_allclose(
-        table, loop_pair_table_split(weights, t, e1, e2), rtol=0, atol=TABLE_ATOL
-    )
+    # entry (a, b) sums w[a + m] P(a of a + m) P(b of m) over m
+    atol = table_atol(weights.size, weights.sum())
+    np.testing.assert_allclose(table, loop_pair_table_split(weights, t, e1, e2), rtol=0, atol=atol)
 
 
 @TABLE_SETTINGS
@@ -267,10 +298,14 @@ def test_split_table_equals_per_n_loop(weights, t, e1, e2):
 )
 # p = 1 / (1 + mean_per_mode) rounds to 1, where log1p(-p) is -inf
 @example(modes=1.0, mean_per_mode=4.2e-134, efficiency=0.0)
+# 122 weights summing past 1: the two sides of pmf[0] differ by 1.3e-15
+@example(modes=14.969033611772126, mean_per_mode=0.7614106767488278, efficiency=0.0)
 def test_thinned_component_equals_per_n_loop(modes, mean_per_mode, efficiency):
     pmf, _ = oracle._thinned_component(modes, mean_per_mode, efficiency)
     weights, _ = oracle._negbin_weights(modes, modes * mean_per_mode)
-    np.testing.assert_allclose(pmf, loop_thinned(weights, efficiency), rtol=0, atol=TABLE_ATOL)
+    # pmf[k] sums w[n] P(k of n) over n
+    atol = table_atol(weights.size, weights.sum())
+    np.testing.assert_allclose(pmf, loop_thinned(weights, efficiency), rtol=0, atol=atol)
 
 
 @TABLE_SETTINGS
@@ -284,5 +319,7 @@ def test_thinned_component_equals_per_n_loop(modes, mean_per_mode, efficiency):
 def test_convolve_axis_equals_direct_convolution(rows, cols, kernel, axis, seed):
     table = np.random.default_rng(seed).dirichlet(np.ones(rows * cols)).reshape(rows, cols)
     out = oracle._convolve_axis(table, kernel, axis)
-    np.testing.assert_allclose(out, direct_convolve(table, kernel, axis), rtol=0, atol=TABLE_ATOL)
+    # each entry sums kernel[j] table[i - j] over the taps j
+    atol = table_atol(kernel.size, kernel.sum() * table.max())
+    np.testing.assert_allclose(out, direct_convolve(table, kernel, axis), rtol=0, atol=atol)
 

@@ -422,3 +422,8 @@ def test_pooled_error_is_the_lowest_failing_block_after_every_block(monkeypatch)
     assert sorted(finished) == [0, 1, 2, 3]
     # the memo holds no draw that raised
     assert memo == {}
+
+
+def test_hypothesis_stream_refuses_a_label_other_than_in_or_out():
+    with pytest.raises(ParameterError, match=r"^hypothesis must be 'in' or 'out' \(got 'both'\)$"):
+        hypothesis_stream(make_scenario(), SeedSpec(1), "both")
