@@ -145,12 +145,14 @@ def epsilon(scenario: Scenario) -> float:
 
 def snr(scenario: Scenario) -> float:
     """Contrast-to-noise ratio of the covariance receiver, per single
-    pixel pair; multiply by sqrt(K * frames averaged) for an acquisition."""
+    pixel pair; multiply by sqrt(K * frames averaged) for an acquisition.
+    Raises `DegenerateStatisticError` where neither hypothesis has a
+    positive product variance: arm 1 dark, or arm 2 dark under both."""
     m_in = moments(scenario)
     m_out = _moments(scenario, 0.0)  # target absent: `arm2_efficiency` is 0
     denom_sq = m_in.delta_product_variance + m_out.delta_product_variance
     if denom_sq <= 0.0:
-        return 0.0
+        raise DegenerateStatisticError("the product variance must be positive under a hypothesis")
     return m_in.cov / math.sqrt(denom_sq)
 
 

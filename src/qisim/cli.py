@@ -10,7 +10,9 @@ figure presets live in the library: ``reproduce`` hands both layers to
 explicit flags win over presets, and writes what it returns.  `main`
 builds the run's `Scenario` once, checking every key before anything is
 drawn or written, and hands it to ``analytic`` and ``simulate``.
-`config.write_text` writes every text file but the byte tables.
+`config.write_text` writes every text file but simulate's two dumps:
+``frames.csv``, a byte table (`sampler.write_frames_csv`), and
+``records.csv``, which `estimator.write_records_csv` streams.
 
 Every sweep writes its CSV and, next to it, a sidecar: the resolved
 configuration rendered from the schema, seed included.  ``qisim sweep
@@ -125,7 +127,7 @@ def _overrides(args: argparse.Namespace, leftovers: list) -> dict:
 
 def _or_nan(closed_form) -> float:
     """`closed_form()`, or nan where the figure has no value: a degenerate
-    epsilon or dominant-background SNR, or the enhancement at mu = 0,
+    epsilon, SNR or dominant-background SNR, or the enhancement at mu = 0,
     where a source without photons has no ratio."""
     try:
         return closed_form()
@@ -145,16 +147,16 @@ def cmd_analytic(scenario: Scenario, args: argparse.Namespace) -> int:
         # the source's own lossless epsilon; a split beam reaches only 1
         ("epsilon_ideal", enhancement if scenario.source.kind is SourceKind.TWIN_BEAM else 1.0),
         ("enhancement", enhancement),
-        ("snr", analytic.snr(scenario)),
+        ("snr", _or_nan(lambda: analytic.snr(scenario))),
         ("snr_dominant_background", _or_nan(lambda: analytic.snr_dominant_background(scenario))),
         ("images_per_decision", ipd),
         ("error_probability", analytic.error_probability(scenario, ipd)),
     ]
-    for key, value in fields:
-        print(f"{key} = {render(value)}")
     if args.csv:
         keys, values = zip(*fields)
         write_text(args.csv, f"{','.join(keys)}\n{','.join(map(render, values))}\n")
+    for key, value in fields:
+        print(f"{key} = {render(value)}")
     return 0
 
 
@@ -212,7 +214,7 @@ def main(argv=None) -> int:
         if args.command == "analytic":
             return cmd_analytic(scenario, args)
         if config["run"]["seed"] is None:
-            config["run"]["seed"] = secrets.randbits(64)
+            config = apply(config, {"run.seed": secrets.randbits(64)})
             print(f"seed = {config['run']['seed']}")
         if args.command == "simulate":
             return cmd_simulate(scenario, SeedSpec(config["run"]["seed"]), args)

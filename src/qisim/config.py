@@ -4,7 +4,9 @@ is declared by the spec field holding it (see `types.Key`), and the sweep
 and run keys, which no spec holds, in `_schema`; ``CONFIG_SCHEMA``
 collects them once, at import.  Sections and keys are case-sensitive.
 A resolved configuration holds every key of the schema; `apply` layers
-{"section.key": raw} overrides onto it, `sidecar_text` renders it as
+{"section.key": raw} overrides onto it, and is the one path from raw
+values to a configuration: flags, config files, figure presets and
+seeds all go through it.  `sidecar_text` renders a configuration as
 `load_config_file` reads it back, and `build_scenario` is the one place
 that turns it into a `Scenario`.  `render` is the one writer of values,
 in sidecars, sweep CSVs and printed figures alike, and `write_text` the
@@ -16,17 +18,15 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+from typing import Callable
 
 from .sampler import STREAM_FORMAT
 from .types import Key, ParameterError, Scenario, parse_bool
 
 
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_str_list(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _list_of(item: Callable) -> Callable:
+    """The parser of comma-separated text: `item` of each part not blank."""
+    return lambda text: tuple(item(part) for part in text.split(",") if part.strip())
 
 
 def _schema() -> dict:
@@ -48,14 +48,14 @@ def _schema() -> dict:
         ),
         "values": Key(
             (100.0, 316.0, 1000.0, 3162.0, 10000.0, 31623.0, 100000.0),
-            "comma-separated increasing values", parse=_parse_float_list,
+            "comma-separated increasing values", parse=_list_of(float),
         ),
         "sources": Key(
             ("twin_beam", "split_thermal"), "comma-separated source kinds to compare",
-            parse=_parse_str_list,
+            parse=_list_of(str.strip),
         ),
         "outputs": Key(
-            ("epsilon",), "comma-separated metrics: epsilon,snr,covariance,perr", parse=_parse_str_list
+            ("epsilon",), "comma-separated metrics: epsilon,snr,covariance,perr", parse=_list_of(str.strip)
         ),
         "emit_analytic": Key(True, "also emit closed-form curve values"),
     }
@@ -75,30 +75,26 @@ def default_config() -> dict:
     }
 
 
-def _set_key(config: dict, section: str, key: str, raw) -> None:
-    """Set `section.key` to the value its parser reads from `raw`, or from
-    `render(raw)` if `raw` is not text."""
-    if section not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[section]:
-        raise ParameterError(f"unknown config key: {section}.{key}")
-    declared = CONFIG_SCHEMA[section][key]
-    kind = type(declared.default)
-    parser = declared.parse or (parse_bool if kind is bool else kind)
-    try:
-        config[section][key] = parser(raw if isinstance(raw, str) else render(raw))
-    except (ValueError, ParameterError) as exc:
-        raise ParameterError(f"{section}.{key}: {exc}") from exc
-
-
 def apply(config: dict, *layers) -> dict:
     """A copy of `config` with each layer, a {"section.key": raw} dict,
     applied in order, so a later layer wins.  A raw value is text, or any
     value, which is read as the text `render` writes for it: 300 and
     "300" are the same override, and 300.0 for an integer key is refused,
-    as its text is on the command line."""
+    as its text is on the command line.  A name that is not a key, such
+    as "mu", raises `ParameterError`."""
     config = {section: dict(keys) for section, keys in config.items()}
     for layer in layers:
         for name, raw in layer.items():
-            _set_key(config, *name.split(".", 1), raw)
+            section, _, key = name.partition(".")
+            declared = CONFIG_SCHEMA.get(section, {}).get(key)
+            if declared is None:
+                raise ParameterError(f"unknown config key: {name}")
+            kind = type(declared.default)
+            parser = declared.parse or (parse_bool if kind is bool else kind)
+            try:
+                config[section][key] = parser(raw if isinstance(raw, str) else render(raw))
+            except (ValueError, ParameterError) as exc:
+                raise ParameterError(f"{name}: {exc}") from exc
     return config
 
 
@@ -107,7 +103,6 @@ def load_config_file(path: str) -> dict:
     that is not UTF-8 INI text, repeats a key or a section, or has keys in
     a [DEFAULT] section raises `ParameterError`; one that cannot be opened
     raises `OSError`."""
-    config = default_config()
     ini = configparser.ConfigParser(interpolation=None)
     ini.optionxform = str  # keys are case-sensitive, like sections
     try:
@@ -122,9 +117,9 @@ def load_config_file(path: str) -> dict:
     for section in ini.sections():
         if section not in CONFIG_SCHEMA:
             raise ParameterError(f"unknown config section: {section}")
-        for key, raw in ini.items(section):
-            _set_key(config, section, key, raw)
-    return config
+    return apply(default_config(), {
+        f"{section}.{key}": raw for section in ini.sections() for key, raw in ini.items(section)
+    })
 
 
 def render(value) -> str:

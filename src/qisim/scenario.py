@@ -318,7 +318,7 @@ def run_figure(figure: str, seed: int, overrides: dict | None = None, base: dict
         raise ParameterError(f"unknown figure {figure!r}; known: {list(PRESETS)}")
     specs = {}
     for index, (stem, table) in enumerate(PRESETS[figure].items()):
-        config = apply(base or default_config(), _PRESET_BASE, table, overrides or {})
-        config["run"]["seed"] = SeedSpec(seed).derive(index).master_seed
+        seed_layer = {"run.seed": SeedSpec(seed).derive(index).master_seed}
+        config = apply(base or default_config(), _PRESET_BASE, table, overrides or {}, seed_layer)
         specs[stem] = sweep_spec(config)
     return {stem: (spec.config, run_sweep(spec)) for stem, spec in specs.items()}

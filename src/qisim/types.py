@@ -221,8 +221,7 @@ class ChannelSpec:
         shortcut="mode-match",
     )
 
-    def __post_init__(self) -> None:
-        _check_keys(self)
+    __post_init__ = _check_keys
 
     @property
     def arm2_efficiency(self) -> float:
@@ -243,8 +242,7 @@ class BackgroundSpec:
         0.0, "detected background photons per pixel, symbol N_b", lo=0.0, shortcut="background"
     )
 
-    def __post_init__(self) -> None:
-        _check_keys(self)
+    __post_init__ = _check_keys
 
 
 @dataclass(frozen=True)
@@ -268,8 +266,7 @@ class Scenario:
         10, "frames averaged per detection decision", lo=1, shortcut="images-per-decision"
     )
 
-    def __post_init__(self) -> None:
-        _check_keys(self)
+    __post_init__ = _check_keys
 
     def with_target(self, present: bool) -> "Scenario":
         return dataclasses.replace(

@@ -239,15 +239,16 @@ def test_mode_match_moves_only_the_cross_moments(
 # pair-cumulant cache
 # ---------------------------------------------------------------------------
 def closed_form_reprs(scn) -> list:
-    """repr, type included, of the moments, epsilon (or the name of its
-    exception), snr and error_probability at 10 and 100 images per decision."""
+    """repr, type included, of the moments, epsilon and snr (or the name of
+    the exception of each), and error_probability at 10 and 100 images per
+    decision."""
     m = analytic.moments(scn)
     reprs = [repr(getattr(m, field)) for field in MOMENT_FIELDS]
-    try:
-        reprs.append(repr(analytic.epsilon(scn)))
-    except DegenerateStatisticError as exc:
-        reprs.append(type(exc).__name__)
-    reprs.append(repr(analytic.snr(scn)))
+    for closed_form in (analytic.epsilon, analytic.snr):
+        try:
+            reprs.append(repr(closed_form(scn)))
+        except DegenerateStatisticError as exc:
+            reprs.append(type(exc).__name__)
     reprs.extend(repr(analytic.error_probability(scn, ipd)) for ipd in (10, 100))
     return reprs
 

@@ -114,7 +114,7 @@ def test_analytic_csv_output(capsys, tmp_path):
     path = tmp_path / "row.csv"
     for flags, nan_fields in (
         ((), ["snr_dominant_background"]),
-        (("--mu", "0"), ["epsilon", "epsilon_ideal", "enhancement", "snr_dominant_background"]),
+        (("--mu", "0"), ["epsilon", "epsilon_ideal", "enhancement", "snr", "snr_dominant_background"]),
     ):
         code, out, _ = run_cli(capsys, "analytic", *flags, "--csv", str(path))
         assert code == 0
@@ -344,8 +344,9 @@ def test_simulate_without_a_seed_prints_it_and_replays_with_it(capsys, tmp_path)
 def test_an_output_path_that_cannot_be_made_exits_1(capsys, tmp_path, argv):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code, _, err = run_cli(capsys, *argv, str(blocker / "run"))
+    code, out, err = run_cli(capsys, *argv, str(blocker / "run"))
     assert code == 1
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
@@ -499,6 +500,27 @@ def test_sweep_one_frame_flags_every_row_insufficient_data(capsys, tmp_path):
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 10
     assert all(row.endswith(",error:InsufficientDataError") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "dark", [("--mu", "0"), ("--eta1", "0"), ("--target", "absent")],
+    ids=["mu 0", "eta1 0", "target absent"],
+)
+def test_snr_of_a_dark_arm_is_nan_and_flags_its_sweep_row(capsys, tmp_path, dark):
+    # arm 1 dark, or arm 2 dark under both hypotheses (no background): no
+    # hypothesis has a positive product variance, so the SNR is undefined
+    code, out, _ = run_cli(capsys, "analytic", *dark)
+    assert code == 0
+    assert "\nsnr = nan\n" in out
+    code, _, _ = run_cli(
+        capsys, "sweep", *dark, "--seed", "1", "--frames", "20", "--sweep.outputs", "snr",
+        "--sweep.parameter", "channel.eta2", "--sweep.values", "0.5", "--out", str(tmp_path),
+    )
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    flags = "error:DegenerateStatisticError;analytic_error:DegenerateStatisticError"
+    assert all(row.endswith(f",,,,{flags}") for row in rows)
 
 
 def test_simulate_summary_is_the_point_pipeline_on_the_master_seed(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """One form per value: what `config.render` writes, how `config.apply`
-reads a raw value that is not text, and the plain floats specs hold."""
+reads a raw value that is not text, and the plain floats specs hold; and
+the names `apply` takes."""
 from __future__ import annotations
 
 import dataclasses
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from qisim.config import CONFIG_SCHEMA, apply, default_config, render, sidecar_text
+from qisim.scenario import run_figure
 from qisim.types import (
     BackgroundSpec,
     ChannelSpec,
@@ -127,3 +129,18 @@ def test_render(value, text):
 
 def test_sidecar_of_an_unseeded_config_leaves_the_seed_empty():
     assert "\n[run]\nseed = \n" in sidecar_text(default_config())
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: run_figure("fig2", 1, {"mu": "0.1"}), "mu"),
+        (lambda: apply(default_config(), {"source": "1"}), "source"),
+        (lambda: apply(default_config(), {"source.": "1"}), "source."),
+        (lambda: apply(default_config(), {"source.mu.x": "1"}), "source.mu.x"),
+    ],
+    ids=["run_figure dotless", "apply dotless", "apply empty key", "apply two dots"],
+)
+def test_an_override_that_names_no_key_is_an_unknown_key(call, name):
+    with pytest.raises(ParameterError, match=rf"^unknown config key: {name}$"):
+        call()
