@@ -3,16 +3,19 @@
 Builds the full joint probability table of the detected pair (N1, N2) by
 mixing the conditional detection laws over the enumerated photon-number
 distribution of the source, then convolving in uncorrelated components
-(mode-mismatched light, background).  Moments are then plain weighted
-sums over the table.  Nothing here shares code or algebra with the
-closed-form `analytic` module, which is the point: the two must agree.
+(mode-mismatched light, background).  Moments are then weighted sums over
+its two marginals and two bilinear forms over the table.  Nothing here
+shares code or algebra with the closed-form `analytic` module, which is
+the point: the two must agree.
 
 The mixture is a direct sum over every photon number n, written as
 matrix products over one binomial table B[n, k] = P(k of n survive) per
 thinning probability: the twin-beam table is (w B1)^T B2, the split-beam
 table sums over the photons that miss arm 1, and a thinned component is
-w B.  The convolutions are direct shift-and-add sums.  Every
-intermediate is at most (size, size); no (n, a, b) cube is built.
+w B.  A convolution is one product with the banded matrix T[i, j] =
+kernel[i - j], read as a strided view of the zero-padded kernel and never
+built.  Every intermediate is at most (n, n) for a law of n counts, or the
+table that a convolution returns; no (n, a, b) cube is built.
 
 The laws are built from log-factorials and log-gammas, one `math.lgamma`
 call per count, and need numpy alone.  Each negative-binomial law (shared
@@ -76,13 +79,6 @@ class JointDistribution:
     probs: np.ndarray
     tail_bound: float
 
-    def validate(self) -> None:
-        if (self.probs < -1e-15).any():
-            raise AssertionError("negative probability in joint table")
-        total = float(self.probs.sum())
-        if not (1.0 - 1e-12 <= total + self.tail_bound <= 1.0 + 1e-12):
-            raise AssertionError(f"mass {total} + tail {self.tail_bound} not ~1")
-
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.array([math.lgamma(v) for v in x.tolist()])
@@ -128,13 +124,27 @@ def _negbin_weights(
     )
 
 
+_log_factorials = np.zeros(1)  # log k! for k below its size, grown on demand
+
+
+def _log_factorial_table(count: int) -> np.ndarray:
+    """log k! for 0 <= k < count.  Each entry is `math.lgamma(k + 1)`
+    whenever it was computed, so a grown table holds a cold call's bits."""
+    global _log_factorials
+    table = _log_factorials
+    if count > table.size:
+        table = np.concatenate([table, _lgamma(np.arange(table.size, count) + 1.0)])
+        _log_factorials = table
+    return table[:count]
+
+
 def _binom_pmf(k, n, p: float) -> np.ndarray:
     """P(k of n survive), each with probability p, from a log-factorial
     table; 0 where k > n."""
     k, n = np.broadcast_arrays(np.asarray(k, dtype=int), np.asarray(n, dtype=int))
     inside = k <= n
     lost = np.where(inside, n - k, 0)
-    log_fact = _lgamma(np.arange(max(n.max(initial=0), k.max(initial=0)) + 1) + 1.0)
+    log_fact = _log_factorial_table(max(n.max(initial=0), k.max(initial=0)) + 1)
     log_pmf = log_fact[n] - log_fact[k] - log_fact[lost] + _xlogs(k, lost, p)
     return np.where(inside, np.exp(log_pmf), 0.0)
 
@@ -180,16 +190,14 @@ def _thinned_component(
 
 
 def _convolve_axis(table: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Direct (full) convolution of every line of `table` along `axis`
-    with `kernel`, summed tap by tap."""
-    shape = list(table.shape)
-    shape[axis] += kernel.size - 1
-    out = np.zeros(shape)
-    window = [slice(None), slice(None)]
-    for shift, tap in enumerate(kernel):
-        window[axis] = slice(shift, shift + table.shape[axis])
-        out[tuple(window)] += tap * table
-    return out
+    """Full convolution of every line of `table` along `axis` with
+    `kernel`: one product with T[i, j] = kernel[i - j], a strided view of
+    the kernel between size - 1 zeros on each side, whose (size + taps - 1,
+    size) entries are never built."""
+    size = table.shape[axis]
+    padded = np.concatenate([np.zeros(size - 1), kernel, np.zeros(size - 1)])
+    banded = np.lib.stride_tricks.sliding_window_view(padded, size)[:, ::-1]
+    return banded @ table if axis == 0 else table @ banded.T
 
 
 def joint_distribution(
@@ -241,18 +249,19 @@ def joint_distribution(
 def enumerate_moments(
     source: SourceSpec, channel: ChannelSpec, background: BackgroundSpec
 ) -> MomentSet:
-    """Exact MomentSet by direct summation over the enumerated joint."""
-    joint = joint_distribution(source, channel, background)
-    probs = joint.probs
-    mass = probs.sum()
-    n1 = np.arange(probs.shape[0], dtype=float)[:, None]
-    n2 = np.arange(probs.shape[1], dtype=float)[None, :]
-    mean1 = float((probs * n1).sum() / mass)
-    mean2 = float((probs * n2).sum() / mass)
-    d1 = n1 - mean1
-    d2 = n2 - mean2
-    var1 = float((probs * d1**2).sum() / mass)
-    var2 = float((probs * d2**2).sum() / mass)
-    cov = float((probs * d1 * d2).sum() / mass)
-    m22 = float((probs * d1**2 * d2**2).sum() / mass)
+    """Exact MomentSet by summation over the enumerated joint: means and
+    variances over its two marginals, cov and m22 as the bilinear forms
+    d1^T P d2 and (d1^2)^T P (d2^2) of the table P."""
+    probs = joint_distribution(source, channel, background).probs
+    marginal1, marginal2 = probs.sum(axis=1), probs.sum(axis=0)
+    mass = marginal1.sum()
+    n1 = np.arange(marginal1.size, dtype=float)
+    n2 = np.arange(marginal2.size, dtype=float)
+    mean1 = float(marginal1 @ n1 / mass)
+    mean2 = float(marginal2 @ n2 / mass)
+    d1, d2 = n1 - mean1, n2 - mean2
+    var1 = float(marginal1 @ d1**2 / mass)
+    var2 = float(marginal2 @ d2**2 / mass)
+    cov = float(d1 @ probs @ d2 / mass)
+    m22 = float(d1**2 @ probs @ d2**2 / mass)
     return MomentSet(mean1=mean1, mean2=mean2, var1=var1, var2=var2, cov=cov, m22=m22)

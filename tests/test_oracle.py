@@ -8,6 +8,7 @@ components.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,15 @@ from qisim.types import (
     SourceKind,
     SourceSpec,
 )
+
+
+def validate(joint):
+    """No negative entry, and the table's mass plus its tail bound is 1."""
+    if (joint.probs < -1e-15).any():
+        raise AssertionError("negative probability in joint table")
+    total = float(joint.probs.sum())
+    if not (1.0 - 1e-12 <= total + joint.tail_bound <= 1.0 + 1e-12):
+        raise AssertionError(f"mass {total} + tail {joint.tail_bound} not ~1")
 
 
 def specs(kind, mu, modes, e1, e2, r=1.0, mm=1.0, bg=(1, 0.0), target=True, t=0.5):
@@ -114,7 +124,7 @@ def test_distribution_is_normalized():
         SourceKind.SPLIT_THERMAL, 0.4, 4, e1=0.9, e2=0.8, bg=(3, 1.5), mm=0.7
     )
     joint = oracle.joint_distribution(source, channel, background)
-    joint.validate()
+    validate(joint)
     assert joint.tail_bound < 1e-12
 
 
@@ -133,7 +143,7 @@ def test_validate_rejects_mass_missing_from_the_table(monkeypatch):
     )
     assert joint.probs.sum() < 0.71
     with pytest.raises(AssertionError, match="not ~1"):
-        joint.validate()
+        validate(joint)
 
 
 def test_support_guard_rejects_full_scale():
@@ -323,3 +333,128 @@ def test_convolve_axis_equals_direct_convolution(rows, cols, kernel, axis, seed)
     atol = table_atol(kernel.size, kernel.sum() * table.max())
     np.testing.assert_allclose(out, direct_convolve(table, kernel, axis), rtol=0, atol=atol)
 
+
+@TABLE_SETTINGS
+@given(
+    rows=st.integers(1, 60),
+    cols=st.integers(1, 60),
+    kernel=st.lists(st.floats(0.0, 1.0), min_size=61, max_size=120).map(
+        lambda w: np.asarray(w) / max(sum(w), 1.0)
+    ),
+    axis=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_convolve_axis_with_a_kernel_longer_than_the_table(rows, cols, kernel, axis, seed):
+    table = np.random.default_rng(seed).dirichlet(np.ones(rows * cols)).reshape(rows, cols)
+    out = oracle._convolve_axis(table, kernel, axis)
+    # each entry sums kernel[i - j] table[j] over the entries j of its
+    # line, fewer than the taps; products with the padding add exact zeros
+    atol = table_atol(table.shape[axis], kernel.sum() * table.max())
+    np.testing.assert_allclose(out, direct_convolve(table, kernel, axis), rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("shape, axis", [((4, 2000), 1), ((2000, 4), 0)])
+def test_convolve_axis_never_builds_the_banded_matrix(shape, axis):
+    # a built T would take 6,999 x 2,000 doubles, 112 MB, for a 0.22 MB table
+    table = np.full(shape, 1.0 / 8000)
+    kernel = np.full(5000, 1.0 / 5000)
+    tracemalloc.start()
+    try:
+        out = oracle._convolve_axis(table, kernel, axis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape[axis] == 6999
+    assert peak <= 2 * out.nbytes
+
+
+def test_log_factorials_grown_in_steps_hold_the_bits_of_a_cold_table(monkeypatch):
+    k = np.arange(400)
+    monkeypatch.setattr(oracle, "_log_factorials", np.zeros(1))
+    cold = oracle._binom_pmf(k[None, :], k[:, None], 0.3)
+    monkeypatch.setattr(oracle, "_log_factorials", np.zeros(1))
+    for n in (1, 7, 60, 250):
+        oracle._binom_pmf(k[:n], n, 0.3)
+    np.testing.assert_array_equal(oracle._binom_pmf(k[None, :], k[:, None], 0.3), cold)
+    assert oracle._log_factorials.size == 400
+
+
+def direct_moments(probs):
+    """The six moments as direct sums over the whole table, each term
+    formed cell by cell: the reference for the marginal and bilinear sums."""
+    mass = probs.sum()
+    n1 = np.arange(probs.shape[0], dtype=float)[:, None]
+    n2 = np.arange(probs.shape[1], dtype=float)[None, :]
+    mean1 = float((probs * n1).sum() / mass)
+    mean2 = float((probs * n2).sum() / mass)
+    d1 = n1 - mean1
+    d2 = n2 - mean2
+    return {
+        "mean1": mean1,
+        "mean2": mean2,
+        "var1": float((probs * d1**2).sum() / mass),
+        "var2": float((probs * d2**2).sum() / mass),
+        "cov": float((probs * d1 * d2).sum() / mass),
+        "m22": float((probs * d1**2 * d2**2).sum() / mass),
+    }
+
+
+# (power of n1 or d1, power of n2 or d2, centred) of each moment's summand
+_SUMMANDS = {
+    "mean1": (1, 0, False),
+    "mean2": (0, 1, False),
+    "var1": (2, 0, True),
+    "var2": (0, 2, True),
+    "cov": (1, 1, True),
+    "m22": (2, 2, True),
+}
+
+
+# A moment is sum p g / mass over the N cells of the table, g = d1^a d2^b.
+# On either side every summand meets at most N + 5 roundings: the centring,
+# the squares and the products (at most 6), then the additions, N - 1 over
+# the whole table or R + C - 2 <= N - 1 over a marginal and a bilinear form.
+# The mass meets at most N - 1 and the quotient one more, so each side is
+# within gamma(2N + 5) * A of the exact sum for its own means (Higham, Lemma
+# 3.3), with A = sum p |g| / mass; table_atol(2N + 4, A) covers both sides,
+# subnormal products included.  The two sides centre on means that differ
+# by dm1 and dm2, which moves the exact sum by at most
+# sum p [(|d1| + dm1)^a (|d2| + dm2)^b - |d1|^a |d2|^b] / mass.
+def moment_atol(probs, name, reference, moments):
+    a, b, centred = _SUMMANDS[name]
+    mass = probs.sum()
+    n1 = np.arange(probs.shape[0], dtype=float)[:, None]
+    n2 = np.arange(probs.shape[1], dtype=float)[None, :]
+    if not centred:
+        return table_atol(2 * probs.size + 4, float((probs * n1**a * n2**b).sum() / mass))
+    d1 = np.abs(n1 - reference["mean1"])
+    d2 = np.abs(n2 - reference["mean2"])
+    dm1 = abs(moments.mean1 - reference["mean1"])
+    dm2 = abs(moments.mean2 - reference["mean2"])
+    absolute = float((probs * d1**a * d2**b).sum() / mass)
+    shifted = float((probs * (d1 + dm1) ** a * (d2 + dm2) ** b).sum() / mass)
+    return table_atol(2 * probs.size + 4, absolute) + (shifted - absolute)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(SourceKind),
+    mu=st.floats(0.0, 1.0),
+    modes=st.integers(1, 6),
+    e1=_probabilities,
+    e2=_probabilities,
+    mm=st.floats(0.0, 1.0),
+    bg=st.tuples(st.integers(1, 5), st.floats(0.0, 3.0)),
+    target=st.booleans(),
+    t=st.floats(0.1, 0.9),
+)
+def test_enumerate_moments_equals_direct_sums_over_the_table(
+    kind, mu, modes, e1, e2, mm, bg, target, t
+):
+    source, channel, background = specs(kind, mu, modes, e1, e2, mm=mm, bg=bg, target=target, t=t)
+    probs = oracle.joint_distribution(source, channel, background).probs
+    reference = direct_moments(probs)
+    moments = oracle.enumerate_moments(source, channel, background)
+    for name, expected in reference.items():
+        atol = moment_atol(probs, name, reference, moments)
+        assert abs(getattr(moments, name) - expected) <= atol, (name, atol)
