@@ -24,6 +24,7 @@ printed so the run stays reproducible after the fact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -165,30 +166,43 @@ def cmd_simulate(scenario: Scenario, seed: SeedSpec, args: argparse.Namespace) -
     and estimates, as frames.csv, records.csv and summary.txt."""
     ipd = scenario.images_per_decision
     point = PointPipeline(scenario, seed)
-    # every estimator runs before the first output is opened, so a run that
-    # exits with an error leaves no partial output behind
-    in_deltas, out_deltas = point.deltas("in"), point.deltas("out")
-
-    lines = [f"seed = {seed.master_seed}", f"frames_per_hypothesis = {scenario.images}"]
-    for keys, compute in (
-        (("epsilon_hat", "epsilon_sigma"), lambda: point.estimate("epsilon")),
-        # zip below keeps only the estimate of a metric printed without its sigma
-        (("covariance_in",), lambda: point.estimate("covariance_in")),
-        (("covariance_out",), lambda: point.estimate("covariance_out")),
-        (("snr_per_sqrt_pair",), lambda: point.estimate("snr")),
-        (("perr_hat", "perr_threshold", "perr_batches"), lambda: perr_hat(in_deltas, out_deltas, ipd)),
-    ):
-        try:
-            values = compute()
-        except NO_VALUE_ERRORS as exc:
-            lines.append(f"{keys[0]} = nan  # {type(exc).__name__}")
-            continue
-        lines.extend(f"{key} = {render(v)}" for key, v in zip(keys, values))
+    frames_path = os.path.join(args.out, "frames.csv")
+    # frames.csv is written block by block under a staged name while the
+    # blocks are reduced, and takes its own name once every estimator has
+    # run; a run that exits with an error before then removes the staged
+    # file and every directory it made, so it leaves nothing behind
+    made, path = [], os.path.abspath(args.out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(args.out, exist_ok=True)
+    staged = os.path.join(args.out, f".frames.csv.{os.getpid()}.partial")
+    try:
+        write_frames_csv(staged, point.blocks("in"), point.blocks("out"))
+        in_deltas, out_deltas = point.deltas("in"), point.deltas("out")
+        lines = [f"seed = {seed.master_seed}", f"frames_per_hypothesis = {scenario.images}"]
+        for keys, compute in (
+            (("epsilon_hat", "epsilon_sigma"), lambda: point.estimate("epsilon")),
+            # zip below keeps only the estimate of a metric printed without its sigma
+            (("covariance_in",), lambda: point.estimate("covariance_in")),
+            (("covariance_out",), lambda: point.estimate("covariance_out")),
+            (("snr_per_sqrt_pair",), lambda: point.estimate("snr")),
+            (("perr_hat", "perr_threshold", "perr_batches"), lambda: perr_hat(in_deltas, out_deltas, ipd)),
+        ):
+            try:
+                values = compute()
+            except NO_VALUE_ERRORS as exc:
+                lines.append(f"{keys[0]} = nan  # {type(exc).__name__}")
+                continue
+            lines.extend(f"{key} = {render(v)}" for key, v in zip(keys, values))
+        os.replace(staged, frames_path)
+    except BaseException:
+        for remove, target in ((os.remove, staged), *((os.rmdir, directory) for directory in made)):
+            with contextlib.suppress(OSError):
+                remove(target)
+        raise
     summary = "\n".join(lines) + "\n"
 
-    os.makedirs(args.out, exist_ok=True)
-    frames_path = os.path.join(args.out, "frames.csv")
-    write_frames_csv(frames_path, point.counts("in"), point.counts("out"))
     records_path = os.path.join(args.out, "records.csv")
     write_records_csv(records_path, in_deltas, out_deltas)
     write_text(os.path.join(args.out, "summary.txt"), summary)

@@ -1,8 +1,8 @@
 """Measurement pipeline on count arrays: covariance, epsilon, SNR, error rate.
 
-Each hypothesis's counts arrive as two (images, K) int64 arrays n1 and
-n2, one row per frame, which `frame_stats` turns into one integer table,
-(S1, S2, S11, S22, S12, K) per frame.  Epsilon pools the table over all
+Each hypothesis's counts arrive as (rows, K) int64 arrays n1 and n2, one
+row per frame, whole or block by block, which `frame_stats` turns into
+one integer table, (S1, S2, S11, S22, S12, K) per frame.  Epsilon pools the table over all
 frames; SNR and the error rate read its `frame_covariance` per frame.
 
 Conventions follow the receiver definition: the per-frame covariance uses
@@ -74,30 +74,42 @@ class PerrEstimate(NamedTuple):
     sigma: float
 
 
-def _counts(n1, n2) -> tuple[np.ndarray, np.ndarray]:
-    """n1 and n2 as (images, K) int64 arrays whose sums cannot wrap.
+def _counts(n1, n2, images: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """n1 and n2 as (rows, K) int64 arrays whose sums cannot wrap, the
+    rows being a block of a hypothesis of `images` frames (all of them if
+    None).
 
     Within a frame s1*s2 reaches K^2 max^2; pooled over the frames S22
     reaches images*K*max^2.  The bound is checked in Python ints, so the
-    check itself cannot wrap.
+    check itself cannot wrap, and a block's bound holds over all `images`
+    frames, so every block of a hypothesis passes exactly when the whole
+    does.
     """
     n1 = np.asarray(n1, dtype=np.int64)
     n2 = np.asarray(n2, dtype=np.int64)
     if n1.shape != n2.shape or n1.ndim != 2 or n1.size == 0:
         raise ParameterError("n1 and n2 must be non-empty (images, K) arrays of equal shape")
-    if min(n1.min(), n2.min()) < 0:
-        raise ParameterError("counts must be non-negative")
-    images, k = n1.shape
-    peak = int(max(n1.max(), n2.max()))
-    if peak**2 * k * max(images, k) >= 2**63:
-        raise ParameterError(f"counts up to {peak} over {images} x {k} pixels overflow int64 sums")
+    rows, k = n1.shape
+    check_count_range(min(n1.min(), n2.min()), max(n1.max(), n2.max()), rows if images is None else images, k)
     return n1, n2
 
 
-def frame_stats(n1, n2) -> np.ndarray:
-    """The statistics table of a hypothesis: the integers (S1, S2, S11,
-    S22, S12, K) of each frame, as a (6, images) int64 array."""
-    n1, n2 = _counts(n1, n2)
+def check_count_range(low, peak, images: int, k: int) -> None:
+    """Raise `ParameterError` unless counts from `low` to `peak` over
+    `images` x `k` pixels are non-negative and their sums cannot wrap."""
+    if low < 0:
+        raise ParameterError("counts must be non-negative")
+    peak = int(peak)
+    if peak**2 * k * max(images, k) >= 2**63:
+        raise ParameterError(f"counts up to {peak} over {images} x {k} pixels overflow int64 sums")
+
+
+def frame_stats(n1, n2, images: int | None = None) -> np.ndarray:
+    """The statistics table of (rows, K) counts: the integers (S1, S2,
+    S11, S22, S12, K) of each frame, as a (6, rows) int64 array.  The rows
+    may be one block of a hypothesis of `images` frames, whose tables
+    side by side are the hypothesis's."""
+    n1, n2 = _counts(n1, n2, images)
     dots = (np.einsum("ij,ij->i", x, y) for x, y in ((n1, n1), (n2, n2), (n1, n2)))
     pixels = np.full(n1.shape[0], n1.shape[1], dtype=np.int64)
     return np.stack((n1.sum(axis=1), n2.sum(axis=1), *dots, pixels))

@@ -27,7 +27,9 @@ from the table.
 
 Instances are small by contract; full-experiment mode counts are rejected by
 the budget guards.  `_negbin_weights` refuses a law before it evaluates a
-range once the counts the law must keep exceed its budget.  Every law
+range once the counts the law must keep exceed its budget, an infinite
+mean included.  The joint support is checked on the laws' sizes, before
+any binomial table is built.  Every law
 spans an axis of the joint table, so its budget is `_MAX_STATES`.  The
 shared law also sets the conditional mixture's cost, the sum of (n+1)^2
 over its counts, so its budget is `_MIX_MAX_COUNTS`, the most counts that
@@ -106,10 +108,12 @@ def _negbin_weights(
     mean_per_mode = total_mean / modes
     p = 1.0 / (1.0 + mean_per_mode)
     sd = math.sqrt(total_mean * (1.0 + mean_per_mode))
-    size = int(total_mean + 10.0 * sd) + 10
-    # counts the law must keep, as the module docstring derives
-    kept = max(total_mean - sd - 1.0, 0.0) + 6.0 * sd + 30.0
+    # counts the law must keep, as the module docstring derives; an
+    # infinite mean or spread keeps infinitely many, and is refused
+    kept = max(0.0, total_mean - sd - 1.0) + 6.0 * sd + 30.0
+    size = 0  # the range: mean + 10 sd + 10, then doubled
     while kept <= max_counts:
+        size = 2 * size or int(total_mean + 10.0 * sd) + 10
         n = np.arange(size)
         log_pmf = _lgamma(n + modes) - math.lgamma(modes) - _lgamma(n + 1.0)
         pmf = np.exp(log_pmf + _xlogs(modes, n, p))
@@ -117,7 +121,6 @@ def _negbin_weights(
         kept = np.count_nonzero(at_least[1:] > _CUTOFF_TAIL) + 31 + int(6.0 * sd)
         if 2 * kept <= size and kept <= max_counts:
             return pmf[:kept], float(at_least[kept])
-        size *= 2
     raise InfeasibleInstanceError(
         f"photon-number law of mean {total_mean:g} must keep at least {kept:.0f} counts,"
         f" more than the {max_counts} that {limit} allows"
@@ -179,14 +182,11 @@ def _pair_table_split(weights: np.ndarray, p1: float, p2: float) -> np.ndarray:
     return routed @ _binomial_table(size, p2_given_not1)
 
 
-def _thinned_component(
-    modes: float, pre_detection_mean_per_mode: float, efficiency: float
-) -> tuple[np.ndarray, float]:
-    """pmf of detected counts from `modes` thermal modes after binomial
-    thinning, computed by explicit mixing (no thinning-closure shortcut),
-    and the tail mass of the photon-number law left out."""
-    weights, tail = _negbin_weights(modes, modes * pre_detection_mean_per_mode)
-    return weights @ _binomial_table(weights.size, efficiency), tail
+def _thinned_component(weights: np.ndarray, efficiency: float) -> np.ndarray:
+    """pmf of detected counts from the photon-number law `weights` after
+    binomial thinning, computed by explicit mixing (no thinning-closure
+    shortcut); as long as the law."""
+    return weights @ _binomial_table(weights.size, efficiency)
 
 
 def _convolve_axis(table: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
@@ -224,15 +224,21 @@ def joint_distribution(
         _MIX_MAX_COUNTS, f"a conditional mixture of {_MIX_COST_LIMIT} terms",
     )
 
-    laws = ([], [])  # (pmf, left-out tail) convolved along axis 0 and axis 1
+    # (photon-number law, left-out tail, thinning probability or None for
+    # a law taken as it is) convolved along axis 0 and axis 1.  The
+    # unmatched light on each arm has the same law, built once
+    laws = ([], [])
     if unmatched > 0.0 and source.mu > 0.0:
-        laws[0].append(_thinned_component(unmatched, pre_mean, p1))
+        unmatched_law = _negbin_weights(unmatched, unmatched * pre_mean)
+        laws[0].append((*unmatched_law, p1))
         if e2 > 0.0:
-            laws[1].append(_thinned_component(unmatched, pre_mean, p2))
+            laws[1].append((*unmatched_law, p2))
     if background.mean_total > 0.0:
-        laws[1].append(_negbin_weights(background.modes_b, background.mean_total))
+        laws[1].append((*_negbin_weights(background.modes_b, background.mean_total), None))
 
-    size1, size2 = (shared_weights.size + sum(k.size - 1 for k, _ in axis) for axis in laws)
+    # a thinned kernel is as long as its law, so the support is known
+    # before any binomial table is built
+    size1, size2 = (shared_weights.size + sum(w.size - 1 for w, _, _ in axis) for axis in laws)
     if size1 * size2 > _MAX_STATES:
         raise InfeasibleInstanceError(
             f"joint support {size1}x{size2} exceeds {_MAX_STATES} states"
@@ -240,7 +246,8 @@ def joint_distribution(
 
     table = pair_table(shared_weights, p1, p2)
     for axis, axis_laws in enumerate(laws):
-        for kernel, tail in axis_laws:
+        for weights, tail, p in axis_laws:
+            kernel = weights if p is None else _thinned_component(weights, p)
             table = _convolve_axis(table, kernel, axis)
             tail_bound += tail
     return JointDistribution(probs=table, tail_bound=tail_bound)

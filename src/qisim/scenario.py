@@ -26,12 +26,17 @@ pairs; it writes nothing, and `qisim reproduce` writes what it returns.
 """
 from __future__ import annotations
 
+import itertools
+from contextlib import closing
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from . import analytic
 from .config import CONFIG_SCHEMA, apply, build_scenario, default_config, render, write_text
 from .estimator import (
+    check_count_range,
     epsilon_hat,
     frame_covariance,
     frame_stats,
@@ -40,7 +45,7 @@ from .estimator import (
     perr_hat,
     snr_hat,
 )
-from .sampler import hypothesis_stream, sample_counts
+from .sampler import hypothesis_stream, sample_blocks
 from .types import (
     DegenerateStatisticError,
     InsufficientDataError,
@@ -177,10 +182,12 @@ METRICS = {name: metric for metrics in _OUTPUTS.values() for name, metric in met
 
 class PointPipeline:
     """The Monte Carlo estimates of one point: a scenario on one seed.
-    Each hypothesis is drawn, and its table and covariances computed, once
-    and only when a metric first needs them.  `memo`, shared by the points
-    of a sweep, holds the last source draw of each hypothesis label, under
-    the rule of README "Reproducibility"; it changes no estimate."""
+    Each hypothesis is drawn as a stream of blocks and reduced to its
+    statistics table block by block, so no (images, K) count array is
+    built; its table and covariances are computed once, and only when a
+    metric first needs them.  `memo`, shared by the points of a sweep,
+    holds the last source draw of each hypothesis label, under the rule
+    of README "Reproducibility"; it changes no estimate."""
 
     def __init__(self, scenario: Scenario, seed: SeedSpec, memo: dict | None = None) -> None:
         self.scenario = scenario
@@ -193,16 +200,39 @@ class PointPipeline:
             self._made[key] = make()
         return self._made[key]
 
-    def counts(self, label: str):
-        """(n1, n2) of hypothesis `label`, drawn as `hypothesis_stream` says."""
+    def blocks(self, label: str) -> Iterator:
+        """The (n1, n2) blocks of hypothesis `label` in frame order, drawn
+        as `hypothesis_stream` says.  Each block is reduced as it passes,
+        and once the last has passed the table is kept, so `table` draws
+        nothing more."""
         memo = None if self._memo is None else self._memo.setdefault(label, {})
-        return self._once(("counts", label), lambda: sample_counts(
-            *hypothesis_stream(self.scenario, self.seed, label), memo
-        ))
+        images = self.scenario.images
+        table = np.empty((6, images), dtype=np.int64)
+        start = 0
+        with closing(sample_blocks(*hypothesis_stream(self.scenario, self.seed, label), memo)) as stream:
+            for n1, n2 in stream:
+                try:
+                    table[:, start : start + len(n1)] = frame_stats(n1, n2, images)
+                except ParameterError:
+                    # the error names the count range of every frame of the
+                    # hypothesis, as one check of its whole counts would
+                    ranges = [
+                        (min(b1.min(), b2.min()), max(b1.max(), b2.max()))
+                        for b1, b2 in itertools.chain([(n1, n2)], stream)
+                    ]
+                    low, peak = min(low for low, _ in ranges), max(peak for _, peak in ranges)
+                    check_count_range(low, peak, images, n1.shape[1])
+                    raise
+                start += len(n1)
+                yield n1, n2
+        self._made[("table", label)] = table
 
     def table(self, label: str):
         """The statistics table (`frame_stats`) of hypothesis `label`."""
-        return self._once(("table", label), lambda: frame_stats(*self.counts(label)))
+        if ("table", label) not in self._made:
+            for _ in self.blocks(label):
+                pass
+        return self._made[("table", label)]
 
     def deltas(self, label: str):
         """Per-frame covariances of hypothesis `label`."""

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qisim
-from qisim import analytic, cli
+from qisim import analytic, cli, sampler
 from qisim.cli import main
 from qisim.config import (
     CONFIG_SCHEMA,
@@ -27,6 +28,7 @@ from qisim.config import (
     sidecar_text,
 )
 from qisim.estimator import perr_hat
+from qisim.sampler import sample_blocks
 from qisim.scenario import _ALIASES, KNOWN_OUTPUTS, PointPipeline, run_figure
 from qisim.types import (
     BackgroundSpec,
@@ -603,11 +605,80 @@ def test_flags_before_subcommand_are_kept(capsys, tmp_path):
 
 def test_simulate_counts_that_would_wrap_exit_2(capsys, tmp_path, monkeypatch):
     huge = np.full((4, 8), 2**31, dtype=np.int64)
-    monkeypatch.setattr("qisim.scenario.sample_counts", lambda *args: (huge, huge))
+    monkeypatch.setattr("qisim.scenario.sample_blocks", lambda *args: (block for block in [(huge, huge)]))
     code, _, err = run_cli(capsys, "simulate", "--seed", "1", "--out", str(tmp_path / "run"))
     assert code == 2
     assert "overflow" in err
     assert not (tmp_path / "run" / "frames.csv").exists()
+
+
+def test_simulate_overflow_names_the_peak_of_every_frame(capsys, tmp_path):
+    # read noise 1e6 wraps the sums within the first block; the message
+    # still names the peak over all 10,000 frames of the hypothesis
+    code, out, err = run_cli(
+        capsys, "simulate", "--seed", "1", "--frames", "10000", "--read-noise", "1e6",
+        "--out", str(tmp_path / "run"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: counts up to 4598038 over 10000 x 80 pixels overflow int64 sums\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def simulate_traced_peak(capsys, tmp_path, frames: int) -> int:
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(
+            capsys, "simulate", "--seed", "1", "--frames", str(frames), "--background", "5000",
+            "--out", str(tmp_path / str(frames)),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_simulate_memory_grows_only_through_its_tables(capsys, tmp_path, monkeypatch):
+    # frames.csv is written as blocks arrive, so a frame costs its table
+    # rows and covariances, not the 2 x 2 x K x 8 bytes of its counts in
+    # both hypotheses; blocks are drawn on this thread, so the peak does
+    # not depend on when pool threads finish
+    monkeypatch.setattr(sampler, "_CORES", 1)
+    simulate_traced_peak(capsys, tmp_path, 300)  # imports and caches
+    small = simulate_traced_peak(capsys, tmp_path, 1024)
+    large = simulate_traced_peak(capsys, tmp_path, 4096)
+    count_bytes_per_frame = 2 * 2 * 80 * 8
+    assert (large - small) / (4096 - 1024) < count_bytes_per_frame / 10
+
+
+def failing_after_the_first_block(scn, seed, memo=None):
+    stream = sample_blocks(scn, seed, memo)
+    yield next(stream)
+    stream.close()
+    raise ParameterError("drawn to fail")
+
+
+@pytest.mark.parametrize("out", ["new", "existing"])
+@pytest.mark.parametrize("failure", ["second block", "estimator"])
+def test_failed_simulate_leaves_nothing_behind(capsys, tmp_path, monkeypatch, out, failure):
+    run = tmp_path / "a" / "run" if out == "new" else tmp_path
+    if out == "existing":
+        (tmp_path / "frames.csv").write_bytes(b"frames of an earlier run\r\n")
+    argv = ["simulate", "--seed", "1", "--frames", "600", "--pixel-pairs", "4", "--out", str(run)]
+    if failure == "second block":
+        monkeypatch.setattr("qisim.scenario.sample_blocks", failing_after_the_first_block)
+        message = "error: drawn to fail\n"
+    else:
+        # a single pixel pair has no covariance: the frames are all written
+        argv[argv.index("4")] = "1"
+        message = "error: need at least 2 pixel pairs (got 1)\n"
+    code, out_text, err = run_cli(capsys, *argv)
+    assert (code, out_text, err) == (2, "", message)
+    if out == "new":
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert [path.name for path in tmp_path.iterdir()] == ["frames.csv"]
+        assert (tmp_path / "frames.csv").read_bytes() == b"frames of an earlier run\r\n"
 
 
 def test_simulate_single_pixel_pair_exit_2(capsys, tmp_path):

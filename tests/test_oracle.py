@@ -200,6 +200,46 @@ def test_joint_support_past_the_state_budget_is_refused_before_the_table_is_buil
     assert time.perf_counter() - start < 1.0
 
 
+def test_infeasible_unmatched_light_is_refused_before_any_table_is_built():
+    # the unmatched law keeps 4,124 counts; thinning it first built a
+    # 4,124 x 4,124 binomial table, 1.65 s and 582 MiB of max RSS
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleInstanceError, match="joint support 4505x4505 exceeds"):
+            oracle.enumerate_moments(
+                *specs(SourceKind.TWIN_BEAM, mu=10.0, modes=200, e1=0.5, e2=0.5, mm=0.005)
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def test_unmatched_law_is_built_once_per_instance(monkeypatch):
+    laws = []
+    negbin_weights = oracle._negbin_weights
+
+    def counted(modes, total_mean, *budget):
+        laws.append((modes, total_mean))
+        return negbin_weights(modes, total_mean, *budget)
+
+    monkeypatch.setattr(oracle, "_negbin_weights", counted)
+    # target present, so the unmatched light reaches both arms
+    oracle.enumerate_moments(
+        *specs(SourceKind.TWIN_BEAM, mu=0.3, modes=10, e1=0.6, e2=0.5, mm=0.7, bg=(2, 1.0))
+    )
+    # the shared law, the unmatched law and the background, once each
+    assert len(laws) == len(set(laws)) == 3
+
+
+def test_infinite_mean_is_refused_with_a_named_error():
+    # mu / t overflows to inf photons per unmatched mode
+    with pytest.raises(InfeasibleInstanceError, match=r"^photon-number law of mean inf must keep"):
+        oracle.enumerate_moments(
+            *specs(SourceKind.SPLIT_THERMAL, mu=1.0, modes=1, e1=0.5, e2=0.5, mm=0.0, t=2.2e-311)
+        )
+
+
 # ---------------------------------------------------------------------------
 # table builders against per-n loops and scipy's direct convolution
 # ---------------------------------------------------------------------------
@@ -311,8 +351,8 @@ def test_split_table_equals_per_n_loop(weights, t, e1, e2):
 # 122 weights summing past 1: the two sides of pmf[0] differ by 1.3e-15
 @example(modes=14.969033611772126, mean_per_mode=0.7614106767488278, efficiency=0.0)
 def test_thinned_component_equals_per_n_loop(modes, mean_per_mode, efficiency):
-    pmf, _ = oracle._thinned_component(modes, mean_per_mode, efficiency)
     weights, _ = oracle._negbin_weights(modes, modes * mean_per_mode)
+    pmf = oracle._thinned_component(weights, efficiency)
     # pmf[k] sums w[n] P(k of n) over n
     atol = table_atol(weights.size, weights.sum())
     np.testing.assert_allclose(pmf, loop_thinned(weights, efficiency), rtol=0, atol=atol)

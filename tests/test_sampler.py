@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -422,6 +423,81 @@ def test_pooled_error_is_the_lowest_failing_block_after_every_block(monkeypatch)
     assert sorted(finished) == [0, 1, 2, 3]
     # the memo holds no draw that raised
     assert memo == {}
+
+
+@pytest.mark.parametrize("lookahead", [1, 2, 7])
+def test_stream_bytes_do_not_depend_on_the_lookahead(monkeypatch, lookahead):
+    monkeypatch.setattr(sampler, "_CORES", max(sampler._CORES, 2))
+    monkeypatch.setattr(sampler, "_LOOKAHEAD", lookahead)
+    started = []
+    draw_block = sampler._draw_block
+
+    def counted(*args):
+        started.append(None)
+        return draw_block(*args)
+
+    monkeypatch.setattr(sampler, "_draw_block", counted)
+    scn = pool_scenario(images=1500)
+    seed = SeedSpec(2027)
+    blocks = []
+    for n1, n2 in sampler.sample_blocks(scn, seed):
+        # block b arrives with at most `lookahead` more blocks started past it
+        assert len(started) <= len(blocks) + 1 + lookahead
+        blocks.append((n1, n2))
+    assert [len(n1) for n1, _ in blocks] == [256] * 5 + [220]
+    e1, e2 = serial_counts(scn, seed)
+    assert np.array_equal(np.concatenate([n1 for n1, _ in blocks]), e1)
+    assert np.array_equal(np.concatenate([n2 for _, n2 in blocks]), e2)
+
+
+@pytest.mark.parametrize("draw", ["hit", "miss"])
+def test_abandoned_stream_leaves_the_memo_and_no_block_running(monkeypatch, draw):
+    monkeypatch.setattr(sampler, "_CORES", max(sampler._CORES, 2))
+    seed = SeedSpec(12)
+    memo = {}
+    # 1,500 frames are 6 blocks, more than the stream draws ahead
+    sample_counts(pool_scenario(images=1500), seed, memo)
+    (key, entries), = memo.items()
+    held = list(entries)
+    lock = threading.Lock()
+    running, started = [0], []
+    draw_block = sampler._draw_block
+
+    def slow(*args):
+        with lock:
+            running[0] += 1
+            started.append(None)
+        try:
+            time.sleep(0.02)
+            return draw_block(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(sampler, "_draw_block", slow)
+    # a background sweep's next point hits the memo; another mode match misses
+    scn = pool_scenario(images=1500, background_mean=30.0)
+    if draw == "miss":
+        scn = dataclasses.replace(scn, channel=dataclasses.replace(scn.channel, mode_match=0.6))
+    stream = sampler.sample_blocks(scn, seed, memo)
+    next(stream)
+    stream.close()
+    assert running[0] == 0
+    count = len(started)
+    assert count < 6
+    time.sleep(0.05)
+    assert len(started) == count
+    if draw == "hit":
+        # the same entries, each still restoring its stream right after its pairs
+        assert list(memo) == [key] and memo[key] is entries
+        assert all(a is b for a, b in zip(entries, held)) and len(entries) == 6
+        monkeypatch.setattr(sampler, "_draw_block", draw_block)
+        memoized, direct = sample_counts(scn, seed, memo), sample_counts(scn, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(memoized, direct))
+    else:
+        # the miss released the memo's draw before it drew, as the memo
+        # rule states, and wrote no part of its own
+        assert memo == {}
 
 
 def test_hypothesis_stream_refuses_a_label_other_than_in_or_out():

@@ -5,14 +5,16 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qisim.estimator import epsilon_hat, frame_stats
-from qisim.sampler import hypothesis_stream, sample_counts
+from qisim.sampler import hypothesis_stream, sample_blocks, sample_counts
 from qisim.config import apply, default_config, load_config_file, sidecar_text
 from qisim import analytic
+from qisim import sampler as sampler_module
 from qisim import scenario as scenario_module
 from qisim.scenario import (
     METRICS,
@@ -79,12 +81,12 @@ def test_images_per_decision_values_must_be_integers():
 
 
 def test_counts_that_would_wrap_flag_the_row(monkeypatch):
-    def huge_counts(scn, seed, memo=None):
-        return np.full((scn.images, scn.pixel_pairs), 2**31, dtype=np.int64), np.ones(
+    def huge_blocks(scn, seed, memo=None):
+        yield np.full((scn.images, scn.pixel_pairs), 2**31, dtype=np.int64), np.ones(
             (scn.images, scn.pixel_pairs), dtype=np.int64
         )
 
-    monkeypatch.setattr("qisim.scenario.sample_counts", huge_counts)
+    monkeypatch.setattr("qisim.scenario.sample_blocks", huge_blocks)
     # 60 frames at 2 per decision make 30 batches, so the perr row too
     # reaches the wrap check rather than the batch check
     spec = desk_spec(
@@ -94,6 +96,35 @@ def test_counts_that_would_wrap_flag_the_row(monkeypatch):
     assert rows and all(r.flag == "error:ParameterError" and r.estimate is None for r in rows)
 
 
+def point_table_traced(images: int) -> tuple:
+    """(traced peak, table, point) of the "in" table of a point at K = 80
+    drawn without a memo."""
+    point = desk_spec({
+        "sweep.values": "100", "scenario.images": str(images), "scenario.pixel_pairs": "80",
+    }).points[0]
+    pipeline = PointPipeline(point.scenario, point.seed)
+    tracemalloc.start()
+    try:
+        table = pipeline.table("in")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, table, point
+
+
+def test_point_table_is_reduced_block_by_block(monkeypatch):
+    # blocks are drawn on this thread, so the peak does not depend on
+    # when pool threads finish
+    monkeypatch.setattr(sampler_module, "_CORES", 1)
+    point_table_traced(300)  # imports and caches
+    small, _, _ = point_table_traced(1024)
+    large, table, point = point_table_traced(4096)
+    # a frame's counts take 2 x K x 8 bytes, its table row 48
+    assert (large - small) / (4096 - 1024) < 2 * 80 * 8 / 10
+    counts = sample_counts(*hypothesis_stream(point.scenario, point.seed, "in"))
+    assert np.array_equal(table, frame_stats(*counts))
+
+
 def counting_sample_counts(monkeypatch) -> list:
     """Record the hypothesis (target present or not) of every draw the
     sweep makes; the draws themselves are unchanged."""
@@ -101,9 +132,9 @@ def counting_sample_counts(monkeypatch) -> list:
 
     def counted(scn, seed, memo=None):
         calls.append(scn.channel.target_present)
-        return sample_counts(scn, seed)
+        return sample_blocks(scn, seed)
 
-    monkeypatch.setattr("qisim.scenario.sample_counts", counted)
+    monkeypatch.setattr("qisim.scenario.sample_blocks", counted)
     return calls
 
 
@@ -247,12 +278,11 @@ def test_memo_holds_one_point_per_hypothesis_on_a_mu_sweep(monkeypatch):
     held = []
 
     def watched(scn, seed, memo):
-        counts = sample_counts(scn, seed, memo)
+        yield from sample_blocks(scn, seed, memo)
         assert list(memo) == [(seed, scn.source, scn.channel, scn.pixel_pairs, scn.images)]
         held.append((id(memo), [len(blocks) for blocks in memo.values()]))
-        return counts
 
-    monkeypatch.setattr("qisim.scenario.sample_counts", watched)
+    monkeypatch.setattr("qisim.scenario.sample_blocks", watched)
     rows = run_sweep(desk_spec({
         "sweep.parameter": "mu", "sweep.values": "0.1,0.3,0.9", "sweep.outputs": "snr",
         "scenario.images": "600",

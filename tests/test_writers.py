@@ -7,6 +7,7 @@ or per frame, which is the byte contract the writers keep (lines ended by
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import tracemalloc
 
@@ -87,9 +88,39 @@ def planted(frames: int, k: int, high: int = 12_345) -> tuple[np.ndarray, np.nda
 @example((planted(5, 4, high=0), (np.zeros((5, 4), np.int64), np.resize([0, 2**63 - 1], (5, 4)))))
 def test_frames_csv_matches_csv_writer_bytes(tmp_path, counts):
     in_counts, out_counts = counts
-    write_frames_csv(str(tmp_path / "frames.csv"), in_counts, out_counts)
+    write_frames_csv(str(tmp_path / "frames.csv"), [in_counts], [out_counts])
     reference_frames_csv(str(tmp_path / "reference.csv"), in_counts, out_counts)
     assert (tmp_path / "frames.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@WRITER_SETTINGS
+@given(image_sets(), st.lists(st.integers(1, 2 * _WRITE_FRAMES + 7), min_size=1))
+def test_frames_csv_of_a_block_stream_is_the_csv_of_its_rows(tmp_path, counts, sizes):
+    """Blocks of any sizes, cycled over each hypothesis, number their
+    frames on from the blocks before them."""
+    def blocks(n1, n2):
+        start = 0
+        for size in itertools.cycle(sizes):
+            if start >= len(n1):
+                return
+            yield n1[start : start + size], n2[start : start + size]
+            start += size
+
+    in_counts, out_counts = counts
+    write_frames_csv(str(tmp_path / "frames.csv"), blocks(*in_counts), blocks(*out_counts))
+    reference_frames_csv(str(tmp_path / "reference.csv"), in_counts, out_counts)
+    assert (tmp_path / "frames.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_frames_csv_is_removed_when_a_block_fails(tmp_path):
+    def failing():
+        yield planted(3, 4)
+        raise ParameterError("block 1")
+
+    path = tmp_path / "frames.csv"
+    with pytest.raises(ParameterError, match="block 1"):
+        write_frames_csv(str(path), failing(), [planted(3, 4)])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -98,7 +129,7 @@ def test_frames_csv_refuses_negative_counts(tmp_path, side):
     counts[side][1][2, 1] = -1
     path = tmp_path / "frames.csv"
     with pytest.raises(ParameterError, match="non-negative"):
-        write_frames_csv(str(path), *counts)
+        write_frames_csv(str(path), *([pair] for pair in counts))
     assert not path.exists()
 
 
@@ -106,7 +137,7 @@ def frames_csv_traced_peak(tmp_path, frames: int) -> int:
     counts = planted(frames, 80, high=9_999), planted(frames, 80, high=9_999)
     tracemalloc.start()
     try:
-        write_frames_csv(str(tmp_path / "frames.csv"), *counts)
+        write_frames_csv(str(tmp_path / "frames.csv"), *([pair] for pair in counts))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
